@@ -164,21 +164,38 @@ def _build_parsers():
     return parser, parsers
 
 
+def _config_path(argv) -> Path | None:
+    """The file named by ``--config FILE`` or ``--config=FILE`` in argv."""
+    for i, arg in enumerate(argv):
+        if arg == "--config":
+            if i + 1 == len(argv):
+                raise WarpcheckError("--config needs a file path")
+            return Path(argv[i + 1])
+        if arg.startswith("--config="):
+            return Path(arg[len("--config="):])
+    return None
+
+
 def _apply_config_file(parsers, argv):
     """Pre-scan argv for --config and install the file's values as defaults
     on the chosen subcommand's parser."""
-    if "--config" not in argv:
+    path = _config_path(argv)
+    if path is None:
         return
     scenario = next((a for a in argv if not a.startswith("-")), None)
     if scenario not in parsers:
         return
-    path = Path(argv[argv.index("--config") + 1])
-    if not path.exists():
-        raise WarpcheckError(f"config file {path} does not exist")
+    if not path.is_file():
+        raise WarpcheckError(f"config file {path} does not exist or is "
+                             "not a file")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise WarpcheckError(f"cannot read config file {path}: {exc}") from exc
     p = parsers[scenario]
     known = {a.dest: a for a in p._actions}
     overrides = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -194,7 +211,11 @@ def _apply_config_file(parsers, argv):
         if isinstance(action, (argparse._StoreTrueAction,)):
             overrides[dest] = value.lower() in ("1", "true", "yes", "on")
         elif action.type is not None:
-            overrides[dest] = action.type(value)
+            try:
+                overrides[dest] = action.type(value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise WarpcheckError(f"{path}:{lineno}: bad value {value!r} "
+                                     f"for {key.strip()!r}") from exc
         else:
             overrides[dest] = value
         # a value from the file satisfies a required flag
@@ -202,17 +223,22 @@ def _apply_config_file(parsers, argv):
     p.set_defaults(**overrides)
 
 
+def _grid(prm, default: int) -> int:
+    """--grid if given, else ``default``; an explicit 0 is passed on, to be
+    rejected by the sweep or the CSV writer, not replaced."""
+    return default if prm.get("grid") is None else prm["grid"]
+
+
 def _scenario_verdict(config: RunConfig) -> ScenarioVerdict:
     s = config.scenario
     prm = config.params
-    grid = prm.get("grid")
 
     if s == "sha-yang":
         n = prm["n"]
         ric = prm["ric"] if prm.get("ric") is not None else float(n - 1)
         M = abstract_factor("M", n, (ric, ric))
         v = cons.sha_yang_space(n, prm["m"], M, prm["T"], tol=prm["tol"],
-                                grid_size=grid or 10_000)
+                                grid_size=_grid(prm, 10_000))
         config.profiles_to_dump = {"sha-f": v.artifacts["f"],
                                    "sha-h": v.artifacts["h"]}
         headline = ("ricci_global_min",
@@ -222,7 +248,7 @@ def _scenario_verdict(config: RunConfig) -> ScenarioVerdict:
         kappa = prm["core_kappa"] if prm.get("core_kappa") is not None else 2.0 * nu
         core = cons.certified_core(prm["n"], kappa=kappa)
         v = cons.neck_family_check(nu, prm["n"], prm["s"], core,
-                                   grid_size=grid or 2048,
+                                   grid_size=_grid(prm, 2048),
                                    parallel=config.parallel)
         config.profiles_to_dump = {
             f"neck-s{x:g}": neck_profile(nu, x) for x in prm["s"]}
@@ -230,7 +256,7 @@ def _scenario_verdict(config: RunConfig) -> ScenarioVerdict:
     elif s == "closability":
         cb = cons.round_boundary(prm["n"] - 1, 1.0, prm["kappa"])
         v = cons.collar_closability(cb, prm["c_max"], prm["n"],
-                                    grid_size=grid or 2048)
+                                    grid_size=_grid(prm, 2048))
         config.profiles_to_dump = {"collar": v.artifacts["profile"]}
         headline = ("c_star", v.config["c_star"])
     elif s == "gn":
@@ -238,18 +264,18 @@ def _scenario_verdict(config: RunConfig) -> ScenarioVerdict:
         y_ric = prm["y_ric"] if prm.get("y_ric") is not None else float(-(n - 2))
         Y = abstract_factor("Y", n - 1, (y_ric, y_ric))
         v = cons.gN_regions(Y, prm["eps_prime"], n, tol=prm["tol"],
-                            grid_size=grid or 2048)
+                            grid_size=_grid(prm, 2048))
         config.profiles_to_dump = {"k": v.artifacts["k"],
                                    "closability-f": v.artifacts["f"]}
         headline = ("regionA_ricci_min",
                     v.artifacts["ricci_report"].global_min)
     elif s == "docking":
-        v = cons.docking_ambient(prm["n"], grid_size=grid or 2048,
+        v = cons.docking_ambient(prm["n"], grid_size=_grid(prm, 2048),
                                  include_round_check=prm.get("check_round"))
         config.profiles_to_dump = {"docking-r": v.artifacts["R"]}
         headline = ("ricci_min", v.artifacts["ricci_report"].global_min)
     elif s == "thm22":
-        v = _thm22_verdict(prm, grid or 2048)
+        v = _thm22_verdict(prm, _grid(prm, 2048))
         rep_mins = [c.value for c in v.checks if c.name.endswith("ricci_floor")]
         headline = ("min_member_ricci", min(rep_mins))
     elif s == "glue":
@@ -340,7 +366,7 @@ def _glue_verdict(prm):
 def _export(config: RunConfig) -> int:
     prm = config.params
     pid = prm["profile"]
-    grid = prm.get("grid") or 1001
+    grid = _grid(prm, 1001)
     if pid in ("sha-f", "sha-h"):
         f, h, _ = sha_yang_profiles(prm["n"], prm["m"], prm["T"], prm["tol"])
         profile = f if pid == "sha-f" else h
@@ -380,7 +406,7 @@ def run(config: RunConfig) -> int:
         if config.write_csv:
             for name, profile in config.profiles_to_dump.items():
                 p = write_profile_csv(config.out_dir / f"{verdict.scenario}_{name}.csv",
-                                      profile, config.params.get("grid") or 1001)
+                                      profile, _grid(config.params, 1001))
                 artifact_paths.append(p)
         report = verdict.to_report(artifact_paths)
         path = write_report(config.out_dir / f"{verdict.scenario}.json", report)
@@ -418,3 +444,7 @@ def main(argv=None) -> int:
 
 def entrypoint():  # console script
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -33,9 +33,16 @@ from .quadrature import adaptive_quad
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in ascending value order: permutation-invariant."""
+    """Sum over axis 0 in ascending value order: permutation-invariant.
+
+    One or two rows need no sort: IEEE addition is commutative, so
+    ``a + b`` has the bits of ``min + max``. Three or more rows are sorted,
+    because a longer sum depends on the order it is accumulated in.
+    """
     if rows.shape[0] == 1:
         return rows[0].copy()
+    if rows.shape[0] == 2:
+        return rows[0] + rows[1]
     ordered = np.sort(rows, axis=0)
     total = ordered[0].copy()
     for i in range(1, ordered.shape[0]):

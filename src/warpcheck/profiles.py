@@ -390,18 +390,25 @@ def neck_profile(nu: float, s: float) -> WarpProfile:
                                amplitude=math.sqrt(2.0), omega=nu)
 
 
+def _flat_decay_value(x):
+    """exp(-x^2/(1-x)) for x < 1 and 0 from x = 1 on, without its slope.
+
+    Both branches are computed everywhere and ``np.where`` picks one, so no
+    boolean gather or scatter runs; the discarded branch may overflow or
+    divide by zero, hence the silenced floating-point errors.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.where(x < 1.0, np.exp(-x * x / (1.0 - x)), 0.0)
+
+
 def _flat_decay(x):
     """exp(-x^2/(1-x)) on [0, 1): value 1 and slope 0 at 0, strictly
     decreasing, all derivatives vanish at 1. Returns (w, w')."""
     x = np.asarray(x, dtype=float)
-    w = np.zeros_like(x)
-    wp = np.zeros_like(x)
-    inside = x < 1.0
-    xi = x[inside]
-    with np.errstate(under="ignore"):
-        wi = np.exp(-xi * xi / (1.0 - xi))
-    w[inside] = wi
-    wp[inside] = -wi * xi * (2.0 - xi) / (1.0 - xi) ** 2
+    w = _flat_decay_value(x)
+    with np.errstate(all="ignore"):
+        wp = np.where(x < 1.0, -w * x * (2.0 - x) / (1.0 - x) ** 2, 0.0)
     return w, wp
 
 
@@ -417,7 +424,7 @@ def k_profile(eps_prime: float) -> WarpProfile:
     if not eps_prime > 0:
         raise InputError(f"eps_prime must be positive, got {eps_prime}")
     ep = float(eps_prime)
-    W = CumulativeIntegral(lambda x: _flat_decay(x)[0], 0.0, 1.0)
+    W = CumulativeIntegral(_flat_decay_value, 0.0, 1.0)
 
     def triple(t):
         t = np.asarray(t, dtype=float)
@@ -453,6 +460,25 @@ def k_profile(eps_prime: float) -> WarpProfile:
     return k
 
 
+def _collar_step(x):
+    """exp(1 - 1/x) for x > 0 and 0 otherwise: rises from a flat 0 at x = 0
+    to 1 at x = 1.
+
+    Both branches are computed everywhere and ``np.where`` picks one; the
+    discarded branch divides by zero or overflows for x <= 0.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.where(x > 0.0, np.exp(1.0 - 1.0 / x), 0.0)
+
+
+def _collar_step_prime(x):
+    """Derivative of ``_collar_step``: exp(1 - 1/x) / x^2 for x > 0."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        return np.where(x > 0.0, np.exp(1.0 - 1.0 / x) / x ** 2, 0.0)
+
+
 def collar_profile(c: float, length: float = 2.0) -> WarpProfile:
     """Cylinder warp with f(0) = 1, f'(0) = 2c, f'' < 0 on [0, 1) and
     f' = c from t = 1 on, smooth across the transition.
@@ -467,31 +493,15 @@ def collar_profile(c: float, length: float = 2.0) -> WarpProfile:
         raise InputError(f"length must exceed the unit ramp, got {length}")
     cc = float(c)
 
-    def phi(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        with np.errstate(under="ignore"):
-            out[pos] = np.exp(1.0 - 1.0 / x[pos])
-        return out
-
-    def phi_prime(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        with np.errstate(under="ignore"):
-            out[pos] = np.exp(1.0 - 1.0 / x[pos]) / x[pos] ** 2
-        return out
-
-    big_phi = CumulativeIntegral(phi, 0.0, 1.0)
+    big_phi = CumulativeIntegral(_collar_step, 0.0, 1.0)
     phi_total = float(big_phi(1.0))
 
     def triple(t):
         t = np.asarray(t, dtype=float)
         u = np.clip(1.0 - t, 0.0, 1.0)
         f = 1.0 + cc * t + cc * (phi_total - np.asarray(big_phi(u), dtype=float))
-        fp = cc * (1.0 + phi(u))
-        fpp = -cc * phi_prime(u)
+        fp = cc * (1.0 + _collar_step(u))
+        fpp = -cc * _collar_step_prime(u)
         return f, fp, fpp
 
     prof = WarpProfile(domain=(0.0, float(length)), kind="closed-form",

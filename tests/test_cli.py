@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import warpcheck
 
 from warpcheck.cli import main
 from warpcheck.report import revalidate_report
@@ -77,6 +83,15 @@ class TestExitCodeContract:
         assert rc == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["docking", "--n", "3"],
+        ["export", "--profile", "k"],
+    ])
+    def test_grid_zero_is_input_error_not_default(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--grid", "0", "--out", str(out)]) == 2
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_thm22_forced_ricci_failure(self, tmp_path):
         rc = main(["thm22", "--n", "4", "--members", "2",
                    "--ric-deficit", "0.1", "--out", str(tmp_path)])
@@ -143,6 +158,32 @@ class TestConfigFile:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_config_equals_form_is_applied(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nu = 0.1\nn = 5\ns = 0.5,0.25\ngrid = 256\n")
+        rc = main(["neck", f"--config={cfg}", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        report = read_report(tmp_path / "o" / "neck.json")
+        assert report["config"]["s_values"] == [repr(0.5), repr(0.25)]
+        assert report["config"]["grid_size"] == 256
+
+    def test_trailing_config_without_value_is_input_error(self, tmp_path,
+                                                          capsys):
+        rc = main(["neck", "--nu", "0.1", "--n", "5", "--s", "0.5",
+                   "--out", str(tmp_path / "x"), "--config"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_bad_config_value_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid = many\n")
+        rc = main(["neck", "--config", str(cfg), "--nu", "0.1", "--n", "5",
+                   "--s", "0.5", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestExport:
     def test_sha_f_row_count(self, tmp_path):
@@ -191,3 +232,16 @@ def test_parallel_neck_matches_sequential_bytes(tmp_path):
     assert main(argv + ["--out", str(d1)]) == 0
     assert main(argv + ["--out", str(d2), "--parallel"]) == 0
     assert (d1 / "neck.json").read_bytes() == (d2 / "neck.json").read_bytes()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(warpcheck.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "warpcheck", "glue", "--example", "hemisphere",
+         "--n", "3", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "glue.json").exists()

@@ -1,0 +1,230 @@
+"""Bit-exactness of the evaluation hot paths against their earlier forms.
+
+The earlier implementations are kept here as oracles. Every comparison is on
+uint64 views, so -0.0 against 0.0 or a changed last bit fails. The oracles
+silence all floating-point errors, because the edge grids include inf and
+nan; the seed forms only silenced underflow on the inputs they were given.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from warpcheck import kernels
+from warpcheck.curvature import _ordered_sum
+from warpcheck.ode import OdeRhs, integrate_ivp
+from warpcheck.profiles import (_collar_step, _collar_step_prime, _flat_decay,
+                                _flat_decay_value, collar_profile, k_profile)
+from warpcheck.quadrature import CumulativeIntegral
+
+
+# the unpatched evaluator, for oracle values while a test counts its calls
+DENSE_EVAL = kernels.dense_eval
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(bits(a), bits(b))
+
+
+# --- oracles: the masked / sorting forms these hot paths replaced ----------
+
+def sorted_sum(rows):
+    if rows.shape[0] == 1:
+        return rows[0].copy()
+    ordered = np.sort(rows, axis=0)
+    total = ordered[0].copy()
+    for i in range(1, ordered.shape[0]):
+        total += ordered[i]
+    return total
+
+
+def masked_phi(x):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    with np.errstate(all="ignore"):
+        out[pos] = np.exp(1.0 - 1.0 / x[pos])
+    return out
+
+
+def masked_phi_prime(x):
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    with np.errstate(all="ignore"):
+        out[pos] = np.exp(1.0 - 1.0 / x[pos]) / x[pos] ** 2
+    return out
+
+
+def masked_flat_decay(x):
+    x = np.asarray(x, dtype=float)
+    w = np.zeros_like(x)
+    wp = np.zeros_like(x)
+    inside = x < 1.0
+    xi = x[inside]
+    with np.errstate(all="ignore"):
+        wi = np.exp(-xi * xi / (1.0 - xi))
+        w[inside] = wi
+        wp[inside] = -wi * xi * (2.0 - xi) / (1.0 - xi) ** 2
+    return w, wp
+
+
+# --- _ordered_sum ------------------------------------------------------------
+
+SPECIALS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+FLOATS = st.floats(allow_nan=False) | SPECIALS
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(FLOATS, FLOATS), min_size=1, max_size=40))
+def test_two_row_sum_has_the_bits_of_sort_then_add(pairs):
+    rows = np.array(pairs, dtype=float).T.copy()
+    with np.errstate(all="ignore"):
+        assert_same_bits(_ordered_sum(rows), sorted_sum(rows))
+        assert_same_bits(_ordered_sum(rows[::-1]), sorted_sum(rows))
+
+
+def test_two_row_sum_of_nan_payloads_stays_nan():
+    # np.sort rewrites NaN payloads to the canonical quiet NaN, so only the
+    # NaN-ness of such a sum is order-independent, not its payload bits
+    payload = np.array([0x7FF8000000000123, 0xFFF8000000000000],
+                       dtype=np.uint64).view(float)
+    rows = np.array([[payload[0], 1.0, payload[1]],
+                     [2.0, payload[0], payload[0]]])
+    with np.errstate(all="ignore"):
+        assert np.isnan(_ordered_sum(rows)).all()
+        assert np.isnan(sorted_sum(rows)).all()
+
+
+def test_three_or_more_rows_still_sum_in_ascending_order():
+    rows = np.array([[1e16, -1e16, 1.0], [1.0, 1.0, 1e16], [-1e16, 1e16, -1e16]])
+    for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+        assert_same_bits(_ordered_sum(rows[perm]), sorted_sum(rows))
+
+
+# --- mask-free quadrature integrands ------------------------------------------
+
+EDGE_GRID = np.concatenate([
+    np.array([-np.inf, -1e300, -2.0, -1.0, -1e-300, -5e-324, -0.0, 0.0,
+              5e-324, 1e-300, 1e-3, 0.5, 1.0 - 2.0 ** -52, 1.0,
+              1.0 + 2.0 ** -52, 2.0, 1e300, np.inf, np.nan]),
+    np.linspace(-0.5, 1.5, 2001),
+])
+
+
+def test_collar_step_matches_masked_form():
+    assert_same_bits(_collar_step(EDGE_GRID), masked_phi(EDGE_GRID))
+    assert_same_bits(_collar_step_prime(EDGE_GRID), masked_phi_prime(EDGE_GRID))
+    assert_same_bits(_collar_step(0.25), masked_phi(np.float64(0.25)))
+
+
+def test_flat_decay_matches_masked_form():
+    w_ref, wp_ref = masked_flat_decay(EDGE_GRID)
+    w, wp = _flat_decay(EDGE_GRID)
+    assert_same_bits(_flat_decay_value(EDGE_GRID), w_ref)
+    assert_same_bits(w, w_ref)
+    assert_same_bits(wp, wp_ref)
+
+
+def test_integrands_raise_no_floating_point_warnings():
+    with np.errstate(all="raise"):
+        _collar_step(EDGE_GRID)
+        _collar_step_prime(EDGE_GRID)
+        _flat_decay(EDGE_GRID)
+
+
+@pytest.mark.parametrize("eps_prime", [0.15, 0.2])
+def test_k_profile_matches_masked_integrand(eps_prime):
+    W = CumulativeIntegral(lambda x: masked_flat_decay(x)[0], 0.0, 1.0)
+    t = np.linspace(0.0, eps_prime, 3001)
+    x = t / eps_prime
+    w, wp = masked_flat_decay(x)
+    expect = (eps_prime * W(x), w, wp / eps_prime)
+    for got, ref in zip(k_profile(eps_prime).raw_eval(t), expect):
+        assert_same_bits(got, ref)
+
+
+@pytest.mark.parametrize("c", [0.1, 0.3])
+def test_collar_profile_matches_masked_integrand(c):
+    big_phi = CumulativeIntegral(masked_phi, 0.0, 1.0)
+    total = float(big_phi(1.0))
+    t = np.linspace(0.0, 2.0, 3001)
+    u = np.clip(1.0 - t, 0.0, 1.0)
+    expect = (1.0 + c * t + c * (total - big_phi(u)),
+              c * (1.0 + masked_phi(u)), -c * masked_phi_prime(u))
+    for got, ref in zip(collar_profile(c).raw_eval(t), expect):
+        assert_same_bits(got, ref)
+
+
+# --- DenseSolution.eval memo ----------------------------------------------------
+
+@pytest.fixture
+def solution():
+    return integrate_ivp(OdeRhs.power(0.5, -2.0), 0.0, 2.0, 1.0, 0.0, 1e-10)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+
+    def counted(ts, fs, fps, fpps, tq):
+        calls.append(np.size(tq))
+        return DENSE_EVAL(ts, fs, fps, fpps, tq)
+
+    monkeypatch.setattr(kernels, "dense_eval", counted)
+    return calls
+
+
+def fresh(sol, tq):
+    f, fp = DENSE_EVAL(sol.ts, sol.fs, sol.fps, sol.fpps, tq)
+    return f, fp, sol.rhs(tq, f, fp)
+
+
+def test_repeated_query_reuses_one_interpolation(solution, kernel_calls):
+    tq = np.linspace(0.0, 2.0, 513)
+    first = solution.eval(tq)
+    second = solution.eval(tq.copy())
+    assert kernel_calls == [513]
+    for a, b, ref in zip(first, second, fresh(solution, tq)):
+        assert_same_bits(a, ref)
+        assert_same_bits(b, ref)
+        assert a is not b
+
+
+def test_mutating_results_or_query_does_not_reach_the_memo(solution,
+                                                           kernel_calls):
+    tq = np.linspace(0.0, 2.0, 257)
+    ref = fresh(solution, tq.copy())
+    for _ in range(3):  # a miss, then two hits
+        f, fp, fpp = solution.eval(tq)
+        for got, want in zip((f, fp, fpp), ref):
+            assert_same_bits(got, want)
+        f[:] = 7.0
+        fp[:] = 7.0
+        fpp[:] = 7.0
+
+    moved = tq[::-1].copy()
+    tq[:] = moved  # the caller rewrites its query array in place
+    for got, want in zip(solution.eval(tq), fresh(solution, moved)):
+        assert_same_bits(got, want)
+    assert len(kernel_calls) == 2
+
+
+def test_signed_zero_queries_do_not_share_a_slot(solution, kernel_calls):
+    solution.eval(np.array([0.0, 1.0]))
+    solution.eval(np.array([-0.0, 1.0]))
+    solution.eval(np.array([0.0, 1.0]))
+    solution.eval(np.array([[0.0], [1.0]]))
+    assert len(kernel_calls) == 4
+
+
+def test_memo_is_not_part_of_identity(solution):
+    before = repr(solution)
+    solution.eval(np.linspace(0.0, 2.0, 9))
+    assert repr(solution) == before
+    assert "_last" not in solution.meta
+    assert "_last" not in before
