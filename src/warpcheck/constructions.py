@@ -4,12 +4,17 @@ Each function builds one construction, measures every hypothesis it is
 supposed to satisfy, and returns a ScenarioVerdict whose checks carry the
 measured values and thresholds. Verification failures live in the verdict;
 exceptions are reserved for invalid inputs.
+
+``SCENARIOS`` lists the command-line scenarios (flags, default grid, and how
+each turns parsed flags into a verdict); ``PROFILES`` and ``EXPORT_ARGS`` do
+the same for ``warpcheck export``.
 """
 from __future__ import annotations
 
+import argparse
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -237,8 +242,7 @@ def cone_asymptotics(metric: MultiWarpedMetric, slopes: Sequence[float],
 
 def neck_family_check(nu: float, n: int, s_values: Sequence[float],
                       core: CertifiedBlock, *, grid_size: int = 2048,
-                      glue_tol: float = 1e-9,
-                      parallel: bool = False) -> ScenarioVerdict:
+                      glue_tol: float = 1e-9) -> ScenarioVerdict:
     """The shrinking family dt^2 + 2 sin^2(nu t) ds_{n-1}^2 on [s, pi/(4 nu)].
 
     For every s the outer boundary must be round of radius 1 with principal
@@ -285,12 +289,7 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
         return {"s": s, "report": rep, "outer": outer, "inner": inner,
                 "glue": glue, "volume": vol, "lam": lam, "drift": drift}
 
-    if parallel and len(s_values) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(8, len(s_values))) as pool:
-            per_s = list(pool.map(member, s_values))
-    else:
-        per_s = [member(s) for s in s_values]
+    per_s = [member(s) for s in s_values]
 
     checks = []
     mins = [e["report"].global_min for e in per_s]
@@ -662,3 +661,233 @@ def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
               "volumes": vols, "lambda": lam}
     return ScenarioVerdict("thm22", config, tuple(checks),
                            artifacts={"volumes": vols})
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad float {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite float")
+    return value
+
+
+def _csv_list(text: str) -> list[float]:
+    """argparse type: comma-separated finite floats."""
+    return [_finite_float(x) for x in text.split(",") if x.strip()]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One command-line scenario.
+
+    ``args`` holds ``(flags, argparse kwargs)`` pairs for its own flags;
+    ``grid`` is the default sweep grid (None: the scenario sweeps none).
+    ``run(prm, grid)`` takes the parsed flags and returns (verdict,
+    (headline name, value), {csv name: profile}); the headline is what
+    ``--require-min`` checks.
+
+    The runners below look construction and profile functions up by their
+    module-global name when called, never through a stored reference, so
+    that wrappers installed on this module (perfbench/tracer.py) see every
+    call.
+    """
+
+    name: str
+    help: str
+    args: tuple
+    grid: Optional[int]
+    run: Callable
+
+
+def _run_sha_yang(prm, grid):
+    n = prm["n"]
+    ric = float(n - 1) if prm["ric"] is None else prm["ric"]
+    M = abstract_factor("M", n, (ric, ric))
+    v = sha_yang_space(n, prm["m"], M, prm["T"], tol=prm["tol"],
+                       grid_size=grid)
+    return (v, ("ricci_global_min", v.artifacts["ricci_report"].global_min),
+            {"sha-f": v.artifacts["f"], "sha-h": v.artifacts["h"]})
+
+
+def _run_neck(prm, grid):
+    nu = prm["nu"]
+    kappa = 2.0 * nu if prm["core_kappa"] is None else prm["core_kappa"]
+    core = certified_core(prm["n"], kappa=kappa)
+    v = neck_family_check(nu, prm["n"], prm["s"], core, grid_size=grid)
+    return (v, ("delta", v.config["delta"]),
+            {f"neck-s{x:g}": neck_profile(nu, x) for x in prm["s"]})
+
+
+def _run_closability(prm, grid):
+    cb = round_boundary(prm["n"] - 1, 1.0, prm["kappa"])
+    v = collar_closability(cb, prm["c_max"], prm["n"], grid_size=grid)
+    return (v, ("c_star", v.config["c_star"]),
+            {"collar": v.artifacts["profile"]})
+
+
+def _run_gn(prm, grid):
+    n = prm["n"]
+    y_ric = float(-(n - 2)) if prm["y_ric"] is None else prm["y_ric"]
+    Y = abstract_factor("Y", n - 1, (y_ric, y_ric))
+    v = gN_regions(Y, prm["eps_prime"], n, tol=prm["tol"], grid_size=grid)
+    return (v, ("regionA_ricci_min", v.artifacts["ricci_report"].global_min),
+            {"k": v.artifacts["k"], "closability-f": v.artifacts["f"]})
+
+
+def _run_docking(prm, grid):
+    v = docking_ambient(prm["n"], grid_size=grid,
+                        include_round_check=prm["check_round"])
+    return (v, ("ricci_min", v.artifacts["ricci_report"].global_min),
+            {"docking-r": v.artifacts["R"]})
+
+
+def _run_thm22(prm, grid):
+    n = prm["n"]
+    deficit = prm["ric_deficit"]
+    if deficit and n < 4:
+        raise InputError("--ric-deficit needs n >= 4 (a 1-dimensional "
+                         "cross-section factor is necessarily Ricci-flat)")
+    count = prm["members"]
+    members = []
+    for i in range(count):
+        rho = float(n - 3)
+        if i == count - 1:
+            rho -= deficit
+        if rho == n - 3:
+            factor = round_sphere_factor(n - 2, 1.0)
+        else:
+            factor = abstract_factor("X", n - 2, (rho, rho),
+                                     volume=unit_sphere_volume(n - 2))
+        members.append(MultiWarpedMetric(
+            (0.0, math.pi),
+            ((factor, closed_form_profile("sine", (0.0, math.pi))),),
+            collapse_left=0, collapse_right=0))
+    cert_boundary = round_boundary(n - 2, 1.0, 1.0)
+    certificate = collar_closability(cert_boundary, 0.45, n - 1,
+                                     grid_size=grid)
+    v = theorem22_hypotheses(members, n, prm["closable_index"], certificate,
+                             grid_size=grid)
+    floors = [c.value for c in v.checks if c.name.endswith("ricci_floor")]
+    return v, ("min_member_ricci", min(floors)), {}
+
+
+def _run_glue(prm, grid):
+    if prm["example"] == "hemisphere":
+        n = prm["n"]
+        metric = MultiWarpedMetric(
+            (0.0, math.pi / 2.0),
+            ((round_sphere_factor(n - 1, 1.0),
+              closed_form_profile("sine", (0.0, math.pi / 2.0))),),
+            collapse_left=0)
+        b1 = b2 = boundary_data(metric, "right")
+        note = "hemisphere glued to its mirror along the equator"
+    else:
+        needed = ("dim", "r1", "k1", "r2", "k2")
+        if any(prm[k] is None for k in needed):
+            raise InputError(
+                "glue needs --example hemisphere or all of --dim, --r1, "
+                "--k1, --r2, --k2")
+        b1 = round_boundary(prm["dim"], prm["r1"], prm["k1"])
+        b2 = round_boundary(prm["dim"], prm["r2"], prm["k2"])
+        note = "explicit round boundaries"
+    verdict = glue_check(b1, b2, prm["glue_tol"])
+    checks = (
+        check_bool("isometry_ok", "glue-isometry", verdict.isometry_ok, note),
+        check_ge("ii_sum_min", "glue-ii-sum", verdict.ii_sum_min,
+                 -prm["glue_tol"]),
+    )
+    config = {k: prm[k] for k in
+              ("example", "n", "dim", "r1", "k1", "r2", "k2", "glue_tol")}
+    v = ScenarioVerdict("glue", config, checks, artifacts={"glue": verdict})
+    return v, ("ii_sum_min", verdict.ii_sum_min), {}
+
+
+SCENARIOS = {s.name: s for s in (
+    Scenario("sha-yang", "complete metric collapsing to a cone over M", (
+        (("--n",), {"type": int, "required": True}),
+        (("--m",), {"type": int, "required": True}),
+        (("--T",), {"type": _finite_float, "default": 50.0}),
+        (("--ric",), {"type": _finite_float, "default": None,
+                      "help": "Einstein constant of M (default n-1)"}),
+    ), 10_000, _run_sha_yang),
+    Scenario("neck", "shrinking neck family against a certified core", (
+        (("--nu",), {"type": _finite_float, "required": True}),
+        (("--n",), {"type": int, "required": True}),
+        (("--s",), {"type": _csv_list, "required": True,
+                    "help": "comma-separated list of s values"}),
+        (("--core-kappa",), {"type": _finite_float, "default": None,
+                             "help": "core boundary principal curvature "
+                                     "(default 2 nu)"}),
+    ), 2048, _run_neck),
+    Scenario("closability", "largest certified collar slope over a convex "
+                            "core", (
+        (("--n",), {"type": int, "required": True}),
+        (("--c-max",), {"type": _finite_float, "default": 0.45}),
+        (("--kappa",), {"type": _finite_float, "default": 1.0,
+                        "help": "core boundary principal curvature"}),
+    ), 2048, _run_closability),
+    Scenario("gn", "doubled-region metric over a hypersurface", (
+        (("--n",), {"type": int, "required": True}),
+        (("--eps-prime",), {"type": _finite_float, "default": 0.2}),
+        (("--y-ric",), {"type": _finite_float, "default": None,
+                        "help": "Ricci constant of the hypersurface "
+                                "(default -(n-2))"}),
+    ), 2048, _run_gn),
+    Scenario("docking", "ambient doubly warped sphere", (
+        (("--n",), {"type": int, "required": True}),
+        (("--check-round",), {"action": "store_true", "default": None,
+                              "help": "require the round-model reproduction "
+                                      "check"}),
+    ), 2048, _run_docking),
+    Scenario("thm22", "family hypotheses: volume cap, Ricci floor, closable "
+                      "member", (
+        (("--n",), {"type": int, "required": True}),
+        (("--members",), {"type": int, "default": 1}),
+        (("--ric-deficit",), {"type": _finite_float, "default": 0.0,
+                              "help": "subtract from the last member's factor "
+                                      "curvature (forces a Ricci-floor "
+                                      "failure)"}),
+        (("--closable-index",), {"type": int, "default": 0}),
+    ), 2048, _run_thm22),
+    Scenario("glue", "gluing hypotheses for a pair of boundaries", (
+        (("--example",), {"choices": ["hemisphere"], "default": None}),
+        (("--n",), {"type": int, "default": 4,
+                    "help": "total dimension for --example"}),
+        (("--dim",), {"type": int, "default": None,
+                      "help": "boundary factor dimension"}),
+        (("--r1",), {"type": _finite_float, "default": None}),
+        (("--k1",), {"type": _finite_float, "default": None}),
+        (("--r2",), {"type": _finite_float, "default": None}),
+        (("--k2",), {"type": _finite_float, "default": None}),
+        (("--glue-tol",), {"type": _finite_float, "default": 1e-9}),
+    ), None, _run_glue),
+)}
+
+
+# export: profile id -> builder of that profile from the parsed flags
+PROFILES = {
+    "sha-f": lambda prm: sha_yang_profiles(prm["n"], prm["m"], prm["T"],
+                                           prm["tol"])[0],
+    "sha-h": lambda prm: sha_yang_profiles(prm["n"], prm["m"], prm["T"],
+                                           prm["tol"])[1],
+    "neck": lambda prm: neck_profile(prm["nu"], prm["s"]),
+    "k": lambda prm: k_profile(prm["eps_prime"]),
+    "collar": lambda prm: collar_profile(prm["c"]),
+    "closability": lambda prm: closability_ode_profile(
+        prm["n"], prm["eps_prime"], prm["tol"]),
+    "docking-r": lambda prm: docking_R_profile(),
+}
+
+EXPORT_ARGS = (
+    (("--profile",), {"required": True, "choices": list(PROFILES)}),
+    (("--n",), {"type": int, "default": 3}),
+    (("--m",), {"type": int, "default": 2}),
+    (("--T",), {"type": _finite_float, "default": 50.0}),
+    (("--nu",), {"type": _finite_float, "default": 0.1}),
+    (("--s",), {"type": _finite_float, "default": 0.5}),
+    (("--eps-prime",), {"type": _finite_float, "default": 0.2}),
+    (("--c",), {"type": _finite_float, "default": 0.1}),
+)

@@ -1,26 +1,20 @@
 """Hot numeric kernels: adaptive Runge-Kutta stepping and dense evaluation.
 
-The stepping loop and the per-point dense interpolator are compiled with
-numba when it is importable; setting the environment variable
-``WARPCHECK_DISABLE_NUMBA=1`` selects the pure NumPy/Python fallback instead.
-Both paths execute the same arithmetic, so results are identical; only speed
-differs (see ``benchmarks/bench_kernels.py``).
+One Dormand-Prince 5(4) loop (``_rk45``) integrates f'' = F(t, f, f') for
+any right-hand side, and one vectorized quintic-Hermite evaluator
+(``dense_eval``) interpolates its nodes; both are plain NumPy/Python.
 
-Right-hand sides f'' = F(t, f, f') are dispatched on an integer code so the
-loop stays jittable:
+Right-hand sides with a closed form are described by an integer code and
+three parameters (``rk45_coded``):
 
     RHS_LINEAR      F = p0 + p1*f + p2*f'
     RHS_POWER       F = p0 * f**p1
     RHS_RADIAL      F = -f - p0*(1 + f'**2)/f
-
-Arbitrary Python callables are handled by a separate, never-jitted copy of
-the same loop (``rk45_callback``); the two loops must be kept in sync and the
-test suite cross-checks them on a shared problem.
 """
 from __future__ import annotations
 
+import functools
 import math
-import os
 
 import numpy as np
 
@@ -28,25 +22,8 @@ RHS_LINEAR = 0
 RHS_POWER = 1
 RHS_RADIAL = 2
 
-_FLAG = os.environ.get("WARPCHECK_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _FLAG not in ("", "0", "false")
-
-try:
-    import numba
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    numba = None
-    NUMBA_AVAILABLE = False
-
-USING_NUMBA = NUMBA_AVAILABLE and not _DISABLED
-
-
-def maybe_jit(fn):
-    """Apply ``numba.njit(cache=True)`` when the jit path is active."""
-    if USING_NUMBA:
-        return numba.njit(cache=True)(fn)
-    return fn
+# perfbench/run.py reports it among its machine facts; there is no compiled path
+USING_NUMBA = False
 
 
 # Dormand-Prince 5(4) coefficients.
@@ -75,135 +52,15 @@ def _rhs_coded(code, p0, p1, p2, t, f, fp):
     return -f - p0 * (1.0 + fp * fp) / f
 
 
-rhs_coded = maybe_jit(_rhs_coded)
-
-
-def _rk45_coded(code, p0, p1, p2, t0, t1, f0, fp0,
-                rtol, atol, h_max, f_floor, fp_cap, max_steps):
-    """Integrate (f, f')' = (f', F) from t0 to t1 with an embedded 5(4) pair.
+def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, f_floor, fp_cap, max_steps):
+    """Integrate (f, f')' = (f', rhs(t, f, f')) from t0 to t1 with an
+    embedded 5(4) pair.
 
     Returns (ts, fs, fps, fpps, status, nfev) with one row per accepted node.
     The positivity floor arms once f has risen above 2*f_floor, so profiles
-    that start at a cone point (f = 0) are not rejected immediately.
+    that start at a cone point (f = 0) are not rejected immediately. An error
+    norm too large for a float rejects the step like a non-finite one.
     """
-    ts = np.empty(max_steps + 1)
-    fs = np.empty(max_steps + 1)
-    fps = np.empty(max_steps + 1)
-    fpps = np.empty(max_steps + 1)
-
-    t = t0
-    f = f0
-    fp = fp0
-    k1f = fp
-    k1p = rhs_coded(code, p0, p1, p2, t, f, fp)
-    nfev = 1
-    n = 0
-    ts[0] = t
-    fs[0] = f
-    fps[0] = fp
-    fpps[0] = k1p
-
-    armed = f0 > 2.0 * f_floor
-    status = STATUS_OK
-    span = t1 - t0
-    h = span / 100.0
-    if h > h_max:
-        h = h_max
-
-    while t < t1:
-        if n >= max_steps:
-            status = STATUS_MAX_STEPS
-            break
-        h_min = 1e-13 * max(abs(t), 1.0)
-        if h < h_min:
-            status = STATUS_TRUNCATED
-            break
-        last = h >= t1 - t
-        h_try = t1 - t if last else h
-
-        y2f = f + h_try * (_A21 * k1f)
-        y2p = fp + h_try * (_A21 * k1p)
-        k2f = y2p
-        k2p = rhs_coded(code, p0, p1, p2, t + _C2 * h_try, y2f, y2p)
-        y3f = f + h_try * (_A31 * k1f + _A32 * k2f)
-        y3p = fp + h_try * (_A31 * k1p + _A32 * k2p)
-        k3f = y3p
-        k3p = rhs_coded(code, p0, p1, p2, t + _C3 * h_try, y3f, y3p)
-        y4f = f + h_try * (_A41 * k1f + _A42 * k2f + _A43 * k3f)
-        y4p = fp + h_try * (_A41 * k1p + _A42 * k2p + _A43 * k3p)
-        k4f = y4p
-        k4p = rhs_coded(code, p0, p1, p2, t + _C4 * h_try, y4f, y4p)
-        y5f = f + h_try * (_A51 * k1f + _A52 * k2f + _A53 * k3f + _A54 * k4f)
-        y5p = fp + h_try * (_A51 * k1p + _A52 * k2p + _A53 * k3p + _A54 * k4p)
-        k5f = y5p
-        k5p = rhs_coded(code, p0, p1, p2, t + _C5 * h_try, y5f, y5p)
-        y6f = f + h_try * (_A61 * k1f + _A62 * k2f + _A63 * k3f + _A64 * k4f + _A65 * k5f)
-        y6p = fp + h_try * (_A61 * k1p + _A62 * k2p + _A63 * k3p + _A64 * k4p + _A65 * k5p)
-        k6f = y6p
-        k6p = rhs_coded(code, p0, p1, p2, t + h_try, y6f, y6p)
-        fn = f + h_try * (_B1 * k1f + _B3 * k3f + _B4 * k4f + _B5 * k5f + _B6 * k6f)
-        fpn = fp + h_try * (_B1 * k1p + _B3 * k3p + _B4 * k4p + _B5 * k5p + _B6 * k6p)
-        tn = t1 if last else t + h_try
-        k7f = fpn
-        k7p = rhs_coded(code, p0, p1, p2, tn, fn, fpn)
-        nfev += 6
-
-        ef = h_try * (_E1 * k1f + _E3 * k3f + _E4 * k4f + _E5 * k5f + _E6 * k6f + _E7 * k7f)
-        ep = h_try * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p + _E7 * k7p)
-        sf = atol + rtol * max(abs(f), abs(fn))
-        sp = atol + rtol * max(abs(fp), abs(fpn))
-        err = math.sqrt(0.5 * ((ef / sf) ** 2 + (ep / sp) ** 2))
-
-        bad = not (math.isfinite(fn) and math.isfinite(fpn) and math.isfinite(err)
-                   and math.isfinite(k7p))
-        if bad:
-            h = 0.2 * h_try
-            continue
-        if err > 1.0:
-            fac = 0.9 * err ** -0.2
-            if fac < 0.1:
-                fac = 0.1
-            h = h_try * fac
-            continue
-
-        # step is accurate; enforce the escape guards on the landing point
-        guard = (armed and fn < f_floor) or abs(fpn) > fp_cap
-        if guard:
-            h = 0.5 * h_try
-            continue
-        if not armed and fn > 2.0 * f_floor:
-            armed = True
-
-        t = tn
-        f = fn
-        fp = fpn
-        k1f = k7f
-        k1p = k7p
-        n += 1
-        ts[n] = t
-        fs[n] = f
-        fps[n] = fp
-        fpps[n] = k1p
-
-        # err can be exactly 0 for polynomial solutions
-        fac = 5.0 if err == 0.0 else 0.9 * err ** -0.2
-        if fac > 5.0:
-            fac = 5.0
-        if fac < 0.2:
-            fac = 0.2
-        h = h_try * fac
-        if h > h_max:
-            h = h_max
-
-    return ts[:n + 1], fs[:n + 1], fps[:n + 1], fpps[:n + 1], status, nfev
-
-
-rk45_coded = maybe_jit(_rk45_coded)
-
-
-def rk45_callback(rhs, t0, t1, f0, fp0, rtol, atol, h_max, f_floor, fp_cap, max_steps):
-    """Pure-Python twin of ``rk45_coded`` for arbitrary callable right-hand
-    sides; keep the arithmetic in sync with the coded loop."""
     ts = np.empty(max_steps + 1)
     fs = np.empty(max_steps + 1)
     fps = np.empty(max_steps + 1)
@@ -258,7 +115,10 @@ def rk45_callback(rhs, t0, t1, f0, fp0, rtol, atol, h_max, f_floor, fp_cap, max_
         ep = h_try * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p + _E7 * k7p)
         sf = atol + rtol * max(abs(f), abs(fn))
         sp = atol + rtol * max(abs(fp), abs(fpn))
-        err = math.sqrt(0.5 * ((ef / sf) ** 2 + (ep / sp) ** 2))
+        try:
+            err = math.sqrt(0.5 * ((ef / sf) ** 2 + (ep / sp) ** 2))
+        except OverflowError:
+            err = math.inf
 
         bad = not (math.isfinite(fn) and math.isfinite(fpn) and math.isfinite(err)
                    and math.isfinite(k7p))
@@ -268,6 +128,7 @@ def rk45_callback(rhs, t0, t1, f0, fp0, rtol, atol, h_max, f_floor, fp_cap, max_
         if err > 1.0:
             h = h_try * max(0.1, 0.9 * err ** -0.2)
             continue
+        # step is accurate; enforce the escape guards on the landing point
         guard = (armed and fn < f_floor) or abs(fpn) > fp_cap
         if guard:
             h = 0.5 * h_try
@@ -280,6 +141,7 @@ def rk45_callback(rhs, t0, t1, f0, fp0, rtol, atol, h_max, f_floor, fp_cap, max_
         n += 1
         ts[n], fs[n], fps[n], fpps[n] = t, f, fp, k1p
 
+        # err can be exactly 0 for polynomial solutions
         fac = 5.0 if err == 0.0 else 0.9 * err ** -0.2
         h = h_try * min(5.0, max(0.2, fac))
         if h > h_max:
@@ -288,7 +150,16 @@ def rk45_callback(rhs, t0, t1, f0, fp0, rtol, atol, h_max, f_floor, fp_cap, max_
     return ts[:n + 1], fs[:n + 1], fps[:n + 1], fpps[:n + 1], status, nfev
 
 
-def dense_eval_np(ts, fs, fps, fpps, tq):
+rk45_callback = _rk45
+
+
+def rk45_coded(code, p0, p1, p2, *args):
+    """``_rk45`` with the coded right-hand side ``code`` and parameters
+    p0, p1, p2 (see the module docstring)."""
+    return _rk45(functools.partial(_rhs_coded, code, p0, p1, p2), *args)
+
+
+def dense_eval(ts, fs, fps, fpps, tq):
     """Quintic-Hermite dense output: (f, f') at query points, vectorized.
 
     Each segment interpolates (f, f', f'') at both nodes, so f is O(h^6)
@@ -317,46 +188,3 @@ def dense_eval_np(ts, fs, fps, fpps, tq):
     f = fa + s * (ma + s * (0.5 * aa + s * (c3 + s * (c4 + s * c5))))
     fp = (ma + s * (aa + s * (3.0 * c3 + s * (4.0 * c4 + s * 5.0 * c5)))) / h
     return f, fp
-
-
-def _dense_eval_loop(ts, fs, fps, fpps, tq):
-    n = len(ts)
-    m = len(tq)
-    f_out = np.empty(m)
-    fp_out = np.empty(m)
-    for j in range(m):
-        t = tq[j]
-        lo = 0
-        hi = n - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ts[mid] <= t:
-                lo = mid
-            else:
-                hi = mid
-        i = lo
-        t0 = ts[i]
-        h = ts[i + 1] - t0
-        s = (t - t0) / h
-        fa, fb = fs[i], fs[i + 1]
-        ma, mb = h * fps[i], h * fps[i + 1]
-        aa, ab = h * h * fpps[i], h * h * fpps[i + 1]
-        big_a = (fb - fa) - ma - 0.5 * aa
-        big_b = (mb - ma) - aa
-        big_c = ab - aa
-        c3 = 10.0 * big_a - 4.0 * big_b + 0.5 * big_c
-        c4 = -15.0 * big_a + 7.0 * big_b - big_c
-        c5 = 6.0 * big_a - 3.0 * big_b + 0.5 * big_c
-        f_out[j] = fa + s * (ma + s * (0.5 * aa + s * (c3 + s * (c4 + s * c5))))
-        fp_out[j] = (ma + s * (aa + s * (3.0 * c3 + s * (4.0 * c4 + s * 5.0 * c5)))) / h
-    return f_out, fp_out
-
-
-dense_eval_loop = maybe_jit(_dense_eval_loop)
-
-
-def dense_eval(ts, fs, fps, fpps, tq):
-    """Dispatch dense evaluation to the jitted loop or the NumPy path."""
-    if USING_NUMBA:
-        return dense_eval_loop(ts, fs, fps, fpps, np.asarray(tq, dtype=float))
-    return dense_eval_np(ts, fs, fps, fpps, tq)

@@ -14,9 +14,10 @@ from .errors import DomainTruncationError, InputError
 class OdeRhs:
     """Descriptor of a scalar second-order right-hand side f'' = F(t, f, f').
 
-    Coded kinds run inside the compiled stepping loop; ``from_callable`` falls
-    back to the Python loop. ``__call__`` evaluates F vectorized, which is how
-    second derivatives of dense output are recomputed (never differenced).
+    Coded kinds reach the stepping loop as an integer code with packed
+    parameters; ``from_callable`` passes the function itself. ``__call__``
+    evaluates F vectorized, which is how second derivatives of dense output
+    are recomputed (never differenced).
     """
 
     kind: str
@@ -154,8 +155,8 @@ def integrate_ivp(rhs: OdeRhs, t0: float, t1: float, f0: float, fp0: float,
     """
     if not t1 > t0:
         raise InputError(f"need t1 > t0, got [{t0}, {t1}]")
-    if not tol > 0:
-        raise InputError("tol must be positive")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise InputError(f"tol must be positive and finite, got {tol}")
     if on_truncate not in ("raise", "return"):
         raise InputError("on_truncate must be 'raise' or 'return'")
 

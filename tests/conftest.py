@@ -1,14 +1,4 @@
 import numpy as np
-import pytest
-
-from warpcheck.ode import OdeRhs, integrate_ivp
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger kernel compilation once so timed tests measure steady state."""
-    sol = integrate_ivp(OdeRhs.power(0.5, -2.0), 0.0, 1.0, 1.0, 0.0, 1e-8)
-    sol.eval(np.linspace(0.0, 1.0, 8))
 
 
 def random_block_metrics(count: int, seed: int = 7):

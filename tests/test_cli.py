@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,33 @@ class TestExitCodeContract:
         assert main(argv + ["--grid", "0", "--out", str(out)]) == 2
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["sha-yang", "--n", "3", "--m", "2", "--tol", "inf"],
+        ["closability", "--n", "4", "--c-max", "inf"],
+        ["neck", "--nu", "0.1", "--n", "3", "--s", "0.5,nan"],
+    ])
+    def test_non_finite_float_is_input_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "RuntimeWarning" not in err
+        assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
+        assert not out.exists()
+
+    def test_error_norm_overflow_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sha-yang", "--n", "3", "--m", "2", "--tol", "1e-300",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: solution left its admissible region")
+        assert not out.exists()
+
     def test_thm22_forced_ricci_failure(self, tmp_path):
         rc = main(["thm22", "--n", "4", "--members", "2",
                    "--ric-deficit", "0.1", "--out", str(tmp_path)])
@@ -176,6 +204,15 @@ class TestConfigFile:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
 
+    def test_non_finite_config_value_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = inf\n")
+        rc = main(["sha-yang", "--config", str(cfg), "--n", "3", "--m", "2",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x").exists()
+
     def test_bad_config_value_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("grid = many\n")
@@ -224,14 +261,6 @@ class TestExport:
         rc = main(["export", "--profile", "docking-r",
                    "--out", str(target / "sub")])
         assert rc == 2
-
-
-def test_parallel_neck_matches_sequential_bytes(tmp_path):
-    argv = ["neck", "--nu", "0.1", "--n", "5", "--s", "0.5,0.25,0.1"]
-    d1, d2 = tmp_path / "seq", tmp_path / "par"
-    assert main(argv + ["--out", str(d1)]) == 0
-    assert main(argv + ["--out", str(d2), "--parallel"]) == 0
-    assert (d1 / "neck.json").read_bytes() == (d2 / "neck.json").read_bytes()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -115,13 +115,6 @@ class TestNeckFamily:
         d2 = neck_family_check(0.1, 5, [0.5, 0.375, 0.3125, 0.25], core).config["delta"]
         assert abs(d1 - d2) <= 1e-6
 
-    def test_parallel_matches_sequential(self):
-        from warpcheck.report import report_bytes
-        core = certified_core(4, kappa=0.3)
-        a = neck_family_check(0.15, 4, [0.4, 0.2, 0.1], core)
-        b = neck_family_check(0.15, 4, [0.4, 0.2, 0.1], core, parallel=True)
-        assert report_bytes(a.to_report()) == report_bytes(b.to_report())
-
     def test_s_out_of_range(self):
         core = certified_core(5, kappa=0.2)
         with pytest.raises(InputError):

@@ -77,6 +77,16 @@ def test_domain_and_tolerance_validation():
         integrate_ivp(OdeRhs.linear(), 1.0, 0.0, 1.0, 0.0, 1e-8)
     with pytest.raises(InputError):
         integrate_ivp(OdeRhs.linear(), 0.0, 1.0, 1.0, 0.0, -1e-8)
+    for tol in (np.inf, np.nan):
+        with pytest.raises(InputError):
+            integrate_ivp(OdeRhs.linear(), 0.0, 1.0, 1.0, 0.0, tol)
+
+
+def test_error_norm_overflow_truncates_instead_of_raising():
+    # at tol = 1e-300 the scaled local error overflows when squared; the
+    # step is rejected like a non-finite one until the step size underflows
+    with pytest.raises(DomainTruncationError):
+        integrate_ivp(OdeRhs.radial_floor(1.0), 0.0, 5.0, 1.0, 0.0, 1e-300)
 
 
 def test_step_budget_exhaustion_reports_reached_time():
