@@ -49,8 +49,8 @@ def _build_parsers():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--grid", type=int, default=None,
                         help="grid size for curvature sweeps")
-    common.add_argument("--tol", type=cons._finite_float, default=1e-10,
-                        help="solver tolerance")
+    common.add_argument("--tol", type=cons._tolerance, default=1e-10,
+                        help=f"solver tolerance (at most {cons.TOL_MAX:g})")
     common.add_argument("--out", type=Path, default=Path("."),
                         help="output directory for reports and CSVs")
     common.add_argument("--json", action="store_true",

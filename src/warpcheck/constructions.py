@@ -277,9 +277,11 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
     def member(s: float) -> dict:
         profile = neck_profile(nu, s)
         metric = MultiWarpedMetric((s, t_out), ((sphere, profile),))
-        rep = ricci_report(metric, grid_size)
+        # boundary data first: a boundary radius out of floating-point range
+        # is an input error, raised before a sweep over the degenerate metric
         outer = boundary_data(metric, "right")
         inner = boundary_data(metric, "left")
+        rep = ricci_report(metric, grid_size)
         lam = math.sqrt(2.0) * math.sin(nu * s)
         glue = glue_check(core.scaled(lam).boundary, inner, glue_tol)
         vol = volume(metric)
@@ -589,9 +591,10 @@ def docking_ambient(n: int, *, R: Optional[WarpProfile] = None,
                  strict=True),
     ]
     if include_round_check:
-        dev = max(float(np.max(np.abs(rep.ric_tt - n))),
-                  float(np.max(np.abs(rep.block_lo - n))),
-                  float(np.max(np.abs(rep.block_hi - n))))
+        # fl(x - n) is monotone in x, so the largest |x - n| over a
+        # component is attained at its minimum or its maximum
+        dev = max(float(np.max(np.abs(np.array(e) - n)))
+                  for e in rep.extrema)
         checks.append(check_le("max_component_spread", "round-model",
                                dev, 1e-9,
                                note=f"default R: the metric is the round unit "
@@ -671,6 +674,33 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"bad float {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite float")
+    return value
+
+
+# the loosest solver tolerance --tol accepts
+TOL_MAX = 1e-3
+# the most cross sections thm22 --members builds
+MEMBERS_MAX = 1000
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite solver tolerance of at most TOL_MAX."""
+    value = _finite_float(text)
+    if not value <= TOL_MAX:
+        raise argparse.ArgumentTypeError(
+            f"tolerance {text!r} is above {TOL_MAX:g}")
+    return value
+
+
+def _member_count(text: str) -> int:
+    """argparse type: an int in [1, MEMBERS_MAX]."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad int {text!r}") from None
+    if not 1 <= value <= MEMBERS_MAX:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not in [1, {MEMBERS_MAX}]")
     return value
 
 
@@ -845,7 +875,7 @@ SCENARIOS = {s.name: s for s in (
     Scenario("thm22", "family hypotheses: volume cap, Ricci floor, closable "
                       "member", (
         (("--n",), {"type": int, "required": True}),
-        (("--members",), {"type": int, "default": 1}),
+        (("--members",), {"type": _member_count, "default": 1}),
         (("--ric-deficit",), {"type": _finite_float, "default": 0.0,
                               "help": "subtract from the last member's factor "
                                       "curvature (forces a Ricci-floor "

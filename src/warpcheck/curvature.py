@@ -274,14 +274,37 @@ def boundary_data(metric: MultiWarpedMetric, side: str) -> BoundaryData:
     raise InputError("side must be 'left' or 'right'")
 
 
+# points per block of the Ricci sweep; a multiple of 4 (see _sweep_bounds)
+_SWEEP_BLOCK = 1 << 14
+
+
+def _sweep_bounds(n: int) -> list[tuple[int, int]]:
+    """(start, end) of each block of an n-point sweep.
+
+    The blocks give the same bits as one sweep over all n points. Every
+    component is elementwise except the ``CumulativeIntegral`` of k and
+    collar profiles, a BLAS matrix-vector product that takes rows four at a
+    time and rounds the n mod 4 leftover rows its own way; a single row is
+    rounded differently again. So every block but the last has
+    ``_SWEEP_BLOCK`` points, a multiple of 4, and a last block shorter than
+    4 points is merged into the one before it.
+    """
+    bounds = [(s, min(s + _SWEEP_BLOCK, n)) for s in range(0, n, _SWEEP_BLOCK)]
+    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] < 4:
+        bounds[-2:] = [(bounds[-2][0], n)]
+    return bounds
+
+
 @dataclass(frozen=True)
 class RicciReport:
-    """Gridwise Ricci bounds with a deterministic global minimum."""
+    """Gridwise Ricci bounds with a deterministic global minimum.
+
+    ``extrema`` holds the minimum and maximum over the grid of Ric(dt, dt)
+    and of the per-block lower and upper components, over all blocks.
+    """
 
     grid: np.ndarray
-    ric_tt: np.ndarray
-    block_lo: np.ndarray
-    block_hi: np.ndarray
+    extrema: tuple  # ((tt_min, tt_max), (lo_min, lo_max), (hi_min, hi_max))
     global_min: float
     lam: Optional[float]
     slack: float
@@ -310,13 +333,25 @@ def ricci_report(metric: MultiWarpedMetric, grid_size: int,
 
     The verdict allows ``slack_factor * max(1, |lam|)`` below lam to absorb
     solver tolerance; the slack used is recorded in the report.
+
+    The grid is swept in the blocks of ``_sweep_bounds``, keeping only each
+    component's minimum and maximum, so memory beyond the grid itself does
+    not grow with its size.
     """
     if grid_size < 2:
         raise InputError("grid_size must be at least 2")
     lo, hi = metric.grid_bounds()
     ts = np.linspace(lo, hi, grid_size)
-    ric_tt, blo, bhi = _component_arrays(metric, ts)
-    global_min = float(min(ric_tt.min(), blo.min()))
+    mins = []
+    maxs = []
+    for s, e in _sweep_bounds(grid_size):
+        arrays = _component_arrays(metric, ts[s:e])
+        mins.append([a.min() for a in arrays])
+        maxs.append([a.max() for a in arrays])
+    # np.min/np.max over the blocks: a NaN in any block propagates
+    extrema = tuple(zip(np.min(mins, axis=0), np.max(maxs, axis=0)))
+    (tt_min, _), (lo_min, _), _ = extrema
+    global_min = float(min(tt_min, lo_min))
     zones = []
     t0, t1 = metric.interval
     if metric.collapse_left is not None:
@@ -325,7 +360,7 @@ def ricci_report(metric: MultiWarpedMetric, grid_size: int,
         zones.append((hi, t1))
     slack = slack_factor * max(1.0, abs(lam)) if lam is not None else 0.0
     verdict = (global_min >= lam - slack) if lam is not None else None
-    return RicciReport(grid=ts, ric_tt=ric_tt, block_lo=blo, block_hi=bhi,
+    return RicciReport(grid=ts, extrema=extrema,
                        global_min=global_min, lam=lam, slack=slack,
                        verdict=verdict, excluded_zones=tuple(zones))
 

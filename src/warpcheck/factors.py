@@ -110,9 +110,18 @@ def scale_factor(factor: FactorManifold, c: float) -> FactorManifold:
     if not c > 0:
         raise InputError(f"scale must be positive, got {c}")
     lo, hi = factor.ricci_interval
+    try:
+        c2 = c ** 2
+        volume = None if factor.volume is None else factor.volume * c ** factor.dim
+    except OverflowError:
+        c2 = volume = math.inf
+    if c2 == 0.0 or math.isinf(c2) or (volume is not None
+                                       and math.isinf(volume)):
+        raise InputError(f"scale {c} is out of floating-point range: c^2 or "
+                         f"the volume factor c^{factor.dim} over- or underflows")
     return replace(
         factor,
-        ricci_interval=(lo / c ** 2, hi / c ** 2),
-        volume=None if factor.volume is None else factor.volume * c ** factor.dim,
+        ricci_interval=(lo / c2, hi / c2),
+        volume=volume,
         round_radius=None if factor.round_radius is None else c * factor.round_radius,
     )

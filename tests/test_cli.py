@@ -9,7 +9,7 @@ import pytest
 
 import warpcheck
 
-from warpcheck.cli import main
+from warpcheck.cli import _build_parsers, main
 from warpcheck.report import revalidate_report
 
 
@@ -119,6 +119,39 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert err.startswith("error: solution left its admissible region")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # c^2 underflows to 0 (was a ZeroDivisionError traceback)
+        ["neck", "--nu", "1e-300", "--n", "3", "--s", "0.5"],
+        # c^2 overflows (was an OverflowError traceback)
+        ["glue", "--dim", "2", "--r1", "1e300", "--k1", "1", "--r2", "1e300",
+         "--k2", "1"],
+        # budgets: rejected before any work
+        ["thm22", "--n", "4", "--members", "100000000"],
+        ["thm22", "--n", "4", "--members", "0"],
+        ["sha-yang", "--n", "3", "--m", "2", "--tol", "1e300"],
+        ["sha-yang", "--n", "3", "--m", "2", "--tol", "0.002"],
+    ])
+    def test_out_of_range_input_is_input_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rc = main(argv + ["--out", str(out)])
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
+        assert not out.exists()
+
+    def test_bounds_are_inclusive(self):
+        parser, _ = _build_parsers()
+        args = parser.parse_args(["thm22", "--n", "4", "--members", "1000",
+                                  "--tol", "1e-3"])
+        assert (args.members, args.tol) == (1000, 1e-3)
 
     def test_thm22_forced_ricci_failure(self, tmp_path):
         rc = main(["thm22", "--n", "4", "--members", "2",

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_block_metrics
-from warpcheck.curvature import (MultiWarpedMetric, boundary_data, glue_check,
+from warpcheck.curvature import (MultiWarpedMetric, _component_arrays,
+                                 boundary_data, glue_check,
                                  rescale_metric, ricci_components,
                                  ricci_generic, ricci_report,
                                  second_fundamental_form, volume)
@@ -43,8 +44,8 @@ class TestModelSpaces:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_round_sphere_components(self, n):
         rep = ricci_report(warped_round_sphere(n), 2000)
-        for arr in (rep.ric_tt, rep.block_lo, rep.block_hi):
-            assert np.max(np.abs(arr - (n - 1))) <= 1e-9
+        for extremes in rep.extrema:
+            assert np.max(np.abs(np.array(extremes) - (n - 1))) <= 1e-9
 
     def test_round_sphere_pointwise(self):
         c = ricci_components(warped_round_sphere(4), math.pi / 2)
@@ -57,8 +58,8 @@ class TestModelSpaces:
         assert c.ric_tt == 0.0
         assert c.blocks[0] == (0.0, 0.0)
         rep = ricci_report(flat_cone(5), 3000)
-        for arr in (rep.ric_tt, rep.block_lo, rep.block_hi):
-            assert np.max(np.abs(arr)) <= 1e-12
+        for extremes in rep.extrema:
+            assert np.max(np.abs(extremes)) <= 1e-12
 
     def test_flat_cone_report_verdicts(self):
         rep0 = ricci_report(flat_cone(4), 500, lam=0.0)
@@ -154,7 +155,11 @@ class TestRicciReport:
         a = ricci_report(warped_round_sphere(3), 1000, lam=2.0)
         b = ricci_report(warped_round_sphere(3), 1000, lam=2.0)
         assert a.global_min == b.global_min
-        assert np.array_equal(a.ric_tt, b.ric_tt)
+        assert a.extrema == b.extrema
+        ts = a.grid
+        for x, y in zip(_component_arrays(warped_round_sphere(3), ts),
+                        _component_arrays(warped_round_sphere(3), ts)):
+            assert np.array_equal(x, y)
 
     def test_evaluation_in_exclusion_zone_rejected(self):
         m = warped_round_sphere(3)

@@ -75,6 +75,17 @@ def test_scale_rejects_nonpositive():
         scale_factor(round_sphere_factor(2, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("dim, c", [
+    (2, 1e-300),  # c^2 underflows to 0
+    (2, 1e300),   # c^2 overflows
+    (5, 1e100),   # c^5 overflows
+    (2, 1e154),   # c^2 is finite, volume * c^2 is not
+])
+def test_scale_rejects_out_of_range(dim, c):
+    with pytest.raises(InputError, match="out of floating-point range"):
+        scale_factor(round_sphere_factor(dim, 1.0), c)
+
+
 @given(a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0),
        dim=st.integers(1, 6), radius=st.floats(0.2, 5.0))
 def test_scale_composition(a, b, dim, radius):

@@ -5,16 +5,24 @@ uint64 views, so -0.0 against 0.0 or a changed last bit fails. The oracles
 silence all floating-point errors, because the edge grids include inf and
 nan; the seed forms only silenced underflow on the inputs they were given.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpcheck import kernels
-from warpcheck.curvature import _ordered_sum
+from warpcheck import curvature, kernels
+from warpcheck.constructions import (certify_collar, docking_ambient,
+                                     gN_regions, round_boundary)
+from warpcheck.curvature import (_SWEEP_BLOCK, MultiWarpedMetric,
+                                 _component_arrays, _ordered_sum,
+                                 _sweep_bounds, ricci_report)
+from warpcheck.factors import abstract_factor, round_sphere_factor
 from warpcheck.ode import OdeRhs, integrate_ivp
 from warpcheck.profiles import (_collar_step, _collar_step_prime, _flat_decay,
-                                _flat_decay_value, collar_profile, k_profile)
+                                _flat_decay_value, closed_form_profile,
+                                collar_profile, k_profile, sha_yang_profiles)
 from warpcheck.quadrature import CumulativeIntegral
 
 
@@ -228,3 +236,97 @@ def test_memo_is_not_part_of_identity(solution):
     assert repr(solution) == before
     assert "_last" not in solution.meta
     assert "_last" not in before
+
+
+# --- blocked Ricci sweep ----------------------------------------------------------
+
+B = _SWEEP_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, B - 1, B, B + 1, B + 2, B + 3,
+                               B + 4, B + 5, 2 * B, 2 * B + 3, 3 * B + 1])
+def test_sweep_bounds_tile_the_grid_in_full_blocks(n):
+    bounds = _sweep_bounds(n)
+    assert B % 4 == 0
+    assert bounds[0][0] == 0 and bounds[-1][1] == n
+    assert all(e == s for (_, e), (s, _) in zip(bounds, bounds[1:]))
+    assert all(e - s == B for s, e in bounds[:-1])
+    if len(bounds) > 1:
+        assert all(e - s >= 4 for s, e in bounds)
+
+
+def blocks_match_one_shot(m, ts):
+    """Assert that the per-block component arrays of the sweep, joined, have
+    the bits of one call over all of ts; return the one-shot arrays."""
+    whole = _component_arrays(m, ts)
+    blocks = [_component_arrays(m, ts[s:e])
+              for s, e in _sweep_bounds(len(ts))]
+    for i, ref in enumerate(whole):
+        assert_same_bits(np.concatenate([b[i] for b in blocks], axis=-1), ref)
+    return whole
+
+
+@pytest.fixture(scope="module")
+def sweep_metrics():
+    """One metric per evaluation path the sweep meets."""
+    f, h, _ = sha_yang_profiles(3, 2, 50.0, 1e-10)
+    sha_yang = MultiWarpedMetric(
+        (0.0, 50.0), ((round_sphere_factor(1, 1.0), h),
+                      (abstract_factor("M", 3, (2.0, 2.0)), f)),
+        collapse_left=0)
+    gn = gN_regions(abstract_factor("Y", 2, (-1.0, -1.0)), 0.2, 3,
+                    grid_size=16).artifacts["region_a"]
+    collar = certify_collar(round_boundary(2, 1.0, 1.0), 0.3, 3,
+                            grid_size=16).artifacts["metric"]
+    thm22 = MultiWarpedMetric(
+        (0.0, math.pi),
+        ((round_sphere_factor(2, 1.0),
+          closed_form_profile("sine", (0.0, math.pi))),),
+        collapse_left=0, collapse_right=0)
+    return {
+        "sha-yang": sha_yang,  # IVP, f and h through one memo
+        "docking": docking_ambient(3, grid_size=16).artifacts["metric"],
+        "gn": gn,  # k: quadrature through a BLAS product
+        "collar": collar,
+        "thm22": thm22,
+    }
+
+
+@pytest.mark.parametrize("g", [B - 1, B, B + 1, B + 2, B + 3, 2 * B + 1])
+@pytest.mark.parametrize("name", ["sha-yang", "docking", "gn", "collar",
+                                  "thm22"])
+def test_blocked_sweep_matches_one_shot_arrays(sweep_metrics, name, g):
+    m = sweep_metrics[name]
+    whole = blocks_match_one_shot(m, np.linspace(*m.grid_bounds(), g))
+    rep = ricci_report(m, g)
+    assert_same_bits(np.array(rep.extrema),
+                     np.array([(a.min(), a.max()) for a in whole]))
+    assert_same_bits(rep.global_min, float(min(whole[0].min(),
+                                               whole[1].min())))
+    assert len(rep.grid) == g
+
+
+@pytest.mark.parametrize("n", [20_001, 20_006])
+@pytest.mark.parametrize("name", ["gn", "collar"])
+def test_small_blocks_keep_the_bits_of_the_quadrature_product(
+        sweep_metrics, monkeypatch, name, n):
+    # k and collar antiderivatives go through one BLAS product per block;
+    # thousands of 8-point blocks over random points expose a block boundary
+    # that shifts the product's four-row grouping
+    monkeypatch.setattr(curvature, "_SWEEP_BLOCK", 8)
+    m = sweep_metrics[name]
+    assert len(_sweep_bounds(n)) == n // 8 + (n % 8 >= 4)
+    blocks_match_one_shot(m, np.random.default_rng(n).uniform(
+        *m.grid_bounds(), n))
+
+
+def test_blocked_sweep_keeps_an_exact_negative_zero_minimum():
+    cone = MultiWarpedMetric(
+        (0.0, 5.0),
+        ((round_sphere_factor(3, 1.0),
+          closed_form_profile("linear", (0.0, 5.0), value=0.0, slope=1.0)),),
+        collapse_left=0)
+    rep = ricci_report(cone, 3 * B + 1, lam=0.0)
+    assert len(_sweep_bounds(3 * B + 1)) == 3
+    assert_same_bits(rep.global_min, -0.0)
+    assert rep.verdict

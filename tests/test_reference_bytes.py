@@ -2,10 +2,12 @@
 
 ``perfbench/reference.json`` holds the exit code and the sha256 of every
 output file for each argv the benchmark can run. One argv per scenario of
-``constructions.SCENARIOS`` (default sizes) plus two exports are replayed
-in-process here, so a refactor that changes a single report byte fails
-tier-1. ``--csv`` argvs are left out on purpose: their reports embed the
-relative output path the benchmark used.
+``constructions.SCENARIOS`` (default sizes), two exports, and four scaled
+argvs whose grids (2e5 to 1e6 points) span many blocks of the Ricci sweep
+are replayed in-process here, so a refactor that changes a single report
+byte fails tier-1. ``docking --n 6 --grid 1000000`` exits 1: its round-model
+spread, 1.4e-9, exceeds the 1e-9 bound. ``--csv`` argvs are left out on
+purpose: their reports embed the relative output path the benchmark used.
 """
 import hashlib
 import json
@@ -29,6 +31,11 @@ ARGVS = (
     "glue --example hemisphere --n 3",
     "export --profile k --eps-prime 0.2 --grid 50000",
     "export --profile sha-f --n 3 --m 2 --grid 50000",
+    # scaled grids: the Ricci sweep runs in many blocks
+    "sha-yang --n 3 --m 2 --grid 1000000",
+    "gn --n 3 --grid 200000",
+    "thm22 --n 4 --members 4 --grid 250000",
+    "docking --n 6 --grid 1000000",
 )
 
 
