@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import constructions as cons
@@ -28,18 +27,9 @@ EXIT_INPUT_ERROR = 2
 # rows of a CSV dump when --grid is not given
 CSV_GRID = 1001
 
-
-@dataclass
-class RunConfig:
-    """A validated scenario invocation: which scenario, its parameters, and
-    where artifacts go."""
-
-    scenario: str
-    params: dict
-    out_dir: Path
-    write_csv: bool = False
-    print_json: bool = False
-    require_min: float | None = None
+# the values a config file may give a store_true flag, case-insensitive
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def _build_parsers():
@@ -121,16 +111,19 @@ def _apply_config_file(parsers, argv):
             raise WarpcheckError(f"{path}:{lineno}: unknown key {key.strip()!r} "
                                  f"for scenario {scenario!r}")
         action = known[dest]
-        if isinstance(action, (argparse._StoreTrueAction,)):
-            overrides[dest] = value.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                overrides[dest] = action.type(value)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise WarpcheckError(f"{path}:{lineno}: bad value {value!r} "
-                                     f"for {key.strip()!r}") from exc
-        else:
-            overrides[dest] = value
+        try:
+            if isinstance(action, argparse._StoreTrueAction):
+                converted = _BOOL_WORDS[value.lower()]
+            elif action.type is not None:
+                converted = action.type(value)
+            else:
+                converted = value
+            if action.choices is not None and converted not in action.choices:
+                raise ValueError(value)
+        except (KeyError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise WarpcheckError(f"{path}:{lineno}: bad value {value!r} "
+                                 f"for {key.strip()!r}") from exc
+        overrides[dest] = converted
         # a value from the file satisfies a required flag
         action.required = False
     p.set_defaults(**overrides)
@@ -142,87 +135,63 @@ def _grid(prm, default):
     return default if prm.get("grid") is None else prm["grid"]
 
 
-def _scenario_verdict(config: RunConfig):
-    """(verdict, {csv name: profile}) of the configured scenario, with the
-    --require-min check appended when asked for."""
-    scenario = cons.SCENARIOS.get(config.scenario)
-    if scenario is None:
-        raise WarpcheckError(f"unknown scenario {config.scenario!r}")
-    v, (name, value), profiles = scenario.run(
-        config.params, _grid(config.params, scenario.grid))
-    if config.require_min is not None:
-        v = ScenarioVerdict(
-            v.scenario, dict(v.config, require_min=config.require_min),
-            v.checks + (check_ge(f"required_minimum({name})", "cli-required-minimum",
-                                 value, config.require_min),),
-            v.artifacts)
-    return v, profiles
+def _run(args) -> int:
+    """Compute, write artifacts, and return 0 on pass or 1 on verification
+    failure; input errors propagate to ``main``."""
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("scenario", "out", "json", "csv", "config",
+                           "require_min")}
+    if args.scenario == "export":
+        pid = params["profile"]
+        grid = _grid(params, CSV_GRID)
+        path = write_profile_csv(args.out / f"{pid}.csv",
+                                 cons.PROFILES[pid](params), grid)
+        print(f"[export] wrote {path} ({grid} rows)")
+        return EXIT_PASS
 
-
-def _export(config: RunConfig) -> int:
-    prm = config.params
-    pid = prm["profile"]
-    build = cons.PROFILES.get(pid)
-    if build is None:
-        raise WarpcheckError(f"unknown profile {pid!r}")
-    grid = _grid(prm, CSV_GRID)
-    path = write_profile_csv(config.out_dir / f"{pid}.csv", build(prm), grid)
-    print(f"[export] wrote {path} ({grid} rows)")
-    return EXIT_PASS
-
-
-def run(config: RunConfig) -> int:
-    """Execute a validated RunConfig: compute, write artifacts, and return
-    the exit status (0 pass / 1 verification failure / 2 input error)."""
-    try:
-        if config.scenario == "export":
-            return _export(config)
-        verdict, profiles = _scenario_verdict(config)
-    except WarpcheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
-        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
-    artifact_paths = []
-    try:
-        if config.write_csv:
-            for name, profile in profiles.items():
-                p = write_profile_csv(config.out_dir / f"{verdict.scenario}_{name}.csv",
-                                      profile, _grid(config.params, CSV_GRID))
-                artifact_paths.append(p)
-        report = verdict.to_report(artifact_paths)
-        path = write_report(config.out_dir / f"{verdict.scenario}.json", report)
-        artifact_paths.append(path)
-    except OSError as exc:
-        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    scenario = cons.SCENARIOS[args.scenario]
+    verdict, (name, value), profiles = scenario.run(
+        params, _grid(params, scenario.grid))
+    if args.require_min is not None:
+        verdict = ScenarioVerdict(
+            verdict.scenario, dict(verdict.config, require_min=args.require_min),
+            verdict.checks + (check_ge(f"required_minimum({name})",
+                                       "cli-required-minimum", value,
+                                       args.require_min),),
+            verdict.artifacts)
+    csv_paths = []
+    if args.csv:
+        for name, profile in profiles.items():
+            csv_paths.append(write_profile_csv(
+                args.out / f"{verdict.scenario}_{name}.csv", profile,
+                _grid(params, CSV_GRID)))
+    report = verdict.to_report(csv_paths)
+    path = write_report(args.out / f"{verdict.scenario}.json", report)
 
     for line in verdict.summary_lines():
         print(line)
     print(f"[{verdict.scenario}] report: {path}")
-    if config.print_json:
+    if args.json:
         sys.stdout.write(report_bytes(report).decode())
     return EXIT_PASS if verdict.overall else EXIT_VERIFICATION_FAILURE
 
 
 def main(argv=None) -> int:
+    """Run the CLI on argv; every input error maps to exit 2 here (argparse's
+    own errors exit 2 through SystemExit)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, parsers = _build_parsers()
     try:
         _apply_config_file(parsers, argv)
+        return _run(parser.parse_args(argv))
     except WarpcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    args = parser.parse_args(argv)
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("scenario", "out", "json", "csv", "config",
-                           "require_min")}
-    config = RunConfig(scenario=args.scenario, params=params,
-                       out_dir=args.out, write_csv=args.csv,
-                       print_json=args.json, require_min=args.require_min)
-    return run(config)
+    except OSError as exc:
+        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: the requested sizes do not fit in memory: {exc}",
+              file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 def entrypoint():  # console script

@@ -237,10 +237,6 @@ class BoundaryData:
     orientation: int
     blocks: tuple
 
-    @property
-    def ii_min(self) -> float:
-        return min(b.kappa for b in self.blocks)
-
 
 def second_fundamental_form(metric: MultiWarpedMetric, t: float,
                             orientation: int) -> BoundaryData:

@@ -16,8 +16,12 @@ _REL = 1e-12
 
 
 def unit_sphere_volume(dim: int) -> float:
-    """Volume of the round unit sphere S^dim."""
-    return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
+    """Volume of the round unit sphere S^dim; InputError if a term overflows."""
+    try:
+        return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
+    except OverflowError:
+        raise InputError(f"the volume of the unit {dim}-sphere overflows a "
+                         "float") from None
 
 
 @dataclass(frozen=True)

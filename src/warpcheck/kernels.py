@@ -3,24 +3,12 @@
 One Dormand-Prince 5(4) loop (``_rk45``) integrates f'' = F(t, f, f') for
 any right-hand side, and one vectorized quintic-Hermite evaluator
 (``dense_eval``) interpolates its nodes; both are plain NumPy/Python.
-
-Right-hand sides with a closed form are described by an integer code and
-three parameters (``rk45_coded``):
-
-    RHS_LINEAR      F = p0 + p1*f + p2*f'
-    RHS_POWER       F = p0 * f**p1
-    RHS_RADIAL      F = -f - p0*(1 + f'**2)/f
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
-
-RHS_LINEAR = 0
-RHS_POWER = 1
-RHS_RADIAL = 2
 
 # perfbench/run.py reports it among its machine facts; there is no compiled path
 USING_NUMBA = False
@@ -42,22 +30,17 @@ STATUS_OK = 0
 STATUS_TRUNCATED = 1
 STATUS_MAX_STEPS = 2
 
-
-def _rhs_coded(code, p0, p1, p2, t, f, fp):
-    if code == RHS_LINEAR:
-        return p0 + p1 * f + p2 * fp
-    if code == RHS_POWER:
-        return p0 * f ** p1
-    # RHS_RADIAL
-    return -f - p0 * (1.0 + fp * fp) / f
+# escape guards: no step lands below F_FLOOR (once armed) or with |f'| > FP_CAP
+F_FLOOR = 1e-4
+FP_CAP = 1e6
 
 
-def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, f_floor, fp_cap, max_steps):
+def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, max_steps):
     """Integrate (f, f')' = (f', rhs(t, f, f')) from t0 to t1 with an
     embedded 5(4) pair.
 
     Returns (ts, fs, fps, fpps, status, nfev) with one row per accepted node.
-    The positivity floor arms once f has risen above 2*f_floor, so profiles
+    The positivity floor arms once f has risen above 2*F_FLOOR, so profiles
     that start at a cone point (f = 0) are not rejected immediately. An error
     norm too large for a float rejects the step like a non-finite one.
     """
@@ -73,7 +56,7 @@ def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, f_floor, fp_cap, max_steps):
     n = 0
     ts[0], fs[0], fps[0], fpps[0] = t, f, fp, k1p
 
-    armed = f0 > 2.0 * f_floor
+    armed = f0 > 2.0 * F_FLOOR
     status = STATUS_OK
     h = (t1 - t0) / 100.0
     if h > h_max:
@@ -129,11 +112,11 @@ def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, f_floor, fp_cap, max_steps):
             h = h_try * max(0.1, 0.9 * err ** -0.2)
             continue
         # step is accurate; enforce the escape guards on the landing point
-        guard = (armed and fn < f_floor) or abs(fpn) > fp_cap
+        guard = (armed and fn < F_FLOOR) or abs(fpn) > FP_CAP
         if guard:
             h = 0.5 * h_try
             continue
-        if not armed and fn > 2.0 * f_floor:
+        if not armed and fn > 2.0 * F_FLOOR:
             armed = True
 
         t, f, fp = tn, fn, fpn
@@ -150,13 +133,9 @@ def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, f_floor, fp_cap, max_steps):
     return ts[:n + 1], fs[:n + 1], fps[:n + 1], fpps[:n + 1], status, nfev
 
 
-rk45_callback = _rk45
-
-
-def rk45_coded(code, p0, p1, p2, *args):
-    """``_rk45`` with the coded right-hand side ``code`` and parameters
-    p0, p1, p2 (see the module docstring)."""
-    return _rk45(functools.partial(_rhs_coded, code, p0, p1, p2), *args)
+# perfbench/tracer.py wraps both public names by name; ode calls only
+# rk45_callback, so each solve is counted once
+rk45_callback = rk45_coded = _rk45
 
 
 def dense_eval(ts, fs, fps, fpps, tq):

@@ -12,64 +12,43 @@ from .errors import DomainTruncationError, InputError
 
 @dataclass(frozen=True)
 class OdeRhs:
-    """Descriptor of a scalar second-order right-hand side f'' = F(t, f, f').
+    """A scalar second-order right-hand side f'' = F(t, f, f').
 
-    Coded kinds reach the stepping loop as an integer code with packed
-    parameters; ``from_callable`` passes the function itself. ``__call__``
-    evaluates F vectorized, which is how second derivatives of dense output
-    are recomputed (never differenced).
+    ``func`` is called with Python floats by the stepping loop and with
+    ndarrays when second derivatives of dense output are recomputed (never
+    differenced); ``label`` names it in solver metadata.
     """
 
-    kind: str
-    params: tuple = ()
-    func: Optional[Callable] = None
-    label: str = ""
+    func: Callable
+    label: str = "callable"
 
     @staticmethod
     def linear(const: float = 0.0, coef_f: float = 0.0, coef_fp: float = 0.0) -> "OdeRhs":
         """F = const + coef_f * f + coef_fp * f'."""
-        return OdeRhs("linear", (float(const), float(coef_f), float(coef_fp)),
-                      label=f"linear({const}, {coef_f}, {coef_fp})")
+        a0, a1, a2 = float(const), float(coef_f), float(coef_fp)
+        return OdeRhs(lambda t, f, fp: a0 + a1 * f + a2 * fp,
+                      f"linear({const}, {coef_f}, {coef_fp})")
 
     @staticmethod
     def power(coef: float, exponent: float) -> "OdeRhs":
         """F = coef * f**exponent (f > 0)."""
-        return OdeRhs("power", (float(coef), float(exponent)),
-                      label=f"power({coef}, {exponent})")
+        a, b = float(coef), float(exponent)
+        return OdeRhs(lambda t, f, fp: a * f ** b, f"power({coef}, {exponent})")
 
     @staticmethod
     def radial_floor(q: float) -> "OdeRhs":
         """F = -f - q*(1 + f'^2)/f, the profile equation keeping the fiber
         Ricci term at its floor; q = n - 2 in n ambient dimensions."""
-        return OdeRhs("radial_floor", (float(q),), label=f"radial_floor({q})")
+        qf = float(q)
+        return OdeRhs(lambda t, f, fp: -f - qf * (1.0 + fp * fp) / f,
+                      f"radial_floor({q})")
 
     @staticmethod
     def from_callable(func: Callable, label: str = "callable") -> "OdeRhs":
         """Wrap F(t, f, fp); must accept ndarray arguments elementwise."""
-        return OdeRhs("callable", (), func, label=label)
-
-    @property
-    def code(self) -> int:
-        return {"linear": kernels.RHS_LINEAR,
-                "power": kernels.RHS_POWER,
-                "radial_floor": kernels.RHS_RADIAL}[self.kind]
-
-    def _packed(self) -> tuple[float, float, float]:
-        p = list(self.params) + [0.0, 0.0, 0.0]
-        return p[0], p[1], p[2]
+        return OdeRhs(func, label)
 
     def __call__(self, t, f, fp):
-        if self.kind == "linear":
-            a0, a1, a2 = self.params
-            return a0 + a1 * np.asarray(f, dtype=float) + a2 * np.asarray(fp, dtype=float)
-        if self.kind == "power":
-            a, b = self.params
-            return a * np.asarray(f, dtype=float) ** b
-        if self.kind == "radial_floor":
-            (q,) = self.params
-            f = np.asarray(f, dtype=float)
-            fp = np.asarray(fp, dtype=float)
-            return -f - q * (1.0 + fp * fp) / f
         return self.func(t, f, fp)
 
 
@@ -83,7 +62,6 @@ class DenseSolution:
     fps: np.ndarray
     fpps: np.ndarray
     status: int
-    tol: float
     nfev: int
     meta: dict = field(default_factory=dict)
     # (query copy, f, f', f'') of the last array query; see ``eval``
@@ -144,14 +122,15 @@ class DenseSolution:
 
 
 def integrate_ivp(rhs: OdeRhs, t0: float, t1: float, f0: float, fp0: float,
-                  tol: float, *, f_floor: float = 1e-4, fp_cap: float = 1e6,
-                  h_max: float = np.inf, max_steps: int = 200_000,
+                  tol: float, *, h_max: float = np.inf, max_steps: int = 200_000,
                   on_truncate: str = "raise") -> DenseSolution:
     """Adaptively integrate f'' = F from t0 to t1.
 
-    Stops early when f drops below ``f_floor`` (after having been above it) or
-    |f'| exceeds ``fp_cap``; ``on_truncate`` decides whether that raises
-    ``DomainTruncationError`` or returns the partial solution.
+    Stops early when f drops below ``kernels.F_FLOOR`` (after having been
+    above it) or |f'| exceeds ``kernels.FP_CAP``; ``on_truncate`` decides
+    whether that raises ``DomainTruncationError`` or returns the partial
+    solution. Every accepted step is at most ``h_max`` long, so an interval
+    longer than ``h_max * max_steps`` is rejected before stepping.
     """
     if not t1 > t0:
         raise InputError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -159,18 +138,16 @@ def integrate_ivp(rhs: OdeRhs, t0: float, t1: float, f0: float, fp0: float,
         raise InputError(f"tol must be positive and finite, got {tol}")
     if on_truncate not in ("raise", "return"):
         raise InputError("on_truncate must be 'raise' or 'return'")
+    if t1 - t0 > h_max * max_steps:
+        raise InputError(f"[{t0}, {t1}] cannot be covered in {max_steps} "
+                         f"steps of at most {h_max}")
 
-    args = (float(t0), float(t1), float(f0), float(fp0), float(tol), float(tol),
-            float(h_max), float(f_floor), float(fp_cap), int(max_steps))
-    if rhs.kind == "callable":
-        out = kernels.rk45_callback(rhs.func, *args)
-    else:
-        p0, p1, p2 = rhs._packed()
-        out = kernels.rk45_coded(rhs.code, p0, p1, p2, *args)
-    ts, fs, fps, fpps, status, nfev = out
+    ts, fs, fps, fpps, status, nfev = kernels.rk45_callback(
+        rhs.func, float(t0), float(t1), float(f0), float(fp0), float(tol),
+        float(tol), float(h_max), int(max_steps))
 
     sol = DenseSolution(rhs=rhs, ts=ts, fs=fs, fps=fps, fpps=fpps,
-                        status=int(status), tol=float(tol), nfev=int(nfev),
+                        status=int(status), nfev=int(nfev),
                         meta={"n_steps": len(ts) - 1})
     if status == kernels.STATUS_MAX_STEPS:
         raise DomainTruncationError(

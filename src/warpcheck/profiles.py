@@ -37,7 +37,6 @@ class ParityTag:
     """
 
     kind: str
-    order: int = 2
     coeffs: tuple = ()
 
     def __post_init__(self):
@@ -80,9 +79,6 @@ class WarpProfile:
     @property
     def t1(self) -> float:
         return self.domain[1]
-
-    def parity_at(self, endpoint: str) -> Optional[ParityTag]:
-        return self.parity.get(endpoint)
 
     def eval(self, t):
         """(f, f', f'') at t, scalar or ndarray; t must lie in the domain."""
@@ -175,9 +171,9 @@ def _auto_parity(domain, fn3_exact):
         f, fp, fpp, fppp = fn3_exact(tstar)
         scale = max(abs(f), abs(fp), 1e-300)
         if abs(f) <= 1e-12 * scale:
-            parity[endpoint] = ParityTag("odd", order=2, coeffs=(fp, fppp))
+            parity[endpoint] = ParityTag("odd", coeffs=(fp, fppp))
         elif abs(fp) <= 1e-12 * scale:
-            parity[endpoint] = ParityTag("even", order=2, coeffs=(f, fpp))
+            parity[endpoint] = ParityTag("even", coeffs=(f, fpp))
     return parity
 
 
@@ -248,9 +244,8 @@ def closed_form_profile(kind: str, domain, *, value: float = 1.0,
                        parity=_auto_parity((t0, t1), exact))
 
 
-def solve_ivp_profile(rhs, f0: float, fp0: float, domain, tol: float, *,
-                      closure_left: bool = False, f_floor: float = 1e-4,
-                      fp_cap: float = 1e6) -> WarpProfile:
+def solve_ivp_profile(rhs: OdeRhs, f0: float, fp0: float, domain, tol: float, *,
+                      closure_left: bool = False) -> WarpProfile:
     """Profile defined by f'' = F(t, f, f') with adaptive error control.
 
     Dense output supplies (f, f', f'') anywhere in the domain, with f''
@@ -259,8 +254,6 @@ def solve_ivp_profile(rhs, f0: float, fp0: float, domain, tol: float, *,
     the left endpoint as an odd closure point. Escape from positivity or a
     derivative blow-up raises DomainTruncationError carrying the reached t.
     """
-    if not isinstance(rhs, OdeRhs):
-        rhs = OdeRhs.from_callable(rhs)
     t0, t1 = float(domain[0]), float(domain[1])
     if closure_left:
         if f0 != 0.0 or not fp0 > 0:
@@ -268,8 +261,7 @@ def solve_ivp_profile(rhs, f0: float, fp0: float, domain, tol: float, *,
     elif not f0 > 0:
         raise InputError(f"initial value must be positive, got {f0} "
                          "(use closure_left for a cone point)")
-    sol = integrate_ivp(rhs, t0, t1, float(f0), float(fp0), tol,
-                        f_floor=f_floor, fp_cap=fp_cap, on_truncate="raise")
+    sol = integrate_ivp(rhs, t0, t1, float(f0), float(fp0), tol)
     return _profile_from_solution(sol, tol, closure_left=closure_left)
 
 
@@ -281,7 +273,7 @@ def _profile_from_solution(sol: DenseSolution, tol: float, *,
         t0 = sol.t0
         delta = max(1e-6, 1e-9 * (sol.t_end - t0))
         c3 = sol.eval(t0 + delta)[2] / delta
-        parity["left"] = ParityTag("odd", order=2, coeffs=(float(sol.fps[0]), c3))
+        parity["left"] = ParityTag("odd", coeffs=(float(sol.fps[0]), c3))
     meta = {"tol": tol, "n_steps": len(sol.ts) - 1, "nfev": sol.nfev,
             "defect": sol.defect(), "rhs": sol.rhs.label}
     meta.update(extra_meta or {})
@@ -326,7 +318,7 @@ def sha_yang_profiles(n: int, m: int, T: float, tol: float = 1e-10):
                               "alpha": alpha})
     f_profile = replace(
         f_profile,
-        parity={"left": ParityTag("even", order=2, coeffs=(1.0, alpha / 2.0))})
+        parity={"left": ParityTag("even", coeffs=(1.0, alpha / 2.0))})
 
     two_over_alpha = 2.0 / alpha
 
@@ -339,8 +331,8 @@ def sha_yang_profiles(n: int, m: int, T: float, tol: float = 1e-10):
 
     h_profile = WarpProfile(
         domain=(0.0, sol.t_end), kind="ivp-solution", raw_eval=h_eval,
-        parity={"left": ParityTag("odd", order=3,
-                                  coeffs=(1.0, -alpha * (alpha + 1.0) / 2.0))},
+        parity={"left": ParityTag(
+            "odd", coeffs=(1.0, -alpha * (alpha + 1.0) / 2.0))},
         solver_meta={"tol": tol, "first_integral_residual": residual,
                      "alpha": alpha, "derived_from": "f via h = (2/alpha) f'"})
     return f_profile, h_profile, alpha
@@ -367,7 +359,7 @@ def closability_ode_profile(n: int, eps: float, tol: float = 1e-10) -> WarpProfi
                               "truncated": truncated})
     return replace(
         profile, domain=(0.0, eps_star),
-        parity={"left": ParityTag("even", order=2, coeffs=(1.0, float(-(n - 1))))})
+        parity={"left": ParityTag("even", coeffs=(1.0, float(-(n - 1))))})
 
 
 def radial_floor_value(profile: WarpProfile, n: int, t):
@@ -434,8 +426,8 @@ def k_profile(eps_prime: float) -> WarpProfile:
 
     k = WarpProfile(
         domain=(0.0, ep), kind="closed-form", raw_eval=triple,
-        parity={"left": ParityTag("odd", order=2, coeffs=(1.0, -2.0 / ep ** 2)),
-                "right": ParityTag("flat", order=3, coeffs=(ep * float(W(1.0)), 0.0))},
+        parity={"left": ParityTag("odd", coeffs=(1.0, -2.0 / ep ** 2)),
+                "right": ParityTag("flat", coeffs=(ep * float(W(1.0)), 0.0))},
         solver_meta={"eps_prime": ep})
 
     # post-conditions; failing any is a construction bug, not a verdict

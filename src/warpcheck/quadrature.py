@@ -36,6 +36,12 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 
+# adaptive_quad's panel budget; CumulativeIntegral's fixed panels and its
+# Gauss-Legendre nodes per panel
+MAX_PANELS = 4096
+CUMINT_PANELS = 256
+CUMINT_ORDER = 24
+
 
 def _gk15(fn, a: float, b: float) -> tuple[float, float]:
     mid = 0.5 * (a + b)
@@ -47,8 +53,7 @@ def _gk15(fn, a: float, b: float) -> tuple[float, float]:
 
 
 def adaptive_quad(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  rtol: float = 1e-9, atol: float = 1e-12,
-                  max_panels: int = 4096) -> float:
+                  rtol: float = 1e-9, atol: float = 1e-12) -> float:
     """Integrate ``fn`` over [a, b] with adaptive bisection.
 
     ``fn`` must accept an ndarray of abscissae. Panel order is fixed, so the
@@ -64,7 +69,7 @@ def adaptive_quad(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     while stack:
         lo, hi = stack.pop()
         est, err = _gk15(fn, lo, hi)
-        if err <= budget * (hi - lo) / (b - a) or panels >= max_panels:
+        if err <= budget * (hi - lo) / (b - a) or panels >= MAX_PANELS:
             total += est
             panels += 1
         else:
@@ -72,10 +77,10 @@ def adaptive_quad(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             # push right first so the left half is processed next (left-to-right)
             stack.append((mid, hi))
             stack.append((lo, mid))
-    if panels >= max_panels:
+    if panels >= MAX_PANELS:
         raise WarpcheckError(
             f"adaptive quadrature did not converge on [{a}, {b}] "
-            f"within {max_panels} panels")
+            f"within {MAX_PANELS} panels")
     return total
 
 
@@ -87,15 +92,12 @@ class CumulativeIntegral:
     precision for smooth integrands and vectorized over query points.
     """
 
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                 n_panels: int = 256, order: int = 24):
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], a: float, b: float):
         if not b > a:
             raise WarpcheckError("cumulative integral needs b > a")
         self.fn = fn
-        self.a = float(a)
-        self.b = float(b)
-        self.edges = np.linspace(a, b, n_panels + 1)
-        x, w = np.polynomial.legendre.leggauss(order)
+        self.edges = np.linspace(a, b, CUMINT_PANELS + 1)
+        x, w = np.polynomial.legendre.leggauss(CUMINT_ORDER)
         self._x = x
         self._w = w
         mids = 0.5 * (self.edges[:-1] + self.edges[1:])

@@ -131,6 +131,15 @@ class TestExitCodeContract:
         ["thm22", "--n", "4", "--members", "0"],
         ["sha-yang", "--n", "3", "--m", "2", "--tol", "1e300"],
         ["sha-yang", "--n", "3", "--m", "2", "--tol", "0.002"],
+        # the unit-sphere volume overflows (was an OverflowError traceback)
+        ["thm22", "--n", "400"],
+        ["neck", "--nu", "0.1", "--n", "1000000", "--s", "0.5"],
+        ["docking", "--n", "100000000"],
+        # arrays too large to allocate (was a MemoryError traceback)
+        ["sha-yang", "--n", "3", "--m", "2", "--grid", "1000000000000"],
+        ["export", "--profile", "k", "--grid", "1000000000000"],
+        # longer than max_steps steps of h_max (was a spent step budget)
+        ["sha-yang", "--n", "3", "--m", "2", "--T", "1e7"],
     ])
     def test_out_of_range_input_is_input_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -253,6 +262,37 @@ class TestConfigFile:
                    "--s", "0.5", "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+    @pytest.mark.parametrize("argv, text", [
+        # a value outside the flag's choices
+        (["glue"], "example = bogus\ndim = 2\nr1 = 1\nk1 = 1\nr2 = 1\nk2 = 1\n"),
+        (["export"], "profile = bogus\n"),
+        # a store_true value that is not a boolean word
+        (["docking"], "n = 3\ncheck_round = ture\n"),
+    ], ids=["glue-choice", "export-choice", "docking-boolean"])
+    def test_config_value_is_checked_like_its_flag(self, tmp_path, capsys,
+                                                   argv, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "x"
+        rc = main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("word, flag", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("false", False), ("NO", False), ("Off", False),
+    ])
+    def test_config_boolean_words(self, tmp_path, word, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 3\ncheck_round = {word}\n")
+        assert main(["docking", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        report = read_report(tmp_path / "docking.json")
+        assert report["config"]["round_check"] is flag
 
 
 class TestExport:

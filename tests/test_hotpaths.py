@@ -5,6 +5,7 @@ uint64 views, so -0.0 against 0.0 or a changed last bit fails. The oracles
 silence all floating-point errors, because the edge grids include inf and
 nan; the seed forms only silenced underflow on the inputs they were given.
 """
+import functools
 import math
 
 import numpy as np
@@ -166,6 +167,40 @@ def test_collar_profile_matches_masked_integrand(c):
               c * (1.0 + masked_phi(u)), -c * masked_phi_prime(u))
     for got, ref in zip(collar_profile(c).raw_eval(t), expect):
         assert_same_bits(got, ref)
+
+
+# --- right-hand sides --------------------------------------------------------
+
+def coded_rhs(code, p0, p1, p2, t, f, fp):
+    """The former integer-coded right-hand side of the stepping loop; with
+    ndarrays it is also the former vectorized dispatch of ``OdeRhs``, which
+    used the same expressions."""
+    if code == 0:
+        return p0 + p1 * f + p2 * fp
+    if code == 1:
+        return p0 * f ** p1
+    return -f - p0 * (1.0 + fp * fp) / f
+
+
+@pytest.mark.parametrize("rhs, code, params, t1", [
+    (OdeRhs.linear(0.5, -1.0, 0.25), 0, (0.5, -1.0, 0.25), 3.0),
+    (OdeRhs.power(0.5, -2.0), 1, (0.5, -2.0), 50.0),
+    (OdeRhs.power(1.5, -4.0), 1, (1.5, -4.0), 20.0),
+    (OdeRhs.radial_floor(1.0), 2, (1.0,), 5.0),
+    (OdeRhs.radial_floor(3), 2, (3.0,), 2.0),
+])
+def test_rhs_closures_keep_the_bits_of_the_coded_forms(rhs, code, params, t1):
+    sol = integrate_ivp(rhs, 0.0, t1, 1.0, 0.0, 1e-10, on_truncate="return")
+    p0, p1, p2 = (*params, 0.0, 0.0, 0.0)[:3]
+    ts, fs, fps, fpps, status, nfev = kernels._rk45(
+        functools.partial(coded_rhs, code, p0, p1, p2),
+        0.0, t1, 1.0, 0.0, 1e-10, 1e-10, np.inf, 200_000)
+    for a, b in zip((sol.ts, sol.fs, sol.fps, sol.fpps), (ts, fs, fps, fpps)):
+        assert_same_bits(a, b)
+    assert (sol.status, sol.nfev) == (status, nfev)
+    tq = np.linspace(0.0, sol.t_end, 1001)
+    f, fp, fpp = sol.eval(tq)
+    assert_same_bits(fpp, coded_rhs(code, p0, p1, p2, tq, f, fp))
 
 
 # --- DenseSolution.eval memo ----------------------------------------------------

@@ -94,3 +94,30 @@ def test_step_budget_exhaustion_reports_reached_time():
         integrate_ivp(OdeRhs.linear(coef_f=-1.0), 0.0, 1000.0, 0.0, 1.0, 1e-12,
                       max_steps=50)
     assert 0.0 < err.value.reached < 1000.0
+
+
+def test_unreachable_endpoint_is_rejected_before_stepping():
+    # every accepted step is at most h_max, so max_steps of them cannot
+    # cover a longer interval; the right-hand side is never called
+    calls = []
+
+    def rhs(t, f, fp):
+        calls.append(t)
+        return 0.0
+
+    with pytest.raises(InputError):
+        integrate_ivp(OdeRhs.from_callable(rhs), 0.0, 100.0, 1.0, 0.0, 1e-8,
+                      h_max=0.25, max_steps=399)
+    assert calls == []
+    # the bound is tight: f'' = 0 takes full h_max steps and just arrives
+    sol = integrate_ivp(OdeRhs.from_callable(rhs), 0.0, 100.0, 1.0, 0.0, 1e-8,
+                        h_max=0.25, max_steps=400)
+    assert sol.completed and len(sol.ts) - 1 == 400
+
+
+def test_labels_format_arguments_as_passed():
+    # labels go into solver metadata, hence into reports
+    assert OdeRhs.linear(0, coef_f=-1.0).label == "linear(0, -1.0, 0.0)"
+    assert OdeRhs.power(0.5, -2).label == "power(0.5, -2)"
+    assert OdeRhs.radial_floor(3).label == "radial_floor(3)"
+    assert OdeRhs.from_callable(lambda t, f, fp: f).label == "callable"
