@@ -27,7 +27,8 @@ EXIT_INPUT_ERROR = 2
 # rows of a CSV dump when --grid is not given
 CSV_GRID = 1001
 
-# the values a config file may give a store_true flag, case-insensitive
+# the values a config file may give a store_true flag, case-insensitive; a
+# false word means the flag is not given, as no command line can say more
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
@@ -123,6 +124,9 @@ def _apply_config_file(parsers, argv):
         except (KeyError, ValueError, argparse.ArgumentTypeError) as exc:
             raise WarpcheckError(f"{path}:{lineno}: bad value {value!r} "
                                  f"for {key.strip()!r}") from exc
+        if converted is False:
+            overrides.pop(dest, None)
+            continue
         overrides[dest] = converted
         # a value from the file satisfies a required flag
         action.required = False
@@ -135,16 +139,52 @@ def _grid(prm, default):
     return default if prm.get("grid") is None else prm["grid"]
 
 
+class _Artifacts:
+    """The files and directories one run creates under ``out``; if the run
+    raises, ``_run`` removes them, so an exit 2 leaves nothing behind. A file
+    that existed before the run is never removed."""
+
+    def __init__(self, out: Path):
+        self.dirs = [d for d in (out, *out.parents) if not d.exists()]
+        self.files = []
+
+    def new(self, path: Path) -> Path:
+        """Note ``path`` as created by this run, unless it exists already;
+        call it before the file is opened."""
+        if not path.exists():
+            self.files.append(path)
+        return path
+
+    def remove(self):
+        for path in self.files:
+            path.unlink(missing_ok=True)
+        for d in self.dirs:  # deepest first
+            try:
+                d.rmdir()
+            except OSError:
+                break
+
+
 def _run(args) -> int:
     """Compute, write artifacts, and return 0 on pass or 1 on verification
-    failure; input errors propagate to ``main``."""
+    failure; input errors propagate to ``main``, after the files written so
+    far are removed."""
+    artifacts = _Artifacts(args.out)
+    try:
+        return _compute_and_write(args, artifacts)
+    except BaseException:
+        artifacts.remove()
+        raise
+
+
+def _compute_and_write(args, artifacts: _Artifacts) -> int:
     params = {k: v for k, v in vars(args).items()
               if k not in ("scenario", "out", "json", "csv", "config",
                            "require_min")}
     if args.scenario == "export":
         pid = params["profile"]
         grid = _grid(params, CSV_GRID)
-        path = write_profile_csv(args.out / f"{pid}.csv",
+        path = write_profile_csv(artifacts.new(args.out / f"{pid}.csv"),
                                  cons.PROFILES[pid](params), grid)
         print(f"[export] wrote {path} ({grid} rows)")
         return EXIT_PASS
@@ -163,10 +203,11 @@ def _run(args) -> int:
     if args.csv:
         for name, profile in profiles.items():
             csv_paths.append(write_profile_csv(
-                args.out / f"{verdict.scenario}_{name}.csv", profile,
-                _grid(params, CSV_GRID)))
+                artifacts.new(args.out / f"{verdict.scenario}_{name}.csv"),
+                profile, _grid(params, CSV_GRID)))
     report = verdict.to_report(csv_paths)
-    path = write_report(args.out / f"{verdict.scenario}.json", report)
+    path = write_report(
+        artifacts.new(args.out / f"{verdict.scenario}.json"), report)
 
     for line in verdict.summary_lines():
         print(line)

@@ -34,20 +34,23 @@ STATUS_MAX_STEPS = 2
 F_FLOOR = 1e-4
 FP_CAP = 1e6
 
+# node buffer entries (beyond the initial node) before the first doubling
+_NODES_INITIAL = 1024
+
 
 def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, max_steps):
     """Integrate (f, f')' = (f', rhs(t, f, f')) from t0 to t1 with an
     embedded 5(4) pair.
 
     Returns (ts, fs, fps, fpps, status, nfev) with one row per accepted node.
+    The node buffers start at ``_NODES_INITIAL + 1`` entries and double when
+    full, so memory follows the steps taken, not ``max_steps``.
     The positivity floor arms once f has risen above 2*F_FLOOR, so profiles
     that start at a cone point (f = 0) are not rejected immediately. An error
     norm too large for a float rejects the step like a non-finite one.
     """
-    ts = np.empty(max_steps + 1)
-    fs = np.empty(max_steps + 1)
-    fps = np.empty(max_steps + 1)
-    fpps = np.empty(max_steps + 1)
+    size = min(max_steps, _NODES_INITIAL) + 1
+    ts, fs, fps, fpps = (np.empty(size) for _ in range(4))
 
     t, f, fp = t0, f0, fp0
     k1f = fp
@@ -122,6 +125,11 @@ def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, max_steps):
         t, f, fp = tn, fn, fpn
         k1f, k1p = k7f, k7p
         n += 1
+        if n == ts.size:
+            # n <= max_steps, so the last growth still has room for node n
+            size = min(2 * ts.size, max_steps + 1)
+            ts, fs, fps, fpps = (np.concatenate((a, np.empty(size - a.size)))
+                                 for a in (ts, fs, fps, fpps))
         ts[n], fs[n], fps[n], fpps[n] = t, f, fp, k1p
 
         # err can be exactly 0 for polynomial solutions
@@ -130,7 +138,9 @@ def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, max_steps):
         if h > h_max:
             h = h_max
 
-    return ts[:n + 1], fs[:n + 1], fps[:n + 1], fpps[:n + 1], status, nfev
+    # copies, so a solution does not keep the unused capacity alive
+    return (ts[:n + 1].copy(), fs[:n + 1].copy(), fps[:n + 1].copy(),
+            fpps[:n + 1].copy(), status, nfev)
 
 
 # perfbench/tracer.py wraps both public names by name; ode calls only

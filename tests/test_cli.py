@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import warpcheck
 
-from warpcheck.cli import _build_parsers, main
+from warpcheck.cli import _apply_config_file, _build_parsers, main
 from warpcheck.report import revalidate_report
 
 
@@ -287,12 +288,26 @@ class TestConfigFile:
         ("0", False), ("false", False), ("NO", False), ("Off", False),
     ])
     def test_config_boolean_words(self, tmp_path, word, flag):
+        # a false word means the flag is not given: no command line can
+        # switch the round check off, so no config file can either, and the
+        # default R keeps it on
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"n = 3\ncheck_round = {word}\n")
-        assert main(["docking", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 0
+        argv = ["docking", "--config", str(cfg), "--out", str(tmp_path)]
+        parser, parsers = _build_parsers()
+        _apply_config_file(parsers, argv)
+        assert parser.parse_args(argv).check_round is (True if flag else None)
+        assert main(argv) == 0
         report = read_report(tmp_path / "docking.json")
-        assert report["config"]["round_check"] is flag
+        assert report["config"]["round_check"] is True
+
+    def test_config_false_word_clears_an_earlier_true(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\ncheck_round = on\ncheck_round = off\n")
+        argv = ["docking", "--config", str(cfg)]
+        parser, parsers = _build_parsers()
+        _apply_config_file(parsers, argv)
+        assert parser.parse_args(argv).check_round is None
 
 
 class TestExport:
@@ -334,6 +349,85 @@ class TestExport:
         rc = main(["export", "--profile", "docking-r",
                    "--out", str(target / "sub")])
         assert rc == 2
+
+
+class _FailingWrites:
+    """A text file whose ``fail_at``-th write, counted over every file this
+    fixture opens, stores half its text and raises ENOSPC."""
+
+    def __init__(self, fh, counter, fail_at):
+        self.fh, self.counter, self.fail_at = fh, counter, fail_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.counter.append(len(text))
+        if len(self.counter) == self.fail_at:
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(text)
+
+
+@pytest.fixture
+def csv_write_fails_at(monkeypatch):
+    """Make the n-th CSV write of the run fail partway, in blocks of 16
+    rows; returns the list of attempted write sizes."""
+    monkeypatch.setattr("warpcheck.report._CSV_BLOCK", 16)
+    counter = []
+    real_open = Path.open
+
+    def install(fail_at):
+        def open_(self, *args, **kwargs):
+            fh = real_open(self, *args, **kwargs)
+            if self.suffix != ".csv":
+                return fh
+            return _FailingWrites(fh, counter, fail_at)
+        monkeypatch.setattr(Path, "open", open_)
+        return counter
+    return install
+
+
+class TestFailedWriteLeavesNothing:
+    def test_report_path_taken_by_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "O"
+        (out / "gn.json").mkdir(parents=True)
+        (out / "keep.txt").write_text("not ours")
+        rc = main(["gn", "--n", "3", "--csv", "--grid", "2000",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert sorted(p.name for p in out.iterdir()) == ["gn.json",
+                                                         "keep.txt"]
+        assert (out / "gn.json").is_dir()
+        assert (out / "keep.txt").read_text() == "not ours"
+
+    def test_csv_write_fails_inside_a_block(self, tmp_path,
+                                            csv_write_fails_at):
+        # 100 rows in blocks of 16: a header write and 7 block writes per
+        # file; the 11th write is the third of the second CSV
+        sizes = csv_write_fails_at(11)
+        out = tmp_path / "new" / "O"
+        rc = main(["gn", "--n", "3", "--csv", "--grid", "100",
+                   "--out", str(out)])
+        assert rc == 2
+        assert len(sizes) == 11 and sizes[-1] > 0
+        # the directories this run made are gone too
+        assert list(tmp_path.iterdir()) == []
+
+    def test_export_write_fails_inside_a_block(self, tmp_path,
+                                               csv_write_fails_at):
+        sizes = csv_write_fails_at(4)
+        (tmp_path / "keep.txt").write_text("not ours")
+        rc = main(["export", "--profile", "k", "--grid", "100",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert len(sizes) == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

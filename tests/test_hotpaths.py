@@ -1,19 +1,23 @@
 """Bit-exactness of the evaluation hot paths against their earlier forms.
 
-The earlier implementations are kept here as oracles. Every comparison is on
-uint64 views, so -0.0 against 0.0 or a changed last bit fails. The oracles
-silence all floating-point errors, because the edge grids include inf and
-nan; the seed forms only silenced underflow on the inputs they were given.
+The earlier implementations are kept here as oracles. Every array comparison
+is on uint64 views, so -0.0 against 0.0 or a changed last bit fails; CSV
+exports are compared by file bytes. The oracles silence all floating-point
+errors, because the edge grids include inf and nan; the seed forms only
+silenced underflow on the inputs they were given.
 """
 import functools
 import math
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpcheck import curvature, kernels
+from warpcheck import curvature, kernels, report
 from warpcheck.constructions import (certify_collar, docking_ambient,
                                      gN_regions, round_boundary)
 from warpcheck.curvature import (_SWEEP_BLOCK, MultiWarpedMetric,
@@ -365,3 +369,123 @@ def test_blocked_sweep_keeps_an_exact_negative_zero_minimum():
     assert len(_sweep_bounds(3 * B + 1)) == 3
     assert_same_bits(rep.global_min, -0.0)
     assert rep.verdict
+
+
+# --- RK node buffers -----------------------------------------------------------
+
+def test_solution_nodes_hold_only_the_steps_taken():
+    tracemalloc.start()
+    try:
+        sol = integrate_ivp(OdeRhs.power(0.5, -2.0), 0.0, 50.0, 1.0, 0.0,
+                            1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sol.ts) == 96
+    for a in (sol.ts, sol.fs, sol.fps, sol.fpps):
+        assert a.base is None or a.base.nbytes == 8 * len(sol.ts)
+    assert peak < 1_000_000
+
+
+def test_node_buffers_grow_past_their_first_size():
+    # f'' = 0 from f = 1, f' = 1: every step is h_max = 0.1 long, so 4000
+    # steps cross the initial buffer size twice
+    n0 = kernels._NODES_INITIAL
+    rhs = OdeRhs.linear().func
+    ts, fs, fps, fpps, status, _ = kernels._rk45(
+        rhs, 0.0, 400.0, 1.0, 1.0, 1e-10, 1e-10, 0.1, 10 * n0)
+    assert status == kernels.STATUS_OK and len(ts) > 2 * n0 + 1
+    assert np.all(np.diff(ts) > 0.0) and ts[-1] == 400.0
+    np.testing.assert_allclose(fs, 1.0 + ts, rtol=1e-12)
+    assert np.all(fps == 1.0) and np.all(fpps == 0.0)
+    # a budget the loop exhausts fills the buffer to max_steps + 1 nodes
+    ts, *_, status, _ = kernels._rk45(rhs, 0.0, 400.0, 1.0, 1.0, 1e-10,
+                                      1e-10, 0.1, n0 + 5)
+    assert status == kernels.STATUS_MAX_STEPS and len(ts) == n0 + 6
+
+
+# --- CSV export ----------------------------------------------------------------
+
+def row_by_row_csv(path, cols):
+    """The writer before row blocks: one repr per value, one write per row."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,f,fp,fpp\n")
+        for row in zip(*cols):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+class FixedSamples:
+    """A profile stand-in whose samples are given columns."""
+
+    def __init__(self, cols):
+        self.cols = cols
+
+    def sample(self, n):
+        assert n == len(self.cols[0])
+        return self.cols
+
+
+def assert_csv_matches_row_by_row(directory, cols):
+    new = report.write_profile_csv(directory / "blocked.csv",
+                                   FixedSamples(cols), len(cols[0]))
+    row_by_row_csv(directory / "rows.csv", cols)
+    assert new.read_bytes() == (directory / "rows.csv").read_bytes()
+
+
+CSV_B = report._CSV_BLOCK
+CSV_EDGE_VALUES = np.array([
+    0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-5,
+    9.999999999999999e-05, 1e16, 9999999999999998.0, -1e16, 0.1, 1.0 / 3.0,
+    2.0 ** 53, 1.7976931348623157e308, 2.2250738585072014e-308])
+
+
+@pytest.mark.parametrize("g", [2, CSV_B - 1, CSV_B, CSV_B + 1, 2 * CSV_B + 3])
+def test_csv_blocks_keep_every_byte_of_the_row_writer(tmp_path, g):
+    rng = np.random.default_rng(g)
+    # edge values in every column and at both ends of the file; random bit
+    # patterns (nan payloads and subnormals included) elsewhere
+    cols = []
+    for j in range(4):
+        col = rng.integers(0, 2 ** 64, g, dtype=np.uint64).view(float)
+        edge = np.roll(CSV_EDGE_VALUES, j)
+        k = min(g, edge.size)
+        col[:k] = edge[:k]
+        col[-k:] = edge[::-1][:k]
+        cols.append(col)
+    assert_csv_matches_row_by_row(tmp_path, cols)
+
+
+def test_csv_columns_of_other_dtypes_are_written_as_floats(tmp_path):
+    g = 37
+    cols = [np.arange(g, dtype=np.int32),
+            np.linspace(0, 1, g, dtype=np.float32),
+            np.linspace(-1, 1, g), np.full(g, -0.0)]
+    assert_csv_matches_row_by_row(tmp_path, cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rows=st.integers(2, 40), block=st.integers(1, 9))
+def test_csv_property_any_float64_columns(tmp_path_factory, data, rows, block):
+    column = st.lists(st.floats(width=64) | SPECIALS, min_size=rows,
+                      max_size=rows)
+    cols = [np.array(data.draw(column), dtype=float) for _ in range(4)]
+    directory = tmp_path_factory.mktemp("csv")
+    with mock.patch.object(report, "_CSV_BLOCK", block):
+        assert_csv_matches_row_by_row(directory, cols)
+
+
+def test_csv_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
+    # small blocks keep tracemalloc fast; the peak is one block's text
+    monkeypatch.setattr(report, "_CSV_BLOCK", 256)
+
+    def peak(rows):
+        cols = [np.linspace(0.1, 1.1, rows) * (j + 1) for j in range(4)]
+        tracemalloc.start()
+        try:
+            report.write_profile_csv(tmp_path / "m.csv", FixedSamples(cols),
+                                     rows)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    small, large = peak(2 * 256), peak(100 * 256)
+    assert large < small + 16 * 1024

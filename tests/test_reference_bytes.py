@@ -2,12 +2,14 @@
 
 ``perfbench/reference.json`` holds the exit code and the sha256 of every
 output file for each argv the benchmark can run. One argv per scenario of
-``constructions.SCENARIOS`` (default sizes), two exports, and four scaled
-argvs whose grids (2e5 to 1e6 points) span many blocks of the Ricci sweep
-are replayed in-process here, so a refactor that changes a single report
-byte fails tier-1. ``docking --n 6 --grid 1000000`` exits 1: its round-model
-spread, 1.4e-9, exceeds the 1e-9 bound. ``--csv`` argvs are left out on
-purpose: their reports embed the relative output path the benchmark used.
+``constructions.SCENARIOS`` (default sizes), one export per profile of
+``constructions.PROFILES``, and four scaled argvs whose grids (2e5 to 1e6
+points) span many blocks of the Ricci sweep are replayed in-process here, so
+a refactor that changes a single report byte fails tier-1.
+``docking --n 6 --grid 1000000`` exits 1: its round-model spread, 1.4e-9,
+exceeds the 1e-9 bound. The two ``--csv`` argvs run from a temporary working
+directory into the benchmark's relative output directory, because their
+reports list the CSVs by that path.
 
 The benchmark's tracer also wraps program functions by name; the last tests
 check that every name it looks up still exists.
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 from warpcheck import cli
-from warpcheck.constructions import SCENARIOS
+from warpcheck.constructions import PROFILES, SCENARIOS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = PERFBENCH / "reference.json"
@@ -37,12 +39,24 @@ ARGVS = (
     "glue --example hemisphere --n 3",
     "export --profile k --eps-prime 0.2 --grid 50000",
     "export --profile sha-f --n 3 --m 2 --grid 50000",
+    "export --profile sha-h --n 3 --m 2 --grid 50000",
+    "export --profile neck --nu 0.1 --s 0.5 --grid 50000",
+    "export --profile collar --c 0.1 --grid 50000",
+    "export --profile closability --n 3 --eps-prime 0.2 --grid 50000",
+    "export --profile docking-r --grid 50000",
     # scaled grids: the Ricci sweep runs in many blocks
     "sha-yang --n 3 --m 2 --grid 1000000",
     "gn --n 3 --grid 200000",
     "thm22 --n 4 --members 4 --grid 250000",
     "docking --n 6 --grid 1000000",
 )
+
+CSV_ARGVS = (
+    "gn --n 3 --csv --grid 20000",
+    "sha-yang --n 3 --m 2 --csv --grid 20000",
+)
+# perfbench/run.py writes every output here, relative to its working directory
+BENCH_OUT = Path(".perfbench_work") / "out"
 
 
 @pytest.fixture(scope="module")
@@ -60,8 +74,24 @@ def test_outputs_match_reference(tmp_path, reference, key):
     assert digests == expected["digests"]
 
 
+@pytest.mark.parametrize("key", CSV_ARGVS)
+def test_csv_outputs_match_reference(tmp_path, monkeypatch, reference, key):
+    expected = reference[key]
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(key.split() + ["--out", str(BENCH_OUT)])
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(BENCH_OUT.iterdir())}
+    assert rc == expected["exit"]
+    assert digests == expected["digests"]
+
+
 def test_every_scenario_is_covered():
     assert {key.split()[0] for key in ARGVS} == {*SCENARIOS, "export"}
+
+
+def test_every_export_profile_is_covered():
+    assert {key.split()[2] for key in ARGVS
+            if key.startswith("export ")} == set(PROFILES)
 
 
 def test_subcommands_are_the_scenario_table_plus_export():
