@@ -33,8 +33,7 @@ from .profiles import (EXCLUSION_WIDTH, Joint, ParityReport, ParityTag,
                        neck_profile, parity_check, profile_from_callable,
                        radial_floor_value, scale_profile, sha_yang_profiles,
                        solve_ivp_profile, splice_profiles)
-from .report import (CheckResult, ScenarioVerdict, check_bool, check_eq,
-                     check_ge, check_le, report_bytes, revalidate_report,
-                     write_profile_csv, write_report)
-
-__version__ = "0.1.0"
+from .report import (TOOL_VERSION as __version__, CheckResult,
+                     ScenarioVerdict, check_bool, check_eq, check_ge, check_le,
+                     report_bytes, revalidate_report, write_profile_csv,
+                     write_report)

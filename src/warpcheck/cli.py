@@ -12,6 +12,10 @@ explicit flags override the file.
 from __future__ import annotations
 
 import argparse
+import errno
+import itertools
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -140,24 +144,47 @@ def _grid(prm, default):
 
 
 class _Artifacts:
-    """The files and directories one run creates under ``out``; if the run
-    raises, ``_run`` removes them, so an exit 2 leaves nothing behind. A file
-    that existed before the run is never removed."""
+    """The files one run writes under ``out``.
+
+    Each file is written to a temporary sibling, and ``commit`` renames them
+    all into place after the last write has succeeded. If the run raises
+    before that, ``discard`` removes the temporaries and the directories the
+    run created, so an exit 2 leaves ``out`` as it was: no file appears and
+    none is overwritten.
+    """
 
     def __init__(self, out: Path):
+        self.out = out
         self.dirs = [d for d in (out, *out.parents) if not d.exists()]
-        self.files = []
+        self.pending = []  # (temporary, final) pairs
 
-    def new(self, path: Path) -> Path:
-        """Note ``path`` as created by this run, unless it exists already;
-        call it before the file is opened."""
-        if not path.exists():
-            self.files.append(path)
-        return path
+    def reserve(self, names) -> list[Path]:
+        """A new empty temporary file for each name, in order; raises before
+        creating any if a target exists and is not a regular file."""
+        finals = [self.out / name for name in names]
+        for final in finals:
+            if os.path.lexists(final) \
+                    and not stat.S_ISREG(os.lstat(final).st_mode):
+                raise FileExistsError(errno.EEXIST, "exists and is not a "
+                                      "regular file", str(final))
+        self.out.mkdir(parents=True, exist_ok=True)
+        temps = []
+        for final in finals:
+            temps.append(_new_file_beside(final))
+            self.pending.append((temps[-1], final))
+        return temps
 
-    def remove(self):
-        for path in self.files:
-            path.unlink(missing_ok=True)
+    def commit(self) -> list[Path]:
+        """Rename every temporary into place; returns the final paths."""
+        for temp, final in self.pending:
+            os.replace(temp, final)
+        finals = [final for _, final in self.pending]
+        self.pending = []
+        return finals
+
+    def discard(self):
+        for temp, _ in self.pending:
+            temp.unlink(missing_ok=True)
         for d in self.dirs:  # deepest first
             try:
                 d.rmdir()
@@ -165,15 +192,28 @@ class _Artifacts:
                 break
 
 
+def _new_file_beside(final: Path) -> Path:
+    """Create a new empty hidden file in the directory of ``final`` and with
+    its suffix, never opening one that exists; returns its path."""
+    for i in itertools.count():
+        temp = final.with_name(f".{final.stem}-{i}.tmp{final.suffix}")
+        try:
+            os.close(os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+                             0o666))
+        except FileExistsError:
+            continue
+        return temp
+
+
 def _run(args) -> int:
     """Compute, write artifacts, and return 0 on pass or 1 on verification
-    failure; input errors propagate to ``main``, after the files written so
-    far are removed."""
+    failure; input errors propagate to ``main``, after what was written so
+    far is discarded."""
     artifacts = _Artifacts(args.out)
     try:
         return _compute_and_write(args, artifacts)
     except BaseException:
-        artifacts.remove()
+        artifacts.discard()
         raise
 
 
@@ -184,8 +224,9 @@ def _compute_and_write(args, artifacts: _Artifacts) -> int:
     if args.scenario == "export":
         pid = params["profile"]
         grid = _grid(params, CSV_GRID)
-        path = write_profile_csv(artifacts.new(args.out / f"{pid}.csv"),
-                                 cons.PROFILES[pid](params), grid)
+        (temp,) = artifacts.reserve([f"{pid}.csv"])
+        write_profile_csv(temp, cons.PROFILES[pid](params), grid)
+        (path,) = artifacts.commit()
         print(f"[export] wrote {path} ({grid} rows)")
         return EXIT_PASS
 
@@ -199,15 +240,15 @@ def _compute_and_write(args, artifacts: _Artifacts) -> int:
                                        "cli-required-minimum", value,
                                        args.require_min),),
             verdict.artifacts)
-    csv_paths = []
-    if args.csv:
-        for name, profile in profiles.items():
-            csv_paths.append(write_profile_csv(
-                artifacts.new(args.out / f"{verdict.scenario}_{name}.csv"),
-                profile, _grid(params, CSV_GRID)))
-    report = verdict.to_report(csv_paths)
-    path = write_report(
-        artifacts.new(args.out / f"{verdict.scenario}.json"), report)
+    csvs = profiles if args.csv else {}
+    names = [f"{verdict.scenario}_{name}.csv" for name in csvs]
+    *csv_temps, report_temp = artifacts.reserve(
+        [*names, f"{verdict.scenario}.json"])
+    for temp, profile in zip(csv_temps, csvs.values()):
+        write_profile_csv(temp, profile, _grid(params, CSV_GRID))
+    report = verdict.to_report([args.out / name for name in names])
+    write_report(report_temp, report)
+    *_, path = artifacts.commit()
 
     for line in verdict.summary_lines():
         print(line)

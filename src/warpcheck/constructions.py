@@ -20,7 +20,7 @@ import numpy as np
 
 from .curvature import (BoundaryBlock, BoundaryData, MultiWarpedMetric,
                         boundary_data, glue_check, ricci_report, volume)
-from .errors import InputError, SearchFailureError
+from .errors import InputError, SearchFailureError, int_ge
 from .factors import (FactorManifold, abstract_factor, round_sphere_factor,
                       scale_factor, unit_sphere_volume)
 from .profiles import (EXCLUSION_WIDTH, WarpProfile, closability_ode_profile,
@@ -30,19 +30,32 @@ from .profiles import (EXCLUSION_WIDTH, WarpProfile, closability_ode_profile,
 from .report import (ScenarioVerdict, check_bool, check_eq, check_ge,
                      check_le)
 
+# Thresholds of the checks below, each echoed in the report's config under
+# the key in quotes.
+# sha-yang: |f'(T) - 1| ("asym_threshold"); the bound on |h(T) - 2/alpha|
+# ("asym_threshold_h") is the same tolerance in the scale of its limit,
+# (2/alpha) * ASYM_THRESHOLD, since h - 2/alpha = (2/alpha)(f' - 1) exactly
+ASYM_THRESHOLD = 0.05
+# sha-yang: the three rate identities tying h to f ("identity_tol")
+IDENTITY_TOL = 1e-6
+# radii and induced curvature intervals of two glued boundaries ("glue_tol")
+GLUE_TOL = 1e-9
+# a certified collar keeps Ricci >= 0 out to t = 1 + COLLAR_MARGIN
+# ("margin") and Ricci > 0 on [0, STRICT_WINDOW] ("strict_window")
+COLLAR_MARGIN = 0.25
+STRICT_WINDOW = 0.5
+
 
 @dataclass(frozen=True)
 class CertifiedBlock:
-    """A building block taken on external authority: only its boundary data,
-    an interior Ricci floor, and optionally its volume are trusted. ``note``
-    states what is being assumed."""
+    """A building block taken on external authority: only its boundary data
+    and an interior Ricci floor are trusted. ``note`` states what is being
+    assumed."""
 
     label: str
     boundary: BoundaryData
     interior_ricci_min: float
-    dim: int
-    volume: Optional[float] = None
-    note: str = ""
+    note: str
 
     def __post_init__(self):
         for b in self.boundary.blocks:
@@ -63,12 +76,10 @@ class CertifiedBlock:
         return replace(
             self,
             boundary=replace(self.boundary, blocks=blocks),
-            interior_ricci_min=self.interior_ricci_min / lam ** 2,
-            volume=None if self.volume is None else self.volume * lam ** self.dim)
+            interior_ricci_min=self.interior_ricci_min / lam ** 2)
 
 
-def round_boundary(dim: int, radius: float, kappa: float,
-                   orientation: int = 1) -> BoundaryData:
+def round_boundary(dim: int, radius: float, kappa: float) -> BoundaryData:
     """Boundary data of a round S^dim boundary of the given radius whose
     principal curvatures all equal kappa (w.r.t. the outward normal)."""
     factor = round_sphere_factor(dim, 1.0)
@@ -76,34 +87,22 @@ def round_boundary(dim: int, radius: float, kappa: float,
                           kappa_normalized=float(kappa) * float(radius),
                           factor=factor,
                           induced=scale_factor(factor, float(radius)))
-    return BoundaryData(t=0.0, orientation=orientation, blocks=(block,))
+    return BoundaryData(t=0.0, orientation=1, blocks=(block,))
 
 
-def certified_core(dim: int, kappa: float, *, label: str = "core",
-                   interior_ricci_min: float = 1.0,
-                   volume: Optional[float] = None,
-                   note: str = "assumed: positive-Ricci interior with round, "
-                               "convex boundary (external construction)"
-                   ) -> CertifiedBlock:
+def certified_core(dim: int, kappa: float) -> CertifiedBlock:
     """A core piece: round unit boundary S^(dim-1) with principal curvatures
     kappa, positive Ricci inside; everything interior is assumed."""
-    return CertifiedBlock(label=label,
+    return CertifiedBlock(label="core",
                           boundary=round_boundary(dim - 1, 1.0, kappa),
-                          interior_ricci_min=interior_ricci_min,
-                          dim=dim, volume=volume, note=note)
-
-
-def _int_ge(name: str, v, lo: int) -> int:
-    if not (isinstance(v, int) and not isinstance(v, bool)) or v < lo:
-        raise InputError(f"{name} must be an integer >= {lo}, got {v!r}")
-    return v
+                          interior_ricci_min=1.0,
+                          note="assumed: positive-Ricci interior with round, "
+                               "convex boundary (external construction)")
 
 
 def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
-                   tol: float = 1e-10, grid_size: int = 10_000,
-                   asym_threshold: float = 0.05,
-                   asym_threshold_h: Optional[float] = None,
-                   identity_tol: float = 1e-6) -> ScenarioVerdict:
+                   tol: float = 1e-10,
+                   grid_size: int = 10_000) -> ScenarioVerdict:
     """Complete metric dt^2 + h^2 ds_{m-1}^2 + f^2 g_M on [0, T] whose
     rescalings collapse to the cone over (M, g_M).
 
@@ -111,13 +110,10 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
     integral of the profile equation; the three rate identities tying h to f;
     non-negativity of all Ricci components; odd/even closure parity at t = 0;
     and the asymptotic regime f' -> 1, h -> 2/alpha with strictly decreasing
-    deviation sups on successive windows. ``asym_threshold`` bounds
-    |f'(T) - 1|; the bound on |h(T) - 2/alpha| defaults to the same tolerance
-    measured in the scale of its limit, (2/alpha) * asym_threshold, since
-    h - 2/alpha = (2/alpha)(f' - 1) exactly.
+    deviation sups on successive windows.
     """
-    _int_ge("n", n, 2)
-    _int_ge("m", m, 2)
+    int_ge("n", n, 2)
+    int_ge("m", m, 2)
     if M.dim != n:
         raise InputError(f"M must have dimension n = {n}, got {M.dim}")
     if M.ricci_lower < n - 1 - 1e-12:
@@ -144,17 +140,17 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
     rhs1 = (alpha ** 2 / 4.0) * (1.0 - fv ** (-2.0 * alpha - 2.0)) / (1.0 - fv ** -alpha)
     bound1 = (alpha ** 2 / 4.0) * fv ** (-alpha - 2.0)
     checks.append(check_le("sphere_rate_identity", "identity-sphere-rate",
-                           np.max(np.abs(lhs1 - rhs1)), identity_tol))
+                           np.max(np.abs(lhs1 - rhs1)), IDENTITY_TOL))
     checks.append(check_ge("sphere_rate_lower_bound", "identity-sphere-rate",
                            np.min(lhs1 - bound1), -1e-12))
     lhs2 = hppv / hv
     rhs2 = -(alpha * (alpha + 1.0) / 2.0) * fv ** (-alpha - 2.0)
     checks.append(check_le("sphere_accel_identity", "identity-sphere-accel",
-                           np.max(np.abs(lhs2 - rhs2)), identity_tol))
+                           np.max(np.abs(lhs2 - rhs2)), IDENTITY_TOL))
     lhs3 = hpv * fpv / (hv * fv)
     rhs3 = (alpha / 2.0) * fv ** (-alpha - 2.0)
     checks.append(check_le("cross_rate_identity", "identity-cross-rate",
-                           np.max(np.abs(lhs3 - rhs3)), identity_tol))
+                           np.max(np.abs(lhs3 - rhs3)), IDENTITY_TOL))
 
     rep = ricci_report(metric, grid_size, lam=0.0)
     checks.append(check_ge("ricci_global_min", "ricci-nonnegative",
@@ -166,12 +162,11 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
     checks.append(check_bool("radial_warp_even", "closure-parity",
                              parity_check(f, "left", "even", 2).passed))
 
-    if asym_threshold_h is None:
-        asym_threshold_h = (2.0 / alpha) * asym_threshold
+    asym_threshold_h = (2.0 / alpha) * ASYM_THRESHOLD
     fp_T = f.eval(T)[1]
     h_T = h.eval(T)[0]
     checks.append(check_le("radial_speed_limit", "asymptotic-cone",
-                           abs(fp_T - 1.0), asym_threshold))
+                           abs(fp_T - 1.0), ASYM_THRESHOLD))
     checks.append(check_le("sphere_radius_limit", "asymptotic-cone",
                            abs(h_T - 2.0 / alpha), asym_threshold_h))
 
@@ -191,9 +186,9 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
                            note=f"sup drops {sup_h1:.3e} -> {sup_h2:.3e}"))
 
     config = {"n": n, "m": m, "T": T, "tol": tol, "grid_size": grid_size,
-              "alpha": alpha, "asym_threshold": asym_threshold,
+              "alpha": alpha, "asym_threshold": ASYM_THRESHOLD,
               "asym_threshold_h": asym_threshold_h,
-              "identity_tol": identity_tol, "ricci_slack": rep.slack,
+              "identity_tol": IDENTITY_TOL, "ricci_slack": rep.slack,
               "M": {"name": M.name, "dim": M.dim,
                     "ricci_interval": list(M.ricci_interval)}}
     return ScenarioVerdict("sha-yang", config, tuple(checks),
@@ -241,8 +236,8 @@ def cone_asymptotics(metric: MultiWarpedMetric, slopes: Sequence[float],
 
 
 def neck_family_check(nu: float, n: int, s_values: Sequence[float],
-                      core: CertifiedBlock, *, grid_size: int = 2048,
-                      glue_tol: float = 1e-9) -> ScenarioVerdict:
+                      core: CertifiedBlock, *,
+                      grid_size: int = 2048) -> ScenarioVerdict:
     """The shrinking family dt^2 + 2 sin^2(nu t) ds_{n-1}^2 on [s, pi/(4 nu)].
 
     For every s the outer boundary must be round of radius 1 with principal
@@ -251,7 +246,7 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
     positive delta must bound every member's Ricci curvature from below; the
     member volumes must likewise share one positive floor.
     """
-    _int_ge("n", n, 3)
+    int_ge("n", n, 3)
     if not nu > 0:
         raise InputError("nu must be positive")
     t_out = math.pi / (4.0 * nu)
@@ -283,7 +278,7 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
         inner = boundary_data(metric, "left")
         rep = ricci_report(metric, grid_size)
         lam = math.sqrt(2.0) * math.sin(nu * s)
-        glue = glue_check(core.scaled(lam).boundary, inner, glue_tol)
+        glue = glue_check(core.scaled(lam).boundary, inner, GLUE_TOL)
         vol = volume(metric)
         ts = np.linspace(s, t_out, 512)
         drift = float(np.max(np.abs(
@@ -327,19 +322,17 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
                                 "sqrt(2) sin(nu s) -> 0 as s -> 0"))
 
     config = {"nu": nu, "n": n, "s_values": s_values, "grid_size": grid_size,
-              "glue_tol": glue_tol, "core_kappa": cb.kappa,
+              "glue_tol": GLUE_TOL, "core_kappa": cb.kappa,
               "core_note": core.note, "delta": delta}
     return ScenarioVerdict("neck", config, tuple(checks),
                            artifacts={"members": per_s})
 
 
 def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
-                   grid_size: int = 2048, margin: float = 0.25,
-                   strict_window: float = 0.5,
-                   glue_tol: float = 1e-9) -> ScenarioVerdict:
+                   grid_size: int = 2048) -> ScenarioVerdict:
     """Certification of one collar slope c against a round unit core
     boundary: the collar metric dt^2 + f(t)^2 g must keep Ricci >= 0 out to
-    t = 1 + margin, strictly positive Ricci near the gluing slice, and a
+    t = 1 + COLLAR_MARGIN, strictly positive Ricci near the gluing slice, and a
     strictly positive second-fundamental-form sum with the core."""
     if len(core_boundary.blocks) != 1:
         raise InputError("core boundary must have a single block")
@@ -348,7 +341,7 @@ def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
         raise InputError("core boundary must have radius 1")
     if not cb.kappa > 0:
         raise InputError("core boundary must be strictly convex (kappa > 0)")
-    _int_ge("n", n, 2)
+    int_ge("n", n, 2)
     if cb.factor.dim != n - 1:
         raise InputError(f"core boundary dimension {cb.factor.dim} "
                          f"does not match n - 1 = {n - 1}")
@@ -356,12 +349,13 @@ def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
         raise InputError("c must be positive")
 
     factor = cb.induced
-    profile = collar_profile(c, length=1.0 + margin)
-    metric = MultiWarpedMetric((0.0, 1.0 + margin), ((factor, profile),))
+    length = 1.0 + COLLAR_MARGIN
+    profile = collar_profile(c, length=length)
+    metric = MultiWarpedMetric((0.0, length), ((factor, profile),))
     rep_full = ricci_report(metric, grid_size, lam=0.0)
-    near = MultiWarpedMetric((0.0, strict_window), ((factor, profile),))
+    near = MultiWarpedMetric((0.0, STRICT_WINDOW), ((factor, profile),))
     rep_near = ricci_report(near, grid_size)
-    glue = glue_check(core_boundary, boundary_data(metric, "left"), glue_tol)
+    glue = glue_check(core_boundary, boundary_data(metric, "left"), GLUE_TOL)
 
     checks = (
         check_ge("collar_ricci_nonnegative", "ricci-nonnegative",
@@ -374,8 +368,9 @@ def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
                  strict=True,
                  note=f"core kappa {cb.kappa} plus collar -2c = {cb.kappa - 2 * c}"),
     )
-    config = {"c": c, "n": n, "margin": margin, "strict_window": strict_window,
-              "grid_size": grid_size, "glue_tol": glue_tol,
+    config = {"c": c, "n": n, "margin": COLLAR_MARGIN,
+              "strict_window": STRICT_WINDOW,
+              "grid_size": grid_size, "glue_tol": GLUE_TOL,
               "core_kappa": cb.kappa,
               "ricci_slack": rep_full.slack}
     return ScenarioVerdict("collar-certify", config, checks,
@@ -385,8 +380,7 @@ def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
 
 
 def collar_closability(core_boundary: BoundaryData, c_max: float, n: int, *,
-                       grid_size: int = 2048, margin: float = 0.25,
-                       strict_window: float = 0.5) -> ScenarioVerdict:
+                       grid_size: int = 2048) -> ScenarioVerdict:
     """Search for the largest collar slope c in (0, c_max] whose collar
     certifies against the core.
 
@@ -398,8 +392,7 @@ def collar_closability(core_boundary: BoundaryData, c_max: float, n: int, *,
         raise InputError("c_max must be positive")
 
     def ok(c):
-        return certify_collar(core_boundary, c, n, grid_size=grid_size,
-                              margin=margin, strict_window=strict_window)
+        return certify_collar(core_boundary, c, n, grid_size=grid_size)
 
     verdict_hi = ok(c_max)
     if verdict_hi.overall:
@@ -431,7 +424,7 @@ def collar_closability(core_boundary: BoundaryData, c_max: float, n: int, *,
     profile = best.artifacts["profile"]
     f1 = profile.eval(1.0)[0]
     c0 = f1 - c_star
-    t_far = 1.0 + margin
+    t_far = 1.0 + COLLAR_MARGIN
     lin_dev = abs(profile.eval(t_far)[0] - (c_star * t_far + c0))
     slope_dev = abs(profile.eval(t_far)[1] - c_star)
 
@@ -448,8 +441,7 @@ def collar_closability(core_boundary: BoundaryData, c_max: float, n: int, *,
 
 
 def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
-               tol: float = 1e-10, grid_size: int = 2048,
-               g0: Optional[CertifiedBlock] = None) -> ScenarioVerdict:
+               tol: float = 1e-10, grid_size: int = 2048) -> ScenarioVerdict:
     """The two regions of the doubled-boundary space over a totally geodesic
     hypersurface Y.
 
@@ -458,7 +450,7 @@ def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
     certified analytically. Y must satisfy Ric >= -(n-2); f comes from the
     curvature-floor profile equation and k from the flat-step construction.
     """
-    _int_ge("n", n, 3)
+    int_ge("n", n, 3)
     if Y.dim != n - 1:
         raise InputError(f"Y must have dimension n - 1 = {n - 1}, got {Y.dim}")
     if Y.ricci_lower < -(n - 2) - 1e-12:
@@ -473,12 +465,11 @@ def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
             f"the radial profile collapses at t = {f.t1:.4f} before "
             f"eps_prime = {eps_prime}; choose eps_prime smaller")
     k = k_profile(eps_prime)
-    if g0 is None:
-        g0 = CertifiedBlock(
-            label="g0", boundary=round_boundary(n - 1, 1.0, 0.0),
-            interior_ricci_min=0.0, dim=n,
-            note="assumed: deformed interior metric with non-negative Ricci "
-                 "curvature (external deformation result)")
+    g0 = CertifiedBlock(
+        label="g0", boundary=round_boundary(n - 1, 1.0, 0.0),
+        interior_ricci_min=0.0,
+        note="assumed: deformed interior metric with non-negative Ricci "
+             "curvature (external deformation result)")
 
     circle = abstract_factor("I", 1, (0.0, 0.0))
     # strictness is checkable only away from the flat end t = eps', where the
@@ -556,7 +547,7 @@ def docking_ambient(n: int, *, R: Optional[WarpProfile] = None,
     Ricci component must equal n to within 1e-9 (checked unless
     ``include_round_check`` is set to False or R is custom).
     """
-    _int_ge("n", n, 3)
+    int_ge("n", n, 3)
     default_R = R is None
     if include_round_check is None:
         include_round_check = default_R
@@ -618,7 +609,7 @@ def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
     Volume constancy across the family is reported (spread and the rescaling
     factor capping the largest member at the model volume), not enforced.
     """
-    _int_ge("n", n, 3)
+    int_ge("n", n, 3)
     family = list(family)
     if not family:
         raise InputError("family must be non-empty")
@@ -892,7 +883,7 @@ SCENARIOS = {s.name: s for s in (
         (("--k1",), {"type": _finite_float, "default": None}),
         (("--r2",), {"type": _finite_float, "default": None}),
         (("--k2",), {"type": _finite_float, "default": None}),
-        (("--glue-tol",), {"type": _finite_float, "default": 1e-9}),
+        (("--glue-tol",), {"type": _finite_float, "default": GLUE_TOL}),
     ), None, _run_glue),
 )}
 

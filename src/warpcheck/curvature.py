@@ -252,6 +252,9 @@ def second_fundamental_form(metric: MultiWarpedMetric, t: float,
     blocks = []
     for factor, profile in metric.blocks:
         f, fp, _ = profile.eval(float(t))
+        if not f > 0:
+            raise SingularPointError(f"the slice t = {t} is collapsed: a "
+                                     "warp vanishes there")
         kappa = orientation * fp / f + 0.0
         blocks.append(BoundaryBlock(
             radius=float(f), kappa=float(kappa),
@@ -291,6 +294,10 @@ def _sweep_bounds(n: int) -> list[tuple[int, int]]:
     return bounds
 
 
+# the relative slack below a target lambda that a Ricci sweep still passes
+RICCI_SLACK = 1e-8
+
+
 @dataclass(frozen=True)
 class RicciReport:
     """Gridwise Ricci bounds with a deterministic global minimum.
@@ -307,27 +314,13 @@ class RicciReport:
     verdict: Optional[bool]
     excluded_zones: tuple
 
-    def summary(self) -> dict:
-        out = {
-            "grid_size": int(len(self.grid)),
-            "grid_start": float(self.grid[0]),
-            "grid_end": float(self.grid[-1]),
-            "global_min": self.global_min,
-            "excluded_zones": [list(z) for z in self.excluded_zones],
-        }
-        if self.lam is not None:
-            out.update({"lambda": self.lam, "slack": self.slack,
-                        "verdict": bool(self.verdict)})
-        return out
-
 
 def ricci_report(metric: MultiWarpedMetric, grid_size: int,
-                 lam: Optional[float] = None, *,
-                 slack_factor: float = 1e-8) -> RicciReport:
+                 lam: Optional[float] = None) -> RicciReport:
     """Sweep Ricci components over a uniform grid (closure zones excluded)
     and compare the global minimum against a lower-bound target.
 
-    The verdict allows ``slack_factor * max(1, |lam|)`` below lam to absorb
+    The verdict allows ``RICCI_SLACK * max(1, |lam|)`` below lam to absorb
     solver tolerance; the slack used is recorded in the report.
 
     The grid is swept in the blocks of ``_sweep_bounds``, keeping only each
@@ -354,7 +347,7 @@ def ricci_report(metric: MultiWarpedMetric, grid_size: int,
         zones.append((t0, lo))
     if metric.collapse_right is not None:
         zones.append((hi, t1))
-    slack = slack_factor * max(1.0, abs(lam)) if lam is not None else 0.0
+    slack = RICCI_SLACK * max(1.0, abs(lam)) if lam is not None else 0.0
     verdict = (global_min >= lam - slack) if lam is not None else None
     return RicciReport(grid=ts, extrema=extrema,
                        global_min=global_min, lam=lam, slack=slack,

@@ -66,3 +66,11 @@ class SearchFailureError(WarpcheckError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics
+
+
+def int_ge(name: str, v, lo: int) -> int:
+    """``v`` if it is an int (a bool is not) of at least ``lo``; otherwise an
+    InputError naming ``name``."""
+    if not (isinstance(v, int) and not isinstance(v, bool)) or v < lo:
+        raise InputError(f"{name} must be an integer >= {lo}, got {v!r}")
+    return v

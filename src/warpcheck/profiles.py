@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (ConstructionError, GlueMismatchError, InputError,
-                     IntegrationQualityError)
+                     IntegrationQualityError, int_ge)
 from .ode import DenseSolution, OdeRhs, integrate_ivp
 from .quadrature import CumulativeIntegral, adaptive_quad
 
@@ -37,7 +37,7 @@ class ParityTag:
     """
 
     kind: str
-    coeffs: tuple = ()
+    coeffs: tuple
 
     def __post_init__(self):
         if self.kind not in ("odd", "even", "flat"):
@@ -96,7 +96,7 @@ class WarpProfile:
                       for a in self.raw_eval(tc))
         for endpoint, tstar in (("left", t0), ("right", t1)):
             tag = self.parity.get(endpoint)
-            if tag is None or not tag.coeffs:
+            if tag is None:
                 continue
             if tag.kind == "odd":
                 # cone points: serve the whole near-endpoint window, since the
@@ -291,9 +291,8 @@ def sha_yang_profiles(n: int, m: int, T: float, tol: float = 1e-10):
     The conserved quantity f'^2 - (1 - f^-alpha) is evaluated along the
     solution; its maximum must stay below 10*tol.
     """
-    for name, v in (("n", n), ("m", m)):
-        if not (isinstance(v, int) and not isinstance(v, bool)) or v < 2:
-            raise InputError(f"{name} must be an integer >= 2, got {v!r}")
+    int_ge("n", n, 2)
+    int_ge("m", m, 2)
     if not T > 0:
         raise InputError(f"T must be positive, got {T}")
     if not tol > 0:
@@ -346,8 +345,7 @@ def closability_ode_profile(n: int, eps: float, tol: float = 1e-10) -> WarpProfi
     ``eps`` the profile is truncated at 90% of the reached time, recorded in
     ``solver_meta``.
     """
-    if not (isinstance(n, int) and not isinstance(n, bool)) or n < 3:
-        raise InputError(f"n must be an integer >= 3, got {n!r}")
+    int_ge("n", n, 3)
     if not eps > 0:
         raise InputError("eps must be positive")
     sol = integrate_ivp(OdeRhs.radial_floor(float(n - 2)), 0.0, eps, 1.0, 0.0,
@@ -376,6 +374,8 @@ def neck_profile(nu: float, s: float) -> WarpProfile:
     if not nu > 0:
         raise InputError(f"nu must be positive, got {nu}")
     t_out = math.pi / (4.0 * nu)
+    if math.isinf(t_out):
+        raise InputError(f"nu = {nu} is too small: pi/(4 nu) overflows")
     if not 0.0 < s < t_out:
         raise InputError(f"s must lie in (0, {t_out}), got {s}")
     return closed_form_profile("sine", (s, t_out),
@@ -416,6 +416,13 @@ def k_profile(eps_prime: float) -> WarpProfile:
     if not eps_prime > 0:
         raise InputError(f"eps_prime must be positive, got {eps_prime}")
     ep = float(eps_prime)
+    try:
+        c3 = -2.0 / ep ** 2  # k'''(0)
+    except (OverflowError, ZeroDivisionError):
+        c3 = 0.0
+    if c3 == 0.0 or math.isinf(c3):
+        raise InputError(f"eps_prime {ep} is out of floating-point range: "
+                         "1/eps_prime^2 over- or underflows")
     W = CumulativeIntegral(_flat_decay_value, 0.0, 1.0)
 
     def triple(t):
@@ -426,7 +433,7 @@ def k_profile(eps_prime: float) -> WarpProfile:
 
     k = WarpProfile(
         domain=(0.0, ep), kind="closed-form", raw_eval=triple,
-        parity={"left": ParityTag("odd", coeffs=(1.0, -2.0 / ep ** 2)),
+        parity={"left": ParityTag("odd", coeffs=(1.0, c3)),
                 "right": ParityTag("flat", coeffs=(ep * float(W(1.0)), 0.0))},
         solver_meta={"eps_prime": ep})
 

@@ -141,6 +141,12 @@ class TestExitCodeContract:
         ["export", "--profile", "k", "--grid", "1000000000000"],
         # longer than max_steps steps of h_max (was a spent step budget)
         ["sha-yang", "--n", "3", "--m", "2", "--T", "1e7"],
+        # 1/eps'^2 overflows (was an OverflowError traceback)
+        ["export", "--profile", "k", "--eps-prime", "1e300"],
+        # the inner slice has radius 0 (was a ZeroDivisionError traceback)
+        ["neck", "--nu", "1", "--n", "3", "--s", "1e-300"],
+        # pi/(4 nu) overflows (was exit 0 with nan rows and RuntimeWarnings)
+        ["export", "--profile", "neck", "--nu", "5e-324", "--s", "1"],
     ])
     def test_out_of_range_input_is_input_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -406,6 +412,38 @@ class TestFailedWriteLeavesNothing:
         assert (out / "gn.json").is_dir()
         assert (out / "keep.txt").read_text() == "not ours"
 
+    def test_existing_file_is_not_overwritten(self, tmp_path, capsys):
+        out = tmp_path / "O"
+        (out / "gn.json").mkdir(parents=True)
+        (out / "gn_k.csv").write_text("old\n")
+        rc = main(["gn", "--n", "3", "--csv", "--grid", "2000",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert sorted(p.name for p in out.iterdir()) == ["gn.json",
+                                                         "gn_k.csv"]
+        assert (out / "gn_k.csv").read_text() == "old\n"
+
+    def test_existing_file_survives_a_failed_write(self, tmp_path,
+                                                   csv_write_fails_at):
+        (tmp_path / "k.csv").write_text("old\n")
+        csv_write_fails_at(4)
+        rc = main(["export", "--profile", "k", "--grid", "100",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["k.csv"]
+        # Path.open is still patched here
+        with open(tmp_path / "k.csv") as fh:
+            assert fh.read() == "old\n"
+
+    def test_success_replaces_an_existing_file(self, tmp_path):
+        (tmp_path / "k.csv").write_text("old\n")
+        rc = main(["export", "--profile", "k", "--grid", "100",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["k.csv"]
+        assert len((tmp_path / "k.csv").read_text().splitlines()) == 101
+
     def test_csv_write_fails_inside_a_block(self, tmp_path,
                                             csv_write_fails_at):
         # 100 rows in blocks of 16: a header write and 7 block writes per
@@ -428,6 +466,13 @@ class TestFailedWriteLeavesNothing:
         assert rc == 2
         assert len(sizes) == 4
         assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+
+
+def test_version_is_the_pyproject_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert warpcheck.__version__ == project["version"]
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -1,0 +1,202 @@
+"""Property test of the command line's exit-code contract.
+
+For any argv, ``cli.main`` exits 0 (pass), 1 (verification failure) or 2
+(input error), prints no traceback, writes and overwrites nothing when it
+exits 2, and on exit 0 or 1 leaves a report that ``revalidate_report``
+accepts.
+
+Argv is drawn from the flags of ``constructions.SCENARIOS``, the common
+flags and ``constructions.EXPORT_ARGS``. Values come from every class:
+in range, at and beyond a bound, signed zeros, subnormals, huge, non-finite
+in several spellings, malformed and empty. Flags may repeat, take the
+``--flag=value`` form or come from a config file. A run may start with a
+stale file or a directory where its report goes, and a write may fail with
+ENOSPC partway through. Grids are drawn small or absurdly large, never in
+between, so that each run is short.
+"""
+import contextlib
+import errno
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from warpcheck import cli
+from warpcheck.constructions import EXPORT_ARGS, SCENARIOS
+from warpcheck.report import revalidate_report
+
+INTS = ("3", "4", "2", "5", "1", "0", "-1", "7", "1000000",
+        "10000000000000000000000", "x", "", "1.5")
+FLOATS = ("0.1", "0.5", "1", "2", "1000", "0", "-0", "+0.0", "5e-324",
+          "2.2250738585072014e-308", "1e-300", "1e300", "1e308", "-1",
+          "-1e308", "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "x", "")
+GRIDS = ("2", "3", "17", "64", "1", "0", "-1", "1000000000000", "x")
+BOOL_WORDS = ("1", "true", "YES", "on", "0", "false", "No", "off", "maybe")
+COMMON_ARGS = (
+    (("--grid",), {"type": "grid", "default": "64"}),
+    (("--tol",), {"type": float, "default": "1e-8"}),
+    (("--require-min",), {"type": float, "default": "0"}),
+    (("--json",), {"action": "store_true"}),
+    (("--csv",), {"action": "store_true"}),
+)
+
+
+def _value(kwargs):
+    """A strategy for the text of one flag's value: one in four is drawn
+    from the classes above, the rest are typical for the flag (its default,
+    where it has one)."""
+    kind = kwargs.get("type")
+    name = getattr(kind, "__name__", "")
+    if "choices" in kwargs:
+        typical, edge = st.sampled_from(kwargs["choices"]), st.sampled_from(
+            ("bogus", ""))
+    elif kind == "grid":
+        typical, edge = st.sampled_from(("17", "64")), st.sampled_from(GRIDS)
+    elif kind is int or name == "_member_count":
+        typical, edge = st.sampled_from(("3", "4")), st.sampled_from(INTS)
+    else:
+        edge = st.one_of(st.sampled_from(FLOATS), st.floats().map(repr))
+        typical = st.sampled_from(("0.1", "0.2", "0.5", "1"))
+        if name == "_csv_list":
+            typical = st.sampled_from(("0.5", "0.5,0.25"))
+            edge = st.lists(edge, max_size=3).map(",".join)
+    if kwargs.get("default") is not None:
+        typical = st.just(str(kwargs["default"]))
+    return st.integers(0, 3).flatmap(lambda i: typical if i else edge)
+
+
+@st.composite
+def invocations(draw):
+    """(argv, config lines) for one scenario or export."""
+    name = draw(st.sampled_from([*SCENARIOS, "export"]))
+    args = EXPORT_ARGS if name == "export" else SCENARIOS[name].args
+    pairs = []
+    for flags, kwargs in (*args, *COMMON_ARGS):
+        # a required flag is left out now and then, others half the time
+        if not draw(st.integers(0, 9) if kwargs.get("required")
+                    else st.booleans()):
+            continue
+        for _ in range(draw(st.sampled_from((1, 1, 1, 2)))):
+            if kwargs.get("action") == "store_true":
+                pairs.append((flags[0], None))
+            else:
+                pairs.append((flags[0], draw(_value(kwargs))))
+    pairs = draw(st.permutations(pairs))
+    argv, config = [name], []
+    for flag, value in pairs:
+        if draw(st.integers(0, 4)) == 0:
+            if value is None:
+                value = draw(st.sampled_from(BOOL_WORDS))
+            config.append(f"{flag[2:]} = {value}")
+        elif value is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv, config
+
+
+class _FailingWrite:
+    """A file opened for writing whose write number ``fail_at``, counted
+    over every such file of the run, stores half its data and raises
+    ENOSPC."""
+
+    def __init__(self, fh, writes, fail_at):
+        self.fh, self.writes, self.fail_at = fh, writes, fail_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes.append(len(data))
+        if len(self.writes) == self.fail_at:
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+def _profile(argv, config):
+    """The --profile an export run reads: the last on the command line,
+    else the last in the config file."""
+    given = [b if a == "--profile" else a.partition("=")[2]
+             for a, b in zip(argv, [*argv[1:], None])
+             if a == "--profile" or a.startswith("--profile=")]
+    given = given or [line.partition(" = ")[2] for line in config
+                      if line.startswith("profile = ")]
+    return given[-1] if given else None
+
+
+def _snapshot(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def _main(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse's own errors
+            rc = exc.code
+    return rc, stderr.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(invocation=invocations(),
+       out_exists=st.booleans(),
+       occupant=st.sampled_from((None, None, "stale", "directory")),
+       fail_at=st.sampled_from((None, None, None, 1, 2, 3, 5, 9)))
+def test_any_argv_keeps_the_exit_code_contract(invocation, out_exists,
+                                               occupant, fail_at):
+    argv, config = invocation
+    name = argv[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        out = root / "O" if out_exists else root / "new" / "O"
+        if config:
+            (root / "cfg").write_text("\n".join(config) + "\n")
+            argv = [*argv, "--config", str(root / "cfg")]
+        # the file the run writes last: the report, or export's CSV
+        target = out / (f"{_profile(argv, config)}.csv" if name == "export"
+                        else f"{name}.json")
+        if occupant == "stale":
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text("old\n")
+        elif occupant == "directory":
+            target.mkdir(parents=True)
+        before = _snapshot(root)
+
+        writes = []
+        real_open = Path.open
+
+        def open_(self, mode="r", *args, **kwargs):
+            fh = real_open(self, mode, *args, **kwargs)
+            return _FailingWrite(fh, writes, fail_at) if "w" in mode else fh
+
+        with pytest.MonkeyPatch.context() as mp:
+            if fail_at is not None:
+                mp.setattr(Path, "open", open_)
+            rc, err = _main([*argv, "--out", str(out)])
+
+        assert rc in (0, 1, 2), (argv, rc, err)
+        assert "Traceback" not in err, (argv, err)
+        after = _snapshot(root)
+        assert not [p for p in after if ".tmp." in p], (argv, after.keys())
+        if fail_at is not None and len(writes) >= fail_at:
+            assert rc == 2, (argv, rc)
+        if rc == 2:
+            assert after == before, argv
+        elif name == "export":
+            assert rc == 0 and target.is_file(), argv
+        else:
+            report = json.loads(target.read_text())
+            assert revalidate_report(report) == (rc == 0), argv
