@@ -29,7 +29,7 @@ from .errors import DataMissingError, InputError, SingularPointError
 from .factors import FactorManifold, scale_factor
 from .profiles import (EXCLUSION_WIDTH, WarpProfile, parity_check,
                        scale_profile)
-from .quadrature import adaptive_quad
+from .quadrature import adaptive_quad, row_blocks
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
@@ -282,16 +282,9 @@ def _sweep_bounds(n: int) -> list[tuple[int, int]]:
 
     The blocks give the same bits as one sweep over all n points. Every
     component is elementwise except the ``CumulativeIntegral`` of k and
-    collar profiles, a BLAS matrix-vector product that takes rows four at a
-    time and rounds the n mod 4 leftover rows its own way; a single row is
-    rounded differently again. So every block but the last has
-    ``_SWEEP_BLOCK`` points, a multiple of 4, and a last block shorter than
-    4 points is merged into the one before it.
+    collar profiles, whose BLAS product ``row_blocks`` keeps aligned.
     """
-    bounds = [(s, min(s + _SWEEP_BLOCK, n)) for s in range(0, n, _SWEEP_BLOCK)]
-    if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] < 4:
-        bounds[-2:] = [(bounds[-2][0], n)]
-    return bounds
+    return row_blocks(n, _SWEEP_BLOCK)
 
 
 # the relative slack below a target lambda that a Ricci sweep still passes

@@ -9,6 +9,7 @@ f'(t*) = 0 are exact.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -220,8 +221,8 @@ def closed_form_profile(kind: str, domain, *, value: float = 1.0,
         def triple(t):
             t = np.asarray(t, dtype=float)
             th = w * t + ph
-            return (amp * trig(th), sign * amp * w * cotrig(th),
-                    -amp * w ** 2 * trig(th))
+            tr = trig(th)
+            return amp * tr, sign * amp * w * cotrig(th), -amp * w ** 2 * tr
 
         def exact(t):
             th = w * t + ph
@@ -385,13 +386,27 @@ def neck_profile(nu: float, s: float) -> WarpProfile:
 def _flat_decay_value(x):
     """exp(-x^2/(1-x)) for x < 1 and 0 from x = 1 on, without its slope.
 
-    Both branches are computed everywhere and ``np.where`` picks one, so no
-    boolean gather or scatter runs; the discarded branch may overflow or
+    The formula is computed everywhere in one output array, with the
+    operations of ``-x * x / (1.0 - x)`` in their order, and then zeroed
+    where x < 1 fails (nan included); the discarded values may overflow or
     divide by zero, hence the silenced floating-point errors.
     """
     x = np.asarray(x, dtype=float)
+    y = np.empty_like(x)
     with np.errstate(all="ignore"):
-        return np.where(x < 1.0, np.exp(-x * x / (1.0 - x)), 0.0)
+        np.negative(x, out=y)
+        y *= x
+        y /= 1.0 - x
+        np.exp(y, out=y)
+    y[~(x < 1.0)] = 0.0
+    return y
+
+
+@functools.cache
+def _unit_integral(fn) -> CumulativeIntegral:
+    """The antiderivative of the parameter-free integrand ``fn`` on [0, 1],
+    built on first use and shared by every profile that rescales it."""
+    return CumulativeIntegral(fn, 0.0, 1.0)
 
 
 def _flat_decay(x):
@@ -423,7 +438,7 @@ def k_profile(eps_prime: float) -> WarpProfile:
     if c3 == 0.0 or math.isinf(c3):
         raise InputError(f"eps_prime {ep} is out of floating-point range: "
                          "1/eps_prime^2 over- or underflows")
-    W = CumulativeIntegral(_flat_decay_value, 0.0, 1.0)
+    W = _unit_integral(_flat_decay_value)
 
     def triple(t):
         t = np.asarray(t, dtype=float)
@@ -463,12 +478,18 @@ def _collar_step(x):
     """exp(1 - 1/x) for x > 0 and 0 otherwise: rises from a flat 0 at x = 0
     to 1 at x = 1.
 
-    Both branches are computed everywhere and ``np.where`` picks one; the
-    discarded branch divides by zero or overflows for x <= 0.
+    The formula is computed everywhere in one output array and then zeroed
+    where x > 0 fails (nan included); the discarded values divide by zero or
+    overflow for x <= 0.
     """
     x = np.asarray(x, dtype=float)
+    y = np.empty_like(x)
     with np.errstate(all="ignore"):
-        return np.where(x > 0.0, np.exp(1.0 - 1.0 / x), 0.0)
+        np.divide(1.0, x, out=y)
+        np.subtract(1.0, y, out=y)
+        np.exp(y, out=y)
+    y[~(x > 0.0)] = 0.0
+    return y
 
 
 def _collar_step_prime(x):
@@ -492,7 +513,7 @@ def collar_profile(c: float, length: float = 2.0) -> WarpProfile:
         raise InputError(f"length must exceed the unit ramp, got {length}")
     cc = float(c)
 
-    big_phi = CumulativeIntegral(_collar_step, 0.0, 1.0)
+    big_phi = _unit_integral(_collar_step)
     phi_total = float(big_phi(1.0))
 
     def triple(t):
@@ -582,12 +603,18 @@ def _bump_raw(v):
     return out
 
 
-_BUMP_NORM = 1.0 / adaptive_quad(_bump_raw, -1.0, 1.0, rtol=1e-13, atol=1e-16)
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
+@functools.cache
+def _mollifier_rule():
+    """(bump normalisation, 40-point Gauss-Legendre nodes, weights), computed
+    on first use so that importing the package runs no quadrature and does
+    not import ``numpy.polynomial``."""
+    norm = 1.0 / adaptive_quad(_bump_raw, -1.0, 1.0, rtol=1e-13, atol=1e-16)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    return norm, nodes, weights
 
 
 def _bump(v):
-    return _BUMP_NORM * _bump_raw(v)
+    return _mollifier_rule()[0] * _bump_raw(v)
 
 
 def mollify_profile(p: WarpProfile, width: float) -> WarpProfile:
@@ -609,6 +636,7 @@ def mollify_profile(p: WarpProfile, width: float) -> WarpProfile:
                          "joint to the domain boundary")
     if len(js) > 1 and np.diff(np.sort(js)).min() <= 2.0 * width:
         raise InputError("joints are closer than twice the mollification width")
+    _, gl_nodes, gl_weights = _mollifier_rule()
 
     def delta_fn(u):
         # smooth half-width taper: width/2 at the joint, flat zero at |u| = 1
@@ -635,8 +663,8 @@ def mollify_profile(p: WarpProfile, width: float) -> WarpProfile:
         for a, b in segs:
             mid = 0.5 * (a + b)
             half = 0.5 * (b - a)
-            v = mid + half * _GL_NODES
-            wq = half * _GL_WEIGHTS * _bump(v)
+            v = mid + half * gl_nodes
+            wq = half * gl_weights * _bump(v)
             fv, fpv, fppv = p.eval(t - d * v)
             gf += float(np.dot(wq, fv))
             gp += float(np.dot(wq, fpv * (1.0 - dp * v)))

@@ -62,6 +62,8 @@ class TestScenarioRuns:
 class TestExitCodeContract:
     @pytest.mark.parametrize("argv", [
         ["sha-yang", "--n", "2", "--m", "2", "--T", "20"],
+        # the largest n of m = 2 whose window decay still resolves at T = 50
+        ["sha-yang", "--n", "10", "--m", "2", "--grid", "200"],
         ["neck", "--nu", "0.1", "--n", "5", "--s", "0.5,0.1"],
         ["docking", "--n", "3"],
         ["closability", "--n", "4"],
@@ -147,6 +149,11 @@ class TestExitCodeContract:
         ["neck", "--nu", "1", "--n", "3", "--s", "1e-300"],
         # pi/(4 nu) overflows (was exit 0 with nan rows and RuntimeWarnings)
         ["export", "--profile", "neck", "--nu", "5e-324", "--s", "1"],
+        # f' rounds to 1 on both decay windows (was exit 1: a decay of
+        # -2.2e-14 at n = 20, of exactly 0 at n = 30 and 40)
+        ["sha-yang", "--n", "20", "--m", "2", "--grid", "200"],
+        ["sha-yang", "--n", "30", "--m", "2", "--grid", "200"],
+        ["sha-yang", "--n", "40", "--m", "2", "--grid", "200"],
     ])
     def test_out_of_range_input_is_input_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -486,3 +493,17 @@ def test_python_dash_m_runs_the_cli(tmp_path):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "glue.json").exists()
+
+
+def test_importing_the_cli_skips_numpy_polynomial():
+    # the mollifier's quadrature rule is built on first use, not at import
+    src = str(Path(warpcheck.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, warpcheck.cli; "
+         "sys.exit('numpy.polynomial' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpcheck import curvature, kernels, report
+from warpcheck import curvature, kernels, profiles, quadrature, report
 from warpcheck.constructions import (certify_collar, docking_ambient,
                                      gN_regions, round_boundary)
 from warpcheck.curvature import (_SWEEP_BLOCK, MultiWarpedMetric,
@@ -28,7 +28,7 @@ from warpcheck.ode import OdeRhs, integrate_ivp
 from warpcheck.profiles import (_collar_step, _collar_step_prime, _flat_decay,
                                 _flat_decay_value, closed_form_profile,
                                 collar_profile, k_profile, sha_yang_profiles)
-from warpcheck.quadrature import CumulativeIntegral
+from warpcheck.quadrature import CumulativeIntegral, row_blocks
 
 
 # the unpatched evaluator, for oracle values while a test counts its calls
@@ -71,6 +71,23 @@ def masked_phi_prime(x):
     with np.errstate(all="ignore"):
         out[pos] = np.exp(1.0 - 1.0 / x[pos]) / x[pos] ** 2
     return out
+
+
+def one_shot_query(ci, t):
+    """``CumulativeIntegral.__call__`` before row blocks: one node matrix
+    for all query points."""
+    tq = np.asarray(t, dtype=float)
+    scalar = tq.ndim == 0
+    tq = np.atleast_1d(tq)
+    idx = np.clip(np.searchsorted(ci.edges, tq, side="right") - 1,
+                  0, len(ci.edges) - 2)
+    lo = ci.edges[idx]
+    mid = 0.5 * (lo + tq)
+    half = 0.5 * (tq - lo)
+    nodes = mid[:, None] + half[:, None] * ci._x[None, :]
+    vals = np.asarray(ci.fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    out = ci.prefix[idx] + half * (vals @ ci._w)
+    return float(out[0]) if scalar else out
 
 
 def masked_flat_decay(x):
@@ -139,8 +156,18 @@ def test_flat_decay_matches_masked_form():
     w_ref, wp_ref = masked_flat_decay(EDGE_GRID)
     w, wp = _flat_decay(EDGE_GRID)
     assert_same_bits(_flat_decay_value(EDGE_GRID), w_ref)
+    assert_same_bits(_flat_decay_value(0.25),
+                     masked_flat_decay(np.float64(0.25))[0])
     assert_same_bits(w, w_ref)
     assert_same_bits(wp, wp_ref)
+
+
+def test_integrands_leave_their_input_unchanged():
+    x = EDGE_GRID.copy()
+    for fn in (_collar_step, _collar_step_prime, _flat_decay_value,
+               _flat_decay):
+        fn(x)
+        assert_same_bits(x, EDGE_GRID)
 
 
 def test_integrands_raise_no_floating_point_warnings():
@@ -489,3 +516,77 @@ def test_csv_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
             tracemalloc.stop()
     small, large = peak(2 * 256), peak(100 * 256)
     assert large < small + 16 * 1024
+
+
+# --- blocked CumulativeIntegral queries ---------------------------------------
+
+QB = quadrature._QUERY_BLOCK
+UNIT_INTEGRANDS = [_flat_decay_value, _collar_step]
+
+
+def query_points(n, seed=0):
+    """n random points of [0, 1] with 0.0, 1.0 and panel edges among them."""
+    t = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+    edges = np.linspace(0.0, 1.0, quadrature.CUMINT_PANELS + 1)
+    k = min(n, 8)
+    t[:k] = edges[np.linspace(0, len(edges) - 1, k).astype(int)]
+    return t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, QB - 1, QB, QB + 1, QB + 2,
+                               QB + 3, QB + 4, QB + 5, 2 * QB + 3,
+                               3 * QB + 1])
+@pytest.mark.parametrize("fn", UNIT_INTEGRANDS)
+def test_query_blocks_keep_the_bits_of_one_shot(fn, n):
+    ci = profiles._unit_integral(fn)
+    t = query_points(n, seed=n)
+    assert_same_bits(ci(t), one_shot_query(ci, t))
+
+
+@pytest.mark.parametrize("fn", UNIT_INTEGRANDS)
+def test_query_on_panel_edges_and_scalars(fn):
+    ci = profiles._unit_integral(fn)
+    assert_same_bits(ci(ci.edges), one_shot_query(ci, ci.edges))
+    assert_same_bits(ci(ci.edges[::-1]), one_shot_query(ci, ci.edges[::-1]))
+    for t in (0.0, 1.0, float(ci.edges[17]), 0.3, 5e-324):
+        got = ci(t)
+        assert type(got) is float
+        assert_same_bits(got, one_shot_query(ci, t))
+    assert ci(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [20_001, 20_006])
+@pytest.mark.parametrize("fn", UNIT_INTEGRANDS)
+def test_small_query_blocks_keep_the_bits_of_one_shot(monkeypatch, fn, n):
+    # thousands of 8-row blocks over random points expose a block boundary
+    # that shifts the four-row grouping of the BLAS product
+    monkeypatch.setattr(quadrature, "_QUERY_BLOCK", 8)
+    ci = profiles._unit_integral(fn)
+    assert len(row_blocks(n, quadrature._QUERY_BLOCK)) == n // 8 + (n % 8 >= 4)
+    t = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    assert_same_bits(ci(t), one_shot_query(ci, t))
+
+
+@pytest.mark.parametrize("fn", UNIT_INTEGRANDS)
+def test_query_memory_is_far_below_one_node_matrix(fn):
+    ci = profiles._unit_integral(fn)
+    n = 200_000
+    t = np.linspace(0.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        ci(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    node_matrix = 8 * n * quadrature.CUMINT_ORDER  # 38.4 MB
+    assert peak < node_matrix / 2
+
+
+def test_unit_integrals_are_built_once_per_integrand():
+    profiles._unit_integral.cache_clear()
+    for eps_prime in (0.1, 0.15, 0.2):
+        k_profile(eps_prime)
+    for c in (0.1, 0.2, 0.3):
+        collar_profile(c)
+    info = profiles._unit_integral.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
