@@ -110,8 +110,9 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
     integral of the profile equation; the three rate identities tying h to f;
     non-negativity of all Ricci components; odd/even closure parity at t = 0;
     and the asymptotic regime f' -> 1, h -> 2/alpha with strictly decreasing
-    deviation sups on successive windows. Parameters for which f' rounds to
-    1 on both windows are an input error: the decay cannot be measured.
+    deviation sups on successive windows. Parameters for which the deviation
+    1 - f' = 1 - sqrt(1 - f^-alpha) predicts on the first window is at most
+    ``tol`` are an input error: the decay cannot be measured.
     """
     int_ge("n", n, 2)
     int_ge("m", m, 2)
@@ -182,14 +183,15 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
     sup_f2 = float(np.max(np.abs(fp2 - 1.0)))
     sup_h2 = float(np.max(np.abs(h.eval(w2)[0] - 2.0 / alpha)))
     # f'^2 = 1 - f^-alpha along f, and h - 2/alpha = (2/alpha)(f' - 1): where
-    # sqrt(1 - f^-alpha) rounds to 1 on both windows, the window sups measure
-    # solver error, not a decay
-    if all((np.sqrt(1.0 - fw ** -alpha) == 1.0).all() for fw in (f1, f2)):
+    # the deviation this predicts on the first window is within the solve
+    # tolerance, the window sups measure solver error, not a decay
+    predicted = float(np.max(1.0 - np.sqrt(1.0 - f1 ** -alpha)))
+    if predicted <= tol:
         raise InputError(
-            f"n = {n}, m = {m}, T = {T} saturate double precision: "
-            "f' = sqrt(1 - f^-alpha) rounds to 1 on both decay windows "
-            f"[{T / 5.0}, {2.0 * T / 5.0}] and [{2.0 * T / 5.0}, "
-            f"{4.0 * T / 5.0}], so the window decay cannot be measured")
+            f"n = {n}, m = {m}, T = {T}: the window decay is below the "
+            f"solver's resolution, since 1 - f' = 1 - sqrt(1 - f^-alpha) is "
+            f"at most {predicted:.3e} on the first decay window "
+            f"[{T / 5.0}, {2.0 * T / 5.0}], not above tol = {tol:g}")
     checks.append(check_ge("radial_speed_window_decay", "asymptotic-cone",
                            sup_f1 - sup_f2, 0.0, strict=True,
                            note=f"sup drops {sup_f1:.3e} -> {sup_f2:.3e}"))

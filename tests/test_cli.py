@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import subprocess
@@ -154,6 +155,13 @@ class TestExitCodeContract:
         ["sha-yang", "--n", "20", "--m", "2", "--grid", "200"],
         ["sha-yang", "--n", "30", "--m", "2", "--grid", "200"],
         ["sha-yang", "--n", "40", "--m", "2", "--grid", "200"],
+        # the decay predicted on the first window, 2.2e-11 down to 1.1e-16,
+        # is within tol = 1e-10 (was exit 1, or exit 0 by the sign of
+        # solver error)
+        ["sha-yang", "--n", "11", "--m", "2", "--grid", "200"],
+        ["sha-yang", "--n", "12", "--m", "2", "--grid", "200"],
+        ["sha-yang", "--n", "15", "--m", "2", "--grid", "200"],
+        ["sha-yang", "--n", "16", "--m", "2", "--grid", "200"],
     ])
     def test_out_of_range_input_is_input_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -482,28 +490,51 @@ def test_version_is_the_pyproject_version():
     assert warpcheck.__version__ == project["version"]
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+def _child_env():
+    """The environment of a child interpreter that imports this checkout."""
     src = str(Path(warpcheck.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "warpcheck", "glue", "--example", "hemisphere",
          "--n", "3", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "glue.json").exists()
 
 
+def test_only_the_entry_point_freezes_the_heap(tmp_path):
+    # a process run through entrypoint freezes its import-time heap and
+    # writes the report that in-process main writes; main freezes nothing
+    argv = ["glue", "--example", "hemisphere", "--n", "3"]
+    code = ("import atexit, gc; "
+            "atexit.register(lambda: print('freeze_count', "
+            "gc.get_freeze_count())); "
+            "from warpcheck.cli import entrypoint; entrypoint()")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "child")],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    label, count = proc.stdout.splitlines()[-1].split()
+    assert label == "freeze_count" and int(count) > 0
+
+    frozen = gc.get_freeze_count()
+    assert main([*argv, "--out", str(tmp_path / "main")]) == 0
+    assert gc.get_freeze_count() == frozen
+    assert (tmp_path / "child" / "glue.json").read_bytes() == \
+        (tmp_path / "main" / "glue.json").read_bytes()
+
+
 def test_importing_the_cli_skips_numpy_polynomial():
     # the mollifier's quadrature rule is built on first use, not at import
-    src = str(Path(warpcheck.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, warpcheck.cli; "
          "sys.exit('numpy.polynomial' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,9 @@
 """Property test of the command line's exit-code contract.
 
 For any argv, ``cli.main`` exits 0 (pass), 1 (verification failure) or 2
-(input error), prints no traceback, writes and overwrites nothing when it
-exits 2, and on exit 0 or 1 leaves a report that ``revalidate_report``
-accepts.
+(input error), prints no traceback, lets no ``RuntimeWarning`` escape,
+writes and overwrites nothing when it exits 2, and on exit 0 or 1 leaves a
+report that ``revalidate_report`` accepts.
 
 Argv is drawn from the flags of ``constructions.SCENARIOS``, the common
 flags and ``constructions.EXPORT_ARGS``. Values come from every class:
@@ -19,6 +19,7 @@ import errno
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -140,13 +141,16 @@ def _snapshot(root: Path) -> dict:
 
 
 def _main(argv):
+    """Exit code, stderr and the warnings of one in-process run."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             rc = cli.main(argv)
         except SystemExit as exc:  # argparse's own errors
             rc = exc.code
-    return rc, stderr.getvalue()
+    return rc, stderr.getvalue(), caught
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -185,10 +189,12 @@ def test_any_argv_keeps_the_exit_code_contract(invocation, out_exists,
         with pytest.MonkeyPatch.context() as mp:
             if fail_at is not None:
                 mp.setattr(Path, "open", open_)
-            rc, err = _main([*argv, "--out", str(out)])
+            rc, err, caught = _main([*argv, "--out", str(out)])
 
         assert rc in (0, 1, 2), (argv, rc, err)
         assert "Traceback" not in err, (argv, err)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], (argv, caught)
         after = _snapshot(root)
         assert not [p for p in after if ".tmp." in p], (argv, after.keys())
         if fail_at is not None and len(writes) >= fail_at:

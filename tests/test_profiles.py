@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from warpcheck.errors import (DomainTruncationError, GlueMismatchError,
-                              InputError)
+from warpcheck import profiles
+from warpcheck.errors import (ConstructionError, DomainTruncationError,
+                              GlueMismatchError, InputError)
 from warpcheck.ode import OdeRhs
 from warpcheck.profiles import (closability_ode_profile,
                                 closed_form_profile, collar_profile,
@@ -221,6 +222,14 @@ class TestCollarProfile:
             f_m, f_0, f_p = (p.eval(t0 + k * h)[0] for k in (-1, 0, 1))
             assert (f_p - 2 * f_0 + f_m) / h ** 2 == pytest.approx(
                 p.eval(t0)[2], abs=1e-4)
+
+    def test_c2_post_check_fires(self, monkeypatch):
+        # an f'' off by 1 on the ramp must fail the construction's own check
+        step_prime = profiles._collar_step_prime
+        monkeypatch.setattr(profiles, "_collar_step_prime",
+                            lambda x: step_prime(x) + 1.0)
+        with pytest.raises(ConstructionError, match="not C2"):
+            collar_profile(0.1)
 
     def test_validation(self):
         with pytest.raises(InputError):
