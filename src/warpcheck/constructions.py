@@ -159,10 +159,10 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
                            rep.global_min, -rep.slack))
 
     checks.append(check_bool("sphere_warp_odd", "closure-parity",
-                             parity_check(h, "left", "odd", 2,
+                             parity_check(h, "left", "odd",
                                           unit_slope=True).passed))
     checks.append(check_bool("radial_warp_even", "closure-parity",
-                             parity_check(f, "left", "even", 2).passed))
+                             parity_check(f, "left", "even").passed))
 
     asym_threshold_h = (2.0 / alpha) * ASYM_THRESHOLD
     fp_T = f.eval(T)[1]
@@ -297,8 +297,9 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
         ts = np.linspace(s, t_out, 512)
         drift = float(np.max(np.abs(
             profile.eval(ts)[0] - math.sqrt(2.0) * np.sin(nu * ts))))
-        return {"s": s, "report": rep, "outer": outer, "inner": inner,
-                "glue": glue, "volume": vol, "lam": lam, "drift": drift}
+        return {"s": s, "profile": profile, "report": rep, "outer": outer,
+                "inner": inner, "glue": glue, "volume": vol, "lam": lam,
+                "drift": drift}
 
     per_s = [member(s) for s in s_values]
 
@@ -509,9 +510,9 @@ def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
     checks.append(check_le("radial_warp_value", "closure-parity",
                            abs(fv0 - 1.0), 1e-12))
     checks.append(check_bool("radial_warp_even", "closure-parity",
-                             parity_check(f, "left", "even", 2).passed))
+                             parity_check(f, "left", "even").passed))
     checks.append(check_bool("circle_warp_odd_unit", "closure-parity",
-                             parity_check(k, "left", "odd", 2,
+                             parity_check(k, "left", "odd",
                                           unit_slope=True).passed))
 
     eq_grid = np.linspace(0.0, f.t1, 2048)
@@ -551,22 +552,16 @@ def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
 
 
 def docking_ambient(n: int, *, R: Optional[WarpProfile] = None,
-                    grid_size: int = 2048,
-                    include_round_check: Optional[bool] = None) -> ScenarioVerdict:
+                    grid_size: int = 2048) -> ScenarioVerdict:
     """The ambient doubly warped sphere dt^2 + cos^2(t) dx^2 + R(t)^2
     ds_{n-1}^2 on [0, pi/2].
 
     R must be odd with unit slope at 0, even at pi/2, and strictly concave.
     With the default R = sin the metric is the round unit (n+1)-sphere: every
-    Ricci component must equal n to within 1e-9 (checked unless
-    ``include_round_check`` is set to False or R is custom).
+    Ricci component must then equal n to within 1e-9.
     """
     int_ge("n", n, 3)
     default_R = R is None
-    if include_round_check is None:
-        include_round_check = default_R
-    elif include_round_check and not default_R:
-        raise InputError("the round-model check applies only to the default R")
     Rp = docking_R_profile() if default_R else R
     half_pi = math.pi / 2.0
     if abs(Rp.t0) > 1e-12 or abs(Rp.t1 - half_pi) > 1e-12:
@@ -583,19 +578,18 @@ def docking_ambient(n: int, *, R: Optional[WarpProfile] = None,
     rpp = Rp.eval(interior)[2]
     checks = [
         check_bool("sphere_warp_odd_unit", "closure-parity",
-                   parity_check(Rp, "left", "odd", 2, unit_slope=True).passed),
+                   parity_check(Rp, "left", "odd", unit_slope=True).passed),
         check_bool("sphere_warp_even_top", "closure-parity",
-                   parity_check(Rp, "right", "even", 2).passed),
+                   parity_check(Rp, "right", "even").passed),
         check_bool("circle_warp_odd_unit", "closure-parity",
-                   parity_check(cos_p, "right", "odd", 2,
-                                unit_slope=True).passed),
+                   parity_check(cos_p, "right", "odd", unit_slope=True).passed),
         check_ge("sphere_warp_concave", "warp-concavity",
                  float(-np.max(rpp)), 0.0, strict=True,
                  note="R'' < 0 sampled at 64 interior points"),
         check_ge("ricci_min", "ricci-strictly-positive", rep.global_min, 0.0,
                  strict=True),
     ]
-    if include_round_check:
+    if default_R:
         # fl(x - n) is monotone in x, so the largest |x - n| over a
         # component is attained at its minimum or its maximum
         dev = max(float(np.max(np.abs(np.array(e) - n)))
@@ -606,7 +600,7 @@ def docking_ambient(n: int, *, R: Optional[WarpProfile] = None,
                                     f"S^{n + 1}, every component equals {n}"))
 
     config = {"n": n, "grid_size": grid_size, "default_R": default_R,
-              "round_check": include_round_check}
+              "round_check": default_R}
     return ScenarioVerdict("docking", config, tuple(checks),
                            artifacts={"metric": metric, "ricci_report": rep,
                                       "R": Rp})
@@ -753,7 +747,8 @@ def _run_neck(prm, grid):
     core = certified_core(prm["n"], kappa=kappa)
     v = neck_family_check(nu, prm["n"], prm["s"], core, grid_size=grid)
     return (v, ("delta", v.config["delta"]),
-            {f"neck-s{x:g}": neck_profile(nu, x) for x in prm["s"]})
+            {f"neck-s{e['s']:g}": e["profile"]
+             for e in v.artifacts["members"]})
 
 
 def _run_closability(prm, grid):
@@ -773,8 +768,7 @@ def _run_gn(prm, grid):
 
 
 def _run_docking(prm, grid):
-    v = docking_ambient(prm["n"], grid_size=grid,
-                        include_round_check=prm["check_round"])
+    v = docking_ambient(prm["n"], grid_size=grid)
     return (v, ("ricci_min", v.artifacts["ricci_report"].global_min),
             {"docking-r": v.artifacts["R"]})
 
@@ -810,7 +804,13 @@ def _run_thm22(prm, grid):
 
 
 def _run_glue(prm, grid):
+    explicit = ("dim", "r1", "k1", "r2", "k2")
     if prm["example"] == "hemisphere":
+        given = [k for k in explicit if prm[k] is not None]
+        if given:
+            raise InputError(
+                "--example hemisphere builds its own boundaries; it takes "
+                "none of " + ", ".join(f"--{k}" for k in given))
         n = prm["n"]
         metric = MultiWarpedMetric(
             (0.0, math.pi / 2.0),
@@ -820,8 +820,7 @@ def _run_glue(prm, grid):
         b1 = b2 = boundary_data(metric, "right")
         note = "hemisphere glued to its mirror along the equator"
     else:
-        needed = ("dim", "r1", "k1", "r2", "k2")
-        if any(prm[k] is None for k in needed):
+        if any(prm[k] is None for k in explicit):
             raise InputError(
                 "glue needs --example hemisphere or all of --dim, --r1, "
                 "--k1, --r2, --k2")
@@ -873,9 +872,6 @@ SCENARIOS = {s.name: s for s in (
     ), 2048, _run_gn),
     Scenario("docking", "ambient doubly warped sphere", (
         (("--n",), {"type": int, "required": True}),
-        (("--check-round",), {"action": "store_true", "default": None,
-                              "help": "require the round-model reproduction "
-                                      "check"}),
     ), 2048, _run_docking),
     Scenario("thm22", "family hypotheses: volume cap, Ricci floor, closable "
                       "member", (

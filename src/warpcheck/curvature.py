@@ -87,7 +87,7 @@ class MultiWarpedMetric:
                 raise InputError(f"collapse index {idx} out of range")
             factor, profile = self.blocks[idx]
             unit = factor.round_radius == 1.0 or factor.dim == 1
-            report = parity_check(profile, endpoint, "odd", 2, unit_slope=unit)
+            report = parity_check(profile, endpoint, "odd", unit_slope=unit)
             if not report.passed:
                 raise InputError(
                     f"block {idx} does not close smoothly at the {endpoint} "
@@ -131,11 +131,6 @@ class RicciComponents:
     t: float
     ric_tt: float
     blocks: tuple  # ((lo, hi), ...)
-    mixed_zero: bool = True
-
-    @property
-    def minimum(self) -> float:
-        return min(self.ric_tt, min(lo for lo, _ in self.blocks))
 
 
 def _component_arrays(metric: MultiWarpedMetric, ts: np.ndarray):
@@ -273,18 +268,11 @@ def boundary_data(metric: MultiWarpedMetric, side: str) -> BoundaryData:
     raise InputError("side must be 'left' or 'right'")
 
 
-# points per block of the Ricci sweep; a multiple of 4 (see _sweep_bounds)
+# points per block of the Ricci sweep, a multiple of 4: its blocks give the
+# same bits as one sweep over all points, since every component is
+# elementwise except the ``CumulativeIntegral`` of k and collar profiles,
+# whose BLAS product ``row_blocks`` keeps aligned
 _SWEEP_BLOCK = 1 << 14
-
-
-def _sweep_bounds(n: int) -> list[tuple[int, int]]:
-    """(start, end) of each block of an n-point sweep.
-
-    The blocks give the same bits as one sweep over all n points. Every
-    component is elementwise except the ``CumulativeIntegral`` of k and
-    collar profiles, whose BLAS product ``row_blocks`` keeps aligned.
-    """
-    return row_blocks(n, _SWEEP_BLOCK)
 
 
 # the relative slack below a target lambda that a Ricci sweep still passes
@@ -316,7 +304,7 @@ def ricci_report(metric: MultiWarpedMetric, grid_size: int,
     The verdict allows ``RICCI_SLACK * max(1, |lam|)`` below lam to absorb
     solver tolerance; the slack used is recorded in the report.
 
-    The grid is swept in the blocks of ``_sweep_bounds``, keeping only each
+    The grid is swept in blocks of ``_SWEEP_BLOCK`` points, keeping only each
     component's minimum and maximum, so memory beyond the grid itself does
     not grow with its size.
     """
@@ -326,7 +314,7 @@ def ricci_report(metric: MultiWarpedMetric, grid_size: int,
     ts = np.linspace(lo, hi, grid_size)
     mins = []
     maxs = []
-    for s, e in _sweep_bounds(grid_size):
+    for s, e in row_blocks(grid_size, _SWEEP_BLOCK):
         arrays = _component_arrays(metric, ts[s:e])
         mins.append([a.min() for a in arrays])
         maxs.append([a.max() for a in arrays])
@@ -372,25 +360,13 @@ def volume(metric: MultiWarpedMetric) -> float:
 
 
 @dataclass(frozen=True)
-class BlockMatch:
-    """Per-block isometry comparison of two boundaries."""
-
-    dims_match: bool
-    radius_residual: float
-    interval_residual: float
-    ok: bool
-
-
-@dataclass(frozen=True)
 class GlueVerdict:
     """Hypotheses for gluing two positive-Ricci pieces at a shared boundary:
     blockwise isometry match and non-negativity of the summed second
     fundamental forms."""
 
-    blocks: tuple
     isometry_ok: bool
     ii_sum_min: float
-    tol: float
     passed: bool
 
 
@@ -400,24 +376,20 @@ def glue_check(b1: BoundaryData, b2: BoundaryData, tol: float) -> GlueVerdict:
     if not tol > 0:
         raise InputError("tol must be positive")
     if len(b1.blocks) != len(b2.blocks):
-        return GlueVerdict(blocks=(), isometry_ok=False,
-                           ii_sum_min=float("nan"), tol=tol, passed=False)
+        return GlueVerdict(isometry_ok=False, ii_sum_min=float("nan"),
+                           passed=False)
     matches = []
     sums = []
     for x, y in zip(b1.blocks, b2.blocks):
-        dims = x.factor.dim == y.factor.dim
-        r_res = abs(x.radius - y.radius)
         ilo = abs(x.induced.ricci_interval[0] - y.induced.ricci_interval[0])
         ihi = abs(x.induced.ricci_interval[1] - y.induced.ricci_interval[1])
-        i_res = max(ilo, ihi)
-        matches.append(BlockMatch(dims_match=dims, radius_residual=r_res,
-                                  interval_residual=i_res,
-                                  ok=dims and r_res <= tol and i_res <= tol))
+        matches.append(x.factor.dim == y.factor.dim
+                       and abs(x.radius - y.radius) <= tol
+                       and max(ilo, ihi) <= tol)
         sums.append(x.kappa + y.kappa)
-    isometry_ok = all(m.ok for m in matches)
+    isometry_ok = all(matches)
     ii_sum_min = float(min(sums))
-    return GlueVerdict(blocks=tuple(matches), isometry_ok=isometry_ok,
-                       ii_sum_min=ii_sum_min, tol=tol,
+    return GlueVerdict(isometry_ok=isometry_ok, ii_sum_min=ii_sum_min,
                        passed=isometry_ok and ii_sum_min >= -tol)
 
 

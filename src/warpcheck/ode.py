@@ -63,7 +63,6 @@ class DenseSolution:
     fpps: np.ndarray
     status: int
     nfev: int
-    meta: dict = field(default_factory=dict)
     # (query copy, f, f', f'') of the last array query; see ``eval``
     _last: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
@@ -147,8 +146,7 @@ def integrate_ivp(rhs: OdeRhs, t0: float, t1: float, f0: float, fp0: float,
         float(tol), float(h_max), int(max_steps))
 
     sol = DenseSolution(rhs=rhs, ts=ts, fs=fs, fps=fps, fpps=fpps,
-                        status=int(status), nfev=int(nfev),
-                        meta={"n_steps": len(ts) - 1})
+                        status=int(status), nfev=int(nfev))
     if status == kernels.STATUS_MAX_STEPS:
         raise DomainTruncationError(
             f"step budget exhausted at t = {sol.t_end}", sol.t_end, sol)

@@ -34,14 +34,13 @@ class ParityTag:
     kind "odd":  f(t*) = 0, even derivatives vanish; coeffs = (c1, c3) with
                  f ~ c1 s + c3 s^3/6 in the signed offset s = t - t*.
     kind "even": f'(t*) = 0; coeffs = (c0, c2) with f ~ c0 + c2 s^2/2.
-    kind "flat": even with all derivatives vanishing; coeffs = (c0, 0).
     """
 
     kind: str
     coeffs: tuple
 
     def __post_init__(self):
-        if self.kind not in ("odd", "even", "flat"):
+        if self.kind not in ("odd", "even"):
             raise InputError(f"unknown parity kind {self.kind!r}")
 
 
@@ -57,12 +56,10 @@ class Joint:
 class WarpProfile:
     """A positive warping function on an interval with two derivatives.
 
-    ``kind`` records provenance: closed-form | ivp-solution | spliced |
-    mollified. Instances are immutable; evaluation is a pure function of t.
+    Instances are immutable; evaluation is a pure function of t.
     """
 
     domain: tuple[float, float]
-    kind: str
     raw_eval: Callable
     parity: dict = field(default_factory=dict)
     joints: tuple = ()
@@ -107,7 +104,7 @@ class WarpProfile:
                 else:
                     mask = tc > tstar - EXCLUSION_WIDTH
             else:
-                # even/flat ends are regular; the expansion only pins the
+                # even ends are regular; the expansion only pins the
                 # endpoint values (f' exactly 0) without widening the error
                 mask = tc == tstar
             if not mask.any():
@@ -146,12 +143,12 @@ class WarpProfile:
         if abs(b - t1) <= 1e-12 and "right" in self.parity:
             parity["right"] = self.parity["right"]
         joints = tuple(j for j in self.joints if a < j.t < b)
-        return WarpProfile(domain=(max(a, t0), min(b, t1)), kind=self.kind,
+        return WarpProfile(domain=(max(a, t0), min(b, t1)),
                            raw_eval=self.raw_eval, parity=parity, joints=joints,
                            solver_meta=self.solver_meta)
 
 
-def profile_from_callable(domain, f, fp, fpp, *, kind: str = "closed-form",
+def profile_from_callable(domain, f, fp, fpp, *,
                           parity: Optional[dict] = None) -> WarpProfile:
     """Wrap three vectorized callables (f, f', f'') as a profile."""
 
@@ -160,7 +157,7 @@ def profile_from_callable(domain, f, fp, fpp, *, kind: str = "closed-form",
                 np.asarray(fp(t), dtype=float),
                 np.asarray(fpp(t), dtype=float))
 
-    return WarpProfile(domain=(float(domain[0]), float(domain[1])), kind=kind,
+    return WarpProfile(domain=(float(domain[0]), float(domain[1])),
                        raw_eval=raw, parity=dict(parity or {}))
 
 
@@ -180,9 +177,9 @@ def _auto_parity(domain, fn3_exact):
 
 def closed_form_profile(kind: str, domain, *, value: float = 1.0,
                         slope: float = 0.0, amplitude: float = 1.0,
-                        omega: float = 1.0, phase: float = 0.0) -> WarpProfile:
+                        omega: float = 1.0) -> WarpProfile:
     """One of the elementary profiles: constant ``value``, linear
-    ``value + slope*t``, sine ``amplitude*sin(omega*t + phase)``, or the
+    ``value + slope*t``, sine ``amplitude*sin(omega*t)``, or the
     corresponding cosine.
 
     The form must be positive on the open interior of the domain (checked on
@@ -212,7 +209,7 @@ def closed_form_profile(kind: str, domain, *, value: float = 1.0,
         def exact(t):
             return a + b * t, b, 0.0, 0.0
     elif kind in ("sine", "cosine"):
-        amp, w, ph = float(amplitude), float(omega), float(phase)
+        amp, w = float(amplitude), float(omega)
         if not amp > 0 or not w > 0:
             raise InputError("amplitude and omega must be positive")
         trig, cotrig, sign = ((np.sin, np.cos, 1.0) if kind == "sine"
@@ -220,12 +217,13 @@ def closed_form_profile(kind: str, domain, *, value: float = 1.0,
 
         def triple(t):
             t = np.asarray(t, dtype=float)
-            th = w * t + ph
+            # + 0.0 turns a -0.0 product into +0.0 before the trig call
+            th = w * t + 0.0
             tr = trig(th)
             return amp * tr, sign * amp * w * cotrig(th), -amp * w ** 2 * tr
 
         def exact(t):
-            th = w * t + ph
+            th = w * t + 0.0
             return (amp * float(trig(th)), sign * amp * w * float(cotrig(th)),
                     -amp * w ** 2 * float(trig(th)),
                     -sign * amp * w ** 3 * float(cotrig(th)))
@@ -241,7 +239,7 @@ def closed_form_profile(kind: str, domain, *, value: float = 1.0,
     if vals[0] < -1e-12 * scale or vals[-1] < -1e-12 * scale:
         raise InputError(f"{kind} profile is negative at an endpoint")
 
-    return WarpProfile(domain=(t0, t1), kind="closed-form", raw_eval=triple,
+    return WarpProfile(domain=(t0, t1), raw_eval=triple,
                        parity=_auto_parity((t0, t1), exact))
 
 
@@ -278,7 +276,7 @@ def _profile_from_solution(sol: DenseSolution, tol: float, *,
     meta = {"tol": tol, "n_steps": len(sol.ts) - 1, "nfev": sol.nfev,
             "defect": sol.defect(), "rhs": sol.rhs.label}
     meta.update(extra_meta or {})
-    return WarpProfile(domain=(sol.t0, sol.t_end), kind="ivp-solution",
+    return WarpProfile(domain=(sol.t0, sol.t_end),
                        raw_eval=lambda t: sol.eval(t), parity=parity,
                        solver_meta=meta)
 
@@ -330,7 +328,7 @@ def sha_yang_profiles(n: int, m: int, T: float, tol: float = 1e-10):
         return h, hp, hpp
 
     h_profile = WarpProfile(
-        domain=(0.0, sol.t_end), kind="ivp-solution", raw_eval=h_eval,
+        domain=(0.0, sol.t_end), raw_eval=h_eval,
         parity={"left": ParityTag(
             "odd", coeffs=(1.0, -alpha * (alpha + 1.0) / 2.0))},
         solver_meta={"tol": tol, "first_integral_residual": residual,
@@ -447,9 +445,9 @@ def k_profile(eps_prime: float) -> WarpProfile:
         return ep * np.asarray(W(x), dtype=float), w, wp / ep
 
     k = WarpProfile(
-        domain=(0.0, ep), kind="closed-form", raw_eval=triple,
+        domain=(0.0, ep), raw_eval=triple,
         parity={"left": ParityTag("odd", coeffs=(1.0, c3)),
-                "right": ParityTag("flat", coeffs=(ep * float(W(1.0)), 0.0))},
+                "right": ParityTag("even", coeffs=(ep * float(W(1.0)), 0.0))},
         solver_meta={"eps_prime": ep})
 
     # post-conditions; failing any is a construction bug, not a verdict
@@ -524,8 +522,8 @@ def collar_profile(c: float, length: float = 2.0) -> WarpProfile:
         fpp = -cc * _collar_step_prime(u)
         return f, fp, fpp
 
-    prof = WarpProfile(domain=(0.0, float(length)), kind="closed-form",
-                       raw_eval=triple, solver_meta={"c": cc, "ramp": 1.0})
+    prof = WarpProfile(domain=(0.0, float(length)), raw_eval=triple,
+                       solver_meta={"c": cc, "ramp": 1.0})
 
     # C2 smoke check across the transition by central differences, on the
     # stencils t - h, t, t + h around three centres t in one evaluation
@@ -590,8 +588,8 @@ def splice_profiles(p1: WarpProfile, p2: WarpProfile, tol: float) -> WarpProfile
     if "right" in p2.parity:
         parity["right"] = p2.parity["right"]
     joints = p1.joints + (Joint(J, fpp2 - fpp1),) + p2.joints
-    return WarpProfile(domain=(p1.t0, p2.t1), kind="spliced", raw_eval=triple,
-                       parity=parity, joints=joints)
+    return WarpProfile(domain=(p1.t0, p2.t1), raw_eval=triple, parity=parity,
+                       joints=joints)
 
 
 # normalized C-infinity bump on [-1, 1]
@@ -685,7 +683,7 @@ def mollify_profile(p: WarpProfile, width: float) -> WarpProfile:
                     f[i], fp[i], fpp[i] = out
         return f, fp, fpp
 
-    return WarpProfile(domain=p.domain, kind="mollified", raw_eval=triple,
+    return WarpProfile(domain=p.domain, raw_eval=triple,
                        parity=dict(p.parity), joints=(),
                        solver_meta={"mollify_width": width,
                                     "healed_joints": [j.t for j in p.joints]})
@@ -697,25 +695,22 @@ class ParityReport:
 
     endpoint: str
     parity: str
-    order: int
     conditions: tuple  # (name, residual, threshold, ok)
     passed: bool
 
 
-def parity_check(p: WarpProfile, endpoint: str, parity: str, order: int = 2,
-                 *, unit_slope: bool = False) -> ParityReport:
+def parity_check(p: WarpProfile, endpoint: str, parity: str, *,
+                 unit_slope: bool = False) -> ParityReport:
     """Measure the endpoint conditions for the claimed parity.
 
-    odd: f(t*) = 0, and f''(t*) = 0 from order 2; with ``unit_slope`` also
-    |f'(t*)| = 1 (the smooth-closure condition for a unit-sphere block).
-    even: f'(t*) = 0; order 3 adds a one-sided estimate of f'''(t*) = 0.
+    odd: f(t*) = 0 and f''(t*) = 0; with ``unit_slope`` also |f'(t*)| = 1
+    (the smooth-closure condition for a unit-sphere block).
+    even: f'(t*) = 0.
     """
     if endpoint not in ("left", "right"):
         raise InputError("endpoint must be 'left' or 'right'")
     if parity not in ("odd", "even"):
         raise InputError("parity must be 'odd' or 'even'")
-    if order not in (1, 2, 3):
-        raise InputError("order must be 1, 2 or 3")
     tstar = p.t0 if endpoint == "left" else p.t1
     f, fp, fpp = p.eval(tstar)
     tol = 1e-10
@@ -727,21 +722,13 @@ def parity_check(p: WarpProfile, endpoint: str, parity: str, order: int = 2,
         conditions.append(("value", abs(f), tol))
         if unit_slope:
             conditions.append(("unit_slope", abs(abs(fp) - 1.0), tol))
-        if order >= 2:
-            conditions.append(("second_derivative", abs(fpp), tol))
+        conditions.append(("second_derivative", abs(fpp), tol))
     else:
         conditions.append(("slope", abs(fp), tol))
-        if order >= 3:
-            span = p.t1 - p.t0
-            delta = min(1e-3 * span, 0.5 * EXCLUSION_WIDTH)
-            inward = delta if endpoint == "left" else -delta
-            fpp_in = p.raw_eval(np.array([tstar + inward]))[2][0]
-            conditions.append(("third_derivative",
-                               abs(fpp_in - fpp) / delta, max(1e-5, tol / delta)))
     rows = tuple((name, float(r), float(th), bool(r <= th))
                  for name, r, th in conditions)
-    return ParityReport(endpoint=endpoint, parity=parity, order=order,
-                        conditions=rows, passed=all(r[3] for r in rows))
+    return ParityReport(endpoint=endpoint, parity=parity, conditions=rows,
+                        passed=all(r[3] for r in rows))
 
 
 def scale_profile(p: WarpProfile, R: float) -> WarpProfile:
@@ -765,9 +752,8 @@ def scale_profile(p: WarpProfile, R: float) -> WarpProfile:
             c0, c2 = tag.coeffs
             parity[end] = replace(tag, coeffs=(c0 / R, c2 * R))
     joints = tuple(Joint(j.t / R, j.fpp_jump * R) for j in p.joints)
-    return WarpProfile(domain=(p.t0 / R, p.t1 / R), kind=p.kind,
-                       raw_eval=triple, parity=parity, joints=joints,
-                       solver_meta=p.solver_meta)
+    return WarpProfile(domain=(p.t0 / R, p.t1 / R), raw_eval=triple,
+                       parity=parity, joints=joints, solver_meta=p.solver_meta)
 
 
 def finite_difference_residual(p: WarpProfile, dt: float, n: int = 129) -> float:

@@ -37,38 +37,38 @@ class CheckResult:
     note: str = ""
 
 
-def check_le(name, anchor, value, threshold, note=""):
-    value = float(value)
-    threshold = float(threshold)
-    return CheckResult(name, anchor, value, threshold, "le",
-                       bool(value <= threshold), note)
-
-
-def check_ge(name, anchor, value, threshold, note="", *, strict=False):
-    value = float(value)
-    threshold = float(threshold)
-    ok = value > threshold if strict else value >= threshold
-    op = "gt" if strict else "ge"
-    return CheckResult(name, anchor, value, threshold, op, bool(ok), note)
-
-
-def check_eq(name, anchor, value, expected, note=""):
-    value = float(value)
-    expected = float(expected)
-    return CheckResult(name, anchor, value, expected, "eq",
-                       bool(value == expected), note)
-
-
-def check_bool(name, anchor, ok, note=""):
-    return CheckResult(name, anchor, float(bool(ok)), 1.0, "ge", bool(ok), note)
-
-
+# the comparison of each op; the check constructors and revalidate_report
+# both decide a pass with it
 _OPS = {
     "le": lambda v, t: v <= t,
     "ge": lambda v, t: v >= t,
     "gt": lambda v, t: v > t,
     "eq": lambda v, t: v == t,
 }
+
+
+def _check(name, anchor, value, threshold, op, note):
+    value = float(value)
+    threshold = float(threshold)
+    return CheckResult(name, anchor, value, threshold, op,
+                       bool(_OPS[op](value, threshold)), note)
+
+
+def check_le(name, anchor, value, threshold, note=""):
+    return _check(name, anchor, value, threshold, "le", note)
+
+
+def check_ge(name, anchor, value, threshold, note="", *, strict=False):
+    return _check(name, anchor, value, threshold, "gt" if strict else "ge",
+                  note)
+
+
+def check_eq(name, anchor, value, expected, note=""):
+    return _check(name, anchor, value, expected, "eq", note)
+
+
+def check_bool(name, anchor, ok, note=""):
+    return _check(name, anchor, bool(ok), 1.0, "ge", note)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import warpcheck
-
+from warpcheck import constructions as cons
 from warpcheck.cli import _apply_config_file, _build_parsers, main
 from warpcheck.report import revalidate_report
 
@@ -38,8 +38,34 @@ class TestScenarioRuns:
         report = read_report(tmp_path / "neck.json")
         assert float(report["config"]["delta"]) > 0.0
 
+    def test_neck_builds_each_profile_once(self, tmp_path, monkeypatch):
+        # the CSV map reuses the profiles the family check built
+        calls = []
+        build = cons.neck_profile
+
+        def counting(nu, s):
+            calls.append(s)
+            return build(nu, s)
+
+        monkeypatch.setattr(cons, "neck_profile", counting)
+        argv = ["neck", "--nu", "0.1", "--n", "5", "--s", "0.5,0.25,0.1",
+                "--grid", "64"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        assert calls == [0.5, 0.25, 0.1]
+        calls.clear()
+        assert main(argv + ["--csv", "--out", str(tmp_path / "b")]) == 0
+        assert calls == [0.5, 0.25, 0.1]
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "neck.json", "neck_neck-s0.1.csv", "neck_neck-s0.25.csv",
+            "neck_neck-s0.5.csv"]
+        # the same bytes as an export of a profile built on its own
+        assert main(["export", "--profile", "neck", "--nu", "0.1", "--s",
+                     "0.25", "--grid", "64", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "b" / "neck_neck-s0.25.csv").read_bytes() == \
+            (tmp_path / "neck.csv").read_bytes()
+
     def test_docking_round_spread_field(self, tmp_path):
-        rc = main(["docking", "--n", "3", "--check-round", "--out", str(tmp_path)])
+        rc = main(["docking", "--n", "3", "--out", str(tmp_path)])
         assert rc == 0
         report = read_report(tmp_path / "docking.json")
         spread = next(c for c in report["checks"]
@@ -178,6 +204,32 @@ class TestExitCodeContract:
         assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        # --example builds its own boundaries, so each explicit boundary flag
+        # would be echoed in the report's config but never used
+        ["glue", "--example", "hemisphere", "--n", "4", "--dim", "3"],
+        ["glue", "--example", "hemisphere", "--r1", "7"],
+        ["glue", "--example", "hemisphere", "--k1", "1"],
+        ["glue", "--example", "hemisphere", "--r2", "1"],
+        ["glue", "--example", "hemisphere", "--k2", "1"],
+        ["glue", "--example", "hemisphere", "--dim", "2", "--r1", "1",
+         "--k1", "1", "--r2", "1", "--k2", "1"],
+        # the round check runs exactly when R is the default; there is no flag
+        ["docking", "--n", "3", "--check-round"],
+    ])
+    def test_flags_a_run_cannot_use_are_input_errors(self, tmp_path, capsys,
+                                                     argv):
+        out = tmp_path / "out"
+        try:
+            rc = main(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bounds_are_inclusive(self):
         parser, _ = _build_parsers()
         args = parser.parse_args(["thm22", "--n", "4", "--members", "1000",
@@ -291,8 +343,11 @@ class TestConfigFile:
         (["glue"], "example = bogus\ndim = 2\nr1 = 1\nk1 = 1\nr2 = 1\nk2 = 1\n"),
         (["export"], "profile = bogus\n"),
         # a store_true value that is not a boolean word
-        (["docking"], "n = 3\ncheck_round = ture\n"),
-    ], ids=["glue-choice", "export-choice", "docking-boolean"])
+        (["docking"], "n = 3\njson = ture\n"),
+        # a boundary value that --example would ignore
+        (["glue"], "example = hemisphere\nr1 = 7\n"),
+    ], ids=["glue-choice", "export-choice", "docking-boolean",
+            "glue-example-boundary"])
     def test_config_value_is_checked_like_its_flag(self, tmp_path, capsys,
                                                    argv, text):
         cfg = tmp_path / "run.cfg"
@@ -309,26 +364,25 @@ class TestConfigFile:
         ("0", False), ("false", False), ("NO", False), ("Off", False),
     ])
     def test_config_boolean_words(self, tmp_path, word, flag):
-        # a false word means the flag is not given: no command line can
-        # switch the round check off, so no config file can either, and the
-        # default R keeps it on
+        # a false word means the flag is not given, so --json keeps its
+        # default; neither word changes the report
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"n = 3\ncheck_round = {word}\n")
+        cfg.write_text(f"n = 3\njson = {word}\n")
         argv = ["docking", "--config", str(cfg), "--out", str(tmp_path)]
         parser, parsers = _build_parsers()
         _apply_config_file(parsers, argv)
-        assert parser.parse_args(argv).check_round is (True if flag else None)
+        assert parser.parse_args(argv).json is flag
         assert main(argv) == 0
         report = read_report(tmp_path / "docking.json")
         assert report["config"]["round_check"] is True
 
     def test_config_false_word_clears_an_earlier_true(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 3\ncheck_round = on\ncheck_round = off\n")
+        cfg.write_text("n = 3\njson = on\njson = off\n")
         argv = ["docking", "--config", str(cfg)]
         parser, parsers = _build_parsers()
         _apply_config_file(parsers, argv)
-        assert parser.parse_args(argv).check_round is None
+        assert parser.parse_args(argv).json is False
 
 
 class TestExport:

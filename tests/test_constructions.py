@@ -218,11 +218,6 @@ class TestDockingAmbient:
         assert all(c.name != "max_component_spread" for c in v.checks)
         assert v.overall
 
-    def test_round_check_requires_default_profile(self):
-        from warpcheck.profiles import docking_R_profile
-        with pytest.raises(InputError):
-            docking_ambient(3, R=docking_R_profile(), include_round_check=True)
-
 
 class TestTheorem22:
     def certificate(self, n):

@@ -51,7 +51,6 @@ class TestModelSpaces:
         c = ricci_components(warped_round_sphere(4), math.pi / 2)
         assert c.ric_tt == pytest.approx(3.0, abs=1e-12)
         assert c.blocks[0] == pytest.approx((3.0, 3.0), abs=1e-12)
-        assert c.mixed_zero
 
     def test_flat_cone_components(self):
         c = ricci_components(flat_cone(4), 1.0)

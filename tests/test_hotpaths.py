@@ -22,7 +22,7 @@ from warpcheck.constructions import (certify_collar, docking_ambient,
                                      gN_regions, round_boundary)
 from warpcheck.curvature import (_SWEEP_BLOCK, MultiWarpedMetric,
                                  _component_arrays, _ordered_sum,
-                                 _sweep_bounds, ricci_report)
+                                 ricci_report)
 from warpcheck.factors import abstract_factor, round_sphere_factor
 from warpcheck.ode import OdeRhs, integrate_ivp
 from warpcheck.profiles import (_collar_step, _collar_step_prime, _flat_decay,
@@ -300,7 +300,6 @@ def test_memo_is_not_part_of_identity(solution):
     before = repr(solution)
     solution.eval(np.linspace(0.0, 2.0, 9))
     assert repr(solution) == before
-    assert "_last" not in solution.meta
     assert "_last" not in before
 
 
@@ -312,7 +311,7 @@ B = _SWEEP_BLOCK
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, B - 1, B, B + 1, B + 2, B + 3,
                                B + 4, B + 5, 2 * B, 2 * B + 3, 3 * B + 1])
 def test_sweep_bounds_tile_the_grid_in_full_blocks(n):
-    bounds = _sweep_bounds(n)
+    bounds = row_blocks(n, curvature._SWEEP_BLOCK)
     assert B % 4 == 0
     assert bounds[0][0] == 0 and bounds[-1][1] == n
     assert all(e == s for (_, e), (s, _) in zip(bounds, bounds[1:]))
@@ -326,7 +325,7 @@ def blocks_match_one_shot(m, ts):
     the bits of one call over all of ts; return the one-shot arrays."""
     whole = _component_arrays(m, ts)
     blocks = [_component_arrays(m, ts[s:e])
-              for s, e in _sweep_bounds(len(ts))]
+              for s, e in row_blocks(len(ts), curvature._SWEEP_BLOCK)]
     for i, ref in enumerate(whole):
         assert_same_bits(np.concatenate([b[i] for b in blocks], axis=-1), ref)
     return whole
@@ -381,7 +380,7 @@ def test_small_blocks_keep_the_bits_of_the_quadrature_product(
     # that shifts the product's four-row grouping
     monkeypatch.setattr(curvature, "_SWEEP_BLOCK", 8)
     m = sweep_metrics[name]
-    assert len(_sweep_bounds(n)) == n // 8 + (n % 8 >= 4)
+    assert len(row_blocks(n, curvature._SWEEP_BLOCK)) == n // 8 + (n % 8 >= 4)
     blocks_match_one_shot(m, np.random.default_rng(n).uniform(
         *m.grid_bounds(), n))
 
@@ -393,7 +392,7 @@ def test_blocked_sweep_keeps_an_exact_negative_zero_minimum():
           closed_form_profile("linear", (0.0, 5.0), value=0.0, slope=1.0)),),
         collapse_left=0)
     rep = ricci_report(cone, 3 * B + 1, lam=0.0)
-    assert len(_sweep_bounds(3 * B + 1)) == 3
+    assert len(row_blocks(3 * B + 1, curvature._SWEEP_BLOCK)) == 3
     assert_same_bits(rep.global_min, -0.0)
     assert rep.verdict
 
