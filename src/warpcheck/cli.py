@@ -38,59 +38,63 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
 
+# flags of several subcommands: --out and --config (all), --json and
+# --require-min (every scenario), the rest where a declaration lists them
+_SHARED = {
+    "--grid": {"type": int, "help": "grid size for curvature sweeps"},
+    "--tol": {"type": cons._tolerance, "default": 1e-10,
+              "help": f"solver tolerance (at most {cons.TOL_MAX:g})"},
+    "--out": {"type": Path, "default": Path("."),
+              "help": "output directory for reports and CSVs"},
+    "--json": {"action": "store_true",
+               "help": "also print the JSON report to stdout"},
+    "--csv": {"action": "store_true",
+              "help": "dump the scenario's profiles as CSV"},
+    "--config": {"type": Path,
+                 "help": "flat key=value file with defaults; flags override"},
+    "--require-min": {"type": cons._finite_float,
+                      "help": "extra check: the scenario's headline minimum "
+                              "must reach this value (forces a failure)"},
+}
+
+
 def _build_parsers():
     parser = argparse.ArgumentParser(
         prog="warpcheck",
         description="verification runs for warped-product curvature claims")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=int, default=None,
-                        help="grid size for curvature sweeps")
-    common.add_argument("--tol", type=cons._tolerance, default=1e-10,
-                        help=f"solver tolerance (at most {cons.TOL_MAX:g})")
-    common.add_argument("--out", type=Path, default=Path("."),
-                        help="output directory for reports and CSVs")
-    common.add_argument("--json", action="store_true",
-                        help="also print the JSON report to stdout")
-    common.add_argument("--csv", action="store_true",
-                        help="dump the scenario's profiles as CSV")
-    common.add_argument("--config", type=Path, default=None,
-                        help="flat key=value file with defaults; flags override")
-    common.add_argument("--require-min", type=cons._finite_float, default=None,
-                        help="extra check: the scenario's headline minimum "
-                             "must reach this value (forces failures in "
-                             "exit-code tests)")
-
     sub = parser.add_subparsers(dest="scenario", required=True)
-    commands = [(s.name, s.help, s.args) for s in cons.SCENARIOS.values()]
+    commands = [(s.name, s.help, s.args, (*s.common, "--json", "--require-min"),
+                 s.mode) for s in cons.SCENARIOS.values()]
     commands.append(("export", "CSV export of a named profile",
-                     cons.EXPORT_ARGS))
+                     cons.EXPORT_ARGS, cons.EXPORT_COMMON, cons.EXPORT_MODE))
     parsers = {}
-    for name, help_text, args in commands:
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    for name, help_text, args, common, mode in commands:
+        # no abbreviations: the config pre-scan would not see --conf
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flags, kwargs in args:
             p.add_argument(*flags, **kwargs)
+        for flag in (*common, "--out", "--config"):
+            p.add_argument(flag, **_SHARED[flag])
+        if mode is not None:  # presence decides, so these parse to None
+            p.set_defaults(**dict.fromkeys(itertools.chain(*mode[1].values())))
         parsers[name] = p
     return parser, parsers
 
 
-def _config_path(argv) -> Path | None:
-    """The file named by ``--config FILE`` or ``--config=FILE`` in argv."""
-    for i, arg in enumerate(argv):
-        if arg == "--config":
-            if i + 1 == len(argv):
-                raise WarpcheckError("--config needs a file path")
-            return Path(argv[i + 1])
-        if arg.startswith("--config="):
-            return Path(arg[len("--config="):])
-    return None
-
-
 def _apply_config_file(parsers, argv):
     """Pre-scan argv for --config and install the file's values as defaults
-    on the chosen subcommand's parser."""
-    path = _config_path(argv)
-    if path is None:
+    on the chosen subcommand's parser; one file at most is read."""
+    given = [i for i, a in enumerate(argv)
+             if a == "--config" or a.startswith("--config=")]
+    if not given:
         return
+    if len(given) > 1:
+        raise WarpcheckError("--config is given more than once")
+    (i,) = given
+    if argv[i] == "--config" and i + 1 == len(argv):
+        raise WarpcheckError("--config needs a file path")
+    path = Path(argv[i + 1] if argv[i] == "--config"
+                else argv[i][len("--config="):])
     scenario = next((a for a in argv if not a.startswith("-")), None)
     if scenario not in parsers:
         return
@@ -102,7 +106,8 @@ def _apply_config_file(parsers, argv):
     except (OSError, UnicodeDecodeError) as exc:
         raise WarpcheckError(f"cannot read config file {path}: {exc}") from exc
     p = parsers[scenario]
-    known = {a.dest: a for a in p._actions}
+    # a file names no further file and asks for no help
+    known = {a.dest: a for a in p._actions if a.dest not in ("config", "help")}
     overrides = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -120,10 +125,8 @@ def _apply_config_file(parsers, argv):
         try:
             if isinstance(action, argparse._StoreTrueAction):
                 converted = _BOOL_WORDS[value.lower()]
-            elif action.type is not None:
-                converted = action.type(value)
             else:
-                converted = value
+                converted = (action.type or str)(value)
             if action.choices is not None and converted not in action.choices:
                 raise ValueError(value)
         except (KeyError, ValueError, argparse.ArgumentTypeError) as exc:
@@ -206,55 +209,76 @@ def _new_file_beside(final: Path) -> Path:
         return temp
 
 
-def _run(args) -> int:
+def _parse(argv) -> dict:
+    """The flags of argv, config file included; a flag the run would not read
+    is an input error here, before any work (``constructions.Scenario``)."""
+    parser, parsers = _build_parsers()
+    _apply_config_file(parsers, argv)
+    prm = vars(parser.parse_args(argv))
+    name = prm["scenario"]
+    mode = cons.EXPORT_MODE if name == "export" else cons.SCENARIOS[name].mode
+    if mode is not None:
+        dest, table = mode
+        reads = table[prm[dest]]
+        unread = [d for d in prm if prm[d] is not None and d not in reads
+                  and any(d in other for other in table.values())]
+        prm.update({d: reads[d] for d in reads if prm[d] is None})
+        missing = [d for d in reads if prm[d] is None]
+        for verb, dests in (("does not read", unread), ("needs", missing)):
+            if dests:
+                raise WarpcheckError(
+                    f"{name} with {dest} {prm[dest]!r} {verb} "
+                    + ", ".join("--" + d.replace("_", "-") for d in dests))
+    return prm
+
+
+def _run(prm) -> int:
     """Compute, write artifacts, and return 0 on pass or 1 on verification
     failure; input errors propagate to ``main``, after what was written so
     far is discarded."""
-    artifacts = _Artifacts(args.out)
+    artifacts = _Artifacts(prm["out"])
     try:
-        return _compute_and_write(args, artifacts)
+        return _compute_and_write(prm, artifacts)
     except BaseException:
         artifacts.discard()
         raise
 
 
-def _compute_and_write(args, artifacts: _Artifacts) -> int:
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("scenario", "out", "json", "csv", "config",
-                           "require_min")}
-    if args.scenario == "export":
-        pid = params["profile"]
-        grid = _grid(params, CSV_GRID)
+def _compute_and_write(prm, artifacts: _Artifacts) -> int:
+    if prm["scenario"] == "export":
+        pid = prm["profile"]
+        grid = _grid(prm, CSV_GRID)
         (temp,) = artifacts.reserve([f"{pid}.csv"])
-        write_profile_csv(temp, cons.PROFILES[pid](params), grid)
+        reads, build = cons.PROFILES[pid]
+        write_profile_csv(temp, build(*(prm[d] for d in reads)), grid)
         (path,) = artifacts.commit()
         print(f"[export] wrote {path} ({grid} rows)")
         return EXIT_PASS
 
-    scenario = cons.SCENARIOS[args.scenario]
+    scenario = cons.SCENARIOS[prm["scenario"]]
     verdict, (name, value), profiles = scenario.run(
-        params, _grid(params, scenario.grid))
-    if args.require_min is not None:
+        prm, _grid(prm, scenario.grid))
+    minimum = prm["require_min"]
+    if minimum is not None:
         verdict = ScenarioVerdict(
-            verdict.scenario, dict(verdict.config, require_min=args.require_min),
+            verdict.scenario, dict(verdict.config, require_min=minimum),
             verdict.checks + (check_ge(f"required_minimum({name})",
-                                       "cli-required-minimum", value,
-                                       args.require_min),),
+                                       "cli-required-minimum", value, minimum),),
             verdict.artifacts)
-    csvs = profiles if args.csv else {}
+    csvs = profiles if prm.get("csv") else {}
     names = [f"{verdict.scenario}_{name}.csv" for name in csvs]
     *csv_temps, report_temp = artifacts.reserve(
         [*names, f"{verdict.scenario}.json"])
     for temp, profile in zip(csv_temps, csvs.values()):
-        write_profile_csv(temp, profile, _grid(params, CSV_GRID))
-    report = verdict.to_report([args.out / name for name in names])
+        write_profile_csv(temp, profile, _grid(prm, CSV_GRID))
+    report = verdict.to_report([prm["out"] / name for name in names])
     write_report(report_temp, report)
     *_, path = artifacts.commit()
 
     for line in verdict.summary_lines():
         print(line)
     print(f"[{verdict.scenario}] report: {path}")
-    if args.json:
+    if prm["json"]:
         sys.stdout.write(report_bytes(report).decode())
     return EXIT_PASS if verdict.overall else EXIT_VERIFICATION_FAILURE
 
@@ -263,10 +287,8 @@ def main(argv=None) -> int:
     """Run the CLI on argv; every input error maps to exit 2 here (argparse's
     own errors exit 2 through SystemExit)."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, parsers = _build_parsers()
     try:
-        _apply_config_file(parsers, argv)
-        return _run(parser.parse_args(argv))
+        return _run(_parse(argv))
     except WarpcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
     except OSError as exc:

@@ -6,8 +6,8 @@ measured values and thresholds. Verification failures live in the verdict;
 exceptions are reserved for invalid inputs.
 
 ``SCENARIOS`` lists the command-line scenarios (flags, default grid, and how
-each turns parsed flags into a verdict); ``PROFILES`` and ``EXPORT_ARGS`` do
-the same for ``warpcheck export``.
+each turns parsed flags into a verdict); ``PROFILES`` and the ``EXPORT_*``
+declarations do the same for ``warpcheck export``.
 """
 from __future__ import annotations
 
@@ -665,42 +665,29 @@ def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
                            artifacts={"volumes": vols})
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither infinite nor nan."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite float")
-    return value
-
-
 # the loosest solver tolerance --tol accepts
 TOL_MAX = 1e-3
 # the most cross sections thm22 --members builds
 MEMBERS_MAX = 1000
 
 
-def _tolerance(text: str) -> float:
-    """argparse type: a finite solver tolerance of at most TOL_MAX."""
-    value = _finite_float(text)
-    if not value <= TOL_MAX:
-        raise argparse.ArgumentTypeError(
-            f"tolerance {text!r} is above {TOL_MAX:g}")
-    return value
+def _number(kind, lo=-math.inf, hi=math.inf):
+    """An argparse type: a finite ``kind`` (int or float) in [lo, hi]."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan  # fails the range test below
+        if not lo <= value <= hi or value in (-math.inf, math.inf):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a finite {kind.__name__} in [{lo:g}, {hi:g}]")
+        return value
+    return convert
 
 
-def _member_count(text: str) -> int:
-    """argparse type: an int in [1, MEMBERS_MAX]."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad int {text!r}") from None
-    if not 1 <= value <= MEMBERS_MAX:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not in [1, {MEMBERS_MAX}]")
-    return value
+_finite_float = _number(float)
+_tolerance = _number(float, hi=TOL_MAX)
+_member_count = _number(int, 1, MEMBERS_MAX)
 
 
 def _csv_list(text: str) -> list[float]:
@@ -712,11 +699,19 @@ def _csv_list(text: str) -> list[float]:
 class Scenario:
     """One command-line scenario.
 
-    ``args`` holds ``(flags, argparse kwargs)`` pairs for its own flags;
-    ``grid`` is the default sweep grid (None: the scenario sweeps none).
-    ``run(prm, grid)`` takes the parsed flags and returns (verdict,
-    (headline name, value), {csv name: profile}); the headline is what
-    ``--require-min`` checks.
+    ``args`` holds ``(flags, argparse kwargs)`` pairs for its own flags, and
+    ``common`` names the shared flags (``cli._SHARED``) it reads besides
+    those every scenario takes; the parser accepts no others. ``grid`` is
+    the default sweep grid (None: the scenario sweeps none). ``run(prm,
+    grid)`` takes the parsed flags and returns (verdict, (headline name,
+    value), {csv name: profile}); the headline is what ``--require-min``
+    checks.
+
+    ``mode``, if set, is ``(dest, {value: {dest: default}})``: the value of
+    flag ``dest`` selects which of the table's flags the run reads. These
+    parse to None when absent, so presence decides: one the selected mode
+    does not read is an input error, and one it reads and is not given
+    takes its default, or is required if that is None.
 
     The runners below look construction and profile functions up by their
     module-global name when called, never through a stored reference, so
@@ -727,8 +722,10 @@ class Scenario:
     name: str
     help: str
     args: tuple
+    common: tuple
     grid: Optional[int]
     run: Callable
+    mode: Optional[tuple] = None
 
 
 def _run_sha_yang(prm, grid):
@@ -804,37 +801,25 @@ def _run_thm22(prm, grid):
 
 
 def _run_glue(prm, grid):
-    explicit = ("dim", "r1", "k1", "r2", "k2")
     if prm["example"] == "hemisphere":
-        given = [k for k in explicit if prm[k] is not None]
-        if given:
-            raise InputError(
-                "--example hemisphere builds its own boundaries; it takes "
-                "none of " + ", ".join(f"--{k}" for k in given))
-        n = prm["n"]
         metric = MultiWarpedMetric(
             (0.0, math.pi / 2.0),
-            ((round_sphere_factor(n - 1, 1.0),
+            ((round_sphere_factor(prm["n"] - 1, 1.0),
               closed_form_profile("sine", (0.0, math.pi / 2.0))),),
             collapse_left=0)
         b1 = b2 = boundary_data(metric, "right")
         note = "hemisphere glued to its mirror along the equator"
     else:
-        if any(prm[k] is None for k in explicit):
-            raise InputError(
-                "glue needs --example hemisphere or all of --dim, --r1, "
-                "--k1, --r2, --k2")
         b1 = round_boundary(prm["dim"], prm["r1"], prm["k1"])
         b2 = round_boundary(prm["dim"], prm["r2"], prm["k2"])
         note = "explicit round boundaries"
-    verdict = glue_check(b1, b2, prm["glue_tol"])
+    verdict = glue_check(b1, b2, GLUE_TOL)
     checks = (
         check_bool("isometry_ok", "glue-isometry", verdict.isometry_ok, note),
-        check_ge("ii_sum_min", "glue-ii-sum", verdict.ii_sum_min,
-                 -prm["glue_tol"]),
+        check_ge("ii_sum_min", "glue-ii-sum", verdict.ii_sum_min, -GLUE_TOL),
     )
-    config = {k: prm[k] for k in
-              ("example", "n", "dim", "r1", "k1", "r2", "k2", "glue_tol")}
+    config = {k: prm[k] for k in ("example", "n", "dim", "r1", "k1", "r2", "k2")}
+    config["glue_tol"] = GLUE_TOL
     v = ScenarioVerdict("glue", config, checks, artifacts={"glue": verdict})
     return v, ("ii_sum_min", verdict.ii_sum_min), {}
 
@@ -846,7 +831,7 @@ SCENARIOS = {s.name: s for s in (
         (("--T",), {"type": _finite_float, "default": 50.0}),
         (("--ric",), {"type": _finite_float, "default": None,
                       "help": "Einstein constant of M (default n-1)"}),
-    ), 10_000, _run_sha_yang),
+    ), ("--grid", "--tol", "--csv"), 10_000, _run_sha_yang),
     Scenario("neck", "shrinking neck family against a certified core", (
         (("--nu",), {"type": _finite_float, "required": True}),
         (("--n",), {"type": int, "required": True}),
@@ -855,24 +840,24 @@ SCENARIOS = {s.name: s for s in (
         (("--core-kappa",), {"type": _finite_float, "default": None,
                              "help": "core boundary principal curvature "
                                      "(default 2 nu)"}),
-    ), 2048, _run_neck),
+    ), ("--grid", "--csv"), 2048, _run_neck),
     Scenario("closability", "largest certified collar slope over a convex "
                             "core", (
         (("--n",), {"type": int, "required": True}),
         (("--c-max",), {"type": _finite_float, "default": 0.45}),
         (("--kappa",), {"type": _finite_float, "default": 1.0,
                         "help": "core boundary principal curvature"}),
-    ), 2048, _run_closability),
+    ), ("--grid", "--csv"), 2048, _run_closability),
     Scenario("gn", "doubled-region metric over a hypersurface", (
         (("--n",), {"type": int, "required": True}),
         (("--eps-prime",), {"type": _finite_float, "default": 0.2}),
         (("--y-ric",), {"type": _finite_float, "default": None,
                         "help": "Ricci constant of the hypersurface "
                                 "(default -(n-2))"}),
-    ), 2048, _run_gn),
+    ), ("--grid", "--tol", "--csv"), 2048, _run_gn),
     Scenario("docking", "ambient doubly warped sphere", (
         (("--n",), {"type": int, "required": True}),
-    ), 2048, _run_docking),
+    ), ("--grid", "--csv"), 2048, _run_docking),
     Scenario("thm22", "family hypotheses: volume cap, Ricci floor, closable "
                       "member", (
         (("--n",), {"type": int, "required": True}),
@@ -882,43 +867,46 @@ SCENARIOS = {s.name: s for s in (
                                       "curvature (forces a Ricci-floor "
                                       "failure)"}),
         (("--closable-index",), {"type": int, "default": 0}),
-    ), 2048, _run_thm22),
+    ), ("--grid",), 2048, _run_thm22),
     Scenario("glue", "gluing hypotheses for a pair of boundaries", (
-        (("--example",), {"choices": ["hemisphere"], "default": None}),
-        (("--n",), {"type": int, "default": 4,
-                    "help": "total dimension for --example"}),
-        (("--dim",), {"type": int, "default": None,
-                      "help": "boundary factor dimension"}),
-        (("--r1",), {"type": _finite_float, "default": None}),
-        (("--k1",), {"type": _finite_float, "default": None}),
-        (("--r2",), {"type": _finite_float, "default": None}),
-        (("--k2",), {"type": _finite_float, "default": None}),
-        (("--glue-tol",), {"type": _finite_float, "default": GLUE_TOL}),
-    ), None, _run_glue),
+        (("--example",), {"choices": ["hemisphere"]}),
+        (("--n",), {"type": int, "help": "total dimension for --example "
+                                         "(default 4)"}),
+        (("--dim",), {"type": int, "help": "boundary factor dimension"}),
+        (("--r1",), {"type": _finite_float}),
+        (("--k1",), {"type": _finite_float}),
+        (("--r2",), {"type": _finite_float}),
+        (("--k2",), {"type": _finite_float}),
+    ), (), None, _run_glue,
+        # the example builds its own boundaries; explicit ones need all five
+        ("example", {"hemisphere": {"n": 4},
+                     None: dict.fromkeys(("dim", "r1", "k1", "r2", "k2"))})),
 )}
 
 
-# export: profile id -> builder of that profile from the parsed flags
+# export: profile id -> (the flags it reads with their defaults, builder of
+# the profile from those flags' values in that order, looked up when called)
+_SHA_YANG_READS = {"n": 3, "m": 2, "T": 50.0, "tol": 1e-10}
 PROFILES = {
-    "sha-f": lambda prm: sha_yang_profiles(prm["n"], prm["m"], prm["T"],
-                                           prm["tol"])[0],
-    "sha-h": lambda prm: sha_yang_profiles(prm["n"], prm["m"], prm["T"],
-                                           prm["tol"])[1],
-    "neck": lambda prm: neck_profile(prm["nu"], prm["s"]),
-    "k": lambda prm: k_profile(prm["eps_prime"]),
-    "collar": lambda prm: collar_profile(prm["c"]),
-    "closability": lambda prm: closability_ode_profile(
-        prm["n"], prm["eps_prime"], prm["tol"]),
-    "docking-r": lambda prm: docking_R_profile(),
+    "sha-f": (_SHA_YANG_READS, lambda *a: sha_yang_profiles(*a)[0]),
+    "sha-h": (_SHA_YANG_READS, lambda *a: sha_yang_profiles(*a)[1]),
+    "neck": ({"nu": 0.1, "s": 0.5}, lambda *a: neck_profile(*a)),
+    "k": ({"eps_prime": 0.2}, lambda *a: k_profile(*a)),
+    "collar": ({"c": 0.1}, lambda *a: collar_profile(*a)),
+    "closability": ({"n": 3, "eps_prime": 0.2, "tol": 1e-10},
+                    lambda *a: closability_ode_profile(*a)),
+    "docking-r": ({}, lambda: docking_R_profile()),
 }
 
 EXPORT_ARGS = (
     (("--profile",), {"required": True, "choices": list(PROFILES)}),
-    (("--n",), {"type": int, "default": 3}),
-    (("--m",), {"type": int, "default": 2}),
-    (("--T",), {"type": _finite_float, "default": 50.0}),
-    (("--nu",), {"type": _finite_float, "default": 0.1}),
-    (("--s",), {"type": _finite_float, "default": 0.5}),
-    (("--eps-prime",), {"type": _finite_float, "default": 0.2}),
-    (("--c",), {"type": _finite_float, "default": 0.1}),
+    (("--n",), {"type": int}),
+    (("--m",), {"type": int}),
+    (("--T",), {"type": _finite_float}),
+    (("--nu",), {"type": _finite_float}),
+    (("--s",), {"type": _finite_float}),
+    (("--eps-prime",), {"type": _finite_float}),
+    (("--c",), {"type": _finite_float}),
 )
+EXPORT_COMMON = ("--grid", "--tol")
+EXPORT_MODE = ("profile", {pid: reads for pid, (reads, _) in PROFILES.items()})

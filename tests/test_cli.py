@@ -11,7 +11,7 @@ import pytest
 
 import warpcheck
 from warpcheck import constructions as cons
-from warpcheck.cli import _apply_config_file, _build_parsers, main
+from warpcheck.cli import _apply_config_file, _build_parsers, _parse, main
 from warpcheck.report import revalidate_report
 
 
@@ -216,6 +216,26 @@ class TestExitCodeContract:
          "--k1", "1", "--r2", "1", "--k2", "1"],
         # the round check runs exactly when R is the default; there is no flag
         ["docking", "--n", "3", "--check-round"],
+        # a shared flag the scenario does not read
+        ["docking", "--n", "3", "--tol", "1e-5"],
+        ["glue", "--example", "hemisphere", "--grid", "5"],
+        ["thm22", "--n", "4", "--csv"],
+        # explicit boundaries do not read the example's --n
+        ["glue", "--n", "7", "--dim", "2", "--r1", "1", "--k1", "1",
+         "--r2", "1", "--k2", "1"],
+        # explicit boundaries need all five flags
+        ["glue", "--dim", "2", "--r1", "1", "--k1", "1"],
+        ["glue"],
+        # an export flag the profile does not read
+        ["export", "--profile", "k", "--nu", "0.3"],
+        ["export", "--profile", "docking-r", "--tol", "1e-8"],
+        ["export", "--profile", "docking-r", "--json", "--csv",
+         "--require-min", "99"],
+        # the glue tolerance is GLUE_TOL; no flag loosens it
+        ["glue", "--dim", "2", "--r1", "1", "--k1", "1", "--r2", "5",
+         "--k2", "-3", "--glue-tol", "10"],
+        # no abbreviations: --conf is not --config
+        ["docking", "--n", "3", "--conf", "run.cfg"],
     ])
     def test_flags_a_run_cannot_use_are_input_errors(self, tmp_path, capsys,
                                                      argv):
@@ -230,11 +250,32 @@ class TestExitCodeContract:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_mismatched_glue_fails_verification(self, tmp_path):
+        # a radius-1 boundary against a radius-5 one with II sum -2
+        rc = main(["glue", "--dim", "2", "--r1", "1", "--k1", "1", "--r2", "5",
+                   "--k2", "-3", "--out", str(tmp_path)])
+        assert rc == 1
+        report = read_report(tmp_path / "glue.json")
+        assert report["config"]["glue_tol"] == repr(cons.GLUE_TOL)
+        assert report["config"]["n"] is None
+        assert not any(c["pass"] for c in report["checks"])
+
+    def test_mode_defaults_apply_only_when_not_given(self):
+        parser, _ = _build_parsers()
+        assert parser.parse_args(["glue"]).n is None
+        assert _parse(["glue", "--example", "hemisphere"])["n"] == 4
+        assert _parse(["glue", "--example", "hemisphere", "--n", "3"])["n"] == 3
+        prm = _parse(["export", "--profile", "closability"])
+        assert (prm["n"], prm["eps_prime"], prm["tol"]) == (3, 0.2, 1e-10)
+        assert prm["nu"] is None and prm["m"] is None
+
     def test_bounds_are_inclusive(self):
         parser, _ = _build_parsers()
-        args = parser.parse_args(["thm22", "--n", "4", "--members", "1000",
+        args = parser.parse_args(["thm22", "--n", "4", "--members", "1000"])
+        assert args.members == 1000
+        args = parser.parse_args(["sha-yang", "--n", "3", "--m", "2",
                                   "--tol", "1e-3"])
-        assert (args.members, args.tol) == (1000, 1e-3)
+        assert args.tol == 1e-3
 
     def test_thm22_forced_ricci_failure(self, tmp_path):
         rc = main(["thm22", "--n", "4", "--members", "2",
@@ -346,8 +387,14 @@ class TestConfigFile:
         (["docking"], "n = 3\njson = ture\n"),
         # a boundary value that --example would ignore
         (["glue"], "example = hemisphere\nr1 = 7\n"),
+        # an export value that the profile would ignore
+        (["export"], "profile = k\nnu = 0.3\n"),
+        # a file names no further file and asks for no help
+        (["docking"], "n = 3\nconfig = other.cfg\n"),
+        (["docking"], "n = 3\nhelp = 1\n"),
     ], ids=["glue-choice", "export-choice", "docking-boolean",
-            "glue-example-boundary"])
+            "glue-example-boundary", "export-unread", "nested-config",
+            "help"])
     def test_config_value_is_checked_like_its_flag(self, tmp_path, capsys,
                                                    argv, text):
         cfg = tmp_path / "run.cfg"
@@ -358,6 +405,19 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_second_config_file_is_input_error(self, tmp_path, capsys):
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("n = 3\n")
+        second.write_text("grid = 64\n")
+        out = tmp_path / "x"
+        for argv in (["--config", str(first), "--config", str(second)],
+                     [f"--config={first}", "--config", str(second)]):
+            rc = main(["docking", *argv, "--out", str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("word, flag", [
         ("1", True), ("TRUE", True), ("Yes", True), ("on", True),

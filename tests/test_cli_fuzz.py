@@ -5,10 +5,13 @@ For any argv, ``cli.main`` exits 0 (pass), 1 (verification failure) or 2
 writes and overwrites nothing when it exits 2, and on exit 0 or 1 leaves a
 report that ``revalidate_report`` accepts.
 
-Argv is drawn from the flags of ``constructions.SCENARIOS``, the common
-flags and ``constructions.EXPORT_ARGS``. Values come from every class:
-in range, at and beyond a bound, signed zeros, subnormals, huge, non-finite
-in several spellings, malformed and empty. Flags may repeat, take the
+Argv is drawn from the flags the chosen subcommand declares in
+``constructions`` and, for glue and export, the flags the chosen glue mode
+or export profile reads. In one example in five, one flag that the
+subcommand or its mode does not read is added as well, and the run must then
+exit 2 with nothing written. Values come from every class: in range, at and
+beyond a bound, signed zeros, subnormals, huge, non-finite in several
+spellings, malformed and empty. Flags may repeat, take the
 ``--flag=value`` form or come from a config file. A run may start with a
 stale file or a directory where its report goes, and a write may fail with
 ENOSPC partway through. Grids are drawn small or absurdly large, never in
@@ -26,7 +29,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from warpcheck import cli
-from warpcheck.constructions import EXPORT_ARGS, SCENARIOS
+from warpcheck.constructions import (EXPORT_ARGS, EXPORT_COMMON, EXPORT_MODE,
+                                     SCENARIOS, _csv_list, _member_count)
 from warpcheck.report import revalidate_report
 
 INTS = ("3", "4", "2", "5", "1", "0", "-1", "7", "1000000",
@@ -36,55 +40,115 @@ FLOATS = ("0.1", "0.5", "1", "2", "1000", "0", "-0", "+0.0", "5e-324",
           "-1e308", "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "x", "")
 GRIDS = ("2", "3", "17", "64", "1", "0", "-1", "1000000000000", "x")
 BOOL_WORDS = ("1", "true", "YES", "on", "0", "false", "No", "off", "maybe")
-COMMON_ARGS = (
-    (("--grid",), {"type": "grid", "default": "64"}),
-    (("--tol",), {"type": float, "default": "1e-8"}),
-    (("--require-min",), {"type": float, "default": "0"}),
-    (("--json",), {"action": "store_true"}),
-    (("--csv",), {"action": "store_true"}),
-)
+# typical values of shared flags: a loose tolerance keeps solves short
+TYPICAL = {"--tol": "1e-8", "--require-min": "0"}
 
 
-def _value(kwargs):
+def _declared(name):
+    """The (flag, kwargs) pairs subcommand ``name`` declares, and its mode
+    table (or None). Every scenario also reads --json and --require-min."""
+    if name == "export":
+        args, common, mode = EXPORT_ARGS, EXPORT_COMMON, EXPORT_MODE
+    else:
+        scenario = SCENARIOS[name]
+        args, mode = scenario.args, scenario.mode
+        common = (*scenario.common, "--json", "--require-min")
+    shared = [((flag,), cli._SHARED[flag]) for flag in common]
+    return [(flags[0], kwargs) for flags, kwargs in (*args, *shared)], mode
+
+
+# every flag some subcommand declares, with the kwargs of its first
+# declaration; --out and --config, which all of them take, are left out
+ALL_FLAGS = {}
+for _name in (*SCENARIOS, "export"):
+    for _flag, _kwargs in _declared(_name)[0]:
+        ALL_FLAGS.setdefault(_flag, _kwargs)
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _value(flag, kwargs, edges=True):
     """A strategy for the text of one flag's value: one in four is drawn
-    from the classes above, the rest are typical for the flag (its default,
-    where it has one)."""
+    from the classes above (none without ``edges``), the rest are typical
+    for the flag (its default, where it has one)."""
     kind = kwargs.get("type")
-    name = getattr(kind, "__name__", "")
     if "choices" in kwargs:
         typical, edge = st.sampled_from(kwargs["choices"]), st.sampled_from(
             ("bogus", ""))
-    elif kind == "grid":
+    elif flag == "--grid":
         typical, edge = st.sampled_from(("17", "64")), st.sampled_from(GRIDS)
-    elif kind is int or name == "_member_count":
+    elif kind is int or kind is _member_count:
         typical, edge = st.sampled_from(("3", "4")), st.sampled_from(INTS)
     else:
         edge = st.one_of(st.sampled_from(FLOATS), st.floats().map(repr))
         typical = st.sampled_from(("0.1", "0.2", "0.5", "1"))
-        if name == "_csv_list":
+        if kind is _csv_list:
             typical = st.sampled_from(("0.5", "0.5,0.25"))
             edge = st.lists(edge, max_size=3).map(",".join)
-    if kwargs.get("default") is not None:
+    if flag in TYPICAL:
+        typical = st.just(TYPICAL[flag])
+    elif kwargs.get("default") is not None:
         typical = st.just(str(kwargs["default"]))
+    if not edges:
+        return typical
     return st.integers(0, 3).flatmap(lambda i: typical if i else edge)
 
 
 @st.composite
 def invocations(draw):
-    """(argv, config lines) for one scenario or export."""
+    """(argv, config lines, whether a flag the run does not read was added)
+    for one scenario or export. An argv that gets such a flag is otherwise
+    drawn from typical values, with every required flag, so that the added
+    flag is what makes it exit 2."""
+    add_unread = draw(st.integers(0, 4)) == 0
     name = draw(st.sampled_from([*SCENARIOS, "export"]))
-    args = EXPORT_ARGS if name == "export" else SCENARIOS[name].args
+    declared, mode = _declared(name)
+    specs = declared
+    if mode is not None:
+        # draw the mode first, then only the table flags it reads, with
+        # the defaults and required flags of its row
+        dest, table = mode
+        selected = draw(st.sampled_from(list(table)))
+        reads, moded = table[selected], set().union(*table.values())
+        specs = []
+        for flag, kwargs in declared:
+            if _dest(flag) == dest:
+                if selected is not None:
+                    specs.append((flag, {"choices": [selected],
+                                         "required": True}))
+            elif _dest(flag) not in moded:
+                specs.append((flag, kwargs))
+            elif _dest(flag) in reads:
+                default = reads[_dest(flag)]
+                specs.append((flag, dict(kwargs, default=default,
+                                         required=default is None)))
     pairs = []
-    for flags, kwargs in (*args, *COMMON_ARGS):
-        # a required flag is left out now and then, others half the time
-        if not draw(st.integers(0, 9) if kwargs.get("required")
-                    else st.booleans()):
+    for flag, kwargs in specs:
+        # a required flag is left out now and then (never beside an unread
+        # flag), others half the time
+        required = kwargs.get("required")
+        if not (required and add_unread) and not draw(
+                st.integers(0, 9) if required else st.booleans()):
             continue
         for _ in range(draw(st.sampled_from((1, 1, 1, 2)))):
             if kwargs.get("action") == "store_true":
-                pairs.append((flags[0], None))
+                pairs.append((flag, None))
             else:
-                pairs.append((flags[0], draw(_value(kwargs))))
+                pairs.append((flag, draw(_value(flag, kwargs,
+                                                edges=not add_unread))))
+    if add_unread:
+        # half of them a flag of the subcommand's own mode table, if any;
+        # the flag that selects the mode is read in every mode
+        unread = sorted(set(ALL_FLAGS) - {flag for flag, _ in specs}
+                        - ({f"--{mode[0]}"} if mode else set()))
+        moded = [f for f, _ in declared if mode and f in unread]
+        flag = draw(st.sampled_from(moded if moded and draw(st.booleans())
+                                    else unread))
+        kwargs = dict(declared).get(flag, ALL_FLAGS[flag])
+        pairs.append((flag, None if kwargs.get("action") == "store_true"
+                      else draw(_value(flag, kwargs))))
     pairs = draw(st.permutations(pairs))
     argv, config = [name], []
     for flag, value in pairs:
@@ -98,7 +162,7 @@ def invocations(draw):
             argv.append(f"{flag}={value}")
         else:
             argv += [flag, value]
-    return argv, config
+    return argv, config, add_unread
 
 
 class _FailingWrite:
@@ -161,7 +225,7 @@ def _main(argv):
        fail_at=st.sampled_from((None, None, None, 1, 2, 3, 5, 9)))
 def test_any_argv_keeps_the_exit_code_contract(invocation, out_exists,
                                                occupant, fail_at):
-    argv, config = invocation
+    argv, config, unread = invocation
     name = argv[0]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -199,6 +263,8 @@ def test_any_argv_keeps_the_exit_code_contract(invocation, out_exists,
         assert not [p for p in after if ".tmp." in p], (argv, after.keys())
         if fail_at is not None and len(writes) >= fail_at:
             assert rc == 2, (argv, rc)
+        if unread:
+            assert rc == 2, (argv, config, rc)
         if rc == 2:
             assert after == before, argv
         elif name == "export":

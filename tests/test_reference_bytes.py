@@ -12,11 +12,13 @@ directory into the benchmark's relative output directory, because their
 reports list the CSVs by that path.
 
 The benchmark's tracer also wraps program functions by name; the last tests
-check that every name it looks up still exists.
+check that every name it looks up still exists, and that every argv the
+benchmark's workloads can draw passes the command line's flag check.
 """
 import hashlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ import pytest
 
 from warpcheck import cli
 from warpcheck.constructions import PROFILES, SCENARIOS
+from warpcheck.errors import WarpcheckError
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = PERFBENCH / "reference.json"
@@ -109,6 +112,37 @@ def tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, loaded read-only. Its dataclass needs the
+    module in sys.modules while the class is built."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_benchmark_argvs_pass_only_flags_their_runs_read(workloads,
+                                                         reference):
+    # the parse-and-flag-check step alone, no compute, on every argv the
+    # benchmark can run: none passes a flag that its run does not read
+    argvs = {argv for name in workloads.WORKLOADS
+             for _, argv in workloads.all_argvs(name)}
+    assert {" ".join(argv) for argv in argvs} == set(reference)
+    rejected = []
+    for argv in sorted(argvs):
+        try:
+            cli._parse(list(argv))
+        except (SystemExit, WarpcheckError) as exc:
+            rejected.append((argv, exc))
+    assert not rejected
 
 
 def test_tracer_specs_resolve_to_callables(tracer):
