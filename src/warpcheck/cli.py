@@ -3,11 +3,8 @@
 Each subcommand runs one scenario of ``constructions.SCENARIOS``, writes a
 JSON report (and CSV profile dumps on request) into the output directory,
 prints one verdict line per check, and exits 0 on overall pass, 1 on
-verification failure (report still written), or 2 on input/configuration
-errors (nothing written).
-
-A flat key=value config file can pre-set any flag of the chosen subcommand;
-explicit flags override the file.
+verification failure (report still written), or 2 on input errors
+(nothing written). Flags come from argv alone.
 """
 from __future__ import annotations
 
@@ -32,13 +29,8 @@ EXIT_INPUT_ERROR = 2
 # rows of a CSV dump when --grid is not given
 CSV_GRID = 1001
 
-# the values a config file may give a store_true flag, case-insensitive; a
-# false word means the flag is not given, as no command line can say more
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-               "0": False, "false": False, "no": False, "off": False}
 
-
-# flags of several subcommands: --out and --config (all), --json and
+# flags of several subcommands: --out (all), --json and
 # --require-min (every scenario), the rest where a declaration lists them
 _SHARED = {
     "--grid": {"type": int, "help": "grid size for curvature sweeps"},
@@ -50,8 +42,6 @@ _SHARED = {
                "help": "also print the JSON report to stdout"},
     "--csv": {"action": "store_true",
               "help": "dump the scenario's profiles as CSV"},
-    "--config": {"type": Path,
-                 "help": "flat key=value file with defaults; flags override"},
     "--require-min": {"type": cons._finite_float,
                       "help": "extra check: the scenario's headline minimum "
                               "must reach this value (forces a failure)"},
@@ -67,78 +57,33 @@ def _build_parsers():
                  s.mode) for s in cons.SCENARIOS.values()]
     commands.append(("export", "CSV export of a named profile",
                      cons.EXPORT_ARGS, cons.EXPORT_COMMON, cons.EXPORT_MODE))
-    parsers = {}
     for name, help_text, args, common, mode in commands:
-        # no abbreviations: the config pre-scan would not see --conf
+        # the README promises that any abbreviation of a flag is an input
+        # error, so argparse must not expand one
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        for flags, kwargs in args:
+        shared = [((flag,), _SHARED[flag]) for flag in (*common, "--out")]
+        for flags, kwargs in (*args, *shared):
+            dest = flags[0][2:].replace("-", "_")
+            if name == "export" and dest == "grid":
+                kwargs = dict(kwargs, help=f"CSV rows (default {CSV_GRID})")
+            elif mode and any(dest in reads for reads in mode[1].values()):
+                # presence decides, so a table flag parses to None
+                uses = _mode_help(mode, dest)
+                kwargs = dict(kwargs, default=None, help=(
+                    f"{kwargs['help']}; {uses}" if "help" in kwargs else uses))
             p.add_argument(*flags, **kwargs)
-        for flag in (*common, "--out", "--config"):
-            p.add_argument(flag, **_SHARED[flag])
-        if mode is not None:  # presence decides, so these parse to None
-            p.set_defaults(**dict.fromkeys(itertools.chain(*mode[1].values())))
-        parsers[name] = p
-    return parser, parsers
+    return parser
 
 
-def _apply_config_file(parsers, argv):
-    """Pre-scan argv for --config and install the file's values as defaults
-    on the chosen subcommand's parser; one file at most is read."""
-    given = [i for i, a in enumerate(argv)
-             if a == "--config" or a.startswith("--config=")]
-    if not given:
-        return
-    if len(given) > 1:
-        raise WarpcheckError("--config is given more than once")
-    (i,) = given
-    if argv[i] == "--config" and i + 1 == len(argv):
-        raise WarpcheckError("--config needs a file path")
-    path = Path(argv[i + 1] if argv[i] == "--config"
-                else argv[i][len("--config="):])
-    scenario = next((a for a in argv if not a.startswith("-")), None)
-    if scenario not in parsers:
-        return
-    if not path.is_file():
-        raise WarpcheckError(f"config file {path} does not exist or is "
-                             "not a file")
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise WarpcheckError(f"cannot read config file {path}: {exc}") from exc
-    p = parsers[scenario]
-    # a file names no further file and asks for no help
-    known = {a.dest: a for a in p._actions if a.dest not in ("config", "help")}
-    overrides = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise WarpcheckError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        dest = key.strip().replace("-", "_")
-        value = value.strip()
-        if dest not in known:
-            raise WarpcheckError(f"{path}:{lineno}: unknown key {key.strip()!r} "
-                                 f"for scenario {scenario!r}")
-        action = known[dest]
-        try:
-            if isinstance(action, argparse._StoreTrueAction):
-                converted = _BOOL_WORDS[value.lower()]
-            else:
-                converted = (action.type or str)(value)
-            if action.choices is not None and converted not in action.choices:
-                raise ValueError(value)
-        except (KeyError, ValueError, argparse.ArgumentTypeError) as exc:
-            raise WarpcheckError(f"{path}:{lineno}: bad value {value!r} "
-                                 f"for {key.strip()!r}") from exc
-        if converted is False:
-            overrides.pop(dest, None)
-            continue
-        overrides[dest] = converted
-        # a value from the file satisfies a required flag
-        action.required = False
-    p.set_defaults(**overrides)
+def _mode_help(mode, dest):
+    """Which modes of a mode table read flag ``dest``, each with the flag's
+    default there or "required"."""
+    key, table = mode
+    return "read with " + ", ".join(
+        (f"--{key} {value}" if value is not None else f"no --{key}")
+        + (" (required)" if reads[dest] is None
+           else f" (default {reads[dest]:g})")
+        for value, reads in table.items() if dest in reads)
 
 
 def _grid(prm, default):
@@ -210,11 +155,9 @@ def _new_file_beside(final: Path) -> Path:
 
 
 def _parse(argv) -> dict:
-    """The flags of argv, config file included; a flag the run would not read
-    is an input error here, before any work (``constructions.Scenario``)."""
-    parser, parsers = _build_parsers()
-    _apply_config_file(parsers, argv)
-    prm = vars(parser.parse_args(argv))
+    """The flags of argv; a flag the run would not read is an input error
+    here, before any work (``constructions.Scenario``)."""
+    prm = vars(_build_parsers().parse_args(argv))
     name = prm["scenario"]
     mode = cons.EXPORT_MODE if name == "export" else cons.SCENARIOS[name].mode
     if mode is not None:
@@ -224,10 +167,12 @@ def _parse(argv) -> dict:
                   and any(d in other for other in table.values())]
         prm.update({d: reads[d] for d in reads if prm[d] is None})
         missing = [d for d in reads if prm[d] is None]
+        selected = (f"with --{dest} {prm[dest]}" if prm[dest] is not None
+                    else f"without --{dest}")
         for verb, dests in (("does not read", unread), ("needs", missing)):
             if dests:
                 raise WarpcheckError(
-                    f"{name} with {dest} {prm[dest]!r} {verb} "
+                    f"{name} {selected} {verb} "
                     + ", ".join("--" + d.replace("_", "-") for d in dests))
     return prm
 

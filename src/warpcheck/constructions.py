@@ -870,8 +870,7 @@ SCENARIOS = {s.name: s for s in (
     ), ("--grid",), 2048, _run_thm22),
     Scenario("glue", "gluing hypotheses for a pair of boundaries", (
         (("--example",), {"choices": ["hemisphere"]}),
-        (("--n",), {"type": int, "help": "total dimension for --example "
-                                         "(default 4)"}),
+        (("--n",), {"type": int, "help": "total dimension"}),
         (("--dim",), {"type": int, "help": "boundary factor dimension"}),
         (("--r1",), {"type": _finite_float}),
         (("--k1",), {"type": _finite_float}),

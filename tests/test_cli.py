@@ -2,6 +2,7 @@ import errno
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ import pytest
 
 import warpcheck
 from warpcheck import constructions as cons
-from warpcheck.cli import _apply_config_file, _build_parsers, _parse, main
+from warpcheck.cli import _build_parsers, _parse, main
 from warpcheck.report import revalidate_report
 
 
@@ -84,6 +85,16 @@ class TestScenarioRuns:
         assert (tmp_path / "gn.json").exists()
         assert (tmp_path / "thm22.json").exists()
         assert (tmp_path / "glue.json").exists()
+
+
+# the message of each argv of test_flags_a_run_cannot_use_are_input_errors
+# whose mode needs a flag it was not given
+_MODE_ERRORS = {
+    ("glue", "--dim", "2", "--r1", "1", "--k1", "1"):
+        "error: glue without --example needs --r2, --k2\n",
+    ("glue",): "error: glue without --example needs --dim, --r1, --k1, "
+               "--r2, --k2\n",
+}
 
 
 class TestExitCodeContract:
@@ -234,11 +245,17 @@ class TestExitCodeContract:
         # the glue tolerance is GLUE_TOL; no flag loosens it
         ["glue", "--dim", "2", "--r1", "1", "--k1", "1", "--r2", "5",
          "--k2", "-3", "--glue-tol", "10"],
-        # no abbreviations: --conf is not --config
-        ["docking", "--n", "3", "--conf", "run.cfg"],
+        # no abbreviations: --gr is not --grid
+        ["docking", "--n", "3", "--gr", "64"],
+        # flags come from argv alone: run.cfg, valid as a config file, is
+        # never read
+        ["docking", "--n", "3", "--config", "run.cfg"],
+        ["export", "--profile", "k", "--config=run.cfg"],
     ])
     def test_flags_a_run_cannot_use_are_input_errors(self, tmp_path, capsys,
-                                                     argv):
+                                                     monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("grid = 64\n")
         out = tmp_path / "out"
         try:
             rc = main(argv + ["--out", str(out)])
@@ -248,7 +265,8 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert "Traceback" not in err
-        assert not out.exists()
+        assert _MODE_ERRORS.get(tuple(argv), "error:") in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_mismatched_glue_fails_verification(self, tmp_path):
         # a radius-1 boundary against a radius-5 one with II sum -2
@@ -261,7 +279,7 @@ class TestExitCodeContract:
         assert not any(c["pass"] for c in report["checks"])
 
     def test_mode_defaults_apply_only_when_not_given(self):
-        parser, _ = _build_parsers()
+        parser = _build_parsers()
         assert parser.parse_args(["glue"]).n is None
         assert _parse(["glue", "--example", "hemisphere"])["n"] == 4
         assert _parse(["glue", "--example", "hemisphere", "--n", "3"])["n"] == 3
@@ -270,7 +288,7 @@ class TestExitCodeContract:
         assert prm["nu"] is None and prm["m"] is None
 
     def test_bounds_are_inclusive(self):
-        parser, _ = _build_parsers()
+        parser = _build_parsers()
         args = parser.parse_args(["thm22", "--n", "4", "--members", "1000"])
         assert args.members == 1000
         args = parser.parse_args(["sha-yang", "--n", "3", "--m", "2",
@@ -312,137 +330,6 @@ class TestDeterminismAndRoundTrip:
                      "--out", str(tmp_path), "--json"]) == 0
         out = capsys.readouterr().out
         assert '"overall_pass": true' in out
-
-
-class TestConfigFile:
-    def test_config_supplies_defaults_and_flags_override(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("nu = 0.1\nn = 5\ns = 0.5,0.25\ngrid = 256\n")
-        d1 = tmp_path / "o1"
-        rc = main(["neck", "--config", str(cfg), "--out", str(d1)])
-        assert rc == 0
-        report = read_report(d1 / "neck.json")
-        assert report["config"]["s_values"] == [repr(0.5), repr(0.25)]
-        d2 = tmp_path / "o2"
-        rc = main(["neck", "--config", str(cfg), "--s", "0.4",
-                   "--out", str(d2)])
-        assert rc == 0
-        report = read_report(d2 / "neck.json")
-        assert report["config"]["s_values"] == [repr(0.4)]
-
-    def test_unknown_config_key_is_input_error(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 3\n")
-        rc = main(["neck", "--config", str(cfg), "--nu", "0.1", "--n", "5",
-                   "--s", "0.5", "--out", str(tmp_path / "x")])
-        assert rc == 2
-
-    def test_missing_config_file_is_input_error(self, tmp_path):
-        rc = main(["neck", "--config", str(tmp_path / "nope.cfg"),
-                   "--nu", "0.1", "--n", "5", "--s", "0.5",
-                   "--out", str(tmp_path)])
-        assert rc == 2
-
-    def test_config_equals_form_is_applied(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("nu = 0.1\nn = 5\ns = 0.5,0.25\ngrid = 256\n")
-        rc = main(["neck", f"--config={cfg}", "--out", str(tmp_path / "o")])
-        assert rc == 0
-        report = read_report(tmp_path / "o" / "neck.json")
-        assert report["config"]["s_values"] == [repr(0.5), repr(0.25)]
-        assert report["config"]["grid_size"] == 256
-
-    def test_trailing_config_without_value_is_input_error(self, tmp_path,
-                                                          capsys):
-        rc = main(["neck", "--nu", "0.1", "--n", "5", "--s", "0.5",
-                   "--out", str(tmp_path / "x"), "--config"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert not (tmp_path / "x").exists()
-
-    def test_non_finite_config_value_is_input_error(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tol = inf\n")
-        rc = main(["sha-yang", "--config", str(cfg), "--n", "3", "--m", "2",
-                   "--out", str(tmp_path / "x")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert not (tmp_path / "x").exists()
-
-    def test_bad_config_value_is_input_error(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("grid = many\n")
-        rc = main(["neck", "--config", str(cfg), "--nu", "0.1", "--n", "5",
-                   "--s", "0.5", "--out", str(tmp_path / "x")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-
-    @pytest.mark.parametrize("argv, text", [
-        # a value outside the flag's choices
-        (["glue"], "example = bogus\ndim = 2\nr1 = 1\nk1 = 1\nr2 = 1\nk2 = 1\n"),
-        (["export"], "profile = bogus\n"),
-        # a store_true value that is not a boolean word
-        (["docking"], "n = 3\njson = ture\n"),
-        # a boundary value that --example would ignore
-        (["glue"], "example = hemisphere\nr1 = 7\n"),
-        # an export value that the profile would ignore
-        (["export"], "profile = k\nnu = 0.3\n"),
-        # a file names no further file and asks for no help
-        (["docking"], "n = 3\nconfig = other.cfg\n"),
-        (["docking"], "n = 3\nhelp = 1\n"),
-    ], ids=["glue-choice", "export-choice", "docking-boolean",
-            "glue-example-boundary", "export-unread", "nested-config",
-            "help"])
-    def test_config_value_is_checked_like_its_flag(self, tmp_path, capsys,
-                                                   argv, text):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        out = tmp_path / "x"
-        rc = main(argv + ["--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert not out.exists()
-
-    def test_second_config_file_is_input_error(self, tmp_path, capsys):
-        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
-        first.write_text("n = 3\n")
-        second.write_text("grid = 64\n")
-        out = tmp_path / "x"
-        for argv in (["--config", str(first), "--config", str(second)],
-                     [f"--config={first}", "--config", str(second)]):
-            rc = main(["docking", *argv, "--out", str(out)])
-            assert rc == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and err.count("\n") == 1
-            assert not out.exists()
-
-    @pytest.mark.parametrize("word, flag", [
-        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
-        ("0", False), ("false", False), ("NO", False), ("Off", False),
-    ])
-    def test_config_boolean_words(self, tmp_path, word, flag):
-        # a false word means the flag is not given, so --json keeps its
-        # default; neither word changes the report
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"n = 3\njson = {word}\n")
-        argv = ["docking", "--config", str(cfg), "--out", str(tmp_path)]
-        parser, parsers = _build_parsers()
-        _apply_config_file(parsers, argv)
-        assert parser.parse_args(argv).json is flag
-        assert main(argv) == 0
-        report = read_report(tmp_path / "docking.json")
-        assert report["config"]["round_check"] is True
-
-    def test_config_false_word_clears_an_earlier_true(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 3\njson = on\njson = off\n")
-        argv = ["docking", "--config", str(cfg)]
-        parser, parsers = _build_parsers()
-        _apply_config_file(parsers, argv)
-        assert parser.parse_args(argv).json is False
 
 
 class TestExport:
@@ -595,6 +482,50 @@ class TestFailedWriteLeavesNothing:
         assert rc == 2
         assert len(sizes) == 4
         assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+
+
+def _flags(text):
+    return set(re.findall(r"`(--[\w-]+)", text))
+
+
+def test_readme_command_line_tables_match_the_parsers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "--config" not in readme
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    every = _flags(re.search(r"Every\s+subcommand\s+takes(.*?)\.", section,
+                             re.S)[1])
+    scenarios = _flags(re.search(r"Every\s+scenario\s+\(not\s+`export`\)"
+                                 r"\s+takes(.*?)\.", section, re.S)[1])
+    listed, modes = {}, {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        words = cells[0].replace("`", "").split()
+        if len(cells) == 3:  # subcommand | its own flags | shared flags
+            listed.setdefault(words[0], set()).update(
+                _flags(cells[1]), _flags(cells[2]), every,
+                scenarios if words[0] != "export" else ())
+        else:  # mode | flags it reads, each with its default if it has one
+            value = words[2] if words[1].startswith("--") else None
+            modes[words[0], value] = {
+                flag[2:].replace("-", "_"): float(default) if default else None
+                for flag, default in re.findall(r"`(--[\w-]+)`(?: \((\S+)\))?",
+                                                cells[1])}
+    for (name, _), reads in modes.items():
+        listed[name].update("--" + d.replace("_", "-") for d in reads)
+
+    (subcommands,) = [a for a in _build_parsers()._actions
+                      if a.dest == "scenario"]
+    assert listed == {
+        name: {flag for a in p._actions for flag in a.option_strings} - {
+            "-h", "--help"}
+        for name, p in subcommands.choices.items()}
+    tables = {("export", value): reads
+              for value, reads in cons.EXPORT_MODE[1].items()}
+    tables.update({(s.name, value): reads for s in cons.SCENARIOS.values()
+                   if s.mode for value, reads in s.mode[1].items()})
+    assert modes == tables
 
 
 def test_version_is_the_pyproject_version():

@@ -11,11 +11,11 @@ or export profile reads. In one example in five, one flag that the
 subcommand or its mode does not read is added as well, and the run must then
 exit 2 with nothing written. Values come from every class: in range, at and
 beyond a bound, signed zeros, subnormals, huge, non-finite in several
-spellings, malformed and empty. Flags may repeat, take the
-``--flag=value`` form or come from a config file. A run may start with a
-stale file or a directory where its report goes, and a write may fail with
-ENOSPC partway through. Grids are drawn small or absurdly large, never in
-between, so that each run is short.
+spellings, malformed and empty. Flags may repeat or take the
+``--flag=value`` form. A run may start with a stale file or a directory
+where its report goes, and a write may fail with ENOSPC partway through.
+Grids are drawn small or absurdly large, never in between, so that each run
+is short.
 """
 import contextlib
 import errno
@@ -39,7 +39,6 @@ FLOATS = ("0.1", "0.5", "1", "2", "1000", "0", "-0", "+0.0", "5e-324",
           "2.2250738585072014e-308", "1e-300", "1e300", "1e308", "-1",
           "-1e308", "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "x", "")
 GRIDS = ("2", "3", "17", "64", "1", "0", "-1", "1000000000000", "x")
-BOOL_WORDS = ("1", "true", "YES", "on", "0", "false", "No", "off", "maybe")
 # typical values of shared flags: a loose tolerance keeps solves short
 TYPICAL = {"--tol": "1e-8", "--require-min": "0"}
 
@@ -58,7 +57,7 @@ def _declared(name):
 
 
 # every flag some subcommand declares, with the kwargs of its first
-# declaration; --out and --config, which all of them take, are left out
+# declaration; --out, which all of them take, is left out
 ALL_FLAGS = {}
 for _name in (*SCENARIOS, "export"):
     for _flag, _kwargs in _declared(_name)[0]:
@@ -98,8 +97,8 @@ def _value(flag, kwargs, edges=True):
 
 @st.composite
 def invocations(draw):
-    """(argv, config lines, whether a flag the run does not read was added)
-    for one scenario or export. An argv that gets such a flag is otherwise
+    """(argv, whether a flag the run does not read was added) for one
+    scenario or export. An argv that gets such a flag is otherwise
     drawn from typical values, with every required flag, so that the added
     flag is what makes it exit 2."""
     add_unread = draw(st.integers(0, 4)) == 0
@@ -150,19 +149,15 @@ def invocations(draw):
         pairs.append((flag, None if kwargs.get("action") == "store_true"
                       else draw(_value(flag, kwargs))))
     pairs = draw(st.permutations(pairs))
-    argv, config = [name], []
+    argv = [name]
     for flag, value in pairs:
-        if draw(st.integers(0, 4)) == 0:
-            if value is None:
-                value = draw(st.sampled_from(BOOL_WORDS))
-            config.append(f"{flag[2:]} = {value}")
-        elif value is None:
+        if value is None:
             argv.append(flag)
         elif draw(st.booleans()):
             argv.append(f"{flag}={value}")
         else:
             argv += [flag, value]
-    return argv, config, add_unread
+    return argv, add_unread
 
 
 class _FailingWrite:
@@ -188,14 +183,11 @@ class _FailingWrite:
         return self.fh.write(data)
 
 
-def _profile(argv, config):
-    """The --profile an export run reads: the last on the command line,
-    else the last in the config file."""
+def _profile(argv):
+    """The --profile an export run reads: the last on the command line."""
     given = [b if a == "--profile" else a.partition("=")[2]
              for a, b in zip(argv, [*argv[1:], None])
              if a == "--profile" or a.startswith("--profile=")]
-    given = given or [line.partition(" = ")[2] for line in config
-                      if line.startswith("profile = ")]
     return given[-1] if given else None
 
 
@@ -225,16 +217,13 @@ def _main(argv):
        fail_at=st.sampled_from((None, None, None, 1, 2, 3, 5, 9)))
 def test_any_argv_keeps_the_exit_code_contract(invocation, out_exists,
                                                occupant, fail_at):
-    argv, config, unread = invocation
+    argv, unread = invocation
     name = argv[0]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         out = root / "O" if out_exists else root / "new" / "O"
-        if config:
-            (root / "cfg").write_text("\n".join(config) + "\n")
-            argv = [*argv, "--config", str(root / "cfg")]
         # the file the run writes last: the report, or export's CSV
-        target = out / (f"{_profile(argv, config)}.csv" if name == "export"
+        target = out / (f"{_profile(argv)}.csv" if name == "export"
                         else f"{name}.json")
         if occupant == "stale":
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -264,7 +253,7 @@ def test_any_argv_keeps_the_exit_code_contract(invocation, out_exists,
         if fail_at is not None and len(writes) >= fail_at:
             assert rc == 2, (argv, rc)
         if unread:
-            assert rc == 2, (argv, config, rc)
+            assert rc == 2, (argv, rc)
         if rc == 2:
             assert after == before, argv
         elif name == "export":

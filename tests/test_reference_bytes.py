@@ -98,7 +98,7 @@ def test_every_export_profile_is_covered():
 
 
 def test_subcommands_are_the_scenario_table_plus_export():
-    parser, _ = cli._build_parsers()
+    parser = cli._build_parsers()
     (subcommands,) = [a for a in parser._actions
                       if a.dest == "scenario"]
     assert set(subcommands.choices) == {*SCENARIOS, "export"}
