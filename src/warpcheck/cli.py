@@ -33,7 +33,7 @@ CSV_GRID = 1001
 # flags of several subcommands: --out (all), --json and
 # --require-min (every scenario), the rest where a declaration lists them
 _SHARED = {
-    "--grid": {"type": int, "help": "grid size for curvature sweeps"},
+    "--grid": {"type": int},  # help: per subcommand, with its defaults
     "--tol": {"type": cons._tolerance, "default": 1e-10,
               "help": f"solver tolerance (at most {cons.TOL_MAX:g})"},
     "--out": {"type": Path, "default": Path("."),
@@ -54,18 +54,22 @@ def _build_parsers():
         description="verification runs for warped-product curvature claims")
     sub = parser.add_subparsers(dest="scenario", required=True)
     commands = [(s.name, s.help, s.args, (*s.common, "--json", "--require-min"),
-                 s.mode) for s in cons.SCENARIOS.values()]
+                 s.mode, s.grid) for s in cons.SCENARIOS.values()]
     commands.append(("export", "CSV export of a named profile",
-                     cons.EXPORT_ARGS, cons.EXPORT_COMMON, cons.EXPORT_MODE))
-    for name, help_text, args, common, mode in commands:
+                     cons.EXPORT_ARGS, cons.EXPORT_COMMON, cons.EXPORT_MODE,
+                     None))
+    for name, help_text, args, common, mode, grid in commands:
         # the README promises that any abbreviation of a flag is an input
         # error, so argparse must not expand one
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         shared = [((flag,), _SHARED[flag]) for flag in (*common, "--out")]
         for flags, kwargs in (*args, *shared):
             dest = flags[0][2:].replace("-", "_")
-            if name == "export" and dest == "grid":
-                kwargs = dict(kwargs, help=f"CSV rows (default {CSV_GRID})")
+            if dest == "grid":  # the sweep grid, if any, and CSV rows
+                uses = [f"sweep grid points (default {grid})"] if grid else []
+                if grid is None or "--csv" in common:
+                    uses.append(f"CSV rows (default {CSV_GRID})")
+                kwargs = dict(kwargs, help="; ".join(uses))
             elif mode and any(dest in reads for reads in mode[1].values()):
                 # presence decides, so a table flag parses to None
                 uses = _mode_help(mode, dest)

@@ -44,6 +44,9 @@ GLUE_TOL = 1e-9
 # ("margin") and Ricci > 0 on [0, STRICT_WINDOW] ("strict_window")
 COLLAR_MARGIN = 0.25
 STRICT_WINDOW = 0.5
+# a Ricci sweep's global minimum may fall this far below its target lambda,
+# relative to max(1, |lambda|), to absorb solver tolerance ("ricci_slack")
+RICCI_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -154,9 +157,9 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
     checks.append(check_le("cross_rate_identity", "identity-cross-rate",
                            np.max(np.abs(lhs3 - rhs3)), IDENTITY_TOL))
 
-    rep = ricci_report(metric, grid_size, lam=0.0)
+    rep = ricci_report(metric, grid_size)
     checks.append(check_ge("ricci_global_min", "ricci-nonnegative",
-                           rep.global_min, -rep.slack))
+                           rep.global_min, -RICCI_SLACK))
 
     checks.append(check_bool("sphere_warp_odd", "closure-parity",
                              parity_check(h, "left", "odd",
@@ -202,7 +205,7 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
     config = {"n": n, "m": m, "T": T, "tol": tol, "grid_size": grid_size,
               "alpha": alpha, "asym_threshold": ASYM_THRESHOLD,
               "asym_threshold_h": asym_threshold_h,
-              "identity_tol": IDENTITY_TOL, "ricci_slack": rep.slack,
+              "identity_tol": IDENTITY_TOL, "ricci_slack": RICCI_SLACK,
               "M": {"name": M.name, "dim": M.dim,
                     "ricci_interval": list(M.ricci_interval)}}
     return ScenarioVerdict("sha-yang", config, tuple(checks),
@@ -367,14 +370,14 @@ def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
     length = 1.0 + COLLAR_MARGIN
     profile = collar_profile(c, length=length)
     metric = MultiWarpedMetric((0.0, length), ((factor, profile),))
-    rep_full = ricci_report(metric, grid_size, lam=0.0)
+    rep_full = ricci_report(metric, grid_size)
     near = MultiWarpedMetric((0.0, STRICT_WINDOW), ((factor, profile),))
     rep_near = ricci_report(near, grid_size)
     glue = glue_check(core_boundary, boundary_data(metric, "left"), GLUE_TOL)
 
     checks = (
         check_ge("collar_ricci_nonnegative", "ricci-nonnegative",
-                 rep_full.global_min, -rep_full.slack,
+                 rep_full.global_min, -RICCI_SLACK,
                  note="the far collar is exactly conical, so 0 is attained"),
         check_ge("collar_ricci_near_boundary", "ricci-positive-near-glue",
                  rep_near.global_min, 0.0, strict=True),
@@ -387,7 +390,7 @@ def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
               "strict_window": STRICT_WINDOW,
               "grid_size": grid_size, "glue_tol": GLUE_TOL,
               "core_kappa": cb.kappa,
-              "ricci_slack": rep_full.slack}
+              "ricci_slack": RICCI_SLACK}
     return ScenarioVerdict("collar-certify", config, checks,
                            artifacts={"metric": metric, "profile": profile,
                                       "report_full": rep_full,
@@ -492,7 +495,7 @@ def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
     # covered by the sign certificate below and by region B
     region_a = MultiWarpedMetric((0.0, eps_prime - EXCLUSION_WIDTH),
                                  ((circle, k), (Y, f)), collapse_left=0)
-    rep = ricci_report(region_a, grid_size, lam=0.0)
+    rep = ricci_report(region_a, grid_size)
 
     checks = [
         check_ge("regionA_ricci_min", "ricci-strictly-positive",
@@ -572,7 +575,7 @@ def docking_ambient(n: int, *, R: Optional[WarpProfile] = None,
     cos_p = closed_form_profile("cosine", (0.0, half_pi))
     metric = MultiWarpedMetric((0.0, half_pi), ((circle, cos_p), (sphere, Rp)),
                                collapse_left=1, collapse_right=0)
-    rep = ricci_report(metric, grid_size, lam=0.0)
+    rep = ricci_report(metric, grid_size)
 
     interior = np.linspace(EXCLUSION_WIDTH, half_pi - EXCLUSION_WIDTH, 66)[1:-1]
     rpp = Rp.eval(interior)[2]
@@ -636,17 +639,18 @@ def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
     target = unit_sphere_volume(n - 1)
     vol_slack = 1e-8 * max(1.0, target)
     lam = float(n - 2)
+    floor = lam - RICCI_SLACK * max(1.0, abs(lam))
     checks = []
     vols = []
     for i, m in enumerate(family):
         v = volume(m)
         vols.append(v)
-        rep = ricci_report(m, grid_size, lam=lam)
+        rep = ricci_report(m, grid_size)
         checks.append(check_le(f"member{i}_volume_cap", "volume-cap",
                                v, target + vol_slack,
                                note=f"round model volume {target}"))
         checks.append(check_ge(f"member{i}_ricci_floor", "ricci-floor",
-                               rep.global_min, lam - rep.slack))
+                               rep.global_min, floor))
     checks.append(check_bool("closable_member_certificate", "closable-member",
                              certificate.overall,
                              note=f"member {closable_index}: certificate from "

@@ -275,13 +275,10 @@ def boundary_data(metric: MultiWarpedMetric, side: str) -> BoundaryData:
 _SWEEP_BLOCK = 1 << 14
 
 
-# the relative slack below a target lambda that a Ricci sweep still passes
-RICCI_SLACK = 1e-8
-
-
 @dataclass(frozen=True)
 class RicciReport:
-    """Gridwise Ricci bounds with a deterministic global minimum.
+    """Gridwise Ricci extrema and their global minimum: a measurement, which
+    each caller compares against its own threshold.
 
     ``extrema`` holds the minimum and maximum over the grid of Ric(dt, dt)
     and of the per-block lower and upper components, over all blocks.
@@ -290,19 +287,11 @@ class RicciReport:
     grid: np.ndarray
     extrema: tuple  # ((tt_min, tt_max), (lo_min, lo_max), (hi_min, hi_max))
     global_min: float
-    lam: Optional[float]
-    slack: float
-    verdict: Optional[bool]
-    excluded_zones: tuple
 
 
-def ricci_report(metric: MultiWarpedMetric, grid_size: int,
-                 lam: Optional[float] = None) -> RicciReport:
+def ricci_report(metric: MultiWarpedMetric, grid_size: int) -> RicciReport:
     """Sweep Ricci components over a uniform grid (closure zones excluded)
-    and compare the global minimum against a lower-bound target.
-
-    The verdict allows ``RICCI_SLACK * max(1, |lam|)`` below lam to absorb
-    solver tolerance; the slack used is recorded in the report.
+    and measure their extrema; the caller judges ``global_min``.
 
     The grid is swept in blocks of ``_SWEEP_BLOCK`` points, keeping only each
     component's minimum and maximum, so memory beyond the grid itself does
@@ -310,8 +299,7 @@ def ricci_report(metric: MultiWarpedMetric, grid_size: int,
     """
     if grid_size < 2:
         raise InputError("grid_size must be at least 2")
-    lo, hi = metric.grid_bounds()
-    ts = np.linspace(lo, hi, grid_size)
+    ts = np.linspace(*metric.grid_bounds(), grid_size)
     mins = []
     maxs = []
     for s, e in row_blocks(grid_size, _SWEEP_BLOCK):
@@ -321,18 +309,8 @@ def ricci_report(metric: MultiWarpedMetric, grid_size: int,
     # np.min/np.max over the blocks: a NaN in any block propagates
     extrema = tuple(zip(np.min(mins, axis=0), np.max(maxs, axis=0)))
     (tt_min, _), (lo_min, _), _ = extrema
-    global_min = float(min(tt_min, lo_min))
-    zones = []
-    t0, t1 = metric.interval
-    if metric.collapse_left is not None:
-        zones.append((t0, lo))
-    if metric.collapse_right is not None:
-        zones.append((hi, t1))
-    slack = RICCI_SLACK * max(1.0, abs(lam)) if lam is not None else 0.0
-    verdict = (global_min >= lam - slack) if lam is not None else None
     return RicciReport(grid=ts, extrema=extrema,
-                       global_min=global_min, lam=lam, slack=slack,
-                       verdict=verdict, excluded_zones=tuple(zones))
+                       global_min=float(min(tt_min, lo_min)))
 
 
 def volume(metric: MultiWarpedMetric) -> float:
@@ -361,23 +339,21 @@ def volume(metric: MultiWarpedMetric) -> float:
 
 @dataclass(frozen=True)
 class GlueVerdict:
-    """Hypotheses for gluing two positive-Ricci pieces at a shared boundary:
-    blockwise isometry match and non-negativity of the summed second
-    fundamental forms."""
+    """Gluing data of two boundaries, measured: whether they match blockwise
+    and the least summed principal curvature. The caller decides which sum
+    its gluing needs."""
 
     isometry_ok: bool
     ii_sum_min: float
-    passed: bool
 
 
 def glue_check(b1: BoundaryData, b2: BoundaryData, tol: float) -> GlueVerdict:
-    """Compare two boundaries: radii and induced factor intervals must match
-    within tol and min_i (kappa_i^1 + kappa_i^2) must be >= -tol."""
+    """Measure two boundaries: whether radii and induced factor intervals
+    match within tol, and min_i (kappa_i^1 + kappa_i^2)."""
     if not tol > 0:
         raise InputError("tol must be positive")
     if len(b1.blocks) != len(b2.blocks):
-        return GlueVerdict(isometry_ok=False, ii_sum_min=float("nan"),
-                           passed=False)
+        return GlueVerdict(isometry_ok=False, ii_sum_min=float("nan"))
     matches = []
     sums = []
     for x, y in zip(b1.blocks, b2.blocks):
@@ -387,10 +363,7 @@ def glue_check(b1: BoundaryData, b2: BoundaryData, tol: float) -> GlueVerdict:
                        and abs(x.radius - y.radius) <= tol
                        and max(ilo, ihi) <= tol)
         sums.append(x.kappa + y.kappa)
-    isometry_ok = all(matches)
-    ii_sum_min = float(min(sums))
-    return GlueVerdict(isometry_ok=isometry_ok, ii_sum_min=ii_sum_min,
-                       passed=isometry_ok and ii_sum_min >= -tol)
+    return GlueVerdict(isometry_ok=all(matches), ii_sum_min=float(min(sums)))
 
 
 def rescale_metric(metric: MultiWarpedMetric, R: float) -> MultiWarpedMetric:

@@ -68,17 +68,9 @@ class FactorManifold:
                 raise InputError(
                     f"round sphere of radius {r} must have volume {vol}, got {self.volume}")
 
-    def validate(self) -> None:
-        """Re-run the construction invariants (no-op when they hold)."""
-        self.__post_init__()
-
     @property
     def ricci_lower(self) -> float:
         return self.ricci_interval[0]
-
-    @property
-    def is_einstein(self) -> bool:
-        return self.ricci_interval[0] == self.ricci_interval[1]
 
 
 def round_sphere_factor(dim: int, radius: float) -> FactorManifold:

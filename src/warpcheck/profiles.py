@@ -693,8 +693,6 @@ def mollify_profile(p: WarpProfile, width: float) -> WarpProfile:
 class ParityReport:
     """Measured endpoint parity conditions; failures are carried, not raised."""
 
-    endpoint: str
-    parity: str
     conditions: tuple  # (name, residual, threshold, ok)
     passed: bool
 
@@ -727,8 +725,7 @@ def parity_check(p: WarpProfile, endpoint: str, parity: str, *,
         conditions.append(("slope", abs(fp), tol))
     rows = tuple((name, float(r), float(th), bool(r <= th))
                  for name, r, th in conditions)
-    return ParityReport(endpoint=endpoint, parity=parity, conditions=rows,
-                        passed=all(r[3] for r in rows))
+    return ParityReport(conditions=rows, passed=all(r[3] for r in rows))
 
 
 def scale_profile(p: WarpProfile, R: float) -> WarpProfile:

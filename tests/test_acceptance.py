@@ -42,7 +42,7 @@ def sha_yang_metric(n, m, T=50.0, tol=1e-10):
 def test_c1_nonnegative_ricci(n, m):
     start = time.perf_counter()
     metric, *_ = sha_yang_metric(n, m)
-    rep = ricci_report(metric, 10_000, lam=0.0)
+    rep = ricci_report(metric, 10_000)
     elapsed = time.perf_counter() - start
     ok = rep.global_min >= -1e-7 and elapsed < 5.0
     report_line(f"criterion-1 (n={n}, m={m})", ok,
@@ -223,7 +223,7 @@ def test_c9_gluing():
         collapse_left=0)
     bd = boundary_data(hemi, "right")
     verdict = glue_check(bd, bd, 1e-9)
-    hemi_ok = verdict.passed and verdict.ii_sum_min == 0.0
+    hemi_ok = verdict.isometry_ok and verdict.ii_sum_min == 0.0
 
     core = round_boundary(3, 1.0, 1.0)
     closable = collar_closability(core, 0.3, 4)

@@ -12,7 +12,7 @@ import pytest
 
 import warpcheck
 from warpcheck import constructions as cons
-from warpcheck.cli import _build_parsers, _parse, main
+from warpcheck.cli import CSV_GRID, _build_parsers, _parse, main
 from warpcheck.report import revalidate_report
 
 
@@ -526,6 +526,52 @@ def test_readme_command_line_tables_match_the_parsers():
     tables.update({(s.name, value): reads for s in cons.SCENARIOS.values()
                    if s.mode for value, reads in s.mode[1].items()})
     assert modes == tables
+
+
+def _option_help(parser, flag):
+    """The help entry of ``flag`` in ``parser.format_help()``, whitespace
+    collapsed: its first line and the continuation lines below it."""
+    entry = None
+    for line in parser.format_help().splitlines():
+        if line.startswith("  -"):
+            if entry is not None:
+                break
+            if line.split()[0] == flag:
+                entry = [line]
+        elif entry is not None:
+            entry.append(line)
+    assert entry is not None, flag
+    return " ".join(" ".join(entry).split())
+
+
+def test_help_gives_every_default_a_run_takes(monkeypatch):
+    # wide enough that argparse wraps no help line: a profile such as
+    # sha-f would otherwise break at its hyphen
+    monkeypatch.setenv("COLUMNS", "1000")
+    (subcommands,) = [a for a in _build_parsers()._actions
+                      if a.dest == "scenario"]
+    parsers = subcommands.choices
+    for s in cons.SCENARIOS.values():
+        if "--grid" in s.common:
+            grid = _option_help(parsers[s.name], "--grid")
+            assert f"(default {s.grid})" in grid, (s.name, grid)
+            assert (f"CSV rows (default {CSV_GRID})" in grid) \
+                == ("--csv" in s.common), (s.name, grid)
+    grid = _option_help(parsers["export"], "--grid")
+    assert f"CSV rows (default {CSV_GRID})" in grid, grid
+    modes = [(s.name, s.mode) for s in cons.SCENARIOS.values() if s.mode]
+    for name, (key, table) in [*modes, ("export", cons.EXPORT_MODE)]:
+        for dest in {d for reads in table.values() for d in reads}:
+            text = _option_help(parsers[name], "--" + dest.replace("_", "-"))
+            for value, reads in table.items():
+                if dest not in reads:
+                    continue
+                mode = f"--{key} {value}" if value is not None \
+                    else f"no --{key}"
+                default = reads[dest]
+                said = "(required)" if default is None \
+                    else f"(default {default:g})"
+                assert f"{mode} {said}" in text, (name, dest, text)
 
 
 def test_version_is_the_pyproject_version():

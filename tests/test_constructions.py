@@ -266,3 +266,23 @@ class TestTheorem22:
                                  self.certificate(n))
         assert v.config["volume_spread"] == 0.0
         assert v.config["volume_rescale_factor"] == pytest.approx(1.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_thm22_ricci_floor_slack_scales_with_the_floor(n):
+    # the reference reports replay thm22 only at n = 4
+    v = theorem22_hypotheses([round_cross_section(n)], n, 0,
+                             TestTheorem22().certificate(n), grid_size=64)
+    floor = next(c for c in v.checks if c.name == "member0_ricci_floor")
+    assert floor.threshold == (n - 2) - 1e-8 * max(1, n - 2)
+
+
+def test_nonnegative_ricci_checks_allow_the_unit_slack():
+    sha = sha_yang_space(3, 2, einstein_factor(3), 50.0, grid_size=200)
+    collar = collar_closability(round_boundary(2, 1.0, 1.0), 0.45, 3,
+                                grid_size=64)
+    for v, name in ((sha, "ricci_global_min"),
+                    (collar, "collar_ricci_nonnegative")):
+        check = next(c for c in v.checks if c.name == name)
+        assert check.threshold == -1e-8
+        assert v.config["ricci_slack"] == 1e-8

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -41,7 +42,7 @@ def test_abstract_factor_hyperbolic_floor():
 
 def test_abstract_factor_einstein_surface():
     m = abstract_factor("M", 2, (1.0, 1.0))
-    assert m.is_einstein
+    assert m.ricci_interval[0] == m.ricci_interval[1]
 
 
 def test_one_dimensional_factors_are_ricci_flat():
@@ -106,12 +107,12 @@ def test_round_sphere_factor_is_scaled_unit_sphere(dim, radius):
     assert direct.ricci_interval[0] == pytest.approx(scaled.ricci_interval[0],
                                                      rel=1e-12, abs=1e-300)
     assert direct.volume == pytest.approx(scaled.volume, rel=1e-12)
-    scaled.validate()
+    dataclasses.replace(scaled)
 
 
 def test_constructed_factors_revalidate():
     for f in (round_sphere_factor(4, 0.7), abstract_factor("A", 3, (-1.0, 2.0), 5.0)):
-        f.validate()
+        dataclasses.replace(f)
 
 
 def test_unit_sphere_volumes():

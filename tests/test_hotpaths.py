@@ -391,10 +391,10 @@ def test_blocked_sweep_keeps_an_exact_negative_zero_minimum():
         ((round_sphere_factor(3, 1.0),
           closed_form_profile("linear", (0.0, 5.0), value=0.0, slope=1.0)),),
         collapse_left=0)
-    rep = ricci_report(cone, 3 * B + 1, lam=0.0)
+    rep = ricci_report(cone, 3 * B + 1)
     assert len(row_blocks(3 * B + 1, curvature._SWEEP_BLOCK)) == 3
     assert_same_bits(rep.global_min, -0.0)
-    assert rep.verdict
+    assert rep.global_min >= 0.0
 
 
 # --- RK node buffers -----------------------------------------------------------

@@ -24,7 +24,7 @@ def records():
         "WarpProfile": (profile, "domain", (0.0, 1.0)),
         "ParityTag": (ParityTag("odd", (1.0, -1.0)), "kind", "even"),
         "MultiWarpedMetric": (metric, "collapse_left", None),
-        "RicciReport": (ricci_report(metric, 16, lam=1.0), "verdict", False),
+        "RicciReport": (ricci_report(metric, 16), "global_min", 1.0),
         "CheckResult": (check, "passed", False),
         "ScenarioVerdict": (ScenarioVerdict("s", {}, (check,)), "checks", ()),
         "FactorManifold": (factor, "dim", 3),

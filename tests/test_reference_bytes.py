@@ -156,14 +156,31 @@ def test_tracer_specs_resolve_to_callables(tracer):
         assert callable(owner), f"{modname}.{path}"
 
 
-def test_names_the_benchmark_reads_exist():
-    from warpcheck import kernels, profiles, quadrature
+def test_names_the_benchmark_reads_exist(tmp_path):
+    # the tracer's counters read these attributes of what the wrapped
+    # functions take and return
+    from warpcheck import kernels, ode, profiles, quadrature, report
+    from warpcheck.curvature import MultiWarpedMetric, ricci_report
+    from warpcheck.factors import round_sphere_factor
     assert callable(quadrature.adaptive_quad)
     assert callable(profiles.WarpProfile.eval)
     assert isinstance(kernels.USING_NUMBA, bool)
     cumint = quadrature.CumulativeIntegral(lambda x: x, 0.0, 1.0)
     assert cumint.edges.size - 1 == quadrature.CUMINT_PANELS
     assert cumint._x.size == cumint._w.size == quadrature.CUMINT_ORDER
+
+    sol = ode.integrate_ivp(ode.OdeRhs.linear(coef_f=-1.0), 0.0, 1.0, 1.0,
+                            0.0, 1e-8)
+    assert len(sol.ts) >= 2 and sol.nfev > 0
+    sine = profiles.closed_form_profile("sine", (0.0, 1.0))
+    metric = MultiWarpedMetric((0.0, 1.0),
+                               ((round_sphere_factor(2, 1.0), sine),),
+                               collapse_left=0)
+    assert len(ricci_report(metric, 37).grid) == 37
+    json_path = report.write_report(tmp_path / "r.json", {"a": 1})
+    csv_path = report.write_profile_csv(tmp_path / "p.csv", sine, 5)
+    assert json_path.stat().st_size == len(report.report_bytes({"a": 1}))
+    assert csv_path.read_text().count("\n") == 6  # header and 5 rows
 
 
 def test_profile_families_are_recognised(tracer):
