@@ -56,11 +56,17 @@ class TestModelSpaces:
         c = ricci_components(flat_cone(4), 1.0)
         assert c.ric_tt == 0.0
         assert c.blocks[0] == (0.0, 0.0)
-        for n, grid in ((5, 3000), (4, 500)):
-            rep = ricci_report(flat_cone(n), grid)
-            for extremes in rep.extrema:
-                assert np.max(np.abs(extremes)) <= 1e-12
-            assert abs(rep.global_min) <= 1e-12
+        rep = ricci_report(flat_cone(5), 3000)
+        for extremes in rep.extrema:
+            assert np.max(np.abs(extremes)) <= 1e-12
+
+    def test_flat_cone_report_verdicts(self):
+        # the report only measures; a caller's verdict compares global_min
+        # with its own target: the flat cone meets Ric >= 0, not Ric >= 0.1
+        rep = ricci_report(flat_cone(4), 500)
+        assert abs(rep.global_min) <= 1e-12
+        assert rep.global_min >= 0.0 - 1e-12
+        assert not rep.global_min >= 0.1
 
     def test_riemannian_product(self):
         # constant warps: Ric(dt,dt) = 0 and block values are the factor's
