@@ -48,16 +48,22 @@ _SHARED = {
 }
 
 
-def _build_parsers():
+def _build_parsers(only=None):
+    """The argument parser. If ``only`` names a subcommand, only its
+    subparser is built, since a run parses no other."""
     parser = argparse.ArgumentParser(
         prog="warpcheck",
         description="verification runs for warped-product curvature claims")
-    sub = parser.add_subparsers(dest="scenario", required=True)
     commands = [(s.name, s.help, s.args, (*s.common, "--json", "--require-min"),
                  s.mode, s.grid) for s in cons.SCENARIOS.values()]
     commands.append(("export", "CSV export of a named profile",
                      cons.EXPORT_ARGS, cons.EXPORT_COMMON, cons.EXPORT_MODE,
                      None))
+    names = [c[0] for c in commands]
+    sub = parser.add_subparsers(dest="scenario", required=True)
+    if only in names:  # usage errors still list every subcommand
+        sub.metavar = "{" + ",".join(names) + "}"
+        commands = [c for c in commands if c[0] == only]
     for name, help_text, args, common, mode, grid in commands:
         # the README promises that any abbreviation of a flag is an input
         # error, so argparse must not expand one
@@ -161,7 +167,7 @@ def _new_file_beside(final: Path) -> Path:
 def _parse(argv) -> dict:
     """The flags of argv; a flag the run would not read is an input error
     here, before any work (``constructions.Scenario``)."""
-    prm = vars(_build_parsers().parse_args(argv))
+    prm = vars(_build_parsers(argv[0] if argv else None).parse_args(argv))
     name = prm["scenario"]
     mode = cons.EXPORT_MODE if name == "export" else cons.SCENARIOS[name].mode
     if mode is not None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ from .profiles import (EXCLUSION_WIDTH, WarpProfile, closability_ode_profile,
                        radial_floor_value, sha_yang_profiles)
 from .report import (ScenarioVerdict, check_bool, check_eq, check_ge,
                      check_le)
+from .records import Record
 
 # Thresholds of the checks below, each echoed in the report's config under
 # the key in quotes.
@@ -49,8 +49,7 @@ STRICT_WINDOW = 0.5
 RICCI_SLACK = 1e-8
 
 
-@dataclass(frozen=True)
-class CertifiedBlock:
+class CertifiedBlock(Record):
     """A building block taken on external authority: only its boundary data
     and an interior Ricci floor are trusted. ``note`` states what is being
     assumed."""
@@ -76,9 +75,8 @@ class CertifiedBlock:
                           factor=b.factor,
                           induced=scale_factor(b.factor, b.radius * lam))
             for b in self.boundary.blocks)
-        return replace(
-            self,
-            boundary=replace(self.boundary, blocks=blocks),
+        return self.replace(
+            boundary=self.boundary.replace(blocks=blocks),
             interior_ricci_min=self.interior_ricci_min / lam ** 2)
 
 
@@ -301,8 +299,7 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
         drift = float(np.max(np.abs(
             profile.eval(ts)[0] - math.sqrt(2.0) * np.sin(nu * ts))))
         return {"s": s, "profile": profile, "report": rep, "outer": outer,
-                "inner": inner, "glue": glue, "volume": vol, "lam": lam,
-                "drift": drift}
+                "inner": inner, "glue": glue, "volume": vol, "drift": drift}
 
     per_s = [member(s) for s in s_values]
 
@@ -699,8 +696,7 @@ def _csv_list(text: str) -> list[float]:
     return [_finite_float(x) for x in text.split(",") if x.strip()]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """One command-line scenario.
 
     ``args`` holds ``(flags, argparse kwargs)`` pairs for its own flags, and

@@ -20,7 +20,6 @@ result exactly invariant under block permutation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,6 +29,7 @@ from .factors import FactorManifold, scale_factor
 from .profiles import (EXCLUSION_WIDTH, WarpProfile, parity_check,
                        scale_profile)
 from .quadrature import adaptive_quad, row_blocks
+from .records import Record
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
@@ -50,8 +50,7 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class MultiWarpedMetric:
+class MultiWarpedMetric(Record):
     """dt^2 + sum_i f_i(t)^2 g_i over an interval.
 
     ``collapse_left``/``collapse_right`` mark smooth-closure endpoints: there
@@ -122,8 +121,7 @@ class MultiWarpedMetric:
                 f"t = {t} lies in the exclusion zone of the collapsing right endpoint")
 
 
-@dataclass(frozen=True)
-class RicciComponents:
+class RicciComponents(Record):
     """Ricci values at one t: the dt-dt component and, per block, the exact
     interval of Ric(v/f_i, v/f_i) induced by the factor's eigenvalue
     interval. Mixed components vanish identically for block-diagonal warps."""
@@ -211,8 +209,7 @@ def ricci_generic(metric: MultiWarpedMetric, t: float, dt: float) -> RicciCompon
                                             map(float, hi_list))))
 
 
-@dataclass(frozen=True)
-class BoundaryBlock:
+class BoundaryBlock(Record):
     """Per-factor boundary data of a slice: radius f_i, principal curvature
     kappa_i = sign * f_i'/f_i, its radius-normalized form sign * f_i', and
     the induced (scaled) factor metric."""
@@ -224,8 +221,7 @@ class BoundaryBlock:
     induced: FactorManifold
 
 
-@dataclass(frozen=True)
-class BoundaryData:
+class BoundaryData(Record):
     """Geometry of a slice {t} with a chosen outward normal direction."""
 
     t: float
@@ -275,8 +271,7 @@ def boundary_data(metric: MultiWarpedMetric, side: str) -> BoundaryData:
 _SWEEP_BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class RicciReport:
+class RicciReport(Record):
     """Gridwise Ricci extrema and their global minimum: a measurement, which
     each caller compares against its own threshold.
 
@@ -337,8 +332,7 @@ def volume(metric: MultiWarpedMetric) -> float:
     return vol_factors * adaptive_quad(integrand, t0, t1, rtol=1e-9)
 
 
-@dataclass(frozen=True)
-class GlueVerdict:
+class GlueVerdict(Record):
     """Gluing data of two boundaries, measured: whether they match blockwise
     and the least summed principal curvature. The caller decides which sum
     its gluing needs."""

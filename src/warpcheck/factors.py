@@ -7,10 +7,10 @@ total volume. Nothing else about the manifold is represented.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import InputError
+from .records import Record
 
 _REL = 1e-12
 
@@ -24,8 +24,7 @@ def unit_sphere_volume(dim: int) -> float:
                          "float") from None
 
 
-@dataclass(frozen=True)
-class FactorManifold:
+class FactorManifold(Record):
     """A closed manifold known only through curvature and volume data.
 
     ``ricci_interval`` bounds Ric(v, v) over unit vectors v. ``round_radius``
@@ -72,6 +71,15 @@ class FactorManifold:
     def ricci_lower(self) -> float:
         return self.ricci_interval[0]
 
+    def __eq__(self, other):
+        """Factors are values: equal when every field is."""
+        if type(other) is not FactorManifold:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
 
 def round_sphere_factor(dim: int, radius: float) -> FactorManifold:
     """Round sphere S^dim of the given radius."""
@@ -115,8 +123,7 @@ def scale_factor(factor: FactorManifold, c: float) -> FactorManifold:
                                        and math.isinf(volume)):
         raise InputError(f"scale {c} is out of floating-point range: c^2 or "
                          f"the volume factor c^{factor.dim} over- or underflows")
-    return replace(
-        factor,
+    return factor.replace(
         ricci_interval=(lo / c2, hi / c2),
         volume=volume,
         round_radius=None if factor.round_radius is None else c * factor.round_radius,

@@ -1,17 +1,16 @@
 """Initial value problems f'' = F(t, f, f') with dense, derivative-consistent output."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import kernels
 from .errors import DomainTruncationError, InputError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class OdeRhs:
+class OdeRhs(Record):
     """A scalar second-order right-hand side f'' = F(t, f, f').
 
     ``func`` is called with Python floats by the stepping loop and with
@@ -52,8 +51,7 @@ class OdeRhs:
         return self.func(t, f, fp)
 
 
-@dataclass(frozen=True)
-class DenseSolution:
+class DenseSolution(Record):
     """Accepted nodes plus a quintic-Hermite continuous extension."""
 
     rhs: OdeRhs
@@ -63,9 +61,9 @@ class DenseSolution:
     fpps: np.ndarray
     status: int
     nfev: int
-    # (query copy, f, f', f'') of the last array query; see ``eval``
-    _last: Optional[tuple] = field(default=None, init=False, repr=False,
-                                   compare=False)
+    # (query copy, f, f', f'') of the last array query; see ``eval``. Not a
+    # field: no argument sets it and ``repr`` leaves it out
+    _last = None
 
     @property
     def t0(self) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,6 +19,7 @@ from .errors import (ConstructionError, GlueMismatchError, InputError,
                      IntegrationQualityError, int_ge)
 from .ode import DenseSolution, OdeRhs, integrate_ivp
 from .quadrature import CumulativeIntegral, adaptive_quad
+from .records import Record
 
 # Width of the endpoint window where tagged profiles evaluate via their parity
 # expansion; also the exclusion radius used by curvature grids around
@@ -27,8 +27,7 @@ from .quadrature import CumulativeIntegral, adaptive_quad
 EXCLUSION_WIDTH = 1e-3
 
 
-@dataclass(frozen=True)
-class ParityTag:
+class ParityTag(Record):
     """Certified endpoint behavior.
 
     kind "odd":  f(t*) = 0, even derivatives vanish; coeffs = (c1, c3) with
@@ -44,16 +43,14 @@ class ParityTag:
             raise InputError(f"unknown parity kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class Joint:
+class Joint(Record):
     """A splice location; f and f' match there, f'' may jump by fpp_jump."""
 
     t: float
     fpp_jump: float
 
 
-@dataclass(frozen=True, eq=False)
-class WarpProfile:
+class WarpProfile(Record):
     """A positive warping function on an interval with two derivatives.
 
     Instances are immutable; evaluation is a pure function of t.
@@ -61,7 +58,7 @@ class WarpProfile:
 
     domain: tuple[float, float]
     raw_eval: Callable
-    parity: dict = field(default_factory=dict)
+    parity: dict = {}
     joints: tuple = ()
     solver_meta: Optional[dict] = None
 
@@ -281,6 +278,17 @@ def _profile_from_solution(sol: DenseSolution, tol: float, *,
                        solver_meta=meta)
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a NaN-free 1-d array in ascending order: the
+    sort and adjacent-difference mask of NumPy's ``unique``, which on NumPy
+    2.4 also imports ``numpy.ma``."""
+    ordered = np.sort(values)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def sha_yang_profiles(n: int, m: int, T: float, tol: float = 1e-10):
     """The pair (f, h) closing a cone over an Einstein factor into a complete
     non-negatively curved space, together with the exponent alpha = 2(n-1)/m.
@@ -304,7 +312,8 @@ def sha_yang_profiles(n: int, m: int, T: float, tol: float = 1e-10):
     # differences of the interpolant are used as an oracle against it)
     sol = integrate_ivp(rhs, 0.0, T, 1.0, 0.0, tol / 8.0, h_max=0.25)
 
-    grid = np.unique(np.concatenate([sol.ts, np.linspace(0.0, T, 4097)]))
+    grid = _sorted_distinct(np.concatenate([sol.ts,
+                                            np.linspace(0.0, T, 4097)]))
     f, fp, _ = sol.eval(grid)
     residual = float(np.max(np.abs(fp ** 2 - (1.0 - f ** -alpha))))
     if residual > 10.0 * tol:
@@ -314,8 +323,7 @@ def sha_yang_profiles(n: int, m: int, T: float, tol: float = 1e-10):
     f_profile = _profile_from_solution(
         sol, tol, extra_meta={"first_integral_residual": residual,
                               "alpha": alpha})
-    f_profile = replace(
-        f_profile,
+    f_profile = f_profile.replace(
         parity={"left": ParityTag("even", coeffs=(1.0, alpha / 2.0))})
 
     two_over_alpha = 2.0 / alpha
@@ -354,8 +362,8 @@ def closability_ode_profile(n: int, eps: float, tol: float = 1e-10) -> WarpProfi
     profile = _profile_from_solution(
         sol, tol, extra_meta={"requested_eps": eps, "eps_star": eps_star,
                               "truncated": truncated})
-    return replace(
-        profile, domain=(0.0, eps_star),
+    return profile.replace(
+        domain=(0.0, eps_star),
         parity={"left": ParityTag("even", coeffs=(1.0, float(-(n - 1))))})
 
 
@@ -689,8 +697,7 @@ def mollify_profile(p: WarpProfile, width: float) -> WarpProfile:
                                     "healed_joints": [j.t for j in p.joints]})
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(Record):
     """Measured endpoint parity conditions; failures are carried, not raised."""
 
     conditions: tuple  # (name, residual, threshold, ok)
@@ -744,10 +751,10 @@ def scale_profile(p: WarpProfile, R: float) -> WarpProfile:
     for end, tag in p.parity.items():
         if tag.kind == "odd":
             c1, c3 = tag.coeffs
-            parity[end] = replace(tag, coeffs=(c1, c3 * R * R))
+            parity[end] = tag.replace(coeffs=(c1, c3 * R * R))
         else:
             c0, c2 = tag.coeffs
-            parity[end] = replace(tag, coeffs=(c0 / R, c2 * R))
+            parity[end] = tag.replace(coeffs=(c0 / R, c2 * R))
     joints = tuple(Joint(j.t / R, j.fpp_jump * R) for j in p.joints)
     return WarpProfile(domain=(p.t0 / R, p.t1 / R), raw_eval=triple,
                        parity=parity, joints=joints, solver_meta=p.solver_meta)

@@ -41,6 +41,30 @@ _WG = np.array([
 MAX_PANELS = 4096
 CUMINT_PANELS = 256
 CUMINT_ORDER = 24
+# the Gauss-Legendre rule of that order on [-1, 1]: the repr of each value
+# of numpy.polynomial.legendre.leggauss(24), whose import would cost every
+# run. Read-only, as every CumulativeIntegral shares them
+_CUMINT_X = np.array([
+    -0.9951872199970213, -0.9747285559713095, -0.9382745520027328,
+    -0.8864155270044011, -0.820001985973903, -0.7401241915785544,
+    -0.6480936519369755, -0.5454214713888396, -0.4337935076260451,
+    -0.3150426796961634, -0.1911188674736163, -0.06405689286260563,
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+    0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+    0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+    0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+])
+_CUMINT_W = np.array([
+    0.01234122979998869, 0.02853138862893356, 0.04427743881741941,
+    0.05929858491543636, 0.07334648141108016, 0.0861901615319532,
+    0.09761865210411393, 0.10744427011596556, 0.11550566805372552,
+    0.1216704729278033, 0.12583745634682825, 0.12793819534675202,
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+    0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+    0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+    0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+])
+_CUMINT_X.flags.writeable = _CUMINT_W.flags.writeable = False
 
 # query points per block of CumulativeIntegral.__call__; a multiple of 4 (see
 # row_blocks). A block's node matrix is 1024 x 24 doubles, 192 KB, so the
@@ -122,9 +146,8 @@ class CumulativeIntegral:
             raise WarpcheckError("cumulative integral needs b > a")
         self.fn = fn
         self.edges = np.linspace(a, b, CUMINT_PANELS + 1)
-        x, w = np.polynomial.legendre.leggauss(CUMINT_ORDER)
-        self._x = x
-        self._w = w
+        x = self._x = _CUMINT_X
+        w = self._w = _CUMINT_W
         mids = 0.5 * (self.edges[:-1] + self.edges[1:])
         halfs = 0.5 * np.diff(self.edges)
         nodes = mids[:, None] + halfs[:, None] * x[None, :]

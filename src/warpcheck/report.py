@@ -7,20 +7,19 @@ decimal strings (repr), keys are sorted, and no timestamps are embedded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
+from .records import Record
 
 SCHEMA_VERSION = "1"
 TOOL = "warpcheck"
 TOOL_VERSION = "0.1.0"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One named check: a measured value compared against a threshold.
 
     ``op`` is the direction that counts as success: "le" (value <= threshold),
@@ -71,8 +70,7 @@ def check_bool(name, anchor, ok, note=""):
     return _check(name, anchor, bool(ok), 1.0, "ge", note)
 
 
-@dataclass(frozen=True)
-class ScenarioVerdict:
+class ScenarioVerdict(Record):
     """Outcome of one named construction: its checks, the configuration that
     produced them, and in-memory artifacts (metrics, profiles, reports) by
     name."""
@@ -80,7 +78,7 @@ class ScenarioVerdict:
     scenario: str
     config: dict
     checks: tuple
-    artifacts: dict = field(default_factory=dict)
+    artifacts: dict = {}
 
     @property
     def overall(self) -> bool:

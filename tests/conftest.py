@@ -1,4 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
+
+
+def child_env():
+    """The environment of a child interpreter that imports this checkout."""
+    import warpcheck
+    src = str(Path(warpcheck.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def random_block_metrics(count: int, seed: int = 7):

@@ -1,7 +1,6 @@
 import errno
 import gc
 import json
-import os
 import re
 import subprocess
 import sys
@@ -9,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 import warpcheck
 from warpcheck import constructions as cons
@@ -581,20 +581,11 @@ def test_version_is_the_pyproject_version():
     assert warpcheck.__version__ == project["version"]
 
 
-def _child_env():
-    """The environment of a child interpreter that imports this checkout."""
-    src = str(Path(warpcheck.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
-
-
 def test_python_dash_m_runs_the_cli(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "warpcheck", "glue", "--example", "hemisphere",
          "--n", "3", "--out", str(tmp_path)],
-        env=_child_env(), capture_output=True, text=True, timeout=120)
+        env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "glue.json").exists()
 
@@ -609,7 +600,7 @@ def test_only_the_entry_point_freezes_the_heap(tmp_path):
             "from warpcheck.cli import entrypoint; entrypoint()")
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv, "--out", str(tmp_path / "child")],
-        env=_child_env(), capture_output=True, text=True, timeout=120)
+        env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     label, count = proc.stdout.splitlines()[-1].split()
     assert label == "freeze_count" and int(count) > 0
@@ -619,13 +610,3 @@ def test_only_the_entry_point_freezes_the_heap(tmp_path):
     assert gc.get_freeze_count() == frozen
     assert (tmp_path / "child" / "glue.json").read_bytes() == \
         (tmp_path / "main" / "glue.json").read_bytes()
-
-
-def test_importing_the_cli_skips_numpy_polynomial():
-    # the mollifier's quadrature rule is built on first use, not at import
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, warpcheck.cli; "
-         "sys.exit('numpy.polynomial' in sys.modules)"],
-        env=_child_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
