@@ -88,7 +88,7 @@ def round_boundary(dim: int, radius: float, kappa: float) -> BoundaryData:
                           kappa_normalized=float(kappa) * float(radius),
                           factor=factor,
                           induced=scale_factor(factor, float(radius)))
-    return BoundaryData(t=0.0, orientation=1, blocks=(block,))
+    return BoundaryData(blocks=(block,))
 
 
 def certified_core(dim: int, kappa: float) -> CertifiedBlock:
@@ -362,9 +362,16 @@ def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
                          f"does not match n - 1 = {n - 1}")
     if not c > 0:
         raise InputError("c must be positive")
+    length = 1.0 + COLLAR_MARGIN
+    # 0 < f' <= 2c, so f <= 1 + 2c * length on the collar; the Ricci sweep
+    # squares both, so their bound's square must stay finite
+    top = 1.0 + 2.0 * float(c) * length
+    if not math.isfinite(top * top):
+        raise InputError(f"c = {c} is out of floating-point range: the "
+                         f"collar's f and f' reach up to 1 + 2c * {length}, "
+                         "whose square overflows")
 
     factor = cb.induced
-    length = 1.0 + COLLAR_MARGIN
     profile = collar_profile(c, length=length)
     metric = MultiWarpedMetric((0.0, length), ((factor, profile),))
     rep_full = ricci_report(metric, grid_size)
@@ -389,9 +396,7 @@ def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
               "core_kappa": cb.kappa,
               "ricci_slack": RICCI_SLACK}
     return ScenarioVerdict("collar-certify", config, checks,
-                           artifacts={"metric": metric, "profile": profile,
-                                      "report_full": rep_full,
-                                      "report_near": rep_near, "glue": glue})
+                           artifacts={"metric": metric, "profile": profile})
 
 
 def collar_closability(core_boundary: BoundaryData, c_max: float, n: int, *,
@@ -452,7 +457,7 @@ def collar_closability(core_boundary: BoundaryData, c_max: float, n: int, *,
     config = dict(best.config)
     config.update({"c_max": c_max, "c_star": c_star, "c0": c0})
     return ScenarioVerdict("closability", config, checks,
-                           artifacts=dict(best.artifacts, c_star=c_star))
+                           artifacts=best.artifacts)
 
 
 def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
@@ -607,12 +612,11 @@ def docking_ambient(n: int, *, R: Optional[WarpProfile] = None,
 
 
 def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
-                         closable_index: int,
                          certificate: Optional[ScenarioVerdict] = None, *,
                          grid_size: int = 2048) -> ScenarioVerdict:
     """Hypothesis checks for a family of cross-section metrics: volumes capped
-    by the round model's, Ricci >= n - 2, and one member carrying an attached
-    closability certificate.
+    by the round model's, Ricci >= n - 2, and the first member carrying an
+    attached closability certificate (no check depends on which member).
 
     Volume constancy across the family is reported (spread and the rescaling
     factor capping the largest member at the model volume), not enforced.
@@ -626,8 +630,6 @@ def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
             raise InputError(
                 f"family member {i} has dimension {m.total_dim}, expected "
                 f"cross sections of dimension n - 1 = {n - 1}")
-    if not 0 <= closable_index < len(family):
-        raise InputError(f"closable_index {closable_index} out of range")
     if certificate is None or not certificate.overall:
         raise InputError(
             "the closable member needs an attached passing closability "
@@ -650,20 +652,19 @@ def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
                                rep.global_min, floor))
     checks.append(check_bool("closable_member_certificate", "closable-member",
                              certificate.overall,
-                             note=f"member {closable_index}: certificate from "
+                             note=f"member 0: certificate from "
                                   f"scenario {certificate.scenario!r}, "
                                   f"c* = {certificate.config.get('c_star')}"))
 
     spread = max(vols) - min(vols)
     rescale = (target / max(vols)) ** (1.0 / (n - 1))
-    config = {"n": n, "grid_size": grid_size, "closable_index": closable_index,
+    config = {"n": n, "grid_size": grid_size, "closable_index": 0,
               "volume_spread": spread, "volume_rescale_factor": rescale,
               "rescale_note": "scaling distances by the factor caps the "
                               "largest member volume at the model volume and "
                               "divides Ricci floors by its square",
               "volumes": vols, "lambda": lam}
-    return ScenarioVerdict("thm22", config, tuple(checks),
-                           artifacts={"volumes": vols})
+    return ScenarioVerdict("thm22", config, tuple(checks))
 
 
 # the loosest solver tolerance --tol accepts
@@ -794,8 +795,7 @@ def _run_thm22(prm, grid):
     cert_boundary = round_boundary(n - 2, 1.0, 1.0)
     certificate = collar_closability(cert_boundary, 0.45, n - 1,
                                      grid_size=grid)
-    v = theorem22_hypotheses(members, n, prm["closable_index"], certificate,
-                             grid_size=grid)
+    v = theorem22_hypotheses(members, n, certificate, grid_size=grid)
     floors = [c.value for c in v.checks if c.name.endswith("ricci_floor")]
     return v, ("min_member_ricci", min(floors)), {}
 
@@ -820,7 +820,7 @@ def _run_glue(prm, grid):
     )
     config = {k: prm[k] for k in ("example", "n", "dim", "r1", "k1", "r2", "k2")}
     config["glue_tol"] = GLUE_TOL
-    v = ScenarioVerdict("glue", config, checks, artifacts={"glue": verdict})
+    v = ScenarioVerdict("glue", config, checks)
     return v, ("ii_sum_min", verdict.ii_sum_min), {}
 
 
@@ -866,7 +866,6 @@ SCENARIOS = {s.name: s for s in (
                               "help": "subtract from the last member's factor "
                                       "curvature (forces a Ricci-floor "
                                       "failure)"}),
-        (("--closable-index",), {"type": int, "default": 0}),
     ), ("--grid",), 2048, _run_thm22),
     Scenario("glue", "gluing hypotheses for a pair of boundaries", (
         (("--example",), {"choices": ["hemisphere"]}),

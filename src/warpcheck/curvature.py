@@ -222,10 +222,9 @@ class BoundaryBlock(Record):
 
 
 class BoundaryData(Record):
-    """Geometry of a slice {t} with a chosen outward normal direction."""
+    """Geometry of a slice {t} with a chosen outward normal direction: one
+    ``BoundaryBlock`` per factor."""
 
-    t: float
-    orientation: int
     blocks: tuple
 
 
@@ -251,7 +250,7 @@ def second_fundamental_form(metric: MultiWarpedMetric, t: float,
             radius=float(f), kappa=float(kappa),
             kappa_normalized=float(orientation * fp + 0.0),
             factor=factor, induced=scale_factor(factor, float(f))))
-    return BoundaryData(t=float(t), orientation=orientation, blocks=tuple(blocks))
+    return BoundaryData(blocks=tuple(blocks))
 
 
 def boundary_data(metric: MultiWarpedMetric, side: str) -> BoundaryData:

@@ -22,13 +22,6 @@ class OdeRhs(Record):
     label: str = "callable"
 
     @staticmethod
-    def linear(const: float = 0.0, coef_f: float = 0.0, coef_fp: float = 0.0) -> "OdeRhs":
-        """F = const + coef_f * f + coef_fp * f'."""
-        a0, a1, a2 = float(const), float(coef_f), float(coef_fp)
-        return OdeRhs(lambda t, f, fp: a0 + a1 * f + a2 * fp,
-                      f"linear({const}, {coef_f}, {coef_fp})")
-
-    @staticmethod
     def power(coef: float, exponent: float) -> "OdeRhs":
         """F = coef * f**exponent (f > 0)."""
         a, b = float(coef), float(exponent)
@@ -61,7 +54,7 @@ class DenseSolution(Record):
     fpps: np.ndarray
     status: int
     nfev: int
-    # (query copy, f, f', f'') of the last array query; see ``eval``. Not a
+    # (query copy, f, f', f'') of the last query; see ``eval``. Not a
     # field: no argument sets it and ``repr`` leaves it out
     _last = None
 
@@ -78,21 +71,17 @@ class DenseSolution(Record):
         return self.status == kernels.STATUS_OK
 
     def eval(self, t):
-        """(f, f', f'') at t; f'' is recomputed from the right-hand side.
+        """(f, f', f'') at the points of the 1-d array t; f'' is recomputed
+        from the right-hand side.
 
-        An array query whose bits equal the previous array query's returns
-        copies of the stored result instead of interpolating again: profiles
+        A query whose bits equal the previous query's returns copies of the
+        stored result instead of interpolating again: profiles
         sharing one solution (f and h of sha-yang) are evaluated on the same
         grid one after the other. Keys compare as uint64, so -0.0 and 0.0
         differ; the query and the results are copied on the way in and out,
         so no caller can alter the stored slot.
         """
         tq = np.asarray(t, dtype=float)
-        if tq.ndim == 0:
-            tq1 = np.atleast_1d(tq)
-            f, fp = kernels.dense_eval(self.ts, self.fs, self.fps, self.fpps, tq1)
-            fpp = np.asarray(self.rhs(tq1, f, fp), dtype=float)
-            return float(f[0]), float(fp[0]), float(fpp[0])
         last = self._last
         if last is not None and np.array_equal(last[0].view(np.uint64),
                                                tq.view(np.uint64)):

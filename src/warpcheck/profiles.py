@@ -172,12 +172,9 @@ def _auto_parity(domain, fn3_exact):
     return parity
 
 
-def closed_form_profile(kind: str, domain, *, value: float = 1.0,
-                        slope: float = 0.0, amplitude: float = 1.0,
+def closed_form_profile(kind: str, domain, *, amplitude: float = 1.0,
                         omega: float = 1.0) -> WarpProfile:
-    """One of the elementary profiles: constant ``value``, linear
-    ``value + slope*t``, sine ``amplitude*sin(omega*t)``, or the
-    corresponding cosine.
+    """``amplitude*sin(omega*t)`` (kind "sine") or the corresponding cosine.
 
     The form must be positive on the open interior of the domain (checked on
     a dense sample); it may vanish at an endpoint, which is then tagged as an
@@ -186,46 +183,35 @@ def closed_form_profile(kind: str, domain, *, value: float = 1.0,
     t0, t1 = float(domain[0]), float(domain[1])
     if not t1 > t0:
         raise InputError(f"empty domain [{t0}, {t1}]")
-
-    if kind == "constant":
-        a = float(value)
-
-        def triple(t):
-            t = np.asarray(t, dtype=float)
-            return np.full_like(t, a), np.zeros_like(t), np.zeros_like(t)
-
-        def exact(t):
-            return a, 0.0, 0.0, 0.0
-    elif kind == "linear":
-        a, b = float(value), float(slope)
-
-        def triple(t):
-            t = np.asarray(t, dtype=float)
-            return a + b * t, np.full_like(t, b), np.zeros_like(t)
-
-        def exact(t):
-            return a + b * t, b, 0.0, 0.0
-    elif kind in ("sine", "cosine"):
-        amp, w = float(amplitude), float(omega)
-        if not amp > 0 or not w > 0:
-            raise InputError("amplitude and omega must be positive")
-        trig, cotrig, sign = ((np.sin, np.cos, 1.0) if kind == "sine"
-                              else (np.cos, np.sin, -1.0))
-
-        def triple(t):
-            t = np.asarray(t, dtype=float)
-            # + 0.0 turns a -0.0 product into +0.0 before the trig call
-            th = w * t + 0.0
-            tr = trig(th)
-            return amp * tr, sign * amp * w * cotrig(th), -amp * w ** 2 * tr
-
-        def exact(t):
-            th = w * t + 0.0
-            return (amp * float(trig(th)), sign * amp * w * float(cotrig(th)),
-                    -amp * w ** 2 * float(trig(th)),
-                    -sign * amp * w ** 3 * float(cotrig(th)))
-    else:
+    if kind not in ("sine", "cosine"):
         raise InputError(f"unknown closed form {kind!r}")
+    amp, w = float(amplitude), float(omega)
+    if not amp > 0 or not w > 0:
+        raise InputError("amplitude and omega must be positive")
+    # the form's coefficients are amplitude * omega^k for k <= 3; all are
+    # finite when the k = 3 one, the endpoint tags' third derivative, is
+    try:
+        top = amp * w ** 3
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise InputError(f"amplitude {amp} and omega {w} are out of "
+                         "floating-point range: amplitude * omega^3 overflows")
+    trig, cotrig, sign = ((np.sin, np.cos, 1.0) if kind == "sine"
+                          else (np.cos, np.sin, -1.0))
+
+    def triple(t):
+        t = np.asarray(t, dtype=float)
+        # + 0.0 turns a -0.0 product into +0.0 before the trig call
+        th = w * t + 0.0
+        tr = trig(th)
+        return amp * tr, sign * amp * w * cotrig(th), -amp * w ** 2 * tr
+
+    def exact(t):
+        th = w * t + 0.0
+        return (amp * float(trig(th)), sign * amp * w * float(cotrig(th)),
+                -amp * w ** 2 * float(trig(th)),
+                -sign * amp * w ** 3 * float(cotrig(th)))
 
     probe = np.linspace(t0, t1, 4097)
     vals = triple(probe)[0]
@@ -240,36 +226,26 @@ def closed_form_profile(kind: str, domain, *, value: float = 1.0,
                        parity=_auto_parity((t0, t1), exact))
 
 
-def solve_ivp_profile(rhs: OdeRhs, f0: float, fp0: float, domain, tol: float, *,
-                      closure_left: bool = False) -> WarpProfile:
+def solve_ivp_profile(rhs: OdeRhs, f0: float, fp0: float, domain,
+                      tol: float) -> WarpProfile:
     """Profile defined by f'' = F(t, f, f') with adaptive error control.
 
     Dense output supplies (f, f', f'') anywhere in the domain, with f''
-    recomputed from F. The solution must stay positive: by default f0 must be
-    positive; ``closure_left`` instead accepts f0 = 0 with fp0 > 0 and tags
-    the left endpoint as an odd closure point. Escape from positivity or a
-    derivative blow-up raises DomainTruncationError carrying the reached t.
+    recomputed from F. The solution must stay positive, starting from a
+    positive f0. Escape from positivity or a derivative blow-up raises
+    DomainTruncationError carrying the reached t.
     """
     t0, t1 = float(domain[0]), float(domain[1])
-    if closure_left:
-        if f0 != 0.0 or not fp0 > 0:
-            raise InputError("closure mode needs f0 = 0 and fp0 > 0")
-    elif not f0 > 0:
-        raise InputError(f"initial value must be positive, got {f0} "
-                         "(use closure_left for a cone point)")
+    if not f0 > 0:
+        raise InputError(f"initial value must be positive, got {f0}")
     sol = integrate_ivp(rhs, t0, t1, float(f0), float(fp0), tol)
-    return _profile_from_solution(sol, tol, closure_left=closure_left)
+    return _profile_from_solution(sol, tol, {})
 
 
-def _profile_from_solution(sol: DenseSolution, tol: float, *,
-                           closure_left: bool = False,
+def _profile_from_solution(sol: DenseSolution, tol: float, parity: dict,
                            extra_meta: Optional[dict] = None) -> WarpProfile:
-    parity = {}
-    if closure_left:
-        t0 = sol.t0
-        delta = max(1e-6, 1e-9 * (sol.t_end - t0))
-        c3 = sol.eval(t0 + delta)[2] / delta
-        parity["left"] = ParityTag("odd", coeffs=(float(sol.fps[0]), c3))
+    """The profile of ``sol`` on its reached domain, with the endpoint tags
+    ``parity`` and the solver's statistics in ``solver_meta``."""
     meta = {"tol": tol, "n_steps": len(sol.ts) - 1, "nfev": sol.nfev,
             "defect": sol.defect(), "rhs": sol.rhs.label}
     meta.update(extra_meta or {})
@@ -321,10 +297,8 @@ def sha_yang_profiles(n: int, m: int, T: float, tol: float = 1e-10):
             f"first-integral residual {residual:.3e} exceeds {10 * tol:.3e}")
 
     f_profile = _profile_from_solution(
-        sol, tol, extra_meta={"first_integral_residual": residual,
-                              "alpha": alpha})
-    f_profile = f_profile.replace(
-        parity={"left": ParityTag("even", coeffs=(1.0, alpha / 2.0))})
+        sol, tol, {"left": ParityTag("even", coeffs=(1.0, alpha / 2.0))},
+        {"first_integral_residual": residual, "alpha": alpha})
 
     two_over_alpha = 2.0 / alpha
 
@@ -360,11 +334,9 @@ def closability_ode_profile(n: int, eps: float, tol: float = 1e-10) -> WarpProfi
     truncated = not sol.completed
     eps_star = min(eps, 0.9 * sol.t_end) if truncated else eps
     profile = _profile_from_solution(
-        sol, tol, extra_meta={"requested_eps": eps, "eps_star": eps_star,
-                              "truncated": truncated})
-    return profile.replace(
-        domain=(0.0, eps_star),
-        parity={"left": ParityTag("even", coeffs=(1.0, float(-(n - 1))))})
+        sol, tol, {"left": ParityTag("even", coeffs=(1.0, float(-(n - 1))))},
+        {"requested_eps": eps, "eps_star": eps_star, "truncated": truncated})
+    return profile.replace(domain=(0.0, eps_star))
 
 
 def radial_floor_value(profile: WarpProfile, n: int, t):

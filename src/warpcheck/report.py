@@ -123,22 +123,21 @@ class ScenarioVerdict(Record):
 
 def jsonable(x):
     """Convert to a JSON-stable value: floats become repr strings (shortest
-    round-trip decimal), numpy scalars/arrays become native types."""
+    round-trip decimal), numpy scalars become native types. Any other type
+    is a ``TypeError``."""
     if isinstance(x, (bool, np.bool_)):
         return bool(x)
     if isinstance(x, (int, np.integer)):
         return int(x)
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
-    if isinstance(x, np.ndarray):
-        return [jsonable(v) for v in x.tolist()]
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     if x is None or isinstance(x, str):
         return x
-    return str(x)
+    raise TypeError(f"no JSON form for {type(x).__name__}")
 
 
 def report_bytes(report: dict) -> bytes:

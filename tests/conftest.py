@@ -14,6 +14,24 @@ def child_env():
     return env
 
 
+def cone_profile(t1: float, slope: float = 1.0):
+    """f = slope * t on [0, t1], a cone point at t = 0 tagged odd: with slope
+    1 and a unit-sphere factor, the flat cone."""
+    from warpcheck.profiles import ParityTag, profile_from_callable
+    return profile_from_callable(
+        (0.0, t1), lambda t: slope * t, lambda t: slope + 0.0 * t,
+        lambda t: 0.0 * t, parity={"left": ParityTag("odd", (slope, 0.0))})
+
+
+def constant_profile(domain, value: float):
+    """f = value on the domain, tagged even at both ends."""
+    from warpcheck.profiles import ParityTag, profile_from_callable
+    tag = ParityTag("even", (value, 0.0))
+    return profile_from_callable(
+        domain, lambda t: value + 0.0 * t, lambda t: 0.0 * t,
+        lambda t: 0.0 * t, parity={"left": tag, "right": tag})
+
+
 def random_block_metrics(count: int, seed: int = 7):
     """Deterministic random block-diagonal metrics on [0.5, 1.5] with positive
     cubic-polynomial warps; the shared generator for oracle-equivalence runs."""

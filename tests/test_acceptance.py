@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_block_metrics
+from conftest import cone_profile, random_block_metrics
 from warpcheck.constructions import (certified_core, certify_collar,
                                      collar_closability, docking_ambient,
                                      gN_regions, neck_family_check,
@@ -148,7 +148,7 @@ def test_c5_model_spaces():
     flat = MultiWarpedMetric(
         (0.0, 5.0),
         ((round_sphere_factor(3, 1.0),
-          closed_form_profile("linear", (0.0, 5.0), value=0.0, slope=1.0)),),
+          cone_profile(5.0)),),
         collapse_left=0)
     rep = ricci_report(flat, 4000)
     worst_flat = max(float(np.max(np.abs(e))) for e in rep.extrema[:2])

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import gc
 import json
@@ -199,6 +200,13 @@ class TestExitCodeContract:
         ["sha-yang", "--n", "12", "--m", "2", "--grid", "200"],
         ["sha-yang", "--n", "15", "--m", "2", "--grid", "200"],
         ["sha-yang", "--n", "16", "--m", "2", "--grid", "200"],
+        # amplitude * omega^3 of the neck's sine overflows (was an
+        # OverflowError traceback)
+        ["neck", "--nu", "1e103", "--n", "3", "--s", "1e-104"],
+        ["export", "--profile", "neck", "--nu", "1e103", "--s", "1e-104"],
+        # the collar's f' = 2c squares past the float range (was a
+        # RuntimeWarning, then exit 2 after a 60-step halving search)
+        ["closability", "--n", "3", "--c-max", "1e154"],
     ])
     def test_out_of_range_input_is_input_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -251,6 +259,8 @@ class TestExitCodeContract:
         # never read
         ["docking", "--n", "3", "--config", "run.cfg"],
         ["export", "--profile", "k", "--config=run.cfg"],
+        # the certificate goes to member 0; no flag moves it
+        ["thm22", "--n", "4", "--members", "2", "--closable-index", "1"],
     ])
     def test_flags_a_run_cannot_use_are_input_errors(self, tmp_path, capsys,
                                                      monkeypatch, argv):
@@ -286,6 +296,20 @@ class TestExitCodeContract:
         prm = _parse(["export", "--profile", "closability"])
         assert (prm["n"], prm["eps_prime"], prm["tol"]) == (3, 0.2, 1e-10)
         assert prm["nu"] is None and prm["m"] is None
+
+    def test_negative_exponent_is_attached_with_equals(self, capsys):
+        attached = ["thm22", "--n", "4", "--ric-deficit=-5e-1"]
+        assert _parse(attached)["ric_deficit"] == -0.5
+        # argparse takes "-5e-1" for a flag unless its negative-number
+        # pattern matches it, which on Python 3.11 it does not
+        spaced = ["thm22", "--n", "4", "--ric-deficit", "-5e-1"]
+        if argparse.ArgumentParser()._negative_number_matcher.match("-5e-1"):
+            assert _parse(spaced)["ric_deficit"] == -0.5
+        else:
+            with pytest.raises(SystemExit) as exc:
+                _parse(spaced)
+            assert exc.value.code == 2
+            assert "expected one argument" in capsys.readouterr().err
 
     def test_bounds_are_inclusive(self):
         parser = _build_parsers()

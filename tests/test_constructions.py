@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import cone_profile
 from warpcheck.constructions import (certified_core, certify_collar,
                                      collar_closability, cone_asymptotics,
                                      docking_ambient, gN_regions,
@@ -71,7 +72,7 @@ class TestConeAsymptotics:
         m = MultiWarpedMetric(
             (0.0, 100.0),
             ((round_sphere_factor(2, 1.0),
-              closed_form_profile("linear", (0.0, 100.0), value=0.0, slope=1.0)),),
+              cone_profile(100.0)),),
             collapse_left=0)
         v = cone_asymptotics(m, [1.0], [10.0, 20.0, 40.0])
         assert v.overall
@@ -96,7 +97,7 @@ class TestConeAsymptotics:
         m = MultiWarpedMetric(
             (0.0, 30.0),
             ((round_sphere_factor(2, 1.0),
-              closed_form_profile("linear", (0.0, 30.0), value=0.0, slope=1.0)),),
+              cone_profile(30.0)),),
             collapse_left=0)
         with pytest.raises(InputError):
             cone_asymptotics(m, [1.0], [20.0])
@@ -225,7 +226,7 @@ class TestTheorem22:
 
     def test_round_model_saturates_both_bounds(self):
         n = 4
-        v = theorem22_hypotheses([round_cross_section(n)], n, 0,
+        v = theorem22_hypotheses([round_cross_section(n)], n,
                                  self.certificate(n))
         assert v.overall
         vol = next(c for c in v.checks if c.name == "member0_volume_cap")
@@ -241,7 +242,7 @@ class TestTheorem22:
             (0.0, math.pi),
             ((weak, closed_form_profile("sine", (0.0, math.pi))),),
             collapse_left=0, collapse_right=0)
-        v = theorem22_hypotheses([round_cross_section(n), member], n, 0,
+        v = theorem22_hypotheses([round_cross_section(n), member], n,
                                  self.certificate(n))
         assert not v.overall
         assert any(c.name == "member1_ricci_floor" and not c.passed
@@ -249,7 +250,7 @@ class TestTheorem22:
 
     def test_certificate_required(self):
         with pytest.raises(InputError):
-            theorem22_hypotheses([round_cross_section(4)], 4, 0, None)
+            theorem22_hypotheses([round_cross_section(4)], 4, None)
 
     def test_missing_volume_raises(self):
         factor = abstract_factor("X", 2, (1.0, 1.0))
@@ -258,11 +259,11 @@ class TestTheorem22:
             ((factor, closed_form_profile("sine", (0.0, math.pi))),),
             collapse_left=0, collapse_right=0)
         with pytest.raises(DataMissingError):
-            theorem22_hypotheses([member], 4, 0, self.certificate(4))
+            theorem22_hypotheses([member], 4, self.certificate(4))
 
     def test_volume_spread_and_rescale_reported(self):
         n = 4
-        v = theorem22_hypotheses([round_cross_section(n)], n, 0,
+        v = theorem22_hypotheses([round_cross_section(n)], n,
                                  self.certificate(n))
         assert v.config["volume_spread"] == 0.0
         assert v.config["volume_rescale_factor"] == pytest.approx(1.0, rel=1e-8)
@@ -271,7 +272,7 @@ class TestTheorem22:
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_thm22_ricci_floor_slack_scales_with_the_floor(n):
     # the reference reports replay thm22 only at n = 4
-    v = theorem22_hypotheses([round_cross_section(n)], n, 0,
+    v = theorem22_hypotheses([round_cross_section(n)], n,
                              TestTheorem22().certificate(n), grid_size=64)
     floor = next(c for c in v.checks if c.name == "member0_ricci_floor")
     assert floor.threshold == (n - 2) - 1e-8 * max(1, n - 2)

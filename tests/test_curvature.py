@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_block_metrics
+from conftest import cone_profile, constant_profile, random_block_metrics
 from warpcheck.curvature import (MultiWarpedMetric, _component_arrays,
                                  boundary_data, glue_check,
                                  rescale_metric, ricci_components,
@@ -29,7 +29,7 @@ def flat_cone(n):
     return MultiWarpedMetric(
         (0.0, 5.0),
         ((round_sphere_factor(n - 1, 1.0),
-          closed_form_profile("linear", (0.0, 5.0), value=0.0, slope=1.0)),),
+          cone_profile(5.0)),),
         collapse_left=0)
 
 
@@ -71,7 +71,7 @@ class TestModelSpaces:
     def test_riemannian_product(self):
         # constant warps: Ric(dt,dt) = 0 and block values are the factor's
         # divided by the squared warp
-        f1 = closed_form_profile("constant", (0.0, 2.0), value=2.0)
+        f1 = constant_profile((0.0, 2.0), 2.0)
         factor = abstract_factor("B", 3, (0.6, 1.2))
         m = MultiWarpedMetric((0.0, 2.0), ((factor, f1),))
         c = ricci_components(m, 1.0)
@@ -182,7 +182,7 @@ class TestVolume:
     def test_product_volume(self):
         factor = abstract_factor("B", 3, (0.0, 0.0), volume=7.0)
         m = MultiWarpedMetric(
-            (0.0, 2.0), ((factor, closed_form_profile("constant", (0.0, 2.0), value=1.5)),))
+            (0.0, 2.0), ((factor, constant_profile((0.0, 2.0), 1.5)),))
         assert volume(m) == pytest.approx(2.0 * 1.5 ** 3 * 7.0, rel=1e-12)
 
     def test_collapsing_family_volume_grows_superlinearly(self):
@@ -199,7 +199,7 @@ class TestVolume:
     def test_missing_volume_raises(self):
         factor = abstract_factor("B", 3, (0.0, 0.0))
         m = MultiWarpedMetric(
-            (0.0, 2.0), ((factor, closed_form_profile("constant", (0.0, 2.0), value=1.0)),))
+            (0.0, 2.0), ((factor, constant_profile((0.0, 2.0), 1.0)),))
         with pytest.raises(DataMissingError):
             volume(m)
 
@@ -240,8 +240,8 @@ class TestGlueCheck:
         bd = second_fundamental_form(flat_cone(4), 1.0, +1)
         two = boundary_data(MultiWarpedMetric(
             (0.5, 1.0),
-            ((round_sphere_factor(2, 1.0), closed_form_profile("constant", (0.5, 1.0), value=1.0)),
-             (round_sphere_factor(3, 1.0), closed_form_profile("constant", (0.5, 1.0), value=1.0)))),
+            ((round_sphere_factor(2, 1.0), constant_profile((0.5, 1.0), 1.0)),
+             (round_sphere_factor(3, 1.0), constant_profile((0.5, 1.0), 1.0)))),
             "right")
         verdict = glue_check(b1, two, 1e-9)
         assert not verdict.isometry_ok
@@ -324,7 +324,7 @@ class TestMetricValidation:
             MultiWarpedMetric((0.0, 3.0), ((round_sphere_factor(2, 1.0), p),))
 
     def test_collapse_index_must_vanish_with_odd_parity(self):
-        p = closed_form_profile("constant", (0.0, 1.0), value=1.0)
+        p = constant_profile((0.0, 1.0), 1.0)
         with pytest.raises(InputError):
             MultiWarpedMetric((0.0, 1.0), ((round_sphere_factor(2, 1.0), p),),
                               collapse_left=0)
@@ -332,7 +332,7 @@ class TestMetricValidation:
     def test_unit_slope_enforced_for_unit_sphere_block(self):
         # slope 2 at the cone point of a unit sphere block is not a smooth
         # closure
-        p = closed_form_profile("linear", (0.0, 1.0), value=0.0, slope=2.0)
+        p = cone_profile(1.0, slope=2.0)
         with pytest.raises(InputError):
             MultiWarpedMetric((0.0, 1.0), ((round_sphere_factor(2, 1.0), p),),
                               collapse_left=0)

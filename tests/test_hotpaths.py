@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cone_profile
 from warpcheck import curvature, kernels, profiles, quadrature, report
 from warpcheck.constructions import (certify_collar, docking_ambient,
                                      gN_regions, round_boundary)
@@ -206,20 +207,19 @@ def coded_rhs(code, p0, p1, p2, t, f, fp):
     """The former integer-coded right-hand side of the stepping loop; with
     ndarrays it is also the former vectorized dispatch of ``OdeRhs``, which
     used the same expressions."""
-    if code == 0:
-        return p0 + p1 * f + p2 * fp
     if code == 1:
         return p0 * f ** p1
     return -f - p0 * (1.0 + fp * fp) / f
 
 
+# the ids keep the numbering they had beside the removed linear form (code 0)
 @pytest.mark.parametrize("rhs, code, params, t1", [
-    (OdeRhs.linear(0.5, -1.0, 0.25), 0, (0.5, -1.0, 0.25), 3.0),
     (OdeRhs.power(0.5, -2.0), 1, (0.5, -2.0), 50.0),
     (OdeRhs.power(1.5, -4.0), 1, (1.5, -4.0), 20.0),
     (OdeRhs.radial_floor(1.0), 2, (1.0,), 5.0),
     (OdeRhs.radial_floor(3), 2, (3.0,), 2.0),
-])
+], ids=["rhs1-1-params1-50.0", "rhs2-1-params2-20.0", "rhs3-2-params3-5.0",
+        "rhs4-2-params4-2.0"])
 def test_rhs_closures_keep_the_bits_of_the_coded_forms(rhs, code, params, t1):
     sol = integrate_ivp(rhs, 0.0, t1, 1.0, 0.0, 1e-10, on_truncate="return")
     p0, p1, p2 = (*params, 0.0, 0.0, 0.0)[:3]
@@ -389,7 +389,7 @@ def test_blocked_sweep_keeps_an_exact_negative_zero_minimum():
     cone = MultiWarpedMetric(
         (0.0, 5.0),
         ((round_sphere_factor(3, 1.0),
-          closed_form_profile("linear", (0.0, 5.0), value=0.0, slope=1.0)),),
+          cone_profile(5.0)),),
         collapse_left=0)
     rep = ricci_report(cone, 3 * B + 1)
     assert len(row_blocks(3 * B + 1, curvature._SWEEP_BLOCK)) == 3
@@ -417,7 +417,8 @@ def test_node_buffers_grow_past_their_first_size():
     # f'' = 0 from f = 1, f' = 1: every step is h_max = 0.1 long, so 4000
     # steps cross the initial buffer size twice
     n0 = kernels._NODES_INITIAL
-    rhs = OdeRhs.linear().func
+    def rhs(t, f, fp):  # f'' = 0
+        return 0.0 * fp
     ts, fs, fps, fpps, status, _ = kernels._rk45(
         rhs, 0.0, 400.0, 1.0, 1.0, 1e-10, 1e-10, 0.1, 10 * n0)
     assert status == kernels.STATUS_OK and len(ts) > 2 * n0 + 1

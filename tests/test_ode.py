@@ -5,9 +5,13 @@ from warpcheck.errors import DomainTruncationError, InputError
 from warpcheck.kernels import STATUS_OK
 from warpcheck.ode import OdeRhs, integrate_ivp
 
+# f'' = 0 and the harmonic oscillator f'' = -f
+FREE = OdeRhs.from_callable(lambda t, f, fp: 0.0 * fp)
+HARMONIC = OdeRhs.from_callable(lambda t, f, fp: -f)
+
 
 def test_trivial_linear_solution_is_exact():
-    sol = integrate_ivp(OdeRhs.linear(), 0.0, 5.0, 1.0, 2.0, 1e-10)
+    sol = integrate_ivp(FREE, 0.0, 5.0, 1.0, 2.0, 1e-10)
     t = np.linspace(0.0, 5.0, 777)
     f, fp, fpp = sol.eval(t)
     assert np.max(np.abs(f - (1.0 + 2.0 * t))) < 1e-13
@@ -16,7 +20,7 @@ def test_trivial_linear_solution_is_exact():
 
 
 def test_harmonic_oscillator_matches_sine():
-    sol = integrate_ivp(OdeRhs.linear(coef_f=-1.0), 0.0, 3.0, 0.0, 1.0, 1e-10)
+    sol = integrate_ivp(HARMONIC, 0.0, 3.0, 0.0, 1.0, 1e-10)
     t = np.linspace(0.0, 3.0, 2001)
     f, fp, _ = sol.eval(t)
     assert np.max(np.abs(f - np.sin(t))) < 1e-9
@@ -49,9 +53,10 @@ def test_truncation_can_be_returned_instead():
 
 
 def test_coded_and_callback_loops_agree_bitwise():
-    a = integrate_ivp(OdeRhs.linear(coef_f=-1.0), 0.0, 3.0, 0.0, 1.0, 1e-8)
-    b = integrate_ivp(OdeRhs.from_callable(lambda t, f, fp: -f),
-                      0.0, 3.0, 0.0, 1.0, 1e-8)
+    # the expression of the former built-in linear form against a plain one
+    a = integrate_ivp(OdeRhs.from_callable(
+        lambda t, f, fp: 0.0 + -1.0 * f + 0.0 * fp), 0.0, 3.0, 0.0, 1.0, 1e-8)
+    b = integrate_ivp(HARMONIC, 0.0, 3.0, 0.0, 1.0, 1e-8)
     assert np.array_equal(a.ts, b.ts)
     assert np.array_equal(a.fs, b.fs)
     assert np.array_equal(a.fps, b.fps)
@@ -66,20 +71,20 @@ def test_second_derivative_recomputed_from_rhs():
 
 
 def test_defect_scales_with_tolerance():
-    loose = integrate_ivp(OdeRhs.linear(coef_f=-1.0), 0.0, 3.0, 0.0, 1.0, 1e-6)
-    tight = integrate_ivp(OdeRhs.linear(coef_f=-1.0), 0.0, 3.0, 0.0, 1.0, 1e-10)
+    loose = integrate_ivp(HARMONIC, 0.0, 3.0, 0.0, 1.0, 1e-6)
+    tight = integrate_ivp(HARMONIC, 0.0, 3.0, 0.0, 1.0, 1e-10)
     assert tight.defect() < loose.defect()
     assert tight.status == STATUS_OK
 
 
 def test_domain_and_tolerance_validation():
     with pytest.raises(InputError):
-        integrate_ivp(OdeRhs.linear(), 1.0, 0.0, 1.0, 0.0, 1e-8)
+        integrate_ivp(FREE, 1.0, 0.0, 1.0, 0.0, 1e-8)
     with pytest.raises(InputError):
-        integrate_ivp(OdeRhs.linear(), 0.0, 1.0, 1.0, 0.0, -1e-8)
+        integrate_ivp(FREE, 0.0, 1.0, 1.0, 0.0, -1e-8)
     for tol in (np.inf, np.nan):
         with pytest.raises(InputError):
-            integrate_ivp(OdeRhs.linear(), 0.0, 1.0, 1.0, 0.0, tol)
+            integrate_ivp(FREE, 0.0, 1.0, 1.0, 0.0, tol)
 
 
 def test_error_norm_overflow_truncates_instead_of_raising():
@@ -91,7 +96,7 @@ def test_error_norm_overflow_truncates_instead_of_raising():
 
 def test_step_budget_exhaustion_reports_reached_time():
     with pytest.raises(DomainTruncationError) as err:
-        integrate_ivp(OdeRhs.linear(coef_f=-1.0), 0.0, 1000.0, 0.0, 1.0, 1e-12,
+        integrate_ivp(HARMONIC, 0.0, 1000.0, 0.0, 1.0, 1e-12,
                       max_steps=50)
     assert 0.0 < err.value.reached < 1000.0
 
@@ -117,7 +122,6 @@ def test_unreachable_endpoint_is_rejected_before_stepping():
 
 def test_labels_format_arguments_as_passed():
     # labels go into solver metadata, hence into reports
-    assert OdeRhs.linear(0, coef_f=-1.0).label == "linear(0, -1.0, 0.0)"
     assert OdeRhs.power(0.5, -2).label == "power(0.5, -2)"
     assert OdeRhs.radial_floor(3).label == "radial_floor(3)"
     assert OdeRhs.from_callable(lambda t, f, fp: f).label == "callable"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import cone_profile, constant_profile
 from warpcheck import profiles
 from warpcheck.errors import (ConstructionError, DomainTruncationError,
                               GlueMismatchError, InputError)
@@ -26,16 +27,13 @@ class TestClosedForms:
         assert fpp == pytest.approx(-1.0, abs=1e-15)
 
     def test_flat_cone_profile(self):
-        p = closed_form_profile("linear", (0.0, 5.0), value=0.0, slope=1.0)
+        # the odd tag serves the cone point's window with the same bits
+        p = cone_profile(5.0)
         t = np.linspace(0.0, 5.0, 11)
         f, fp, fpp = p.eval(t)
         assert np.array_equal(f, t)
         assert np.all(fp == 1.0)
         assert np.all(fpp == 0.0)
-
-    def test_zero_constant_rejected(self):
-        with pytest.raises(InputError):
-            closed_form_profile("constant", (0.0, 1.0), value=0.0)
 
     def test_interior_positivity_enforced(self):
         with pytest.raises(InputError):
@@ -55,18 +53,15 @@ class TestClosedForms:
 
 class TestIvpProfiles:
     def test_cone_point_rejected_without_closure_mode(self):
+        # an IVP profile starts from a positive value; no mode starts one at
+        # a cone point
+        harmonic = OdeRhs.from_callable(lambda t, f, fp: -f)
         with pytest.raises(InputError):
-            solve_ivp_profile(OdeRhs.linear(coef_f=-1.0), 0.0, 1.0, (0.0, 3.0), 1e-10)
-
-    def test_closure_mode_matches_sine(self):
-        p = solve_ivp_profile(OdeRhs.linear(coef_f=-1.0), 0.0, 1.0, (0.0, 3.0),
-                              1e-10, closure_left=True)
-        t = np.linspace(0.0, 3.0, 1001)
-        assert np.max(np.abs(p.eval(t)[0] - np.sin(t))) <= 1e-9
-        assert p.parity["left"].kind == "odd"
+            solve_ivp_profile(harmonic, 0.0, 1.0, (0.0, 3.0), 1e-10)
 
     def test_linear_rhs_exact(self):
-        p = solve_ivp_profile(OdeRhs.linear(), 1.0, 2.0, (0.0, 4.0), 1e-10)
+        free = OdeRhs.from_callable(lambda t, f, fp: 0.0 * fp)
+        p = solve_ivp_profile(free, 1.0, 2.0, (0.0, 4.0), 1e-10)
         t = np.linspace(0.0, 4.0, 101)
         assert np.max(np.abs(p.eval(t)[0] - (1.0 + 2.0 * t))) < 1e-12
 
@@ -253,7 +248,7 @@ class TestDockingR:
 class TestSplice:
     def sine_const(self):
         p1 = closed_form_profile("sine", (0.0, math.pi / 2))
-        p2 = closed_form_profile("constant", (math.pi / 2, 2.5), value=1.0)
+        p2 = constant_profile((math.pi / 2, 2.5), 1.0)
         return splice_profiles(p1, p2, 1e-9)
 
     def test_c1_joint_with_recorded_jump(self):
@@ -262,8 +257,9 @@ class TestSplice:
         assert sp.joints[0].fpp_jump == pytest.approx(1.0, abs=1e-12)
 
     def test_slope_mismatch_raises(self):
-        p1 = closed_form_profile("linear", (0.0, 1.0), value=0.0, slope=1.0)
-        p2 = closed_form_profile("linear", (1.0, 2.0), value=0.0, slope=2.0)
+        p1 = cone_profile(1.0)
+        p2 = profile_from_callable((1.0, 2.0), lambda t: 2.0 * t,
+                                   lambda t: 2.0 + 0.0 * t, lambda t: 0.0 * t)
         with pytest.raises(GlueMismatchError) as err:
             splice_profiles(p1, p2, 1e-9)
         assert err.value.left[1] == 1.0
@@ -358,7 +354,8 @@ class TestParityCheck:
         assert dict((c[0], c[1]) for c in rep.conditions)["unit_slope"] == 0.0
 
     def test_linear_fails_even_with_unit_residual(self):
-        p = closed_form_profile("linear", (0.0, 1.0), value=1.0, slope=1.0)
+        p = profile_from_callable((0.0, 1.0), lambda t: 1.0 + t,
+                                  lambda t: 1.0 + 0.0 * t, lambda t: 0.0 * t)
         rep = parity_check(p, "left", "even")
         assert not rep.passed
         assert rep.conditions[0][1] == pytest.approx(1.0, abs=1e-15)

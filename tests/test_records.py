@@ -18,7 +18,7 @@ def records():
     factor = round_sphere_factor(2, 1.0)
     metric = MultiWarpedMetric((0.0, math.pi), ((factor, profile),),
                                collapse_left=0, collapse_right=0)
-    rhs = OdeRhs.linear(coef_f=-1.0)
+    rhs = OdeRhs.from_callable(lambda t, f, fp: -f)
     check = check_le("c", "a", 0.0, 1.0)
     return {
         "WarpProfile": (profile, "domain", (0.0, 1.0)),

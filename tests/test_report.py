@@ -2,10 +2,12 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from warpcheck.report import (ScenarioVerdict, check_bool, check_eq, check_ge,
-                              check_le, report_bytes, revalidate_report)
+                              check_le, jsonable, report_bytes,
+                              revalidate_report)
 
 # values whose comparisons differ from the finite case: nan fails every op,
 # and -0.0 == 0.0
@@ -48,3 +50,12 @@ def test_check_bool_revalidates(ok):
     assert (c.op, c.value, c.threshold, c.passed) == ("ge", float(ok), 1.0, ok)
     _, report = round_trip([c])
     assert revalidate_report(report) is ok
+
+
+@pytest.mark.parametrize("value", [np.zeros(2), object(), {1, 2}, b"bytes",
+                                   1j])
+def test_jsonable_refuses_a_type_it_has_no_form_for(value):
+    # a report holds numbers, strings, None, lists and dicts; anything else,
+    # an array included, is a bug in its builder, not text to write
+    with pytest.raises(TypeError):
+        jsonable({"config": [value]})
