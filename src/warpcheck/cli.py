@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import constructions as cons
 from .errors import WarpcheckError
-from .report import (ScenarioVerdict, check_ge, report_bytes,
-                     write_profile_csv, write_report)
+from .report import (ScenarioVerdict, check_ge, write_profile_csv,
+                     write_report)
 
 EXIT_PASS = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -30,16 +30,12 @@ EXIT_INPUT_ERROR = 2
 CSV_GRID = 1001
 
 
-# flags of several subcommands: --out (all), --json and
-# --require-min (every scenario), the rest where a declaration lists them
+# flags of several subcommands: --out (all), --require-min (every
+# scenario), the rest where a declaration lists them
 _SHARED = {
     "--grid": {"type": int},  # help: per subcommand, with its defaults
-    "--tol": {"type": cons._tolerance, "default": 1e-10,
-              "help": f"solver tolerance (at most {cons.TOL_MAX:g})"},
     "--out": {"type": Path, "default": Path("."),
               "help": "output directory for reports and CSVs"},
-    "--json": {"action": "store_true",
-               "help": "also print the JSON report to stdout"},
     "--csv": {"action": "store_true",
               "help": "dump the scenario's profiles as CSV"},
     "--require-min": {"type": cons._finite_float,
@@ -54,7 +50,7 @@ def _build_parsers(only=None):
     parser = argparse.ArgumentParser(
         prog="warpcheck",
         description="verification runs for warped-product curvature claims")
-    commands = [(s.name, s.help, s.args, (*s.common, "--json", "--require-min"),
+    commands = [(s.name, s.help, s.args, (*s.common, "--require-min"),
                  s.mode, s.grid) for s in cons.SCENARIOS.values()]
     commands.append(("export", "CSV export of a named profile",
                      cons.EXPORT_ARGS, cons.EXPORT_COMMON, cons.EXPORT_MODE,
@@ -226,15 +222,13 @@ def _compute_and_write(prm, artifacts: _Artifacts) -> int:
         [*names, f"{verdict.scenario}.json"])
     for temp, profile in zip(csv_temps, csvs.values()):
         write_profile_csv(temp, profile, _grid(prm, CSV_GRID))
-    report = verdict.to_report([prm["out"] / name for name in names])
-    write_report(report_temp, report)
+    write_report(report_temp,
+                 verdict.to_report([prm["out"] / name for name in names]))
     *_, path = artifacts.commit()
 
     for line in verdict.summary_lines():
         print(line)
     print(f"[{verdict.scenario}] report: {path}")
-    if prm["json"]:
-        sys.stdout.write(report_bytes(report).decode())
     return EXIT_PASS if verdict.overall else EXIT_VERIFICATION_FAILURE
 
 

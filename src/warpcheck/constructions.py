@@ -293,7 +293,7 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
         inner = boundary_data(metric, "left")
         rep = ricci_report(metric, grid_size)
         lam = math.sqrt(2.0) * math.sin(nu * s)
-        glue = glue_check(core.scaled(lam).boundary, inner, GLUE_TOL)
+        glue = glue_check(core.scaled(lam).boundary, inner)
         vol = volume(metric)
         ts = np.linspace(s, t_out, 512)
         drift = float(np.max(np.abs(
@@ -324,7 +324,8 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
                 - (-math.sqrt(2.0) * nu * math.cos(nu * e["s"]))) for e in per_s),
         1e-10))
     checks.append(check_bool("core_glue_isometry", "glue-isometry",
-                             all(e["glue"].isometry_ok for e in per_s)))
+                             all(e["glue"].isometry_gap <= GLUE_TOL
+                                 for e in per_s)))
     checks.append(check_ge("core_glue_ii_sum", "glue-ii-sum",
                            min(e["glue"].ii_sum_min for e in per_s), 0.0,
                            strict=True))
@@ -377,7 +378,7 @@ def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
     rep_full = ricci_report(metric, grid_size)
     near = MultiWarpedMetric((0.0, STRICT_WINDOW), ((factor, profile),))
     rep_near = ricci_report(near, grid_size)
-    glue = glue_check(core_boundary, boundary_data(metric, "left"), GLUE_TOL)
+    glue = glue_check(core_boundary, boundary_data(metric, "left"))
 
     checks = (
         check_ge("collar_ricci_nonnegative", "ricci-nonnegative",
@@ -385,7 +386,8 @@ def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
                  note="the far collar is exactly conical, so 0 is attained"),
         check_ge("collar_ricci_near_boundary", "ricci-positive-near-glue",
                  rep_near.global_min, 0.0, strict=True),
-        check_bool("core_glue_isometry", "glue-isometry", glue.isometry_ok),
+        check_bool("core_glue_isometry", "glue-isometry",
+                   glue.isometry_gap <= GLUE_TOL),
         check_ge("core_glue_ii_sum", "glue-ii-sum", glue.ii_sum_min, 0.0,
                  strict=True,
                  note=f"core kappa {cb.kappa} plus collar -2c = {cb.kappa - 2 * c}"),
@@ -667,8 +669,6 @@ def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
     return ScenarioVerdict("thm22", config, tuple(checks))
 
 
-# the loosest solver tolerance --tol accepts
-TOL_MAX = 1e-3
 # the most cross sections thm22 --members builds
 MEMBERS_MAX = 1000
 
@@ -688,7 +688,6 @@ def _number(kind, lo=-math.inf, hi=math.inf):
 
 
 _finite_float = _number(float)
-_tolerance = _number(float, hi=TOL_MAX)
 _member_count = _number(int, 1, MEMBERS_MAX)
 
 
@@ -733,8 +732,7 @@ def _run_sha_yang(prm, grid):
     n = prm["n"]
     ric = float(n - 1) if prm["ric"] is None else prm["ric"]
     M = abstract_factor("M", n, (ric, ric))
-    v = sha_yang_space(n, prm["m"], M, prm["T"], tol=prm["tol"],
-                       grid_size=grid)
+    v = sha_yang_space(n, prm["m"], M, prm["T"], grid_size=grid)
     return (v, ("ricci_global_min", v.artifacts["ricci_report"].global_min),
             {"sha-f": v.artifacts["f"], "sha-h": v.artifacts["h"]})
 
@@ -760,7 +758,7 @@ def _run_gn(prm, grid):
     n = prm["n"]
     y_ric = float(-(n - 2)) if prm["y_ric"] is None else prm["y_ric"]
     Y = abstract_factor("Y", n - 1, (y_ric, y_ric))
-    v = gN_regions(Y, prm["eps_prime"], n, tol=prm["tol"], grid_size=grid)
+    v = gN_regions(Y, prm["eps_prime"], n, grid_size=grid)
     return (v, ("regionA_ricci_min", v.artifacts["ricci_report"].global_min),
             {"k": v.artifacts["k"], "closability-f": v.artifacts["f"]})
 
@@ -813,9 +811,10 @@ def _run_glue(prm, grid):
         b1 = round_boundary(prm["dim"], prm["r1"], prm["k1"])
         b2 = round_boundary(prm["dim"], prm["r2"], prm["k2"])
         note = "explicit round boundaries"
-    verdict = glue_check(b1, b2, GLUE_TOL)
+    verdict = glue_check(b1, b2)
     checks = (
-        check_bool("isometry_ok", "glue-isometry", verdict.isometry_ok, note),
+        check_bool("isometry_ok", "glue-isometry",
+                   verdict.isometry_gap <= GLUE_TOL, note),
         check_ge("ii_sum_min", "glue-ii-sum", verdict.ii_sum_min, -GLUE_TOL),
     )
     config = {k: prm[k] for k in ("example", "n", "dim", "r1", "k1", "r2", "k2")}
@@ -831,7 +830,7 @@ SCENARIOS = {s.name: s for s in (
         (("--T",), {"type": _finite_float, "default": 50.0}),
         (("--ric",), {"type": _finite_float, "default": None,
                       "help": "Einstein constant of M (default n-1)"}),
-    ), ("--grid", "--tol", "--csv"), 10_000, _run_sha_yang),
+    ), ("--grid", "--csv"), 10_000, _run_sha_yang),
     Scenario("neck", "shrinking neck family against a certified core", (
         (("--nu",), {"type": _finite_float, "required": True}),
         (("--n",), {"type": int, "required": True}),
@@ -854,7 +853,7 @@ SCENARIOS = {s.name: s for s in (
         (("--y-ric",), {"type": _finite_float, "default": None,
                         "help": "Ricci constant of the hypersurface "
                                 "(default -(n-2))"}),
-    ), ("--grid", "--tol", "--csv"), 2048, _run_gn),
+    ), ("--grid", "--csv"), 2048, _run_gn),
     Scenario("docking", "ambient doubly warped sphere", (
         (("--n",), {"type": int, "required": True}),
     ), ("--grid", "--csv"), 2048, _run_docking),
@@ -884,14 +883,14 @@ SCENARIOS = {s.name: s for s in (
 
 # export: profile id -> (the flags it reads with their defaults, builder of
 # the profile from those flags' values in that order, looked up when called)
-_SHA_YANG_READS = {"n": 3, "m": 2, "T": 50.0, "tol": 1e-10}
+_SHA_YANG_READS = {"n": 3, "m": 2, "T": 50.0}
 PROFILES = {
     "sha-f": (_SHA_YANG_READS, lambda *a: sha_yang_profiles(*a)[0]),
     "sha-h": (_SHA_YANG_READS, lambda *a: sha_yang_profiles(*a)[1]),
     "neck": ({"nu": 0.1, "s": 0.5}, lambda *a: neck_profile(*a)),
     "k": ({"eps_prime": 0.2}, lambda *a: k_profile(*a)),
     "collar": ({"c": 0.1}, lambda *a: collar_profile(*a)),
-    "closability": ({"n": 3, "eps_prime": 0.2, "tol": 1e-10},
+    "closability": ({"n": 3, "eps_prime": 0.2},
                     lambda *a: closability_ode_profile(*a)),
     "docking-r": ({}, lambda: docking_R_profile()),
 }
@@ -906,5 +905,5 @@ EXPORT_ARGS = (
     (("--eps-prime",), {"type": _finite_float}),
     (("--c",), {"type": _finite_float}),
 )
-EXPORT_COMMON = ("--grid", "--tol")
+EXPORT_COMMON = ("--grid",)
 EXPORT_MODE = ("profile", {pid: reads for pid, (reads, _) in PROFILES.items()})

@@ -332,31 +332,32 @@ def volume(metric: MultiWarpedMetric) -> float:
 
 
 class GlueVerdict(Record):
-    """Gluing data of two boundaries, measured: whether they match blockwise
-    and the least summed principal curvature. The caller decides which sum
-    its gluing needs."""
+    """Gluing data of two boundaries, measured: how far they are from
+    matching blockwise and the least summed principal curvature. The caller
+    decides which gap and which sum its gluing allows."""
 
-    isometry_ok: bool
+    isometry_gap: float
     ii_sum_min: float
 
 
-def glue_check(b1: BoundaryData, b2: BoundaryData, tol: float) -> GlueVerdict:
-    """Measure two boundaries: whether radii and induced factor intervals
-    match within tol, and min_i (kappa_i^1 + kappa_i^2)."""
-    if not tol > 0:
-        raise InputError("tol must be positive")
+def glue_check(b1: BoundaryData, b2: BoundaryData) -> GlueVerdict:
+    """Measure two boundaries: the largest difference of radius or of
+    induced factor Ricci-interval endpoint over the blocks (+inf if block
+    counts or factor dimensions differ, NaN if a difference is NaN), and
+    min_i (kappa_i^1 + kappa_i^2)."""
     if len(b1.blocks) != len(b2.blocks):
-        return GlueVerdict(isometry_ok=False, ii_sum_min=float("nan"))
-    matches = []
+        return GlueVerdict(isometry_gap=float("inf"), ii_sum_min=float("nan"))
+    gaps = []
     sums = []
     for x, y in zip(b1.blocks, b2.blocks):
-        ilo = abs(x.induced.ricci_interval[0] - y.induced.ricci_interval[0])
-        ihi = abs(x.induced.ricci_interval[1] - y.induced.ricci_interval[1])
-        matches.append(x.factor.dim == y.factor.dim
-                       and abs(x.radius - y.radius) <= tol
-                       and max(ilo, ihi) <= tol)
+        (xlo, xhi), (ylo, yhi) = (x.induced.ricci_interval,
+                                  y.induced.ricci_interval)
+        gaps += [abs(x.radius - y.radius), abs(xlo - ylo), abs(xhi - yhi),
+                 0.0 if x.factor.dim == y.factor.dim else float("inf")]
         sums.append(x.kappa + y.kappa)
-    return GlueVerdict(isometry_ok=all(matches), ii_sum_min=float(min(sums)))
+    # np.max, unlike max, returns a NaN wherever in the list it stands
+    return GlueVerdict(isometry_gap=float(np.max(gaps)),
+                       ii_sum_min=float(min(sums)))
 
 
 def rescale_metric(metric: MultiWarpedMetric, R: float) -> MultiWarpedMetric:

@@ -222,8 +222,8 @@ def test_c9_gluing():
           closed_form_profile("sine", (0.0, math.pi / 2))),),
         collapse_left=0)
     bd = boundary_data(hemi, "right")
-    verdict = glue_check(bd, bd, 1e-9)
-    hemi_ok = verdict.isometry_ok and verdict.ii_sum_min == 0.0
+    verdict = glue_check(bd, bd)
+    hemi_ok = verdict.isometry_gap <= 1e-9 and verdict.ii_sum_min == 0.0
 
     core = round_boundary(3, 1.0, 1.0)
     closable = collar_closability(core, 0.3, 4)

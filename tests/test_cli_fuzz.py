@@ -39,19 +39,19 @@ FLOATS = ("0.1", "0.5", "1", "2", "1000", "0", "-0", "+0.0", "5e-324",
           "2.2250738585072014e-308", "1e-300", "1e300", "1e308", "-1",
           "-1e308", "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "x", "")
 GRIDS = ("2", "3", "17", "64", "1", "0", "-1", "1000000000000", "x")
-# typical values of shared flags: a loose tolerance keeps solves short
-TYPICAL = {"--tol": "1e-8", "--require-min": "0"}
+# typical values of shared flags
+TYPICAL = {"--require-min": "0"}
 
 
 def _declared(name):
     """The (flag, kwargs) pairs subcommand ``name`` declares, and its mode
-    table (or None). Every scenario also reads --json and --require-min."""
+    table (or None). Every scenario also reads --require-min."""
     if name == "export":
         args, common, mode = EXPORT_ARGS, EXPORT_COMMON, EXPORT_MODE
     else:
         scenario = SCENARIOS[name]
         args, mode = scenario.args, scenario.mode
-        common = (*scenario.common, "--json", "--require-min")
+        common = (*scenario.common, "--require-min")
     shared = [((flag,), cli._SHARED[flag]) for flag in common]
     return [(flags[0], kwargs) for flags, kwargs in (*args, *shared)], mode
 

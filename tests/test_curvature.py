@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cone_profile, constant_profile, random_block_metrics
-from warpcheck.curvature import (MultiWarpedMetric, _component_arrays,
-                                 boundary_data, glue_check,
+from warpcheck.curvature import (BoundaryData, MultiWarpedMetric,
+                                 _component_arrays, boundary_data, glue_check,
                                  rescale_metric, ricci_components,
                                  ricci_generic, ricci_report,
                                  second_fundamental_form, volume)
@@ -212,8 +212,8 @@ class TestGlueCheck:
               closed_form_profile("sine", (0.0, math.pi / 2))),),
             collapse_left=0)
         bd = boundary_data(m, "right")
-        verdict = glue_check(bd, bd, 1e-9)
-        assert verdict.isometry_ok
+        verdict = glue_check(bd, bd)
+        assert verdict.isometry_gap <= 1e-9
         assert verdict.ii_sum_min == 0.0
 
     def test_neck_against_core_in_unit_frame(self):
@@ -224,15 +224,15 @@ class TestGlueCheck:
         inner = -math.sqrt(2) * nu * math.cos(nu * s)
         assert inner == pytest.approx(-0.1413, abs=1e-4)
         verdict = glue_check(round_boundary(4, 1.0, 2 * nu),
-                             round_boundary(4, 1.0, inner), 1e-9)
-        assert verdict.isometry_ok
+                             round_boundary(4, 1.0, inner))
+        assert verdict.isometry_gap <= 1e-9
         assert verdict.ii_sum_min == pytest.approx(0.2 - 0.141245, abs=1e-4)
 
     def test_radius_mismatch_fails_isometry(self):
         from warpcheck.constructions import round_boundary
         verdict = glue_check(round_boundary(3, 1.0, 0.5),
-                             round_boundary(3, 1.1, 0.5), 1e-6)
-        assert not verdict.isometry_ok
+                             round_boundary(3, 1.1, 0.5))
+        assert not verdict.isometry_gap <= 1e-6
 
     def test_block_count_mismatch_is_verdict_not_error(self):
         from warpcheck.constructions import round_boundary
@@ -243,9 +243,25 @@ class TestGlueCheck:
             ((round_sphere_factor(2, 1.0), constant_profile((0.5, 1.0), 1.0)),
              (round_sphere_factor(3, 1.0), constant_profile((0.5, 1.0), 1.0)))),
             "right")
-        verdict = glue_check(b1, two, 1e-9)
-        assert not verdict.isometry_ok
+        verdict = glue_check(b1, two)
+        assert verdict.isometry_gap == math.inf
         assert math.isnan(verdict.ii_sum_min)
+
+    def test_dimension_mismatch_gap_is_inf(self):
+        from warpcheck.constructions import round_boundary
+        verdict = glue_check(round_boundary(2, 1.0, 0.5),
+                             round_boundary(3, 1.0, 0.5))
+        assert verdict.isometry_gap == math.inf
+
+    def test_nan_radius_fails_against_glue_tol(self):
+        # a NaN in the second block's radius must not be dropped by the
+        # maximum over blocks, whichever position it takes
+        from warpcheck.constructions import GLUE_TOL, round_boundary
+        (block,) = round_boundary(3, 1.0, 0.5).blocks
+        good = BoundaryData(blocks=(block, block))
+        bad = BoundaryData(blocks=(block, block.replace(radius=math.nan)))
+        for b1, b2 in ((good, bad), (bad, good)):
+            assert not glue_check(b1, b2).isometry_gap <= GLUE_TOL
 
     @given(r=st.floats(0.2, 3.0), k1=st.floats(-2.0, 2.0), k2=st.floats(-2.0, 2.0))
     @settings(max_examples=40, deadline=None)
@@ -253,10 +269,10 @@ class TestGlueCheck:
         from warpcheck.constructions import round_boundary
         a = round_boundary(3, r, k1)
         b = round_boundary(3, r, k2)
-        va = glue_check(a, b, 1e-9)
-        vb = glue_check(b, a, 1e-9)
+        va = glue_check(a, b)
+        vb = glue_check(b, a)
         assert va.ii_sum_min == vb.ii_sum_min
-        assert va.isometry_ok == vb.isometry_ok
+        assert va.isometry_gap == vb.isometry_gap
 
 
 class TestRescale:
