@@ -775,12 +775,20 @@ def _run_thm22(prm, grid):
     if deficit and n < 4:
         raise InputError("--ric-deficit needs n >= 4 (a 1-dimensional "
                          "cross-section factor is necessarily Ricci-flat)")
+    rho_last = float(n - 3) - deficit
+    # the sweep divides it by f^2 = sin(t)^2, at least sin(EXCLUSION_WIDTH)^2
+    # on its grid, less a relative 1e-6 for rounding at the grid's ends
+    if not math.isfinite(rho_last
+                         / (math.sin(EXCLUSION_WIDTH) ** 2 * (1.0 - 1e-6))):
+        raise InputError(
+            f"--ric-deficit {deficit:g} is out of floating-point range: the "
+            f"last member's factor curvature n - 3 - deficit = {rho_last:g} "
+            f"overflows when divided by the sweep's least warp^2, "
+            f"sin({EXCLUSION_WIDTH:g})^2")
     count = prm["members"]
     members = []
     for i in range(count):
-        rho = float(n - 3)
-        if i == count - 1:
-            rho -= deficit
+        rho = rho_last if i == count - 1 else float(n - 3)
         if rho == n - 3:
             factor = round_sphere_factor(n - 2, 1.0)
         else:

@@ -344,17 +344,21 @@ def glue_check(b1: BoundaryData, b2: BoundaryData) -> GlueVerdict:
     """Measure two boundaries: the largest difference of radius or of
     induced factor Ricci-interval endpoint over the blocks (+inf if block
     counts or factor dimensions differ, NaN if a difference is NaN), and
-    min_i (kappa_i^1 + kappa_i^2)."""
+    min_i (kappa_i^1 + kappa_i^2); a sum that is not finite is an input
+    error."""
     if len(b1.blocks) != len(b2.blocks):
         return GlueVerdict(isometry_gap=float("inf"), ii_sum_min=float("nan"))
     gaps = []
     sums = []
-    for x, y in zip(b1.blocks, b2.blocks):
+    for i, (x, y) in enumerate(zip(b1.blocks, b2.blocks)):
         (xlo, xhi), (ylo, yhi) = (x.induced.ricci_interval,
                                   y.induced.ricci_interval)
         gaps += [abs(x.radius - y.radius), abs(xlo - ylo), abs(xhi - yhi),
                  0.0 if x.factor.dim == y.factor.dim else float("inf")]
         sums.append(x.kappa + y.kappa)
+        if not np.isfinite(sums[-1]):
+            raise InputError(f"glued block {i}: the principal curvatures "
+                             f"{x.kappa:g} and {y.kappa:g} have no finite sum")
     # np.max, unlike max, returns a NaN wherever in the list it stands
     return GlueVerdict(isometry_gap=float(np.max(gaps)),
                        ii_sum_min=float(min(sums)))

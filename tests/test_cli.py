@@ -162,6 +162,11 @@ class TestExitCodeContract:
         # budgets: rejected before any work
         ["thm22", "--n", "4", "--members", "100000000"],
         ["thm22", "--n", "4", "--members", "0"],
+        # n - 3 - deficit over sin(EXCLUSION_WIDTH)^2 overflows: rejected
+        # before any sweep (was exit 1, and exit 0 with OVERALL PASS, each
+        # after two RuntimeWarnings)
+        ["thm22", "--n", "4", "--ric-deficit=2e302"],
+        ["thm22", "--n", "5", "--members", "3", "--ric-deficit=-1e308"],
         # the unit-sphere volume overflows (was an OverflowError traceback)
         ["thm22", "--n", "400"],
         ["neck", "--nu", "0.1", "--n", "1000000", "--s", "0.5"],
@@ -196,6 +201,12 @@ class TestExitCodeContract:
         # the collar's f' = 2c squares past the float range (was a
         # RuntimeWarning, then exit 2 after a 60-step halving search)
         ["closability", "--n", "3", "--c-max", "1e154"],
+        # the glued principal curvatures sum to inf, k1 + k2 or the core's
+        # kappa scaled by 1/(sqrt(2) sin(nu s)) (was exit 0, OVERALL PASS)
+        ["glue", "--dim", "2", "--r1", "1", "--k1", "1e308", "--r2", "1",
+         "--k2", "1e308"],
+        ["neck", "--nu", "0.1", "--n", "3", "--s", "0.5",
+         "--core-kappa", "1e308"],
     ])
     def test_out_of_range_input_is_input_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -210,6 +221,23 @@ class TestExitCodeContract:
         assert sum("error:" in line for line in err.splitlines()) == 1
         assert "Traceback" not in err
         assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["thm22", "--n", "4", "--ric-deficit=2e302"],
+        ["glue", "--dim", "2", "--r1", "1", "--k1", "1e308", "--r2", "1",
+         "--k2", "1e308"],
+    ])
+    def test_overflow_is_one_error_line_in_a_child(self, tmp_path, argv):
+        # pytest's warning filter does not reach a child process, where a
+        # RuntimeWarning would be printed to stderr beside the error
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "warpcheck", *argv, "--out", str(out)],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
