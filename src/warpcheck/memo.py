@@ -1,0 +1,37 @@
+"""The results of an evaluator's last few distinct queries, by exact bits."""
+from __future__ import annotations
+
+import numpy as np
+
+
+class QueryMemo:
+    """The arrays that ``compute`` returned for the last ``slots`` distinct
+    float64 queries.
+
+    A query is keyed by its shape and its bits, compared as uint64, so
+    -0.0 and 0.0 get separate slots, and so do [0, 1] and [[0], [1]]. The
+    query is copied on the way in and the results on the way out, so no
+    caller can alter a stored slot. A hit makes its slot the newest, and a
+    miss past ``slots`` evicts the oldest.
+    """
+
+    __slots__ = ("_slots", "_entries")
+
+    def __init__(self, slots: int):
+        self._slots = slots
+        self._entries = []  # (query copy, results), oldest first
+
+    def __call__(self, tq: np.ndarray, compute) -> tuple:
+        """Copies of the tuple of arrays ``compute(tq)`` returns, computed
+        only when no stored query has tq's shape and bits."""
+        bits = tq.view(np.uint64)
+        entries = self._entries
+        for i, (key, results) in enumerate(entries):
+            if np.array_equal(key.view(np.uint64), bits):
+                entries.append(entries.pop(i))
+                break
+        else:
+            results = compute(tq)
+            entries.append((tq.copy(), results))
+            del entries[:-self._slots]
+        return tuple(r.copy() for r in results)

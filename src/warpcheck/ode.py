@@ -7,6 +7,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainTruncationError, InputError
+from .memo import QueryMemo
 from .records import Record
 
 
@@ -54,9 +55,11 @@ class DenseSolution(Record):
     fpps: np.ndarray
     status: int
     nfev: int
-    # (query copy, f, f', f'') of the last query; see ``eval``. Not a
-    # field: no argument sets it and ``repr`` leaves it out
-    _last = None
+
+    def __post_init__(self):
+        # (f, f', f'') of the last query; see ``eval``. Not a field: no
+        # argument sets it and ``repr`` leaves it out
+        object.__setattr__(self, "_memo", QueryMemo(1))
 
     @property
     def t0(self) -> float:
@@ -74,22 +77,16 @@ class DenseSolution(Record):
         """(f, f', f'') at the points of the 1-d array t; f'' is recomputed
         from the right-hand side.
 
-        A query whose bits equal the previous query's returns copies of the
-        stored result instead of interpolating again: profiles
-        sharing one solution (f and h of sha-yang) are evaluated on the same
-        grid one after the other. Keys compare as uint64, so -0.0 and 0.0
-        differ; the query and the results are copied on the way in and out,
-        so no caller can alter the stored slot.
+        A query whose shape and bits equal the previous query's returns
+        copies of the stored result instead of interpolating again (see
+        ``QueryMemo``): profiles sharing one solution (f and h of sha-yang)
+        are evaluated on the same grid one after the other.
         """
-        tq = np.asarray(t, dtype=float)
-        last = self._last
-        if last is not None and np.array_equal(last[0].view(np.uint64),
-                                               tq.view(np.uint64)):
-            return last[1].copy(), last[2].copy(), last[3].copy()
+        return self._memo(np.asarray(t, dtype=float), self._interpolate)
+
+    def _interpolate(self, tq):
         f, fp = kernels.dense_eval(self.ts, self.fs, self.fps, self.fpps, tq)
-        fpp = np.asarray(self.rhs(tq, f, fp), dtype=float)
-        object.__setattr__(self, "_last", (tq.copy(), f, fp, fpp))
-        return f.copy(), fp.copy(), fpp.copy()
+        return f, fp, np.asarray(self.rhs(tq, f, fp), dtype=float)
 
     def defect(self) -> float:
         """Max mismatch |p''(t_mid) - F(t_mid, p, p')| of the interpolant at

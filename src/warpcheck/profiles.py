@@ -82,7 +82,8 @@ class WarpProfile(Record):
         tq = np.atleast_1d(tq)
         t0, t1 = self.domain
         slack = 1e-9 * (t1 - t0) + 1e-12
-        if tq.size and (tq.min() < t0 - slack or tq.max() > t1 + slack):
+        # written so that a nan, which compares false, fails it
+        if tq.size and not (tq.min() >= t0 - slack and tq.max() <= t1 + slack):
             raise InputError(
                 f"evaluation outside profile domain [{t0}, {t1}]: "
                 f"[{tq.min()}, {tq.max()}]")

@@ -11,6 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import WarpcheckError
+from .memo import QueryMemo
 
 # 15-point Kronrod extension of 7-point Gauss, nodes on [-1, 1].
 _XK = np.array([
@@ -70,6 +71,12 @@ _CUMINT_X.flags.writeable = _CUMINT_W.flags.writeable = False
 # row_blocks). A block's node matrix is 1024 x 24 doubles, 192 KB, so the
 # integrand's passes over it stay in cache.
 _QUERY_BLOCK = 1024
+# distinct queries each CumulativeIntegral answers from memory: certify_collar
+# cycles through exactly four (the point [1.0], the 9-point C2 stencil and
+# the two 2048-point sweep grids), once per slope a closability search tries.
+# Each slot holds a copy of a query and its result, 16 bytes per point, so
+# four sweep blocks of 16384 points take 1 MB.
+_MEMO_SLOTS = 4
 
 
 def row_blocks(n: int, block: int) -> list[tuple[int, int]]:
@@ -139,6 +146,10 @@ class CumulativeIntegral:
     are evaluated in the row blocks of ``row_blocks(n, _QUERY_BLOCK)``: the
     node matrix of one block stays in cache, and the result has the bits of
     one evaluation over all points.
+
+    A query with the shape and bits of one of the last ``_MEMO_SLOTS``
+    distinct queries returns a copy of the stored result (see
+    ``QueryMemo``); a scalar query is keyed as a one-point array.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], a: float, b: float):
@@ -154,11 +165,14 @@ class CumulativeIntegral:
         vals = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
         panel_ints = halfs * (vals @ w)
         self.prefix = np.concatenate([[0.0], np.cumsum(panel_ints)])
+        self._memo = QueryMemo(_MEMO_SLOTS)
 
     def __call__(self, t):
         tq = np.asarray(t, dtype=float)
-        scalar = tq.ndim == 0
-        tq = np.atleast_1d(tq)
+        (out,) = self._memo(np.atleast_1d(tq), self._integrate)
+        return float(out[0]) if tq.ndim == 0 else out
+
+    def _integrate(self, tq):
         idx = np.clip(np.searchsorted(self.edges, tq, side="right") - 1,
                       0, len(self.edges) - 2)
         lo = self.edges[idx]
@@ -172,5 +186,4 @@ class CumulativeIntegral:
             nodes += mid[s:e, None]
             vals = np.asarray(self.fn(nodes.ravel()), dtype=float)
             sums[s:e] = vals.reshape(nodes.shape) @ self._w
-        out = self.prefix[idx] + half * sums
-        return float(out[0]) if scalar else out
+        return (self.prefix[idx] + half * sums,)

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cone_profile
-from warpcheck import curvature, kernels, profiles, quadrature, report
+from warpcheck import (constructions, curvature, kernels, profiles, quadrature,
+                       report)
 from warpcheck.constructions import (certify_collar, docking_ambient,
                                      gN_regions, round_boundary)
 from warpcheck.curvature import (_SWEEP_BLOCK, MultiWarpedMetric,
@@ -301,6 +302,116 @@ def test_memo_is_not_part_of_identity(solution):
     solution.eval(np.linspace(0.0, 2.0, 9))
     assert repr(solution) == before
     assert "_last" not in before
+
+
+# --- CumulativeIntegral memo -------------------------------------------------
+
+@pytest.fixture
+def counted_phi():
+    """A fresh integral of the collar step and the point count of every
+    query that reaches the integrand."""
+    queries = []
+    phi = CumulativeIntegral(_collar_step, 0.0, 1.0)
+    integrate = phi._integrate
+
+    def counted(tq):
+        queries.append(tq.size)
+        return integrate(tq)
+
+    phi._integrate = counted
+    return phi, queries
+
+
+def test_repeated_integral_query_integrates_once(counted_phi):
+    phi, queries = counted_phi
+    t = query_points(2048)
+    ref = one_shot_query(phi, t)
+    first = phi(t)
+    second = phi(t.copy())
+    assert queries == [2048]
+    assert_same_bits(first, ref)
+    assert_same_bits(second, ref)
+    assert first is not second
+
+
+def test_mutating_integral_results_or_query_does_not_reach_the_memo(
+        counted_phi):
+    phi, queries = counted_phi
+    t = query_points(257)
+    ref = one_shot_query(phi, t.copy())
+    for _ in range(3):  # a miss, then two hits
+        out = phi(t)
+        assert_same_bits(out, ref)
+        out[:] = 7.0
+
+    moved = t[::-1].copy()
+    t[:] = moved  # the caller rewrites its query array in place
+    assert_same_bits(phi(t), one_shot_query(phi, moved))
+    assert queries == [257, 257]
+
+
+def test_integral_signed_zeros_and_shapes_do_not_share_a_slot(counted_phi):
+    phi, queries = counted_phi
+    phi(np.array([0.0, 0.5]))
+    phi(np.array([-0.0, 0.5]))
+    phi(np.array([0.0, 0.5]))
+    column = phi(np.array([[0.0], [0.5]]))
+    assert column.shape == (2, 1)
+    assert queries == [2, 2, 2]
+
+
+def test_integral_scalar_hit_returns_a_float(counted_phi):
+    phi, queries = counted_phi
+    first, second = phi(0.3), phi(0.3)
+    assert type(first) is float and type(second) is float
+    assert_same_bits(second, one_shot_query(phi, 0.3))
+    # a scalar is keyed as the one-point array it is integrated as
+    point = phi(np.array([0.3]))
+    assert point.shape == (1,)
+    assert_same_bits(point, np.array([first]))
+    assert queries == [1]
+
+
+def test_integral_cycle_of_five_queries_evicts_and_stays_exact(counted_phi):
+    phi, queries = counted_phi
+    cycle = [query_points(n, seed=n) for n in (1, 9, 64, 65, 2048)]
+    refs = [one_shot_query(phi, t) for t in cycle]
+    for _ in range(2):
+        for t, ref in zip(cycle, refs):
+            assert_same_bits(phi(t), ref)
+    # four slots and a cycle of five: every query was the oldest when asked
+    assert len(queries) == 10
+    for t, ref in zip(cycle[:0:-1], refs[:0:-1]):  # the four it still holds
+        assert_same_bits(phi(t), ref)
+    assert len(queries) == 10
+    # a hit makes its slot the newest: cycle[1], stored before the other
+    # three, was asked last, so the next miss evicts cycle[4] instead
+    assert_same_bits(phi(cycle[0]), refs[0])
+    assert_same_bits(phi(cycle[1]), refs[1])
+    assert len(queries) == 11
+
+
+def test_closability_search_integrates_each_collar_query_once(monkeypatch,
+                                                              counted_phi):
+    # without the memo each slope the search tries integrates the same
+    # collar grids again: 213 queries over 172,497 points
+    phi, queries = counted_phi
+    unit_integral = profiles._unit_integral
+    monkeypatch.setattr(profiles, "_unit_integral", lambda fn: (
+        phi if fn is _collar_step else unit_integral(fn)))
+    slopes = []
+
+    def counted_certify(core_boundary, c, n, **kwargs):
+        slopes.append(c)
+        return certify_collar(core_boundary, c, n, **kwargs)
+
+    monkeypatch.setattr(constructions, "certify_collar", counted_certify)
+    verdict = constructions.collar_closability(round_boundary(2, 1.0, 1.0),
+                                               0.6, 3)
+    assert verdict.overall
+    assert len(queries) <= 5 < len(slopes)
+    # [1.0], the C2 stencil, the two sweep grids and the far point [0.0]
+    assert sum(queries) <= 1 + 9 + 2 * 2048 + 1
 
 
 # --- blocked Ricci sweep ----------------------------------------------------------

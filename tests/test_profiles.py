@@ -404,6 +404,18 @@ class TestDerivativeConsistency:
         with pytest.raises(InputError):
             p.eval(3.5)
 
+    @pytest.mark.parametrize("build", [collar_profile, k_profile],
+                             ids=["collar", "k"])
+    @pytest.mark.parametrize("t", [math.nan, [0.1, math.nan],
+                                   [math.nan, 0.1], -math.inf, math.inf],
+                             ids=["nan", "nan-last", "nan-first", "-inf",
+                                  "inf"])
+    def test_eval_at_a_non_finite_point_rejected(self, build, t):
+        # nan compares false both ways, so it must fail the domain test
+        # rather than slip past it: the collar gave finite f', f'' at nan
+        with pytest.raises(InputError, match="outside profile domain"):
+            build(0.2).eval(np.asarray(t))
+
 
 def test_profile_from_callable_roundtrip():
     p = profile_from_callable((0.0, 2.0), lambda t: 1.0 + t * t,
