@@ -22,7 +22,7 @@ from .curvature import (BoundaryBlock, BoundaryData, MultiWarpedMetric,
 from .errors import InputError, SearchFailureError, int_ge
 from .factors import (FactorManifold, abstract_factor, round_sphere_factor,
                       scale_factor, unit_sphere_volume)
-from .profiles import (EXCLUSION_WIDTH, WarpProfile, closability_ode_profile,
+from .profiles import (EXCLUSION_WIDTH, SOLVER_TOL, closability_ode_profile,
                        closed_form_profile, collar_profile, docking_R_profile,
                        k_profile, neck_profile, parity_check,
                        radial_floor_value, sha_yang_profiles)
@@ -102,7 +102,6 @@ def certified_core(dim: int, kappa: float) -> CertifiedBlock:
 
 
 def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
-                   tol: float = 1e-10,
                    grid_size: int = 10_000) -> ScenarioVerdict:
     """Complete metric dt^2 + h^2 ds_{m-1}^2 + f^2 g_M on [0, T] whose
     rescalings collapse to the cone over (M, g_M).
@@ -113,7 +112,7 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
     and the asymptotic regime f' -> 1, h -> 2/alpha with strictly decreasing
     deviation sups on successive windows. Parameters for which the deviation
     1 - f' = 1 - sqrt(1 - f^-alpha) predicts on the first window is at most
-    ``tol`` are an input error: the decay cannot be measured.
+    ``SOLVER_TOL`` are an input error: the decay cannot be measured.
     """
     int_ge("n", n, 2)
     int_ge("m", m, 2)
@@ -126,7 +125,7 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
     if not T > 0:
         raise InputError("T must be positive")
 
-    f, h, alpha = sha_yang_profiles(n, m, T, tol)
+    f, h, alpha = sha_yang_profiles(n, m, T)
     sphere = round_sphere_factor(m - 1, 1.0)
     metric = MultiWarpedMetric((0.0, T), ((sphere, h), (M, f)),
                                collapse_left=0)
@@ -134,7 +133,7 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
     checks = []
     resid = f.solver_meta["first_integral_residual"]
     checks.append(check_le("first_integral_residual", "first-integral",
-                           resid, 10.0 * tol))
+                           resid, 10.0 * SOLVER_TOL))
 
     ts = np.linspace(EXCLUSION_WIDTH, T, 4096)
     fv, fpv, _ = f.eval(ts)
@@ -187,12 +186,12 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
     # the deviation this predicts on the first window is within the solve
     # tolerance, the window sups measure solver error, not a decay
     predicted = float(np.max(1.0 - np.sqrt(1.0 - f1 ** -alpha)))
-    if predicted <= tol:
+    if predicted <= SOLVER_TOL:
         raise InputError(
             f"n = {n}, m = {m}, T = {T}: the window decay is below the "
             f"solver's resolution, since 1 - f' = 1 - sqrt(1 - f^-alpha) is "
             f"at most {predicted:.3e} on the first decay window "
-            f"[{T / 5.0}, {2.0 * T / 5.0}], not above tol = {tol:g}")
+            f"[{T / 5.0}, {2.0 * T / 5.0}], not above tol = {SOLVER_TOL:g}")
     checks.append(check_ge("radial_speed_window_decay", "asymptotic-cone",
                            sup_f1 - sup_f2, 0.0, strict=True,
                            note=f"sup drops {sup_f1:.3e} -> {sup_f2:.3e}"))
@@ -200,7 +199,8 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
                            sup_h1 - sup_h2, 0.0, strict=True,
                            note=f"sup drops {sup_h1:.3e} -> {sup_h2:.3e}"))
 
-    config = {"n": n, "m": m, "T": T, "tol": tol, "grid_size": grid_size,
+    config = {"n": n, "m": m, "T": T, "tol": SOLVER_TOL,
+              "grid_size": grid_size,
               "alpha": alpha, "asym_threshold": ASYM_THRESHOLD,
               "asym_threshold_h": asym_threshold_h,
               "identity_tol": IDENTITY_TOL, "ricci_slack": RICCI_SLACK,
@@ -291,20 +291,22 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
         # is an input error, raised before a sweep over the degenerate metric
         outer = boundary_data(metric, "right")
         inner = boundary_data(metric, "left")
-        rep = ricci_report(metric, grid_size)
+        # only the minimum is read: a kept report would hold its whole grid
+        ricci_min = ricci_report(metric, grid_size).global_min
         lam = math.sqrt(2.0) * math.sin(nu * s)
         glue = glue_check(core.scaled(lam).boundary, inner)
         vol = volume(metric)
         ts = np.linspace(s, t_out, 512)
         drift = float(np.max(np.abs(
             profile.eval(ts)[0] - math.sqrt(2.0) * np.sin(nu * ts))))
-        return {"s": s, "profile": profile, "report": rep, "outer": outer,
-                "inner": inner, "glue": glue, "volume": vol, "drift": drift}
+        return {"s": s, "profile": profile, "ricci_min": ricci_min,
+                "outer": outer, "inner": inner, "glue": glue, "volume": vol,
+                "drift": drift}
 
     per_s = [member(s) for s in s_values]
 
     checks = []
-    mins = [e["report"].global_min for e in per_s]
+    mins = [e["ricci_min"] for e in per_s]
     delta = min(mins) - 1e-9
     checks.append(check_ge("uniform_ricci_floor_delta", "ricci-uniform-floor",
                            delta, 0.0, strict=True,
@@ -463,7 +465,7 @@ def collar_closability(core_boundary: BoundaryData, c_max: float, n: int, *,
 
 
 def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
-               tol: float = 1e-10, grid_size: int = 2048) -> ScenarioVerdict:
+               grid_size: int = 2048) -> ScenarioVerdict:
     """The two regions of the doubled-boundary space over a totally geodesic
     hypersurface Y.
 
@@ -471,6 +473,7 @@ def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
     hypersurface; region B is the product k(eps')^2 ds^2 + g0 elsewhere,
     certified analytically. Y must satisfy Ric >= -(n-2); f comes from the
     curvature-floor profile equation and k from the flat-step construction.
+    An eps' at or beyond the collapse of f raises DomainTruncationError.
     """
     int_ge("n", n, 3)
     if Y.dim != n - 1:
@@ -481,11 +484,7 @@ def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
     if not eps_prime > EXCLUSION_WIDTH * 4:
         raise InputError(f"eps_prime too small, need > {4 * EXCLUSION_WIDTH}")
 
-    f = closability_ode_profile(n, eps_prime, tol)
-    if f.t1 < eps_prime - 1e-12:
-        raise InputError(
-            f"the radial profile collapses at t = {f.t1:.4f} before "
-            f"eps_prime = {eps_prime}; choose eps_prime smaller")
+    f = closability_ode_profile(n, eps_prime)
     k = k_profile(eps_prime)
     g0 = CertifiedBlock(
         label="g0", boundary=round_boundary(n - 1, 1.0, 0.0),
@@ -528,7 +527,7 @@ def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
                            eq_dev, 1e-6))
 
     sign_grid = np.linspace(0.0, eps_prime, 257)
-    fp_all = f.eval(np.clip(sign_grid, 0.0, f.t1))[1]
+    fp_all = f.eval(sign_grid)[1]
     kp_all = k.eval(sign_grid)[1]
     checks.append(check_le("radial_warp_monotone", "sign-bookkeeping",
                            float(np.max(fp_all)), 1e-12))
@@ -539,7 +538,7 @@ def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
 
     tail = np.linspace(eps_prime - EXCLUSION_WIDTH, eps_prime, 65)
     ktail = k.eval(tail)
-    ftail_p = f.eval(np.clip(tail, 0.0, f.t1))[1]
+    ftail_p = f.eval(tail)[1]
     tail_ok = (np.max(ktail[2]) <= 1e-15 and np.min(ktail[1]) >= -1e-15
                and np.max(ftail_p) <= 1e-15)
     checks.append(check_bool(
@@ -548,7 +547,7 @@ def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
         note="on the last width the signs k'' <= 0, k' >= 0, f' <= 0 make "
              "every component a sum of non-negative terms"))
 
-    config = {"n": n, "eps_prime": eps_prime, "tol": tol,
+    config = {"n": n, "eps_prime": eps_prime, "tol": SOLVER_TOL,
               "grid_size": grid_size,
               "Y": {"name": Y.name, "dim": Y.dim,
                     "ricci_interval": list(Y.ricci_interval)},
@@ -558,21 +557,17 @@ def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
                                       "ricci_report": rep})
 
 
-def docking_ambient(n: int, *, R: Optional[WarpProfile] = None,
-                    grid_size: int = 2048) -> ScenarioVerdict:
+def docking_ambient(n: int, *, grid_size: int = 2048) -> ScenarioVerdict:
     """The ambient doubly warped sphere dt^2 + cos^2(t) dx^2 + R(t)^2
-    ds_{n-1}^2 on [0, pi/2].
+    ds_{n-1}^2 on [0, pi/2], with R = sin (``docking_R_profile``).
 
     R must be odd with unit slope at 0, even at pi/2, and strictly concave.
-    With the default R = sin the metric is the round unit (n+1)-sphere: every
-    Ricci component must then equal n to within 1e-9.
+    The metric is the round unit (n+1)-sphere: every Ricci component must
+    equal n to within 1e-9.
     """
     int_ge("n", n, 3)
-    default_R = R is None
-    Rp = docking_R_profile() if default_R else R
+    Rp = docking_R_profile()
     half_pi = math.pi / 2.0
-    if abs(Rp.t0) > 1e-12 or abs(Rp.t1 - half_pi) > 1e-12:
-        raise InputError("R must be defined on [0, pi/2]")
 
     circle = round_sphere_factor(1, 1.0)
     sphere = round_sphere_factor(n - 1, 1.0)
@@ -596,18 +591,16 @@ def docking_ambient(n: int, *, R: Optional[WarpProfile] = None,
         check_ge("ricci_min", "ricci-strictly-positive", rep.global_min, 0.0,
                  strict=True),
     ]
-    if default_R:
-        # fl(x - n) is monotone in x, so the largest |x - n| over a
-        # component is attained at its minimum or its maximum
-        dev = max(float(np.max(np.abs(np.array(e) - n)))
-                  for e in rep.extrema)
-        checks.append(check_le("max_component_spread", "round-model",
-                               dev, 1e-9,
-                               note=f"default R: the metric is the round unit "
-                                    f"S^{n + 1}, every component equals {n}"))
+    # fl(x - n) is monotone in x, so the largest |x - n| over a component is
+    # attained at its minimum or its maximum
+    dev = max(float(np.max(np.abs(np.array(e) - n))) for e in rep.extrema)
+    checks.append(check_le("max_component_spread", "round-model", dev, 1e-9,
+                           note=f"default R: the metric is the round unit "
+                                f"S^{n + 1}, every component equals {n}"))
 
-    config = {"n": n, "grid_size": grid_size, "default_R": default_R,
-              "round_check": default_R}
+    # R is always the default, so the round check always runs
+    config = {"n": n, "grid_size": grid_size, "default_R": True,
+              "round_check": True}
     return ScenarioVerdict("docking", config, tuple(checks),
                            artifacts={"metric": metric, "ricci_report": rep,
                                       "R": Rp})
@@ -669,7 +662,8 @@ def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
     return ScenarioVerdict("thm22", config, tuple(checks))
 
 
-# the most cross sections thm22 --members builds
+# the most family members a run builds: the cross sections of thm22
+# --members, or the neck metrics of the values in neck --s
 MEMBERS_MAX = 1000
 
 
@@ -692,8 +686,12 @@ _member_count = _number(int, 1, MEMBERS_MAX)
 
 
 def _csv_list(text: str) -> list[float]:
-    """argparse type: comma-separated finite floats."""
-    return [_finite_float(x) for x in text.split(",") if x.strip()]
+    """argparse type: at most MEMBERS_MAX comma-separated finite floats."""
+    items = [x for x in text.split(",") if x.strip()]
+    if len(items) > MEMBERS_MAX:
+        raise argparse.ArgumentTypeError(
+            f"{len(items)} values, more than the {MEMBERS_MAX} allowed")
+    return [_finite_float(x) for x in items]
 
 
 class Scenario(Record):

@@ -69,10 +69,6 @@ class DenseSolution(Record):
     def t_end(self) -> float:
         return float(self.ts[-1])
 
-    @property
-    def completed(self) -> bool:
-        return self.status == kernels.STATUS_OK
-
     def eval(self, t):
         """(f, f', f'') at the points of the 1-d array t; f'' is recomputed
         from the right-hand side.
@@ -105,22 +101,20 @@ class DenseSolution(Record):
 
 
 def integrate_ivp(rhs: OdeRhs, t0: float, t1: float, f0: float, fp0: float,
-                  tol: float, *, h_max: float = np.inf, max_steps: int = 200_000,
-                  on_truncate: str = "raise") -> DenseSolution:
+                  tol: float, *, h_max: float = np.inf,
+                  max_steps: int = 200_000) -> DenseSolution:
     """Adaptively integrate f'' = F from t0 to t1.
 
-    Stops early when f drops below ``kernels.F_FLOOR`` (after having been
-    above it) or |f'| exceeds ``kernels.FP_CAP``; ``on_truncate`` decides
-    whether that raises ``DomainTruncationError`` or returns the partial
-    solution. Every accepted step is at most ``h_max`` long, so an interval
-    longer than ``h_max * max_steps`` is rejected before stepping.
+    Stopping early, when f drops below ``kernels.F_FLOOR`` (after having been
+    above it) or |f'| exceeds ``kernels.FP_CAP``, raises
+    ``DomainTruncationError`` with the partial solution. Every accepted step
+    is at most ``h_max`` long, so an interval longer than ``h_max *
+    max_steps`` is rejected before stepping.
     """
     if not t1 > t0:
         raise InputError(f"need t1 > t0, got [{t0}, {t1}]")
     if not (tol > 0 and np.isfinite(tol)):
         raise InputError(f"tol must be positive and finite, got {tol}")
-    if on_truncate not in ("raise", "return"):
-        raise InputError("on_truncate must be 'raise' or 'return'")
     if t1 - t0 > h_max * max_steps:
         raise InputError(f"[{t0}, {t1}] cannot be covered in {max_steps} "
                          f"steps of at most {h_max}")
@@ -134,7 +128,7 @@ def integrate_ivp(rhs: OdeRhs, t0: float, t1: float, f0: float, fp0: float,
     if status == kernels.STATUS_MAX_STEPS:
         raise DomainTruncationError(
             f"step budget exhausted at t = {sol.t_end}", sol.t_end, sol)
-    if status == kernels.STATUS_TRUNCATED and on_truncate == "raise":
+    if status == kernels.STATUS_TRUNCATED:
         raise DomainTruncationError(
             f"solution left its admissible region at t = {sol.t_end} "
             f"(requested endpoint {t1})", sol.t_end, sol)

@@ -25,6 +25,10 @@ from .records import Record
 # expansion; also the exclusion radius used by curvature grids around
 # collapsing endpoints.
 EXCLUSION_WIDTH = 1e-3
+# The tolerance of every IVP-defined profile: solve_ivp_profile integrates at
+# it, the two scenario builders at an eighth of it, and each echoes it in
+# solver_meta["tol"]. No flag or setting reads it.
+SOLVER_TOL = 1e-10
 
 
 class ParityTag(Record):
@@ -227,9 +231,9 @@ def closed_form_profile(kind: str, domain, *, amplitude: float = 1.0,
                        parity=_auto_parity((t0, t1), exact))
 
 
-def solve_ivp_profile(rhs: OdeRhs, f0: float, fp0: float, domain,
-                      tol: float) -> WarpProfile:
-    """Profile defined by f'' = F(t, f, f') with adaptive error control.
+def solve_ivp_profile(rhs: OdeRhs, f0: float, fp0: float,
+                      domain) -> WarpProfile:
+    """Profile defined by f'' = F(t, f, f'), integrated at ``SOLVER_TOL``.
 
     Dense output supplies (f, f', f'') anywhere in the domain, with f''
     recomputed from F. The solution must stay positive, starting from a
@@ -239,15 +243,15 @@ def solve_ivp_profile(rhs: OdeRhs, f0: float, fp0: float, domain,
     t0, t1 = float(domain[0]), float(domain[1])
     if not f0 > 0:
         raise InputError(f"initial value must be positive, got {f0}")
-    sol = integrate_ivp(rhs, t0, t1, float(f0), float(fp0), tol)
-    return _profile_from_solution(sol, tol, {})
+    sol = integrate_ivp(rhs, t0, t1, float(f0), float(fp0), SOLVER_TOL)
+    return _profile_from_solution(sol, {})
 
 
-def _profile_from_solution(sol: DenseSolution, tol: float, parity: dict,
+def _profile_from_solution(sol: DenseSolution, parity: dict,
                            extra_meta: Optional[dict] = None) -> WarpProfile:
-    """The profile of ``sol`` on its reached domain, with the endpoint tags
+    """The profile of ``sol`` on its domain, with the endpoint tags
     ``parity`` and the solver's statistics in ``solver_meta``."""
-    meta = {"tol": tol, "n_steps": len(sol.ts) - 1, "nfev": sol.nfev,
+    meta = {"tol": SOLVER_TOL, "n_steps": len(sol.ts) - 1, "nfev": sol.nfev,
             "defect": sol.defect(), "rhs": sol.rhs.label}
     meta.update(extra_meta or {})
     return WarpProfile(domain=(sol.t0, sol.t_end),
@@ -266,39 +270,38 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def sha_yang_profiles(n: int, m: int, T: float, tol: float = 1e-10):
+def sha_yang_profiles(n: int, m: int, T: float):
     """The pair (f, h) closing a cone over an Einstein factor into a complete
     non-negatively curved space, together with the exponent alpha = 2(n-1)/m.
 
     f solves f'' = (alpha/2) f^(-alpha-1) with f(0) = 1, f'(0) = 0, and
     h = (2/alpha) f', so h(0) = 0, h'(0) = 1: h is odd and f even at t = 0.
     The conserved quantity f'^2 - (1 - f^-alpha) is evaluated along the
-    solution; its maximum must stay below 10*tol.
+    solution; its maximum must stay below 10 * SOLVER_TOL.
     """
     int_ge("n", n, 2)
     int_ge("m", m, 2)
     if not T > 0:
         raise InputError(f"T must be positive, got {T}")
-    if not tol > 0:
-        raise InputError("tol must be positive")
 
     alpha = 2.0 * (n - 1) / m
     rhs = OdeRhs.power(alpha / 2.0, -alpha - 1.0)
     # integrate tighter than advertised so the first integral meets its bound;
     # cap the step so the dense output is second-derivative accurate (finite
     # differences of the interpolant are used as an oracle against it)
-    sol = integrate_ivp(rhs, 0.0, T, 1.0, 0.0, tol / 8.0, h_max=0.25)
+    sol = integrate_ivp(rhs, 0.0, T, 1.0, 0.0, SOLVER_TOL / 8.0, h_max=0.25)
 
     grid = _sorted_distinct(np.concatenate([sol.ts,
                                             np.linspace(0.0, T, 4097)]))
     f, fp, _ = sol.eval(grid)
     residual = float(np.max(np.abs(fp ** 2 - (1.0 - f ** -alpha))))
-    if residual > 10.0 * tol:
+    if residual > 10.0 * SOLVER_TOL:
         raise IntegrationQualityError(
-            f"first-integral residual {residual:.3e} exceeds {10 * tol:.3e}")
+            f"first-integral residual {residual:.3e} exceeds "
+            f"{10 * SOLVER_TOL:.3e}")
 
     f_profile = _profile_from_solution(
-        sol, tol, {"left": ParityTag("even", coeffs=(1.0, alpha / 2.0))},
+        sol, {"left": ParityTag("even", coeffs=(1.0, alpha / 2.0))},
         {"first_integral_residual": residual, "alpha": alpha})
 
     two_over_alpha = 2.0 / alpha
@@ -314,30 +317,27 @@ def sha_yang_profiles(n: int, m: int, T: float, tol: float = 1e-10):
         domain=(0.0, sol.t_end), raw_eval=h_eval,
         parity={"left": ParityTag(
             "odd", coeffs=(1.0, -alpha * (alpha + 1.0) / 2.0))},
-        solver_meta={"tol": tol, "first_integral_residual": residual,
+        solver_meta={"tol": SOLVER_TOL, "first_integral_residual": residual,
                      "alpha": alpha, "derived_from": "f via h = (2/alpha) f'"})
     return f_profile, h_profile, alpha
 
 
-def closability_ode_profile(n: int, eps: float, tol: float = 1e-10) -> WarpProfile:
-    """Solution of f'' = -f - (n-2)(1 + f'^2)/f, f(0) = 1, f'(0) = 0.
+def closability_ode_profile(n: int, eps: float) -> WarpProfile:
+    """Solution of f'' = -f - (n-2)(1 + f'^2)/f, f(0) = 1, f'(0) = 0, on
+    [0, eps].
 
     Along the exact solution the expression -f''/f - (n-2)(1+f'^2)/f^2 equals
-    1 identically. The solution collapses in finite time; if it escapes before
-    ``eps`` the profile is truncated at 90% of the reached time, recorded in
-    ``solver_meta``.
+    1 identically. The solution collapses in finite time; if it leaves its
+    admissible region before ``eps``, DomainTruncationError names the reached
+    t and eps.
     """
     int_ge("n", n, 3)
     if not eps > 0:
         raise InputError("eps must be positive")
     sol = integrate_ivp(OdeRhs.radial_floor(float(n - 2)), 0.0, eps, 1.0, 0.0,
-                        tol / 8.0, on_truncate="return")
-    truncated = not sol.completed
-    eps_star = min(eps, 0.9 * sol.t_end) if truncated else eps
-    profile = _profile_from_solution(
-        sol, tol, {"left": ParityTag("even", coeffs=(1.0, float(-(n - 1))))},
-        {"requested_eps": eps, "eps_star": eps_star, "truncated": truncated})
-    return profile.replace(domain=(0.0, eps_star))
+                        SOLVER_TOL / 8.0)
+    return _profile_from_solution(
+        sol, {"left": ParityTag("even", coeffs=(1.0, float(-(n - 1))))})
 
 
 def radial_floor_value(profile: WarpProfile, n: int, t):
@@ -491,6 +491,12 @@ def collar_profile(c: float, length: float = 2.0) -> WarpProfile:
     if not length > 1.0:
         raise InputError(f"length must exceed the unit ramp, got {length}")
     cc = float(c)
+    # 0 < f' <= 2c, so f <= 1 + 2c * length; the C2 check below doubles f
+    top = 1.0 + 2.0 * cc * float(length)
+    if not math.isfinite(2.0 * top):
+        raise InputError(f"c = {c} is out of floating-point range: the "
+                         f"collar's f reaches up to 1 + 2c * {length}, whose "
+                         "double overflows")
 
     big_phi = _unit_integral(_collar_step)
     phi_total = float(big_phi(1.0))

@@ -30,8 +30,8 @@ def report_line(criterion, ok, detail):
     print(f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def sha_yang_metric(n, m, T=50.0, tol=1e-10):
-    f, h, alpha = sha_yang_profiles(n, m, T, tol)
+def sha_yang_metric(n, m, T=50.0):
+    f, h, alpha = sha_yang_profiles(n, m, T)
     M = abstract_factor("M", n, (float(n - 1), float(n - 1)))
     metric = MultiWarpedMetric((0.0, T), ((round_sphere_factor(m - 1, 1.0), h),
                                           (M, f)), collapse_left=0)
@@ -53,7 +53,7 @@ def test_c1_nonnegative_ricci(n, m):
 
 @pytest.mark.parametrize("n,m", PAIRS)
 def test_c2_first_integral(n, m):
-    f, _, alpha = sha_yang_profiles(n, m, 50.0, 1e-10)
+    f, _, alpha = sha_yang_profiles(n, m, 50.0)
     t = np.linspace(0.0, 50.0, 10_000)
     fv, fpv, _ = f.eval(t)
     residual = float(np.max(np.abs(fpv ** 2 - (1.0 - fv ** -alpha))))
@@ -190,7 +190,7 @@ def test_c6_neck_family():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_c7_curvature_floor_identity(n):
-    p = closability_ode_profile(n, 0.2, 1e-10)
+    p = closability_ode_profile(n, 0.2)
     t = np.linspace(0.0, p.t1, 4096)
     dev = float(np.max(np.abs(radial_floor_value(p, n, t) - 1.0)))
     ok = dev <= 1e-6 and p.t1 == 0.2

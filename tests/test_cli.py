@@ -227,6 +227,9 @@ class TestExitCodeContract:
         ["thm22", "--n", "4", "--ric-deficit=2e302"],
         ["glue", "--dim", "2", "--r1", "1", "--k1", "1e308", "--r2", "1",
          "--k2", "1e308"],
+        # twice the collar's f overflowed in its C2 check (was a
+        # RuntimeWarning, then exit 2 as "not C2 at the transition")
+        ["export", "--profile", "collar", "--c", "6.5e307"],
     ])
     def test_overflow_is_one_error_line_in_a_child(self, tmp_path, argv):
         # pytest's warning filter does not reach a child process, where a
@@ -239,6 +242,51 @@ class TestExitCodeContract:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: ")
         assert not out.exists()
+
+    def test_collar_slope_up_to_1e307_exports(self, tmp_path):
+        assert main(["export", "--profile", "collar", "--c", "1e307",
+                     "--grid", "5", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        # the radial warp of n = 3 collapses at t* = 0.74048 (export was
+        # exit 0 with a CSV ending at 0.9 of that, t = 0.6664, and gn named
+        # 0.6664 as the collapse)
+        ["export", "--profile", "closability", "--n", "3",
+         "--eps-prime", "0.7405"],
+        ["gn", "--n", "3", "--eps-prime", "0.75"],
+    ])
+    def test_eps_prime_beyond_the_collapse_is_refused(self, tmp_path, argv):
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "warpcheck", *argv, "--out", str(out)],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ")
+        assert re.search(r"\bt = 0\.74048\d", line)
+        assert not out.exists()
+
+    def test_eps_prime_below_the_collapse_exports_to_it(self, tmp_path):
+        assert main(["export", "--profile", "closability", "--n", "3",
+                     "--eps-prime", "0.7404", "--out", str(tmp_path)]) == 0
+        last = (tmp_path / "closability.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == 0.7404
+
+    def test_more_s_values_than_members_max_exit_before_any_work(
+            self, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the neck family was built")
+
+        monkeypatch.setattr(cons, "neck_family_check", no_work)
+        s = ",".join(["0.5"] * (cons.MEMBERS_MAX + 1))
+        with pytest.raises(SystemExit) as exc:
+            main(["neck", "--nu", "0.1", "--n", "3", "--s", s,
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+        s = ",".join(["0.5"] * cons.MEMBERS_MAX)
+        assert len(_parse(["neck", "--nu", "0.1", "--n", "3",
+                           "--s", s])["s"]) == cons.MEMBERS_MAX
 
     @pytest.mark.parametrize("argv", [
         # --example builds its own boundaries, so each explicit boundary flag

@@ -10,7 +10,8 @@ from warpcheck.constructions import (certified_core, certify_collar,
                                      neck_family_check, round_boundary,
                                      sha_yang_space, theorem22_hypotheses)
 from warpcheck.curvature import MultiWarpedMetric
-from warpcheck.errors import DataMissingError, InputError
+from warpcheck.errors import (DataMissingError, DomainTruncationError,
+                              InputError)
 from warpcheck.factors import (abstract_factor, round_sphere_factor,
                                unit_sphere_volume)
 from warpcheck.profiles import closed_form_profile, sha_yang_profiles
@@ -201,7 +202,7 @@ class TestGnRegions:
             gN_regions(abstract_factor("Y", 3, (-3.0, -3.0)), 0.2, 5)  # dim
         with pytest.raises(InputError):
             gN_regions(abstract_factor("Y", 4, (-4.0, -4.0)), 0.2, 5)  # floor
-        with pytest.raises(InputError):
+        with pytest.raises(DomainTruncationError):
             self.worst_case(5, eps=1.0)  # radial profile collapses first
 
 
@@ -212,12 +213,6 @@ class TestDockingAmbient:
         assert v.overall
         spread = next(c for c in v.checks if c.name == "max_component_spread")
         assert spread.value <= 1e-9
-
-    def test_custom_profile_skips_round_check(self):
-        from warpcheck.profiles import docking_R_profile
-        v = docking_ambient(3, R=docking_R_profile())
-        assert all(c.name != "max_component_spread" for c in v.checks)
-        assert v.overall
 
 
 class TestTheorem22:

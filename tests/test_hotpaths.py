@@ -25,6 +25,7 @@ from warpcheck.constructions import (certify_collar, docking_ambient,
 from warpcheck.curvature import (_SWEEP_BLOCK, MultiWarpedMetric,
                                  _component_arrays, _ordered_sum,
                                  ricci_report)
+from warpcheck.errors import DomainTruncationError
 from warpcheck.factors import abstract_factor, round_sphere_factor
 from warpcheck.ode import OdeRhs, integrate_ivp
 from warpcheck.profiles import (_collar_step, _collar_step_prime, _flat_decay,
@@ -222,7 +223,12 @@ def coded_rhs(code, p0, p1, p2, t, f, fp):
 ], ids=["rhs1-1-params1-50.0", "rhs2-1-params2-20.0", "rhs3-2-params3-5.0",
         "rhs4-2-params4-2.0"])
 def test_rhs_closures_keep_the_bits_of_the_coded_forms(rhs, code, params, t1):
-    sol = integrate_ivp(rhs, 0.0, t1, 1.0, 0.0, 1e-10, on_truncate="return")
+    # the radial-floor cases collapse before t1: compare the partial
+    # solution that the refusal carries
+    try:
+        sol = integrate_ivp(rhs, 0.0, t1, 1.0, 0.0, 1e-10)
+    except DomainTruncationError as err:
+        sol = err.solution
     p0, p1, p2 = (*params, 0.0, 0.0, 0.0)[:3]
     ts, fs, fps, fpps, status, nfev = kernels._rk45(
         functools.partial(coded_rhs, code, p0, p1, p2),
@@ -445,7 +451,7 @@ def blocks_match_one_shot(m, ts):
 @pytest.fixture(scope="module")
 def sweep_metrics():
     """One metric per evaluation path the sweep meets."""
-    f, h, _ = sha_yang_profiles(3, 2, 50.0, 1e-10)
+    f, h, _ = sha_yang_profiles(3, 2, 50.0)
     sha_yang = MultiWarpedMetric(
         (0.0, 50.0), ((round_sphere_factor(1, 1.0), h),
                       (abstract_factor("M", 3, (2.0, 2.0)), f)),
@@ -540,6 +546,26 @@ def test_node_buffers_grow_past_their_first_size():
     ts, *_, status, _ = kernels._rk45(rhs, 0.0, 400.0, 1.0, 1.0, 1e-10,
                                       1e-10, 0.1, n0 + 5)
     assert status == kernels.STATUS_MAX_STEPS and len(ts) == n0 + 6
+
+
+# --- neck family members --------------------------------------------------------
+
+def test_neck_memory_does_not_grow_with_the_member_count():
+    # each member keeps its Ricci minimum, not its report with the sweep
+    # grid, which at this size is 800 KB
+    core = constructions.certified_core(3, 0.2)
+
+    def peak(count):
+        s_values = np.linspace(0.5, 1.0, count)
+        tracemalloc.start()
+        try:
+            constructions.neck_family_check(0.1, 3, s_values, core,
+                                            grid_size=100_000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    one, many = peak(1), peak(8)
+    assert many < one + 64 * 1024
 
 
 # --- CSV export ----------------------------------------------------------------

@@ -8,7 +8,7 @@ from warpcheck import profiles
 from warpcheck.errors import (ConstructionError, DomainTruncationError,
                               GlueMismatchError, InputError)
 from warpcheck.ode import OdeRhs
-from warpcheck.profiles import (closability_ode_profile,
+from warpcheck.profiles import (SOLVER_TOL, closability_ode_profile,
                                 closed_form_profile, collar_profile,
                                 docking_R_profile, finite_difference_residual,
                                 k_profile, mollify_profile, neck_profile,
@@ -57,23 +57,23 @@ class TestIvpProfiles:
         # a cone point
         harmonic = OdeRhs.from_callable(lambda t, f, fp: -f)
         with pytest.raises(InputError):
-            solve_ivp_profile(harmonic, 0.0, 1.0, (0.0, 3.0), 1e-10)
+            solve_ivp_profile(harmonic, 0.0, 1.0, (0.0, 3.0))
 
     def test_linear_rhs_exact(self):
         free = OdeRhs.from_callable(lambda t, f, fp: 0.0 * fp)
-        p = solve_ivp_profile(free, 1.0, 2.0, (0.0, 4.0), 1e-10)
+        p = solve_ivp_profile(free, 1.0, 2.0, (0.0, 4.0))
         t = np.linspace(0.0, 4.0, 101)
         assert np.max(np.abs(p.eval(t)[0] - (1.0 + 2.0 * t))) < 1e-12
 
     def test_first_integral_residual_oracle(self):
-        p = solve_ivp_profile(OdeRhs.power(0.5, -2.0), 1.0, 0.0, (0.0, 50.0), 1e-10)
+        p = solve_ivp_profile(OdeRhs.power(0.5, -2.0), 1.0, 0.0, (0.0, 50.0))
         t = np.linspace(0.0, 50.0, 8192)
         f, fp, _ = p.eval(t)
         assert np.max(np.abs(fp ** 2 - (1.0 - 1.0 / f))) <= 1e-8
 
     def test_truncation_raises_with_reached_time(self):
         with pytest.raises(DomainTruncationError) as err:
-            solve_ivp_profile(OdeRhs.radial_floor(3.0), 1.0, 0.0, (0.0, 2.0), 1e-10)
+            solve_ivp_profile(OdeRhs.radial_floor(3.0), 1.0, 0.0, (0.0, 2.0))
         assert err.value.reached < 2.0
 
 
@@ -97,13 +97,12 @@ class TestShaYangProfiles:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_first_integral_residual_all_pairs(self, n, m):
-        tol = 1e-10
-        f, h, alpha = sha_yang_profiles(n, m, 50.0, tol)
+        f, h, alpha = sha_yang_profiles(n, m, 50.0)
         t = np.linspace(0.0, 50.0, 4096)
         fv, fpv, _ = f.eval(t)
         residual = np.max(np.abs(fpv ** 2 - (1.0 - fv ** -alpha)))
-        assert residual <= 10.0 * tol
-        assert f.solver_meta["first_integral_residual"] <= 10.0 * tol
+        assert residual <= 10.0 * SOLVER_TOL
+        assert f.solver_meta["first_integral_residual"] <= 10.0 * SOLVER_TOL
 
     def test_monotonicity(self):
         f, _, _ = sha_yang_profiles(3, 3, 50.0)
@@ -133,9 +132,13 @@ class TestClosabilityProfile:
             assert np.max(np.abs(radial_floor_value(p, n, t) - 1.0)) <= 1e-6
 
     def test_truncation_reports_reached_domain(self):
-        p = closability_ode_profile(5, 2.0)
-        assert p.solver_meta["truncated"]
-        assert p.t1 == p.solver_meta["eps_star"] < 2.0
+        # the solution collapses before eps = 2: no profile on a shorter
+        # domain is returned in its place
+        with pytest.raises(DomainTruncationError) as err:
+            closability_ode_profile(5, 2.0)
+        assert 0.0 < err.value.reached < 2.0
+        assert f"t = {err.value.reached}" in str(err.value)
+        assert "requested endpoint 2.0" in str(err.value)
 
     def test_even_at_origin(self):
         p = closability_ode_profile(4, 0.2)

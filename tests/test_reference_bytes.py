@@ -1,15 +1,12 @@
 """Byte-identity gate: CLI outputs against the benchmark's recorded digests.
 
 ``perfbench/reference.json`` holds the exit code and the sha256 of every
-output file for each argv the benchmark can run. One argv per scenario of
-``constructions.SCENARIOS`` (default sizes), one export per profile of
-``constructions.PROFILES``, and four scaled argvs whose grids (2e5 to 1e6
-points) span many blocks of the Ricci sweep are replayed in-process here, so
-a refactor that changes a single report byte fails tier-1.
-``docking --n 6 --grid 1000000`` exits 1: its round-model spread, 1.4e-9,
-exceeds the 1e-9 bound. The two ``--csv`` argvs run from a temporary working
-directory into the benchmark's relative output directory, because their
-reports list the CSVs by that path.
+output file for each argv the benchmark can run. Every one of them is
+replayed in-process here, so a refactor that changes a single report byte
+fails tier-1. ``docking --n 6 --grid 1000000`` exits 1: its round-model
+spread, 1.4e-9, exceeds the 1e-9 bound. The ``--csv`` argvs run from a
+temporary working directory into the benchmark's relative output directory,
+because their reports list the CSVs by that path.
 
 The benchmark's tracer also wraps program functions by name; the last tests
 check that every name it looks up still exists, and that every argv the
@@ -31,45 +28,16 @@ from warpcheck.errors import WarpcheckError
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = PERFBENCH / "reference.json"
 
-ARGVS = (
-    "sha-yang --n 3 --m 2",
-    "neck --nu 0.1 --n 3 --s 0.5,0.25,0.1",
-    "closability --n 3",
-    "gn --n 3",
-    "docking --n 3",
-    "thm22 --n 4",
-    "thm22 --n 4 --members 2 --ric-deficit 0.1",
-    "glue --example hemisphere --n 3",
-    "export --profile k --eps-prime 0.2 --grid 50000",
-    "export --profile sha-f --n 3 --m 2 --grid 50000",
-    "export --profile sha-h --n 3 --m 2 --grid 50000",
-    "export --profile neck --nu 0.1 --s 0.5 --grid 50000",
-    "export --profile collar --c 0.1 --grid 50000",
-    "export --profile closability --n 3 --eps-prime 0.2 --grid 50000",
-    "export --profile docking-r --grid 50000",
-    # scaled grids: the Ricci sweep runs in many blocks
-    "sha-yang --n 3 --m 2 --grid 1000000",
-    "gn --n 3 --grid 200000",
-    "thm22 --n 4 --members 4 --grid 250000",
-    "docking --n 6 --grid 1000000",
-)
-
-CSV_ARGVS = (
-    "gn --n 3 --csv --grid 20000",
-    "sha-yang --n 3 --m 2 --csv --grid 20000",
-)
+RECORDED = json.loads(REFERENCE.read_text())["argvs"]
+ARGVS = sorted(key for key in RECORDED if "--csv" not in key.split())
+CSV_ARGVS = sorted(key for key in RECORDED if "--csv" in key.split())
 # perfbench/run.py writes every output here, relative to its working directory
 BENCH_OUT = Path(".perfbench_work") / "out"
 
 
-@pytest.fixture(scope="module")
-def reference():
-    return json.loads(REFERENCE.read_text())["argvs"]
-
-
 @pytest.mark.parametrize("key", ARGVS)
-def test_outputs_match_reference(tmp_path, reference, key):
-    expected = reference[key]
+def test_outputs_match_reference(tmp_path, key):
+    expected = RECORDED[key]
     rc = cli.main(key.split() + ["--out", str(tmp_path)])
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.iterdir())}
@@ -78,8 +46,8 @@ def test_outputs_match_reference(tmp_path, reference, key):
 
 
 @pytest.mark.parametrize("key", CSV_ARGVS)
-def test_csv_outputs_match_reference(tmp_path, monkeypatch, reference, key):
-    expected = reference[key]
+def test_csv_outputs_match_reference(tmp_path, monkeypatch, key):
+    expected = RECORDED[key]
     monkeypatch.chdir(tmp_path)
     rc = cli.main(key.split() + ["--out", str(BENCH_OUT)])
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -129,13 +97,12 @@ def workloads():
     return module
 
 
-def test_benchmark_argvs_pass_only_flags_their_runs_read(workloads,
-                                                         reference):
+def test_benchmark_argvs_pass_only_flags_their_runs_read(workloads):
     # the parse-and-flag-check step alone, no compute, on every argv the
     # benchmark can run: none passes a flag that its run does not read
     argvs = {argv for name in workloads.WORKLOADS
              for _, argv in workloads.all_argvs(name)}
-    assert {" ".join(argv) for argv in argvs} == set(reference)
+    assert {" ".join(argv) for argv in argvs} == set(RECORDED)
     rejected = []
     for argv in sorted(argvs):
         try:
