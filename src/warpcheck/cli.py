@@ -33,7 +33,9 @@ CSV_GRID = 1001
 # flags of several subcommands: --out (all), --require-min (every
 # scenario), the rest where a declaration lists them
 _SHARED = {
-    "--grid": {"type": int},  # help: per subcommand, with its defaults
+    # help: per subcommand, with its defaults; a grid below 2 is rejected
+    # where it is used, so --grid 0 is never replaced by a default
+    "--grid": {"type": cons._number(int, hi=cons.GRID_MAX)},
     "--out": {"type": Path, "default": Path("."),
               "help": "output directory for reports and CSVs"},
     "--csv": {"action": "store_true",

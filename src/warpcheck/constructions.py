@@ -291,7 +291,7 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
         # is an input error, raised before a sweep over the degenerate metric
         outer = boundary_data(metric, "right")
         inner = boundary_data(metric, "left")
-        # only the minimum is read: a kept report would hold its whole grid
+        # only the minimum is read, so no member keeps its report
         ricci_min = ricci_report(metric, grid_size).global_min
         lam = math.sqrt(2.0) * math.sin(nu * s)
         glue = glue_check(core.scaled(lam).boundary, inner)
@@ -665,6 +665,11 @@ def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
 # the most family members a run builds: the cross sections of thm22
 # --members, or the neck metrics of the values in neck --s
 MEMBERS_MAX = 1000
+# the most points of a sweep grid or rows of a CSV dump: a sweep builds its
+# grid block by block, so no allocation refuses a huge --grid, and --grid
+# 1e12 would start a sweep of days; sha-yang sweeps 1e6 points in about
+# 0.2 s, so 1e8 in about 20 s
+GRID_MAX = 10 ** 8
 
 
 def _number(kind, lo=-math.inf, hi=math.inf):
@@ -686,11 +691,16 @@ _member_count = _number(int, 1, MEMBERS_MAX)
 
 
 def _csv_list(text: str) -> list[float]:
-    """argparse type: at most MEMBERS_MAX comma-separated finite floats."""
-    items = [x for x in text.split(",") if x.strip()]
+    """argparse type: at most MEMBERS_MAX comma-separated finite floats,
+    none of them empty."""
+    items = text.split(",")
     if len(items) > MEMBERS_MAX:
         raise argparse.ArgumentTypeError(
             f"{len(items)} values, more than the {MEMBERS_MAX} allowed")
+    for i, x in enumerate(items, 1):
+        if not x.strip():
+            raise argparse.ArgumentTypeError(
+                f"value {i} of {len(items)} in {text!r} is empty")
     return [_finite_float(x) for x in items]
 
 

@@ -266,8 +266,29 @@ def boundary_data(metric: MultiWarpedMetric, side: str) -> BoundaryData:
 # points per block of the Ricci sweep, a multiple of 4: its blocks give the
 # same bits as one sweep over all points, since every component is
 # elementwise except the ``CumulativeIntegral`` of k and collar profiles,
-# whose BLAS product ``row_blocks`` keeps aligned
-_SWEEP_BLOCK = 1 << 14
+# whose BLAS product ``row_blocks`` keeps aligned. A block's temporaries
+# (dense output, quadrature queries, component rows) peak at about 1.25 MB
+# in a sha-yang sweep
+_SWEEP_BLOCK = 1 << 13
+
+
+def _linspace_block(lo: float, hi: float, n: int, s: int,
+                    e: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)[s:e]`` bit for bit, built without the other
+    points: linspace's steps (float64 spacing, or its division-first branch
+    when the spacing underflows to 0), then ``hi`` as the last point."""
+    delta = np.subtract(hi, lo, dtype=float)
+    ts = np.arange(s, e, dtype=float)
+    step = delta / (n - 1)
+    if step == 0:
+        ts /= n - 1
+        ts *= delta
+    else:
+        ts *= step
+    ts += lo
+    if e == n:
+        ts[-1] = hi
+    return ts
 
 
 class RicciReport(Record):
@@ -275,35 +296,44 @@ class RicciReport(Record):
     each caller compares against its own threshold.
 
     ``extrema`` holds the minimum and maximum over the grid of Ric(dt, dt)
-    and of the per-block lower and upper components, over all blocks.
+    and of the per-block lower and upper components, over all blocks. The
+    grid is ``np.linspace(*grid_bounds, grid_size)``; ``grid`` rebuilds it.
     """
 
-    grid: np.ndarray
+    grid_bounds: tuple[float, float]
+    grid_size: int
     extrema: tuple  # ((tt_min, tt_max), (lo_min, lo_max), (hi_min, hi_max))
     global_min: float
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The swept grid, built anew on each access."""
+        return np.linspace(*self.grid_bounds, self.grid_size)
 
 
 def ricci_report(metric: MultiWarpedMetric, grid_size: int) -> RicciReport:
     """Sweep Ricci components over a uniform grid (closure zones excluded)
     and measure their extrema; the caller judges ``global_min``.
 
-    The grid is swept in blocks of ``_SWEEP_BLOCK`` points, keeping only each
-    component's minimum and maximum, so memory beyond the grid itself does
-    not grow with its size.
+    The grid is built and swept in blocks of ``_SWEEP_BLOCK`` points,
+    keeping only each component's minimum and maximum, so the memory the
+    sweep needs does not grow with the grid size.
     """
     if grid_size < 2:
         raise InputError("grid_size must be at least 2")
-    ts = np.linspace(*metric.grid_bounds(), grid_size)
+    lo, hi = metric.grid_bounds()
     mins = []
     maxs = []
     for s, e in row_blocks(grid_size, _SWEEP_BLOCK):
-        arrays = _component_arrays(metric, ts[s:e])
+        arrays = _component_arrays(
+            metric, _linspace_block(lo, hi, grid_size, s, e))
         mins.append([a.min() for a in arrays])
         maxs.append([a.max() for a in arrays])
     # np.min/np.max over the blocks: a NaN in any block propagates
     extrema = tuple(zip(np.min(mins, axis=0), np.max(maxs, axis=0)))
     (tt_min, _), (lo_min, _), _ = extrema
-    return RicciReport(grid=ts, extrema=extrema,
+    return RicciReport(grid_bounds=(lo, hi), grid_size=grid_size,
+                       extrema=extrema,
                        global_min=float(min(tt_min, lo_min)))
 
 

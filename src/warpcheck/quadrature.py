@@ -75,7 +75,7 @@ _QUERY_BLOCK = 1024
 # cycles through exactly four (the point [1.0], the 9-point C2 stencil and
 # the two 2048-point sweep grids), once per slope a closability search tries.
 # Each slot holds a copy of a query and its result, 16 bytes per point, so
-# four sweep blocks of 16384 points take 1 MB.
+# four sweep blocks of 8192 points take 0.5 MB.
 _MEMO_SLOTS = 4
 
 

@@ -171,7 +171,8 @@ class TestExitCodeContract:
         ["thm22", "--n", "400"],
         ["neck", "--nu", "0.1", "--n", "1000000", "--s", "0.5"],
         ["docking", "--n", "100000000"],
-        # arrays too large to allocate (was a MemoryError traceback)
+        # grids above GRID_MAX, rejected at parse time (was a MemoryError
+        # traceback, then a MemoryError from the grid's allocation)
         ["sha-yang", "--n", "3", "--m", "2", "--grid", "1000000000000"],
         ["export", "--profile", "k", "--grid", "1000000000000"],
         # longer than max_steps steps of h_max (was a spent step budget)
@@ -287,6 +288,23 @@ class TestExitCodeContract:
         s = ",".join(["0.5"] * cons.MEMBERS_MAX)
         assert len(_parse(["neck", "--nu", "0.1", "--n", "3",
                            "--s", s])["s"]) == cons.MEMBERS_MAX
+
+    @pytest.mark.parametrize("s, position", [
+        ("0.5,,0.25", "value 2 of 3"), ("0.5,", "value 2 of 2"),
+        (",0.5", "value 1 of 2"), ("0.5, ,0.25", "value 2 of 3"),
+        ("", "value 1 of 1")])
+    def test_empty_s_entry_is_input_error(self, tmp_path, capsys, s,
+                                          position):
+        # an empty entry was dropped: "0.5,,0.25" ran and echoed two values
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["neck", "--nu", "0.1", "--n", "3", "--s", s,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        (line,) = [x for x in capsys.readouterr().err.splitlines()
+                   if "error:" in x]
+        assert position in line and "is empty" in line
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         # --example builds its own boundaries, so each explicit boundary flag

@@ -7,7 +7,9 @@ errors, because the edge grids include inf and nan; the seed forms only
 silenced underflow on the inputs they were given.
 """
 import functools
+import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -18,13 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cone_profile
-from warpcheck import (constructions, curvature, kernels, profiles, quadrature,
-                       report)
+from warpcheck import (cli, constructions, curvature, kernels, profiles,
+                       quadrature, report)
 from warpcheck.constructions import (certify_collar, docking_ambient,
                                      gN_regions, round_boundary)
 from warpcheck.curvature import (_SWEEP_BLOCK, MultiWarpedMetric,
-                                 _component_arrays, _ordered_sum,
-                                 ricci_report)
+                                 _component_arrays, _linspace_block,
+                                 _ordered_sum, ricci_report)
 from warpcheck.errors import DomainTruncationError
 from warpcheck.factors import abstract_factor, round_sphere_factor
 from warpcheck.ode import OdeRhs, integrate_ivp
@@ -512,6 +514,132 @@ def test_blocked_sweep_keeps_an_exact_negative_zero_minimum():
     assert len(row_blocks(3 * B + 1, curvature._SWEEP_BLOCK)) == 3
     assert_same_bits(rep.global_min, -0.0)
     assert rep.global_min >= 0.0
+
+
+# --- streamed sweep grid -------------------------------------------------------
+
+def assert_blocks_are_linspace(lo, hi, n, block=B):
+    whole = np.linspace(lo, hi, n)
+    for s, e in row_blocks(n, block):
+        assert_same_bits(_linspace_block(lo, hi, n, s, e), whole[s:e])
+
+
+def test_grid_blocks_are_linspace_for_random_bounds():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        scale = 10.0 ** rng.integers(-8, 9)
+        lo, hi = np.sort(rng.uniform(-scale, scale, 2))
+        n = int(rng.integers(2, 3 * B))
+        block = int(4 * rng.integers(1, B // 4 + 1))
+        assert_blocks_are_linspace(float(lo), float(hi), n, block)
+        s = int(rng.integers(0, n))
+        e = int(rng.integers(s + 1, n + 1))
+        assert_same_bits(_linspace_block(lo, hi, n, s, e),
+                         np.linspace(lo, hi, n)[s:e])
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def reference_grid_sizes():
+    """Every sweep or CSV size a benchmark argv runs: its --grid, or the
+    default of its subcommand."""
+    sizes = set()
+    for key in json.loads(REFERENCE.read_text())["argvs"]:
+        given = re.findall(r"--grid (\d+)", key)
+        name = key.split()[0]
+        if given:
+            sizes.add(int(given[0]))
+        elif name in constructions.SCENARIOS:
+            sizes.add(constructions.SCENARIOS[name].grid or cli.CSV_GRID)
+        else:
+            sizes.add(cli.CSV_GRID)
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("n", reference_grid_sizes())
+def test_grid_blocks_are_linspace_at_every_reference_size(sweep_metrics, n):
+    for m in sweep_metrics.values():
+        assert_blocks_are_linspace(*m.grid_bounds(), n)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-3, 50.0), (-1.0, 1.0), (0.0, 0.1),
+                                    (1e300, 1.5e300), (2.0, -3.0)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, B, 2 * B, 2 * B + 3])
+def test_grid_blocks_are_linspace_at_the_edges(lo, hi, n):
+    # n = 2 is one block of both ends; at 2 B the last block is full and
+    # ends exactly at n; at 2 B + 3 the three leftover points merge into it
+    assert_blocks_are_linspace(lo, hi, n)
+    s, e = row_blocks(n, B)[-1]
+    assert e == n and _linspace_block(lo, hi, n, s, e)[-1] == hi
+
+
+@pytest.mark.parametrize("lo, hi, n", [(0.0, 5e-324, 3), (0.0, 5e-324, B + 1),
+                                       (1.0, 1.0, 7), (-5e-324, 5e-324, 5)])
+def test_grid_blocks_follow_linspace_when_the_spacing_underflows(lo, hi, n):
+    assert np.subtract(hi, lo) / (n - 1) == 0.0
+    assert_blocks_are_linspace(lo, hi, n)
+    assert_blocks_are_linspace(lo, hi, n, block=4)
+
+
+def test_report_grid_is_rebuilt_and_read_only(sweep_metrics):
+    m = sweep_metrics["docking"]
+    rep = ricci_report(m, 37)
+    assert rep.grid_size == 37 and rep.grid_bounds == m.grid_bounds()
+    assert_same_bits(rep.grid, np.linspace(*m.grid_bounds(), 37))
+    with pytest.raises(AttributeError):
+        rep.grid = np.zeros(37)
+
+
+@pytest.mark.parametrize("name", ["sha-yang", "gn"])
+def test_sweep_memory_does_not_grow_with_the_grid(sweep_metrics, name):
+    # the grid is built block by block; the peak of a one-block sweep bounds
+    # one block's working set, and 38 blocks more must stay inside it (a
+    # whole grid of 40 blocks is 2.6 MB)
+    m = sweep_metrics[name]
+
+    def peak(blocks):
+        ricci_report(m, blocks * B)  # fill the memos first
+        tracemalloc.start()
+        try:
+            ricci_report(m, blocks * B)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    one_block = peak(1)
+    assert peak(40) < peak(2) + one_block
+    assert 8 * 40 * B > one_block
+
+
+def grid_subcommands():
+    """Required flags of each subcommand that reads --grid."""
+    return {"sha-yang": ["--n", "3", "--m", "2"],
+            "neck": ["--nu", "0.1", "--n", "3", "--s", "0.5"],
+            "closability": ["--n", "4"], "gn": ["--n", "3"],
+            "docking": ["--n", "3"], "thm22": ["--n", "4"],
+            "export": ["--profile", "k"]}
+
+
+def test_every_grid_subcommand_is_listed():
+    readers = {s.name for s in constructions.SCENARIOS.values()
+               if "--grid" in s.common}
+    assert "--grid" in constructions.EXPORT_COMMON
+    assert set(grid_subcommands()) == readers | {"export"}
+
+
+@pytest.mark.parametrize("name", sorted(grid_subcommands()))
+def test_grid_above_grid_max_is_rejected_at_parse_time(capsys, name):
+    argv = [name, *grid_subcommands()[name], "--grid"]
+    assert cli._parse(argv + [str(constructions.GRID_MAX)])["grid"] \
+        == constructions.GRID_MAX
+    with pytest.raises(SystemExit) as exc:
+        cli._parse(argv + [str(constructions.GRID_MAX + 1)])
+    assert exc.value.code == 2
+    (line,) = [x for x in capsys.readouterr().err.splitlines()
+               if "error:" in x]
+    assert "--grid" in line
+    # below 2 the parser passes the grid on, to be rejected where it is used
+    assert cli._parse(argv + ["0"])["grid"] == 0
 
 
 # --- RK node buffers -----------------------------------------------------------
