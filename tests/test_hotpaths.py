@@ -427,8 +427,10 @@ def test_closability_search_integrates_each_collar_query_once(monkeypatch,
 B = _SWEEP_BLOCK
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, B - 1, B, B + 1, B + 2, B + 3,
-                               B + 4, B + 5, 2 * B, 2 * B + 3, 3 * B + 1])
+# the edges of one and of two blocks, and of larger multiples
+@pytest.mark.parametrize("n", sorted({
+    1, 2, 3, 4, 5, *(k * B + d for k in (1, 2) for d in range(-1, 6)),
+    3 * B + 1, 4 * B, 4 * B + 3, 6 * B + 1}))
 def test_sweep_bounds_tile_the_grid_in_full_blocks(n):
     bounds = row_blocks(n, curvature._SWEEP_BLOCK)
     assert B % 4 == 0
@@ -476,7 +478,9 @@ def sweep_metrics():
     }
 
 
-@pytest.mark.parametrize("g", [B - 1, B, B + 1, B + 2, B + 3, 2 * B + 1])
+@pytest.mark.parametrize("g", [B - 1, B, B + 1, B + 2, B + 3, 2 * B - 1,
+                               2 * B, 2 * B + 1, 2 * B + 2, 2 * B + 3,
+                               4 * B + 1])
 @pytest.mark.parametrize("name", ["sha-yang", "docking", "gn", "collar",
                                   "thm22"])
 def test_blocked_sweep_matches_one_shot_arrays(sweep_metrics, name, g):
@@ -570,8 +574,6 @@ def test_grid_blocks_are_linspace_at_the_edges(lo, hi, n):
     # n = 2 is one block of both ends; at 2 B the last block is full and
     # ends exactly at n; at 2 B + 3 the three leftover points merge into it
     assert_blocks_are_linspace(lo, hi, n)
-    s, e = row_blocks(n, B)[-1]
-    assert e == n and _linspace_block(lo, hi, n, s, e)[-1] == hi
 
 
 @pytest.mark.parametrize("lo, hi, n", [(0.0, 5e-324, 3), (0.0, 5e-324, B + 1),
@@ -611,25 +613,24 @@ def test_sweep_memory_does_not_grow_with_the_grid(sweep_metrics, name):
     assert 8 * 40 * B > one_block
 
 
-def grid_subcommands():
-    """Required flags of each subcommand that reads --grid."""
-    return {"sha-yang": ["--n", "3", "--m", "2"],
-            "neck": ["--nu", "0.1", "--n", "3", "--s", "0.5"],
-            "closability": ["--n", "4"], "gn": ["--n", "3"],
-            "docking": ["--n", "3"], "thm22": ["--n", "4"],
-            "export": ["--profile", "k"]}
+# the required flags of each subcommand that reads --grid
+GRID_READERS = {"sha-yang": ["--n", "3", "--m", "2"],
+                "neck": ["--nu", "0.1", "--n", "3", "--s", "0.5"],
+                "closability": ["--n", "4"], "gn": ["--n", "3"],
+                "docking": ["--n", "3"], "thm22": ["--n", "4"],
+                "export": ["--profile", "k"]}
 
 
 def test_every_grid_subcommand_is_listed():
     readers = {s.name for s in constructions.SCENARIOS.values()
                if "--grid" in s.common}
     assert "--grid" in constructions.EXPORT_COMMON
-    assert set(grid_subcommands()) == readers | {"export"}
+    assert set(GRID_READERS) == readers | {"export"}
 
 
-@pytest.mark.parametrize("name", sorted(grid_subcommands()))
+@pytest.mark.parametrize("name", sorted(GRID_READERS))
 def test_grid_above_grid_max_is_rejected_at_parse_time(capsys, name):
-    argv = [name, *grid_subcommands()[name], "--grid"]
+    argv = [name, *GRID_READERS[name], "--grid"]
     assert cli._parse(argv + [str(constructions.GRID_MAX)])["grid"] \
         == constructions.GRID_MAX
     with pytest.raises(SystemExit) as exc:
