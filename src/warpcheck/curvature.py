@@ -147,13 +147,15 @@ def _component_arrays(metric: MultiWarpedMetric, ts: np.ndarray):
         rho_lo[i], rho_hi[i] = factor.ricci_interval
 
     phi = fp / f
+    f2 = f ** 2
+    dims_phi = dims * phi
     ric_tt = -_ordered_sum(dims * fpp / f)
-    s_cross = _ordered_sum(dims * phi)
+    s_cross = _ordered_sum(dims_phi)
 
-    base = -fpp / f - (dims - 1.0) * fp ** 2 / f ** 2 \
-        - phi * (s_cross[None, :] - dims * phi)
-    lo = base + rho_lo / f ** 2
-    hi = base + rho_hi / f ** 2
+    base = -fpp / f - (dims - 1.0) * fp ** 2 / f2 \
+        - phi * (s_cross[None, :] - dims_phi)
+    lo = base + rho_lo / f2
+    hi = base + rho_hi / f2
     return ric_tt, lo, hi
 
 

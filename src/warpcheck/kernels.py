@@ -3,6 +3,13 @@
 One Dormand-Prince 5(4) loop (``_rk45``) integrates f'' = F(t, f, f') for
 any right-hand side, and one vectorized quintic-Hermite evaluator
 (``dense_eval``) interpolates its nodes; both are plain NumPy/Python.
+
+The evaluator reads each segment's coefficients from a table with one row
+per segment (``hermite_table``), built once per solution, so a query point
+gathers one row instead of rebuilding the quintic from 8 node values.
+``segment_index`` locates query points among ascending nodes; a monotone
+query longer than the node list, such as a block of a sweep grid, is
+located by one search of the query for the nodes.
 """
 from __future__ import annotations
 
@@ -148,24 +155,51 @@ def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, max_steps):
 rk45_callback = rk45_coded = _rk45
 
 
-def dense_eval(ts, fs, fps, fpps, tq):
-    """Quintic-Hermite dense output: (f, f') at query points, vectorized.
+def segment_index(nodes, tq):
+    """The segment [nodes[k], nodes[k + 1]] of ascending ``nodes`` that
+    holds each query point, clipped to the first and last segment: what
+    ``np.clip(np.searchsorted(nodes, tq, side="right") - 1, 0,
+    len(nodes) - 2)`` returns.
 
-    Each segment interpolates (f, f', f'') at both nodes, so f is O(h^6)
-    accurate and f' is O(h^5); f'' is *not* interpolated here, callers
-    recompute it from the right-hand side. The polynomial is evaluated in
-    difference (Horner) form: the leading node value enters only additively,
-    so f' keeps full relative accuracy even when |f| is large.
+    A monotone 1-d tq with more points than nodes is located the other way
+    round: one search of tq for the nodes, after which each segment number is
+    repeated over the run of points that lie in it. A non-increasing tq (the
+    collar's ``clip(1 - t, 0, 1)``) goes through its reversed view. Both
+    forms decide by the same comparisons, so ties and signed zeros land in
+    the same segment; a NaN makes tq non-monotone.
     """
-    tq = np.asarray(tq, dtype=float)
-    idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
-    t0 = ts[idx]
-    h = ts[idx + 1] - t0
-    s = (tq - t0) / h
+    last = len(nodes) - 2
+    if tq.ndim == 1 and tq.size > len(nodes):
+        if (tq[:-1] <= tq[1:]).all():
+            return _ascending_index(nodes, tq, last)
+        if (tq[:-1] >= tq[1:]).all():
+            return _ascending_index(nodes, tq[::-1], last)[::-1]
+    return np.clip(np.searchsorted(nodes, tq, side="right") - 1, 0, last)
 
-    fa, fb = fs[idx], fs[idx + 1]
-    ma, mb = h * fps[idx], h * fps[idx + 1]
-    aa, ab = h * h * fpps[idx], h * h * fpps[idx + 1]
+
+def _ascending_index(nodes, tq, last):
+    # tq[j] lies at or past nodes[k] exactly when j >= starts[k], so the
+    # points before starts[0] come before every node and those from
+    # starts[k] to starts[k + 1] in segment k
+    starts = np.searchsorted(tq, nodes, side="left")
+    runs = np.diff(starts, prepend=0, append=tq.size)
+    return np.repeat(np.clip(np.arange(-1, len(nodes)), 0, last), runs)
+
+
+def hermite_table(ts, fs, fps, fpps):
+    """One row per segment [ts[k], ts[k + 1]] of the quintic Hermite
+    interpolant of (f, f', f'') at the nodes, the columns
+
+        t0, h, f0, h f0', h^2 f0''/2, h^2 f0'', c3, c4, c5, 3 c3, 4 c4
+
+    with t0 the left node and h the segment's length: every factor of the
+    two Horner lines of ``dense_eval`` that depends on the segment alone.
+    """
+    t0 = ts[:-1]
+    h = ts[1:] - t0
+    fa, fb = fs[:-1], fs[1:]
+    ma, mb = h * fps[:-1], h * fps[1:]
+    aa, ab = h * h * fpps[:-1], h * h * fpps[1:]
 
     big_a = (fb - fa) - ma - 0.5 * aa
     big_b = (mb - ma) - aa
@@ -173,7 +207,29 @@ def dense_eval(ts, fs, fps, fpps, tq):
     c3 = 10.0 * big_a - 4.0 * big_b + 0.5 * big_c
     c4 = -15.0 * big_a + 7.0 * big_b - big_c
     c5 = 6.0 * big_a - 3.0 * big_b + 0.5 * big_c
+    return np.stack((t0, h, fa, ma, 0.5 * aa, aa, c3, c4, c5, 3.0 * c3,
+                     4.0 * c4), axis=-1)
 
-    f = fa + s * (ma + s * (0.5 * aa + s * (c3 + s * (c4 + s * c5))))
-    fp = (ma + s * (aa + s * (3.0 * c3 + s * (4.0 * c4 + s * 5.0 * c5)))) / h
+
+def dense_eval(ts, fs, fps, fpps, tq, table=None):
+    """Quintic-Hermite dense output: (f, f') at query points, vectorized.
+
+    Each segment interpolates (f, f', f'') at both nodes, so f is O(h^6)
+    accurate and f' is O(h^5); f'' is *not* interpolated here, callers
+    recompute it from the right-hand side. The polynomial is evaluated in
+    difference (Horner) form: the leading node value enters only additively,
+    so f' keeps full relative accuracy even when |f| is large.
+
+    ``table`` is ``hermite_table`` of the nodes, built here when not given;
+    each query point gathers its segment's row of it.
+    """
+    if table is None:
+        table = hermite_table(ts, fs, fps, fpps)
+    tq = np.asarray(tq, dtype=float)
+    (t0, h, fa, ma, half_aa, aa, c3, c4, c5, c3x3,
+     c4x4) = np.moveaxis(table[segment_index(ts, tq)], -1, 0)
+    s = (tq - t0) / h
+
+    f = fa + s * (ma + s * (half_aa + s * (c3 + s * (c4 + s * c5))))
+    fp = (ma + s * (aa + s * (c3x3 + s * (c4x4 + s * 5.0 * c5)))) / h
     return f, fp

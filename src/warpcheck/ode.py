@@ -57,9 +57,12 @@ class DenseSolution(Record):
     nfev: int
 
     def __post_init__(self):
-        # (f, f', f'') of the last query; see ``eval``. Not a field: no
-        # argument sets it and ``repr`` leaves it out
+        # (f, f', f'') of the last query (see ``eval``) and the per-segment
+        # coefficients of the interpolant. Not fields: no argument sets them
+        # and ``repr`` leaves them out
         object.__setattr__(self, "_memo", QueryMemo(1))
+        object.__setattr__(self, "_table", kernels.hermite_table(
+            self.ts, self.fs, self.fps, self.fpps))
 
     @property
     def t0(self) -> float:
@@ -81,7 +84,8 @@ class DenseSolution(Record):
         return self._memo(np.asarray(t, dtype=float), self._interpolate)
 
     def _interpolate(self, tq):
-        f, fp = kernels.dense_eval(self.ts, self.fs, self.fps, self.fpps, tq)
+        f, fp = kernels.dense_eval(self.ts, self.fs, self.fps, self.fpps, tq,
+                                   self._table)
         return f, fp, np.asarray(self.rhs(tq, f, fp), dtype=float)
 
     def defect(self) -> float:
@@ -90,12 +94,13 @@ class DenseSolution(Record):
         if len(self.ts) < 2:
             return 0.0
         tm = 0.5 * (self.ts[:-1] + self.ts[1:])
-        f, fp = kernels.dense_eval(self.ts, self.fs, self.fps, self.fpps, tm)
+        args = (self.ts, self.fs, self.fps, self.fpps)
+        f, fp = kernels.dense_eval(*args, tm, self._table)
         rhs_val = np.asarray(self.rhs(tm, f, fp), dtype=float)
         # curvature of the interpolant via a tight central difference of p'
         h = np.minimum(1e-6, 0.25 * np.diff(self.ts))
-        _, fp_hi = kernels.dense_eval(self.ts, self.fs, self.fps, self.fpps, tm + h)
-        _, fp_lo = kernels.dense_eval(self.ts, self.fs, self.fps, self.fpps, tm - h)
+        _, fp_hi = kernels.dense_eval(*args, tm + h, self._table)
+        _, fp_lo = kernels.dense_eval(*args, tm - h, self._table)
         curv = (fp_hi - fp_lo) / (2.0 * h)
         return float(np.max(np.abs(curv - rhs_val)))
 

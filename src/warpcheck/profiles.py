@@ -86,12 +86,19 @@ class WarpProfile(Record):
         tq = np.atleast_1d(tq)
         t0, t1 = self.domain
         slack = 1e-9 * (t1 - t0) + 1e-12
-        # written so that a nan, which compares false, fails it
-        if tq.size and not (tq.min() >= t0 - slack and tq.max() <= t1 + slack):
-            raise InputError(
-                f"evaluation outside profile domain [{t0}, {t1}]: "
-                f"[{tq.min()}, {tq.max()}]")
-        tc = np.clip(tq, t0, t1)
+        tc = tq
+        if tq.size:
+            lo, hi = tq.min(), tq.max()
+            # written so that a nan, which compares false, fails it
+            if not (lo >= t0 - slack and hi <= t1 + slack):
+                raise InputError(
+                    f"evaluation outside profile domain [{t0}, {t1}]: "
+                    f"[{lo}, {hi}]")
+            # on a tie np.clip may return the end's bits instead of the
+            # point's (NumPy's rule has varied), which differ for a signed
+            # zero; a strictly inner tq comes back unchanged under any rule
+            if not (t0 < lo and hi < t1):
+                tc = np.clip(tq, t0, t1)
         f, fp, fpp = (np.array(a, dtype=float, copy=True)
                       for a in self.raw_eval(tc))
         for endpoint, tstar in (("left", t0), ("right", t1)):

@@ -11,6 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import WarpcheckError
+from .kernels import segment_index
 from .memo import QueryMemo
 
 # 15-point Kronrod extension of 7-point Gauss, nodes on [-1, 1].
@@ -173,8 +174,7 @@ class CumulativeIntegral:
         return float(out[0]) if tq.ndim == 0 else out
 
     def _integrate(self, tq):
-        idx = np.clip(np.searchsorted(self.edges, tq, side="right") - 1,
-                      0, len(self.edges) - 2)
+        idx = segment_index(self.edges, tq)
         lo = self.edges[idx]
         mid = 0.5 * (lo + tq)
         half = 0.5 * (tq - lo)

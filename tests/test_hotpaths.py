@@ -108,6 +108,38 @@ def masked_flat_decay(x):
     return w, wp
 
 
+def per_point_dense_eval(ts, fs, fps, fpps, tq):
+    """``kernels.dense_eval`` before the per-segment table: every query point
+    gathers its segment's 8 node values and builds the quintic's
+    coefficients again."""
+    tq = np.asarray(tq, dtype=float)
+    idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
+    t0 = ts[idx]
+    h = ts[idx + 1] - t0
+    s = (tq - t0) / h
+
+    fa, fb = fs[idx], fs[idx + 1]
+    ma, mb = h * fps[idx], h * fps[idx + 1]
+    aa, ab = h * h * fpps[idx], h * h * fpps[idx + 1]
+
+    big_a = (fb - fa) - ma - 0.5 * aa
+    big_b = (mb - ma) - aa
+    big_c = ab - aa
+    c3 = 10.0 * big_a - 4.0 * big_b + 0.5 * big_c
+    c4 = -15.0 * big_a + 7.0 * big_b - big_c
+    c5 = 6.0 * big_a - 3.0 * big_b + 0.5 * big_c
+
+    f = fa + s * (ma + s * (0.5 * aa + s * (c3 + s * (c4 + s * c5))))
+    fp = (ma + s * (aa + s * (3.0 * c3 + s * (4.0 * c4 + s * 5.0 * c5)))) / h
+    return f, fp
+
+
+def clipped_searchsorted(nodes, tq):
+    """The segment lookup ``kernels.segment_index`` replaced."""
+    return np.clip(np.searchsorted(nodes, tq, side="right") - 1, 0,
+                   len(nodes) - 2)
+
+
 # --- _ordered_sum ------------------------------------------------------------
 
 SPECIALS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -254,9 +286,9 @@ def solution():
 def kernel_calls(monkeypatch):
     calls = []
 
-    def counted(ts, fs, fps, fpps, tq):
+    def counted(ts, fs, fps, fpps, tq, table=None):
         calls.append(np.size(tq))
-        return DENSE_EVAL(ts, fs, fps, fpps, tq)
+        return DENSE_EVAL(ts, fs, fps, fpps, tq, table)
 
     monkeypatch.setattr(kernels, "dense_eval", counted)
     return calls
@@ -310,6 +342,186 @@ def test_memo_is_not_part_of_identity(solution):
     solution.eval(np.linspace(0.0, 2.0, 9))
     assert repr(solution) == before
     assert "_last" not in before
+
+
+# --- per-segment Hermite table and monotone segment lookup -------------------
+
+def query_kinds(nodes, tq):
+    """Named query arrays over ``nodes``: tq ascending, descending and as
+    given, the nodes themselves (ascending, descending and each repeated),
+    points before the first and after the last node, and one-point queries."""
+    lo, hi = nodes[0], nodes[-1]
+    span = hi - lo
+    ordered = np.sort(tq)
+    outside = np.array([lo - span, lo - 0.5 * span, hi + 0.5 * span,
+                        hi + span])
+    kinds = {
+        "ascending": ordered,
+        "descending": ordered[::-1],
+        "unsorted": tq,
+        "nodes": nodes,
+        "nodes-descending": nodes[::-1],
+        "nodes-repeated": np.repeat(nodes, 3),
+        "with-nodes": np.sort(np.concatenate([tq, nodes])),
+        "outside": np.sort(np.concatenate([tq, outside])),
+        "outside-descending": np.sort(np.concatenate([tq, outside]))[::-1],
+    }
+    for name, t in (("first-node", lo), ("last-node", hi),
+                    ("before", lo - span), ("after", hi + span),
+                    ("inner", tq[0])):
+        kinds["point-" + name] = np.array([t])
+    return kinds
+
+
+def assert_dense_eval_matches_per_point(ts, fs, fps, fpps, tq):
+    table = kernels.hermite_table(ts, fs, fps, fpps)
+    assert table.shape == (len(ts) - 1, 11)
+    for t in query_kinds(ts, tq).values():
+        ref = per_point_dense_eval(ts, fs, fps, fpps, t)
+        for got in (DENSE_EVAL(ts, fs, fps, fpps, t, table),
+                    DENSE_EVAL(ts, fs, fps, fpps, t)):
+            for a, b in zip(got, ref):
+                assert_same_bits(a, b)
+
+
+MODERATE = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def node_sets(draw):
+    """Strictly increasing nodes with moderate (f, f', f'') at each, and
+    queries over and around them: more of them than nodes, so the monotone
+    lookup is taken."""
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=24))
+    ts = draw(st.floats(-100.0, 100.0)) + np.cumsum([0.0, *steps])
+    n = len(ts)
+    fs, fps, fpps = (np.array(draw(st.lists(MODERATE, min_size=n,
+                                            max_size=n)))
+                     for _ in range(3))
+    lo, hi = ts[0], ts[-1]
+    tq = draw(st.lists(st.floats(lo - 1.0, hi + 1.0), min_size=n + 1,
+                       max_size=4 * n + 8))
+    return ts, fs, fps, fpps, np.array(tq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_sets())
+def test_table_dense_eval_has_the_bits_of_the_per_point_form(case):
+    ts, fs, fps, fpps, tq = case
+    assert np.all(np.diff(ts) > 0.0)
+    assert_dense_eval_matches_per_point(ts, fs, fps, fpps, tq)
+
+
+def sha_yang_solution():
+    # the IVP of sha_yang_profiles(3, 2, 50.0): alpha = 2
+    return integrate_ivp(OdeRhs.power(1.0, -3.0), 0.0, 50.0, 1.0, 0.0,
+                         profiles.SOLVER_TOL / 8.0, h_max=0.25)
+
+
+def radial_floor_solution():
+    # collapses before t1: the partial solution that the refusal carries
+    try:
+        return integrate_ivp(OdeRhs.radial_floor(3), 0.0, 2.0, 1.0, 0.0,
+                             1e-10)
+    except DomainTruncationError as err:
+        return err.solution
+
+
+@pytest.mark.parametrize("build", [sha_yang_solution, radial_floor_solution],
+                         ids=["sha-yang", "radial-floor"])
+def test_table_dense_eval_on_solution_nodes(build):
+    sol = build()
+    ts, fs, fps, fpps = sol.ts, sol.fs, sol.fps, sol.fpps
+    assert_same_bits(sol._table, kernels.hermite_table(ts, fs, fps, fpps))
+    tq = np.random.default_rng(len(ts)).uniform(ts[0], ts[-1], 5 * len(ts))
+    assert_dense_eval_matches_per_point(ts, fs, fps, fpps, tq)
+    # a sweep block and the solution's own evaluation
+    grid = np.linspace(ts[0], ts[-1], B)
+    ref = per_point_dense_eval(ts, fs, fps, fpps, grid)
+    f, fp, _ = sol.eval(grid)
+    assert_same_bits(f, ref[0])
+    assert_same_bits(fp, ref[1])
+
+
+def assert_segments_match(nodes, tq):
+    got = kernels.segment_index(nodes, tq)
+    ref = clipped_searchsorted(nodes, tq)
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_sets())
+def test_segment_index_matches_clipped_searchsorted(case):
+    ts, _, _, _, tq = case
+    for t in query_kinds(ts, tq).values():
+        assert_segments_match(ts, t)
+
+
+EDGES = np.linspace(0.0, 1.0, quadrature.CUMINT_PANELS + 1)
+
+
+@pytest.mark.parametrize("name, tq", [
+    ("ties", np.repeat(EDGES[::8], 20)),
+    ("ties-descending", np.repeat(EDGES[::8], 20)[::-1]),
+    ("signed-zeros", np.array([-0.0, 0.0] * 200 + [0.5] * 100)),
+    ("signed-zeros-descending",
+     np.array([0.5] * 100 + [0.0, -0.0] * 200)),
+    ("all-negative-zero", np.full(300, -0.0)),
+    ("collar-trailing-zeros",
+     np.clip(1.0 - np.linspace(0.0, 2.0, 2048), 0.0, 1.0)),
+    ("infinities", np.concatenate([[-np.inf], np.linspace(-1, 2, 400),
+                                   [np.inf]])),
+    ("nan", np.concatenate([np.linspace(0.0, 1.0, 400), [np.nan]])),
+    ("no-longer-than-nodes", np.linspace(0.0, 1.0, EDGES.size)),
+    ("shorter-than-nodes", np.linspace(1.0, 0.0, 100)),
+    ("empty", np.array([])),
+    ("column", np.linspace(0.0, 1.0, 600)[:, None]),
+    ("scalar", np.float64(0.3)),
+])
+def test_segment_index_edge_queries(name, tq):
+    assert_segments_match(EDGES, tq)
+    # nodes with a zero that is -0.0
+    assert_segments_match(np.concatenate([[-0.0], EDGES[1:]]), tq)
+
+
+def test_collar_sweep_queries_take_the_reversed_lookup(monkeypatch):
+    # the collar's u = clip(1 - t, 0, 1) is non-increasing: its integral
+    # queries are located through the reversed view
+    ascending = []
+    lookup = kernels._ascending_index
+
+    def counted(nodes, tq, last):
+        ascending.append(tq.strides[0] < 0)
+        return lookup(nodes, tq, last)
+
+    monkeypatch.setattr(kernels, "_ascending_index", counted)
+    big_phi = CumulativeIntegral(_collar_step, 0.0, 1.0)
+    u = np.clip(1.0 - np.linspace(0.0, 2.0, 2048), 0.0, 1.0)
+    assert_same_bits(big_phi(u), one_shot_query(big_phi, u))
+    assert ascending == [True]
+
+
+# --- WarpProfile.eval range handling ------------------------------------------
+
+@pytest.mark.parametrize("domain", [(0.0, 2.0), (-2.0, 0.0), (0.25, 2.0)])
+@pytest.mark.parametrize("t", [
+    [-0.0], [0.0], [-0.0, 1.0, 0.0], [-2.0, -0.0], [-1.0 - 1e-10],
+    [2.0 + 1e-10, 0.25], [0.25 - 1e-10], [0.5, 1.5], [-1.5, -0.5], []])
+def test_eval_keeps_the_bits_of_clipping_every_query(domain, t):
+    # points equal to an end (signed zeros included) or outside it within
+    # the slack: eval clipped every query before it skipped the clip for
+    # strictly inner ones, and clipping twice is clipping once
+    t0, t1 = domain
+    tq = np.array([x for x in t if t0 - 1e-9 <= x <= t1 + 1e-9])
+    untagged = profiles.profile_from_callable(
+        domain, lambda u: 3.0 + u, lambda u: 1.0 + 0.0 * u,
+        lambda u: 0.0 * u)
+    tag = profiles.ParityTag("odd", (1.0, 0.0))
+    for p in (untagged, untagged.replace(parity={"left": tag}),
+              untagged.replace(parity={"right": tag})):
+        for got, ref in zip(p.eval(tq), p.eval(np.clip(tq, t0, t1))):
+            assert_same_bits(got, ref)
 
 
 # --- CumulativeIntegral memo -------------------------------------------------
@@ -695,6 +907,35 @@ def test_neck_memory_does_not_grow_with_the_member_count():
             tracemalloc.stop()
     one, many = peak(1), peak(8)
     assert many < one + 64 * 1024
+
+
+# --- thm22 family members -------------------------------------------------------
+
+@pytest.mark.parametrize("argv, sweeps, volumes", [
+    # one member sweep and the closability certificate's two collar sweeps
+    (["--n", "5", "--members", "4"], 3, 1),
+    (["--n", "5", "--members", "3", "--ric-deficit", "0.1"], 4, 2),
+    (["--n", "4", "--members", "1", "--ric-deficit", "0.1"], 3, 1),
+])
+def test_thm22_measures_each_distinct_member_once(tmp_path, monkeypatch,
+                                                  argv, sweeps, volumes):
+    calls = {"ricci_report": 0, "volume": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(constructions, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(constructions, name, counted)
+    cli.main(["thm22", *argv, "--out", str(tmp_path)])
+    assert calls == {"ricci_report": sweeps, "volume": volumes}
+
+    count = int(argv[argv.index("--members") + 1])
+    rep = json.loads((tmp_path / "thm22.json").read_text())
+    names = [c["name"] for c in rep["checks"]]
+    assert names == [f"member{i}_{check}" for i in range(count)
+                     for check in ("volume_cap", "ricci_floor")] \
+        + ["closable_member_certificate"]
+    assert len(rep["config"]["volumes"]) == count
 
 
 # --- CSV export ----------------------------------------------------------------
