@@ -409,8 +409,10 @@ def collar_closability(core_boundary: BoundaryData, c_max: float, n: int, *,
     certifies against the core.
 
     Outside the ramp the certified collar is exactly dt^2 + (c t + c0)^2 g;
-    the linear form is reported as a diagnostic. If no candidate certifies,
-    SearchFailureError carries the failing checks of the smallest one tried.
+    the linear form is reported as a diagnostic. The search halves c from
+    c_max up to 60 times, then bisects above the first slope that
+    certifies; if none does, SearchFailureError names the slopes tried and
+    the checks the smallest of them fails.
     """
     if not c_max > 0:
         raise InputError("c_max must be positive")
@@ -433,9 +435,10 @@ def collar_closability(core_boundary: BoundaryData, c_max: float, n: int, *,
                 break
             hi = c
         if lo is None:
+            failed = ", ".join(ch.name for ch in v.failed_checks())
             raise SearchFailureError(
-                f"no collar slope in (0, {c_max}] certifies",
-                diagnostics=v.failed_checks())
+                f"no collar slope c_max * 2^-k (k = 0..60) in [{c}, {c_max}] "
+                f"certifies; the smallest tried, {c}, fails {failed}")
         for _ in range(40):
             mid = 0.5 * (lo + hi)
             v = ok(mid)
@@ -756,7 +759,7 @@ def _run_neck(prm, grid):
     core = certified_core(prm["n"], kappa=kappa)
     v = neck_family_check(nu, prm["n"], prm["s"], core, grid_size=grid)
     return (v, ("delta", v.config["delta"]),
-            {f"neck-s{e['s']:g}": e["profile"]
+            {f"neck-s{e['s']!r}": e["profile"]
              for e in v.artifacts["members"]})
 
 

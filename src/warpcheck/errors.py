@@ -31,16 +31,16 @@ class GlueMismatchError(WarpcheckError):
 
 
 class DomainTruncationError(WarpcheckError):
-    """An IVP solution left its admissible region before the requested endpoint.
+    """An IVP solution left its admissible region, or ran out of steps,
+    before the requested endpoint.
 
-    ``reached`` is the last time the solution was valid; ``solution`` holds the
-    partial dense solution up to that time.
+    ``reached`` is the last time the solution was valid. No partial solution
+    is kept: the refusal is raised before one is built.
     """
 
-    def __init__(self, message, reached, solution=None):
+    def __init__(self, message, reached):
         super().__init__(message)
         self.reached = reached
-        self.solution = solution
 
 
 class IntegrationQualityError(WarpcheckError):
@@ -58,14 +58,9 @@ class SingularPointError(WarpcheckError):
 
 
 class SearchFailureError(WarpcheckError):
-    """A parameter search exhausted its range without certifying a candidate.
-
-    ``diagnostics`` holds the failed checks of the last candidate tried.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    """A parameter search exhausted the candidates it tries without
+    certifying one; the message names the range tried, the last candidate
+    and the checks it failed."""
 
 
 def int_ge(name: str, v, lo: int) -> int:

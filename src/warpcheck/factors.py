@@ -71,15 +71,6 @@ class FactorManifold(Record):
     def ricci_lower(self) -> float:
         return self.ricci_interval[0]
 
-    def __eq__(self, other):
-        """Factors are values: equal when every field is."""
-        if type(other) is not FactorManifold:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
-
 
 def round_sphere_factor(dim: int, radius: float) -> FactorManifold:
     """Round sphere S^dim of the given radius."""

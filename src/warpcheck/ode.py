@@ -16,30 +16,28 @@ class OdeRhs(Record):
 
     ``func`` is called with Python floats by the stepping loop and with
     ndarrays when second derivatives of dense output are recomputed (never
-    differenced); ``label`` names it in solver metadata.
+    differenced).
     """
 
     func: Callable
-    label: str = "callable"
 
     @staticmethod
     def power(coef: float, exponent: float) -> "OdeRhs":
         """F = coef * f**exponent (f > 0)."""
         a, b = float(coef), float(exponent)
-        return OdeRhs(lambda t, f, fp: a * f ** b, f"power({coef}, {exponent})")
+        return OdeRhs(lambda t, f, fp: a * f ** b)
 
     @staticmethod
     def radial_floor(q: float) -> "OdeRhs":
         """F = -f - q*(1 + f'^2)/f, the profile equation keeping the fiber
         Ricci term at its floor; q = n - 2 in n ambient dimensions."""
         qf = float(q)
-        return OdeRhs(lambda t, f, fp: -f - qf * (1.0 + fp * fp) / f,
-                      f"radial_floor({q})")
+        return OdeRhs(lambda t, f, fp: -f - qf * (1.0 + fp * fp) / f)
 
     @staticmethod
-    def from_callable(func: Callable, label: str = "callable") -> "OdeRhs":
+    def from_callable(func: Callable) -> "OdeRhs":
         """Wrap F(t, f, fp); must accept ndarray arguments elementwise."""
-        return OdeRhs(func, label)
+        return OdeRhs(func)
 
     def __call__(self, t, f, fp):
         return self.func(t, f, fp)
@@ -53,7 +51,6 @@ class DenseSolution(Record):
     fs: np.ndarray
     fps: np.ndarray
     fpps: np.ndarray
-    status: int
     nfev: int
 
     def __post_init__(self):
@@ -112,7 +109,7 @@ def integrate_ivp(rhs: OdeRhs, t0: float, t1: float, f0: float, fp0: float,
 
     Stopping early, when f drops below ``kernels.F_FLOOR`` (after having been
     above it) or |f'| exceeds ``kernels.FP_CAP``, raises
-    ``DomainTruncationError`` with the partial solution. Every accepted step
+    ``DomainTruncationError`` with the time reached. Every accepted step
     is at most ``h_max`` long, so an interval longer than ``h_max *
     max_steps`` is rejected before stepping.
     """
@@ -128,13 +125,13 @@ def integrate_ivp(rhs: OdeRhs, t0: float, t1: float, f0: float, fp0: float,
         rhs.func, float(t0), float(t1), float(f0), float(fp0), float(tol),
         float(tol), float(h_max), int(max_steps))
 
-    sol = DenseSolution(rhs=rhs, ts=ts, fs=fs, fps=fps, fpps=fpps,
-                        status=int(status), nfev=int(nfev))
+    reached = float(ts[-1])
     if status == kernels.STATUS_MAX_STEPS:
         raise DomainTruncationError(
-            f"step budget exhausted at t = {sol.t_end}", sol.t_end, sol)
+            f"step budget exhausted at t = {reached}", reached)
     if status == kernels.STATUS_TRUNCATED:
         raise DomainTruncationError(
-            f"solution left its admissible region at t = {sol.t_end} "
-            f"(requested endpoint {t1})", sol.t_end, sol)
-    return sol
+            f"solution left its admissible region at t = {reached} "
+            f"(requested endpoint {t1})", reached)
+    return DenseSolution(rhs=rhs, ts=ts, fs=fs, fps=fps, fpps=fpps,
+                         nfev=int(nfev))

@@ -259,22 +259,11 @@ def _profile_from_solution(sol: DenseSolution, parity: dict,
     """The profile of ``sol`` on its domain, with the endpoint tags
     ``parity`` and the solver's statistics in ``solver_meta``."""
     meta = {"tol": SOLVER_TOL, "n_steps": len(sol.ts) - 1, "nfev": sol.nfev,
-            "defect": sol.defect(), "rhs": sol.rhs.label}
+            "defect": sol.defect()}
     meta.update(extra_meta or {})
     return WarpProfile(domain=(sol.t0, sol.t_end),
                        raw_eval=lambda t: sol.eval(t), parity=parity,
                        solver_meta=meta)
-
-
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a NaN-free 1-d array in ascending order: the
-    sort and adjacent-difference mask of NumPy's ``unique``, which on NumPy
-    2.4 also imports ``numpy.ma``."""
-    ordered = np.sort(values)
-    keep = np.empty(ordered.shape, dtype=bool)
-    keep[:1] = True
-    keep[1:] = ordered[1:] != ordered[:-1]
-    return ordered[keep]
 
 
 def sha_yang_profiles(n: int, m: int, T: float):
@@ -298,8 +287,9 @@ def sha_yang_profiles(n: int, m: int, T: float):
     # differences of the interpolant are used as an oracle against it)
     sol = integrate_ivp(rhs, 0.0, T, 1.0, 0.0, SOLVER_TOL / 8.0, h_max=0.25)
 
-    grid = _sorted_distinct(np.concatenate([sol.ts,
-                                            np.linspace(0.0, T, 4097)]))
+    # a maximum: neither the order of the points nor a repeat changes it;
+    # the solver's nodes already hold the endpoints 0 and T
+    grid = np.concatenate((sol.ts, np.linspace(0.0, T, 4097)[1:-1]))
     f, fp, _ = sol.eval(grid)
     residual = float(np.max(np.abs(fp ** 2 - (1.0 - f ** -alpha))))
     if residual > 10.0 * SOLVER_TOL:

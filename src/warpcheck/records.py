@@ -15,8 +15,7 @@ class Record:
     ``__init__`` takes the fields by position or name, then calls
     ``__post_init__``. Assigning or deleting an attribute raises
     ``FrozenInstanceError``; a cache kept on a record is written with
-    ``object.__setattr__``. Records compare by identity unless their class
-    defines ``__eq__``.
+    ``object.__setattr__``. Records compare and hash by identity.
     """
 
     _fields = ()

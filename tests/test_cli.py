@@ -66,6 +66,40 @@ class TestScenarioRuns:
         assert (tmp_path / "b" / "neck_neck-s0.25.csv").read_bytes() == \
             (tmp_path / "neck.csv").read_bytes()
 
+    def test_neck_csv_names_keep_distinct_s_apart(self, tmp_path):
+        # s values that print alike with "%g" name distinct files: each
+        # holds its own member's profile and the report lists each one
+        out = tmp_path / "run"
+        assert main(["neck", "--nu", "0.1", "--n", "3", "--s",
+                     "0.1,0.1000001,1", "--csv", "--grid", "16",
+                     "--out", str(out)]) == 0
+        names = ["neck_neck-s0.1.csv", "neck_neck-s0.1000001.csv",
+                 "neck_neck-s1.0.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["neck.json", *names]
+        assert read_report(out / "neck.json")["artifacts"] == [
+            str(out / name) for name in names]
+        for s, name in zip(("0.1", "0.1000001", "1"), names):
+            export = tmp_path / f"export-{s}"
+            assert main(["export", "--profile", "neck", "--nu", "0.1", "--s",
+                         s, "--grid", "16", "--out", str(export)]) == 0
+            assert (out / name).read_bytes() == \
+                (export / "neck.csv").read_bytes()
+
+    def test_closability_search_failure_names_what_it_tried(self, tmp_path,
+                                                            capsys):
+        # every slope below kappa/2 certifies, but the search stops at
+        # c_max * 2^-60 = 3.9e-19, far above 5e-301: an input error (2)
+        # that states the range tried and the checks its smallest slope fails
+        out = tmp_path / "out"
+        assert main(["closability", "--n", "3", "--kappa", "1e-300",
+                     "--grid", "64", "--out", str(out)]) == 2
+        smallest = 0.45 * 2.0 ** -60
+        assert capsys.readouterr().err == (
+            f"error: no collar slope c_max * 2^-k (k = 0..60) in "
+            f"[{smallest!r}, 0.45] certifies; the smallest tried, "
+            f"{smallest!r}, fails core_glue_ii_sum\n")
+        assert not out.exists()
+
     def test_docking_round_spread_field(self, tmp_path):
         rc = main(["docking", "--n", "3", "--out", str(tmp_path)])
         assert rc == 0

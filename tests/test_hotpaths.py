@@ -29,7 +29,7 @@ from warpcheck.curvature import (_SWEEP_BLOCK, MultiWarpedMetric,
                                  _ordered_sum, ricci_report)
 from warpcheck.errors import DomainTruncationError
 from warpcheck.factors import abstract_factor, round_sphere_factor
-from warpcheck.ode import OdeRhs, integrate_ivp
+from warpcheck.ode import DenseSolution, OdeRhs, integrate_ivp
 from warpcheck.profiles import (_collar_step, _collar_step_prime, _flat_decay,
                                 _flat_decay_value, closed_form_profile,
                                 collar_profile, k_profile, sha_yang_profiles)
@@ -257,19 +257,23 @@ def coded_rhs(code, p0, p1, p2, t, f, fp):
 ], ids=["rhs1-1-params1-50.0", "rhs2-1-params2-20.0", "rhs3-2-params3-5.0",
         "rhs4-2-params4-2.0"])
 def test_rhs_closures_keep_the_bits_of_the_coded_forms(rhs, code, params, t1):
-    # the radial-floor cases collapse before t1: compare the partial
-    # solution that the refusal carries
-    try:
-        sol = integrate_ivp(rhs, 0.0, t1, 1.0, 0.0, 1e-10)
-    except DomainTruncationError as err:
-        sol = err.solution
+    # the radial-floor cases collapse before t1, where integrate_ivp refuses:
+    # compare the stepping loop's partial solution for them
     p0, p1, p2 = (*params, 0.0, 0.0, 0.0)[:3]
     ts, fs, fps, fpps, status, nfev = kernels._rk45(
         functools.partial(coded_rhs, code, p0, p1, p2),
         0.0, t1, 1.0, 0.0, 1e-10, 1e-10, np.inf, 200_000)
+    try:
+        sol = integrate_ivp(rhs, 0.0, t1, 1.0, 0.0, 1e-10)
+        got_status = kernels.STATUS_OK
+    except DomainTruncationError:
+        got = kernels.rk45_callback(rhs.func, 0.0, t1, 1.0, 0.0, 1e-10,
+                                    1e-10, np.inf, 200_000)
+        got_status = got[4]
+        sol = DenseSolution(rhs, *got[:4], got[5])
     for a, b in zip((sol.ts, sol.fs, sol.fps, sol.fpps), (ts, fs, fps, fpps)):
         assert_same_bits(a, b)
-    assert (sol.status, sol.nfev) == (status, nfev)
+    assert (got_status, sol.nfev) == (status, nfev)
     tq = np.linspace(0.0, sol.t_end, 1001)
     f, fp, fpp = sol.eval(tq)
     assert_same_bits(fpp, coded_rhs(code, p0, p1, p2, tq, f, fp))
@@ -419,12 +423,13 @@ def sha_yang_solution():
 
 
 def radial_floor_solution():
-    # collapses before t1: the partial solution that the refusal carries
-    try:
-        return integrate_ivp(OdeRhs.radial_floor(3), 0.0, 2.0, 1.0, 0.0,
-                             1e-10)
-    except DomainTruncationError as err:
-        return err.solution
+    # collapses before t1, where integrate_ivp refuses: the stepping loop's
+    # partial solution
+    rhs = OdeRhs.radial_floor(3)
+    ts, fs, fps, fpps, status, nfev = kernels.rk45_callback(
+        rhs.func, 0.0, 2.0, 1.0, 0.0, 1e-10, 1e-10, np.inf, 200_000)
+    assert status == kernels.STATUS_TRUNCATED
+    return DenseSolution(rhs, ts, fs, fps, fpps, nfev)
 
 
 @pytest.mark.parametrize("build", [sha_yang_solution, radial_floor_solution],

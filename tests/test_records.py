@@ -28,7 +28,7 @@ def records():
         "CheckResult": (check, "passed", False),
         "ScenarioVerdict": (ScenarioVerdict("s", {}, (check,)), "checks", ()),
         "FactorManifold": (factor, "dim", 3),
-        "OdeRhs": (rhs, "label", "other"),
+        "OdeRhs": (rhs, "func", abs),
         "DenseSolution": (integrate_ivp(rhs, 0.0, 1.0, 1.0, 0.0, 1e-8),
                           "nfev", 0),
     }

@@ -1,7 +1,6 @@
 """The fixed start-up cost of a run: what importing the CLI and running one
 scenario load, and the equivalence of what replaced the costlier forms
-(generated dataclass methods, ``np.unique``, ``leggauss``, building every
-subparser)."""
+(generated dataclass methods, ``leggauss``, building every subparser)."""
 import argparse
 import importlib
 import json
@@ -15,8 +14,6 @@ from conftest import child_env
 
 import warpcheck
 from warpcheck import cli, quadrature
-from warpcheck.ode import OdeRhs, integrate_ivp
-from warpcheck.profiles import _sorted_distinct
 
 # what `import warpcheck.cli` may add to the modules `import numpy` loaded
 IMPORT_ALLOWLIST = {
@@ -87,25 +84,6 @@ def test_cumint_rule_is_leggauss_24_and_read_only():
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
-
-
-@pytest.mark.parametrize("n,m", [(3, 2), (2, 3), (5, 4)])
-def test_sorted_distinct_is_np_unique_on_the_sha_yang_grid(n, m):
-    # the grid of profiles.sha_yang_profiles: solver nodes and a uniform
-    # grid, which share the endpoints 0 and T
-    alpha = 2.0 * (n - 1) / m
-    sol = integrate_ivp(OdeRhs.power(alpha / 2.0, -alpha - 1.0), 0.0, 50.0,
-                        1.0, 0.0, 1e-10 / 8.0, h_max=0.25)
-    grid = np.concatenate([sol.ts, np.linspace(0.0, 50.0, 4097)])
-    assert _sorted_distinct(grid).tobytes() == np.unique(grid).tobytes()
-
-
-def test_sorted_distinct_is_np_unique_with_repeats():
-    rng = np.random.default_rng(3)
-    values = rng.integers(-20, 20, 500) / 7.0
-    values[::11] = 0.0
-    for a in (values, values[:1], values[:0], np.full(9, 2.5)):
-        assert _sorted_distinct(a).tobytes() == np.unique(a).tobytes()
 
 
 def _subparsers(parser):
