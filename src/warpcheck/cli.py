@@ -250,16 +250,24 @@ def main(argv=None) -> int:
     return EXIT_INPUT_ERROR
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def entrypoint():
     """The process entry point of the console script and ``python -m
     warpcheck``.
 
+    SIGTERM raises ``SystemExit(128 + signum)``, exit 143, so a terminated
+    run discards its temporaries as any other exception does (``_run``).
     The objects built at import (NumPy's and warpcheck's, about 22k) live
     until the process ends, so they are moved to the permanent generation
     first: neither the run's collections nor the interpreter's final ones
-    traverse them. ``main`` does not freeze, because in-process callers own
-    their heap.
+    traverse them. ``main`` does neither, because in-process callers own
+    their signal handlers and their heap.
     """
+    import signal  # here, not at module level: only a process needs it
+    signal.signal(signal.SIGTERM, _terminate)
     gc.freeze()
     raise SystemExit(main())
 

@@ -303,7 +303,9 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
                 "outer": outer, "inner": inner, "glue": glue, "volume": vol,
                 "drift": drift}
 
-    per_s = [member(s) for s in s_values]
+    # one member per distinct s, repeated in per_s as often as s is given
+    measured = {s: member(s) for s in dict.fromkeys(s_values)}
+    per_s = [measured[s] for s in s_values]
 
     checks = []
     mins = [e["ricci_min"] for e in per_s]

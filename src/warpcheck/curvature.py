@@ -44,7 +44,7 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     if rows.shape[0] == 2:
         return rows[0] + rows[1]
     ordered = np.sort(rows, axis=0)
-    total = ordered[0].copy()
+    total = ordered[0]
     for i in range(1, ordered.shape[0]):
         total += ordered[i]
     return total
@@ -131,32 +131,45 @@ class RicciComponents(Record):
     blocks: tuple  # ((lo, hi), ...)
 
 
-def _component_arrays(metric: MultiWarpedMetric, ts: np.ndarray):
-    """Vectorized warped-product Ricci over a grid; returns (tt, lo, hi)."""
-    nb = len(metric.blocks)
-    nt = len(ts)
-    f = np.empty((nb, nt))
-    fp = np.empty((nb, nt))
-    fpp = np.empty((nb, nt))
-    dims = np.empty((nb, 1))
-    rho_lo = np.empty((nb, 1))
-    rho_hi = np.empty((nb, 1))
-    for i, (factor, profile) in enumerate(metric.blocks):
+def _block_constants(metric: MultiWarpedMetric):
+    """The kernel's per-metric columns (dims, dims - 1, rho_lo, rho_hi) and
+    whether every Ricci interval is a point by bits: (0.0, -0.0) is not."""
+    dims = np.array([[float(f.dim)] for f, _ in metric.blocks])
+    rho = np.array([f.ricci_interval for f, _ in metric.blocks], dtype=float)
+    point = np.array_equal(rho[:, 0].view(np.uint64), rho[:, 1].view(np.uint64))
+    return dims, dims - 1.0, rho[:, :1], rho[:, 1:], point
+
+
+def _component_arrays(metric: MultiWarpedMetric, ts: np.ndarray,
+                      constants=None):
+    """Vectorized warped-product Ricci over a grid; returns (tt, lo, hi).
+
+    Computed in place in the rows of f, f', f'': phi = f'/f, f2 = f*f,
+    tt = -sum((dims*f'')/f), base = ((-f'')/f - ((dims-1)*(f'*f'))/f2)
+    - phi*(s_cross - dims*phi) and lo = base + rho_lo/f2, in this order up
+    to commutation. ``hi`` is ``lo`` when every interval is a point."""
+    dims, dims_m1, rho_lo, rho_hi, point = constants or _block_constants(metric)
+    f, fp, fpp = np.empty((3, len(metric.blocks), len(ts)))
+    for i, (_, profile) in enumerate(metric.blocks):
         f[i], fp[i], fpp[i] = profile.eval(ts)
-        dims[i] = factor.dim
-        rho_lo[i], rho_hi[i] = factor.ricci_interval
 
-    phi = fp / f
-    f2 = f ** 2
-    dims_phi = dims * phi
-    ric_tt = -_ordered_sum(dims * fpp / f)
-    s_cross = _ordered_sum(dims_phi)
-
-    base = -fpp / f - (dims - 1.0) * fp ** 2 / f2 \
-        - phi * (s_cross[None, :] - dims_phi)
-    lo = base + rho_lo / f2
-    hi = base + rho_hi / f2
-    return ric_tt, lo, hi
+    f2 = np.multiply(f, f)
+    phi = np.divide(fp, f)
+    cross = np.multiply(dims, phi)
+    np.subtract(_ordered_sum(cross), cross, out=cross)  # s_cross - dims*phi
+    cross *= phi
+    ric_tt = -_ordered_sum(np.divide(np.multiply(dims, fpp, out=phi), f,
+                                     out=phi))
+    base = np.divide(np.negative(fpp, out=fpp), f, out=fpp)
+    np.multiply(fp, fp, out=fp)
+    fp *= dims_m1
+    fp /= f2
+    base -= fp
+    base -= cross
+    lo = np.add(np.divide(rho_lo, f2, out=fp), base, out=fp)
+    if point:
+        return ric_tt, lo, lo
+    return ric_tt, lo, np.add(np.divide(rho_hi, f2, out=f2), base, out=f2)
 
 
 def ricci_components(metric: MultiWarpedMetric, t: float) -> RicciComponents:
@@ -269,8 +282,8 @@ def boundary_data(metric: MultiWarpedMetric, side: str) -> BoundaryData:
 # same bits as one sweep over all points, since every component is
 # elementwise except the ``CumulativeIntegral`` of k and collar profiles,
 # whose BLAS product ``row_blocks`` keeps aligned. A block's temporaries
-# (dense output, quadrature queries, component rows) peak at about 1.25 MB
-# in a sha-yang sweep
+# (dense output, quadrature queries, component rows) peak at about 1.5 MB
+# in a one-block sha-yang sweep whose memos miss (tracemalloc)
 _SWEEP_BLOCK = 1 << 13
 
 
@@ -324,15 +337,18 @@ def ricci_report(metric: MultiWarpedMetric, grid_size: int) -> RicciReport:
     if grid_size < 2:
         raise InputError("grid_size must be at least 2")
     lo, hi = metric.grid_bounds()
-    mins = []
-    maxs = []
-    for s, e in row_blocks(grid_size, _SWEEP_BLOCK):
-        arrays = _component_arrays(
-            metric, _linspace_block(lo, hi, grid_size, s, e))
-        mins.append([a.min() for a in arrays])
-        maxs.append([a.max() for a in arrays])
-    # np.min/np.max over the blocks: a NaN in any block propagates
-    extrema = tuple(zip(np.min(mins, axis=0), np.max(maxs, axis=0)))
+    constants = _block_constants(metric)
+
+    def extrema_of(ts):  # a block's rows are freed before the next is built
+        tt, lo_b, hi_b = _component_arrays(metric, ts, constants)
+        ext = [(a.min(), a.max()) for a in (tt, lo_b)]
+        return ext + [ext[1] if hi_b is lo_b else (hi_b.min(), hi_b.max())]
+
+    # min/max over the blocks' (tt, lo, hi) extrema: a NaN in any propagates
+    lows, highs = np.array([
+        extrema_of(_linspace_block(lo, hi, grid_size, s, e))
+        for s, e in row_blocks(grid_size, _SWEEP_BLOCK)]).T
+    extrema = tuple(zip(lows.min(axis=1), highs.max(axis=1)))
     (tt_min, _), (lo_min, _), _ = extrema
     return RicciReport(grid_bounds=(lo, hi), grid_size=grid_size,
                        extrema=extrema,

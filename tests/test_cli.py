@@ -3,8 +3,10 @@ import errno
 import gc
 import json
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -65,6 +67,37 @@ class TestScenarioRuns:
                      "0.25", "--grid", "64", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "b" / "neck_neck-s0.25.csv").read_bytes() == \
             (tmp_path / "neck.csv").read_bytes()
+
+    def test_neck_measures_each_distinct_s_once(self, tmp_path, monkeypatch):
+        # a repeated s is one member, swept once and repeated in the
+        # family; the run reports what the single s reports, bar the echo
+        sweeps = []
+        sweep = cons.ricci_report
+
+        def counting(metric, grid_size):
+            sweeps.append(metric.interval[0])
+            return sweep(metric, grid_size)
+
+        monkeypatch.setattr(cons, "ricci_report", counting)
+        runs = {}
+        for s in ("0.5,0.5,0.5", "0.5"):
+            out = tmp_path / s
+            sweeps.clear()
+            assert main(["neck", "--nu", "0.1", "--n", "3", "--s", s,
+                         "--csv", "--grid", "64", "--out", str(out)]) == 0
+            assert sweeps == [0.5]
+            assert sorted(p.name for p in out.iterdir()) == [
+                "neck.json", "neck_neck-s0.5.csv"]
+            runs[s] = read_report(out / "neck.json")
+        assert (tmp_path / "0.5,0.5,0.5" / "neck_neck-s0.5.csv").read_bytes() \
+            == (tmp_path / "0.5" / "neck_neck-s0.5.csv").read_bytes()
+        repeated, single = runs["0.5,0.5,0.5"], runs["0.5"]
+        assert repeated["config"].pop("s_values") == ["0.5"] * 3
+        single["config"].pop("s_values")
+        for rep, s in ((repeated, "0.5,0.5,0.5"), (single, "0.5")):
+            rep["artifacts"] = [str(Path(a).relative_to(tmp_path / s))
+                                for a in rep["artifacts"]]
+        assert repeated == single
 
     def test_neck_csv_names_keep_distinct_s_apart(self, tmp_path):
         # s values that print alike with "%g" name distinct files: each
@@ -725,6 +758,30 @@ def test_python_dash_m_runs_the_cli(tmp_path):
         env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "glue.json").exists()
+
+
+def test_a_terminated_export_leaves_no_temporaries(tmp_path):
+    # SIGTERM in the middle of a CSV write: exit 128 + 15, and the run
+    # removes its temporary file and the directories it created
+    out = tmp_path / "new" / "dir"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "warpcheck", "export", "--profile", "k",
+         "--eps-prime", "0.2", "--grid", "100000000", "--out", str(out)],
+        env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out.is_dir() and any(out.iterdir())):
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        assert [p.name for p in out.iterdir()] == [".k-0.tmp.csv"]
+        child.send_signal(signal.SIGTERM)
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == 128 + signal.SIGTERM, err
+    assert not err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_only_the_entry_point_freezes_the_heap(tmp_path):

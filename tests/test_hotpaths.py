@@ -34,6 +34,7 @@ from warpcheck.profiles import (_collar_step, _collar_step_prime, _flat_decay,
                                 _flat_decay_value, closed_form_profile,
                                 collar_profile, k_profile, sha_yang_profiles)
 from warpcheck.quadrature import CumulativeIntegral, row_blocks
+from warpcheck.records import Record
 
 
 # the unpatched evaluator, for oracle values while a test counts its calls
@@ -737,6 +738,157 @@ def test_blocked_sweep_keeps_an_exact_negative_zero_minimum():
     assert rep.global_min >= 0.0
 
 
+# --- in-place Ricci kernel --------------------------------------------------------
+
+def expression_form_arrays(metric, ts):
+    """The warped-product Ricci rows before the in-place kernel: fresh
+    temporaries per expression, and ``hi`` always its own row."""
+    nb = len(metric.blocks)
+    nt = len(ts)
+    f = np.empty((nb, nt))
+    fp = np.empty((nb, nt))
+    fpp = np.empty((nb, nt))
+    dims = np.empty((nb, 1))
+    rho_lo = np.empty((nb, 1))
+    rho_hi = np.empty((nb, 1))
+    for i, (factor, profile) in enumerate(metric.blocks):
+        f[i], fp[i], fpp[i] = profile.eval(ts)
+        dims[i] = factor.dim
+        rho_lo[i], rho_hi[i] = factor.ricci_interval
+
+    phi = fp / f
+    f2 = f ** 2
+    dims_phi = dims * phi
+    ric_tt = -sorted_sum(dims * fpp / f)
+    s_cross = sorted_sum(dims_phi)
+
+    base = -fpp / f - (dims - 1.0) * fp ** 2 / f2 \
+        - phi * (s_cross[None, :] - dims_phi)
+    lo = base + rho_lo / f2
+    hi = base + rho_hi / f2
+    return ric_tt, lo, hi
+
+
+def assert_same_bits_or_nan(a, b):
+    # operands swapped by commutation return the other NaN's sign and
+    # payload when both are NaN, so a NaN matches any NaN
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+    keep = ~np.isnan(b)
+    assert_same_bits(a[keep], b[keep])
+
+
+class FixedRows:
+    """A profile stand-in that returns given rows of f, f', f''."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def eval(self, ts):
+        assert len(ts) == len(self.rows[0])
+        return self.rows
+
+
+class BlockRows(Record):
+    """Only the ``blocks`` a Ricci kernel reads."""
+
+    blocks: tuple
+
+
+class FactorData(Record):
+    """Only the factor data a Ricci kernel reads, unvalidated."""
+
+    dim: int
+    ricci_interval: tuple
+
+
+ROW_VALUES = st.floats(width=64, allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e160])
+INTERVAL_ENDS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3e-300, 1e300])
+INTERVALS = (st.tuples(INTERVAL_ENDS, INTERVAL_ENDS)
+             | INTERVAL_ENDS.map(lambda x: (x, x))
+             | st.just((0.0, -0.0)) | st.just((-0.0, 0.0)))
+
+
+def point_by_bits(intervals):
+    return all(bits(lo) == bits(hi) for lo, hi in intervals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nb=st.integers(1, 4), nt=st.sampled_from([1, 4, B - 1, B, B + 1]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       specials=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                                   ROW_VALUES), max_size=12),
+       intervals=st.lists(INTERVALS, min_size=4, max_size=4),
+       dims=st.lists(st.integers(1, 6), min_size=4, max_size=4))
+def test_in_place_kernel_has_the_bits_of_the_expression_form(
+        nb, nt, seed, specials, intervals, dims):
+    rng = np.random.default_rng(seed)
+    # warps of either sign and derivatives across many binades, with
+    # hypothesis's values (signed zeros, subnormals, huge) at its positions
+    rows = [rng.choice([-1.0, 1.0], (3, nt))
+            * np.exp2(rng.uniform(-40, 40, (3, nt)))
+            * rng.uniform(0.5, 1.0, (3, nt)) for _ in range(nb)]
+    for k, (j, i, value) in enumerate(specials):
+        rows[i % nb][j, k * 7919 % nt] = value
+    metric = BlockRows(tuple(
+        (FactorData(dims[i], intervals[i]), FixedRows(tuple(rows[i])))
+        for i in range(nb)))
+    given_rows = [r.copy() for r in rows]
+    with np.errstate(all="ignore"):
+        got = _component_arrays(metric, np.zeros(nt))
+        want = expression_form_arrays(metric, np.zeros(nt))
+    for a, b in zip(got, want):
+        assert_same_bits_or_nan(a, b)
+    assert (got[2] is got[1]) == point_by_bits(intervals[:nb])
+    for r, before in zip(rows, given_rows):  # the profile's rows are read only
+        assert_same_bits(r, before)
+
+
+@pytest.mark.parametrize("intervals, shared", [
+    (((2.0, 2.0), (1.0, 1.0)), True),
+    (((-0.0, -0.0), (0.0, 0.0)), True),
+    (((2.0, 2.0), (1.0, 1.5)), False),
+    (((0.0, -0.0), (1.0, 1.0)), False),
+    (((1.0, 1.0), (-0.0, 0.0)), False),
+])
+def test_hi_is_lo_exactly_when_every_interval_is_a_point_by_bits(
+        intervals, shared):
+    # at f' = f'' = 0 every component is a zero, and base is -0.0, so a
+    # (0.0, -0.0) interval gives rows that differ in the sign of zero alone
+    metric = BlockRows(tuple(
+        (FactorData(2, iv),
+         FixedRows((np.full(3, 1.5), np.full(3, 0.0), np.full(3, 0.0))))
+        for iv in intervals))
+    tt, lo, hi = _component_arrays(metric, np.zeros(3))
+    assert (hi is lo) == shared
+    assert shared or not np.array_equal(bits(lo), bits(hi))
+    want = expression_form_arrays(metric, np.zeros(3))
+    for a, b in zip((tt, lo, hi), want):
+        assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("g", [2, B - 1, B + 1, 2 * B + 3, 3 * B, 4 * B + 1])
+@pytest.mark.parametrize("name", ["sha-yang", "docking", "gn", "collar",
+                                  "thm22", "interval"])
+def test_sweep_extrema_match_the_expression_form(sweep_metrics, name, g):
+    if name == "interval":  # a non-point interval, signed zeros included
+        m = sweep_metrics["thm22"]
+        m = MultiWarpedMetric(m.interval, (
+            (abstract_factor("X", 2, (0.0, -0.0)), m.blocks[0][1]),
+            (abstract_factor("Y", 3, (-1.0, 2.0)),
+             closed_form_profile("cosine", m.interval, amplitude=3.0,
+                                 omega=0.4))),
+            collapse_left=0, collapse_right=0)
+    else:
+        m = sweep_metrics[name]
+    with np.errstate(all="ignore"):
+        want = expression_form_arrays(m, np.linspace(*m.grid_bounds(), g))
+    rep = ricci_report(m, g)
+    assert_same_bits(np.array(rep.extrema),
+                     np.array([(a.min(), a.max()) for a in want]))
+
+
 # --- streamed sweep grid -------------------------------------------------------
 
 def assert_blocks_are_linspace(lo, hi, n, block=B):
@@ -810,7 +962,7 @@ def test_report_grid_is_rebuilt_and_read_only(sweep_metrics):
         rep.grid = np.zeros(37)
 
 
-@pytest.mark.parametrize("name", ["sha-yang", "gn"])
+@pytest.mark.parametrize("name", ["sha-yang", "gn", "docking", "thm22"])
 def test_sweep_memory_does_not_grow_with_the_grid(sweep_metrics, name):
     # the grid is built block by block; the peak of a one-block sweep bounds
     # one block's working set, and 38 blocks more must stay inside it (a
