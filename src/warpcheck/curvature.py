@@ -151,7 +151,7 @@ def _component_arrays(metric: MultiWarpedMetric, ts: np.ndarray,
     dims, dims_m1, rho_lo, rho_hi, point = constants or _block_constants(metric)
     f, fp, fpp = np.empty((3, len(metric.blocks), len(ts)))
     for i, (_, profile) in enumerate(metric.blocks):
-        f[i], fp[i], fpp[i] = profile.eval(ts)
+        profile.eval(ts, out=(f[i], fp[i], fpp[i]))
 
     f2 = np.multiply(f, f)
     phi = np.divide(fp, f)

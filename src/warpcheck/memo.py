@@ -9,10 +9,11 @@ class QueryMemo:
     float64 queries.
 
     A query is keyed by its shape and its bits, compared as uint64, so
-    -0.0 and 0.0 get separate slots, and so do [0, 1] and [[0], [1]]. The
-    query is copied on the way in and the results on the way out, so no
-    caller can alter a stored slot. A hit makes its slot the newest, and a
-    miss past ``slots`` evicts the oldest.
+    -0.0 and 0.0 get separate slots, and so do [0, 1] and [[0], [1]]; the
+    shape and the first and last bits settle most misses. The query is
+    copied on the way in and the results on the way out, so no caller can
+    alter a stored slot. A hit makes its slot the newest, and a miss past
+    ``slots`` evicts the oldest.
     """
 
     __slots__ = ("_slots", "_entries")
@@ -25,9 +26,13 @@ class QueryMemo:
         """Copies of the tuple of arrays ``compute(tq)`` returns, computed
         only when no stored query has tq's shape and bits."""
         bits = tq.view(np.uint64)
+        ends = (bits.flat[0], bits.flat[-1]) if bits.size else ()
         entries = self._entries
         for i, (key, results) in enumerate(entries):
-            if np.array_equal(key.view(np.uint64), bits):
+            kbits = key.view(np.uint64)
+            if (key.shape == bits.shape
+                    and (not ends or ends == (kbits.flat[0], kbits.flat[-1]))
+                    and np.array_equal(kbits, bits)):
                 entries.append(entries.pop(i))
                 break
         else:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (ConstructionError, GlueMismatchError, InputError,
                      IntegrationQualityError, int_ge)
+from .memo import QueryMemo
 from .ode import DenseSolution, OdeRhs, integrate_ivp
 from .quadrature import CumulativeIntegral, adaptive_quad
 from .records import Record
@@ -79,14 +80,19 @@ class WarpProfile(Record):
     def t1(self) -> float:
         return self.domain[1]
 
-    def eval(self, t):
-        """(f, f', f'') at t, scalar or ndarray; t must lie in the domain."""
+    def eval(self, t, *, out=None):
+        """(f, f', f'') at t, scalar or ndarray; t must lie in the domain.
+
+        ``out``, three float64 arrays of the shape of ``np.atleast_1d(t)``,
+        receives the triple and is returned; a scalar t returns floats.
+        """
         tq = np.asarray(t, dtype=float)
         scalar = tq.ndim == 0
         tq = np.atleast_1d(tq)
         t0, t1 = self.domain
         slack = 1e-9 * (t1 - t0) + 1e-12
         tc = tq
+        inner = False
         if tq.size:
             lo, hi = tq.min(), tq.max()
             # written so that a nan, which compares false, fails it
@@ -97,26 +103,35 @@ class WarpProfile(Record):
             # on a tie np.clip may return the end's bits instead of the
             # point's (NumPy's rule has varied), which differ for a signed
             # zero; a strictly inner tq comes back unchanged under any rule
-            if not (t0 < lo and hi < t1):
+            inner = t0 < lo and hi < t1
+            if not inner:
                 tc = np.clip(tq, t0, t1)
-        f, fp, fpp = (np.array(a, dtype=float, copy=True)
-                      for a in self.raw_eval(tc))
+        raw = self.raw_eval(tc)
+        if out is None:  # allocated once raw_eval has freed its temporaries
+            out = tuple(np.empty(tc.shape) for _ in range(3))
+        for dst, src in zip(out, raw):
+            np.copyto(dst, src)
+        f, fp, fpp = out
         for endpoint, tstar in (("left", t0), ("right", t1)):
             tag = self.parity.get(endpoint)
-            if tag is None:
+            # an inner tq has no point at an even end, nor in an odd window
+            # its extremes lie past
+            if tag is None or (inner and tag.kind == "even"):
                 continue
             if tag.kind == "odd":
                 # cone points: serve the whole near-endpoint window, since the
                 # raw formula degenerates as f -> 0
                 if endpoint == "left":
-                    mask = tc < tstar + EXCLUSION_WIDTH
+                    edge = tstar + EXCLUSION_WIDTH
+                    mask = None if inner and lo >= edge else tc < edge
                 else:
-                    mask = tc > tstar - EXCLUSION_WIDTH
+                    edge = tstar - EXCLUSION_WIDTH
+                    mask = None if inner and hi <= edge else tc > edge
             else:
                 # even ends are regular; the expansion only pins the
                 # endpoint values (f' exactly 0) without widening the error
                 mask = tc == tstar
-            if not mask.any():
+            if mask is None or not mask.any():
                 continue
             s = tc[mask] - tstar
             if tag.kind == "odd":
@@ -184,6 +199,16 @@ def _auto_parity(domain, fn3_exact):
     return parity
 
 
+def _sin_cos(th):
+    return np.sin(th), np.cos(th)
+
+
+# sin and cos of the last phase any closed form evaluated: a sweep evaluates
+# a metric's warps at the same points, so closed forms of one omega (docking's
+# cos and sin) share a block's sin and cos. 24 bytes per point are kept
+_TRIG_MEMO = QueryMemo(1)
+
+
 def closed_form_profile(kind: str, domain, *, amplitude: float = 1.0,
                         omega: float = 1.0) -> WarpProfile:
     """``amplitude*sin(omega*t)`` (kind "sine") or the corresponding cosine.
@@ -209,15 +234,16 @@ def closed_form_profile(kind: str, domain, *, amplitude: float = 1.0,
     if not math.isfinite(top):
         raise InputError(f"amplitude {amp} and omega {w} are out of "
                          "floating-point range: amplitude * omega^3 overflows")
-    trig, cotrig, sign = ((np.sin, np.cos, 1.0) if kind == "sine"
-                          else (np.cos, np.sin, -1.0))
+    # order: the (sin, cos) pair as (trig, cotrig)
+    trig, cotrig, sign, order = ((np.sin, np.cos, 1.0, 1) if kind == "sine"
+                                 else (np.cos, np.sin, -1.0, -1))
 
     def triple(t):
         t = np.asarray(t, dtype=float)
         # + 0.0 turns a -0.0 product into +0.0 before the trig call
         th = w * t + 0.0
-        tr = trig(th)
-        return amp * tr, sign * amp * w * cotrig(th), -amp * w ** 2 * tr
+        tr, co = _TRIG_MEMO(th, _sin_cos)[::order]
+        return amp * tr, sign * amp * w * co, -amp * w ** 2 * tr
 
     def exact(t):
         th = w * t + 0.0

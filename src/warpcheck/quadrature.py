@@ -179,11 +179,14 @@ class CumulativeIntegral:
         mid = 0.5 * (lo + tq)
         half = 0.5 * (tq - lo)
         sums = np.empty_like(half)
+        k = len(self._x)
         for s, e in row_blocks(len(half), _QUERY_BLOCK):
-            # half*x, then += mid: addition commutes, so these are the bits
-            # of mid + half*x
-            nodes = np.multiply(half[s:e, None], self._x)
-            nodes += mid[s:e, None]
+            # each half repeated k times, then scaled by the rule and shifted
+            # by mid in place: no broadcast into a new matrix, and the bits
+            # of mid + half*x, since both operations commute
+            nodes = np.repeat(half[s:e], k).reshape(-1, k)
+            nodes *= self._x
+            nodes += mid[s:e].reshape(-1, 1)
             vals = np.asarray(self.fn(nodes.ravel()), dtype=float)
-            sums[s:e] = vals.reshape(nodes.shape) @ self._w
+            sums[s:e] = vals.reshape(*half[s:e].shape, k) @ self._w
         return (self.prefix[idx] + half * sums,)

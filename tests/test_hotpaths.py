@@ -6,7 +6,9 @@ exports are compared by file bytes. The oracles silence all floating-point
 errors, because the edge grids include inf and nan; the seed forms only
 silenced underflow on the inputs they were given.
 """
+import contextlib
 import functools
+import io
 import json
 import math
 import re
@@ -29,6 +31,7 @@ from warpcheck.curvature import (_SWEEP_BLOCK, MultiWarpedMetric,
                                  _ordered_sum, ricci_report)
 from warpcheck.errors import DomainTruncationError
 from warpcheck.factors import abstract_factor, round_sphere_factor
+from warpcheck.memo import QueryMemo
 from warpcheck.ode import DenseSolution, OdeRhs, integrate_ivp
 from warpcheck.profiles import (_collar_step, _collar_step_prime, _flat_decay,
                                 _flat_decay_value, closed_form_profile,
@@ -784,9 +787,13 @@ class FixedRows:
     def __init__(self, rows):
         self.rows = rows
 
-    def eval(self, ts):
+    def eval(self, ts, *, out=None):
         assert len(ts) == len(self.rows[0])
-        return self.rows
+        if out is None:  # the expression-form oracle
+            return self.rows
+        for dst, src in zip(out, self.rows):
+            np.copyto(dst, src)
+        return out
 
 
 class BlockRows(Record):
@@ -1254,3 +1261,312 @@ def test_unit_integrals_are_built_once_per_integrand():
         collar_profile(c)
     info = profiles._unit_integral.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
+
+
+# --- WarpProfile.eval(out=...) and its skipped endpoint windows ---------------
+
+def copying_eval(p, t):
+    """``WarpProfile.eval`` before ``out=``: private copies of the raw triple,
+    every tagged end's mask computed, the patches written into the copies."""
+    tq = np.asarray(t, dtype=float)
+    scalar = tq.ndim == 0
+    tq = np.atleast_1d(tq)
+    t0, t1 = p.domain
+    tc = tq
+    if tq.size and not (t0 < tq.min() and tq.max() < t1):
+        tc = np.clip(tq, t0, t1)
+    f, fp, fpp = (np.array(a, dtype=float, copy=True) for a in p.raw_eval(tc))
+    for endpoint, tstar in (("left", t0), ("right", t1)):
+        tag = p.parity.get(endpoint)
+        if tag is None:
+            continue
+        if tag.kind == "odd":
+            if endpoint == "left":
+                mask = tc < tstar + profiles.EXCLUSION_WIDTH
+            else:
+                mask = tc > tstar - profiles.EXCLUSION_WIDTH
+        else:
+            mask = tc == tstar
+        if not mask.any():
+            continue
+        s = tc[mask] - tstar
+        if tag.kind == "odd":
+            c1, c3 = tag.coeffs
+            f[mask] = c1 * s + c3 * s ** 3 / 6.0
+            fp[mask] = c1 + 0.5 * c3 * s ** 2
+            fpp[mask] = c3 * s + 0.0
+        else:
+            c0, c2 = tag.coeffs
+            f[mask] = c0 + 0.5 * c2 * s ** 2
+            fp[mask] = c2 * s + 0.0
+            fpp[mask] = np.full_like(s, c2)
+    if scalar:
+        return float(f[0]), float(fp[0]), float(fpp[0])
+    return f, fp, fpp
+
+
+@functools.cache
+def profile_families():
+    """One profile of every family, with odd, even and untagged ends."""
+    sha_f, sha_h, _ = sha_yang_profiles(3, 2, 5.0)
+    sine = closed_form_profile("sine", (0.0, math.pi))
+    spliced = profiles.splice_profiles(
+        closed_form_profile("sine", (0.0, math.pi / 2)),
+        closed_form_profile("sine", (math.pi / 2, math.pi)), 1e-9)
+    return {
+        "sine": sine,
+        "cosine": closed_form_profile("cosine", (0.0, math.pi / 2),
+                                      amplitude=2.0),
+        "neck": profiles.neck_profile(0.3, 0.5),
+        "docking-r": profiles.docking_R_profile(),
+        "k": k_profile(0.2),
+        "collar": collar_profile(0.2),
+        "sha-f": sha_f,
+        "sha-h": sha_h,
+        "closability": profiles.closability_ode_profile(4, 0.2),
+        "splice": spliced,
+        "mollified": profiles.mollify_profile(spliced, 0.05),
+        "scaled": profiles.scale_profile(sine, 2.0),
+        "negative-cone": profiles.profile_from_callable(
+            (-1.0, 0.0), lambda t: -t, lambda t: -1.0 + 0.0 * t,
+            lambda t: 0.0 * t,
+            parity={"right": profiles.ParityTag("odd", (-1.0, 0.0))}),
+    }
+
+
+def eval_queries(p):
+    """Named queries of p: inner blocks away from the ends and inside,
+    across and at the edge of each odd window, the ends themselves, points
+    clipped from within the slack, signed zeros and an empty query."""
+    t0, t1 = p.domain
+    w = profiles.EXCLUSION_WIDTH
+    span = t1 - t0
+    slack = 0.5e-9 * span
+    left_edge, right_edge = t0 + w, t1 - w
+    mid = np.linspace(t0 + 0.25 * span, t1 - 0.25 * span, 33)
+    queries = {
+        "inner": mid,
+        "inside-left-window": np.linspace(t0 + 0.1 * w, t0 + 0.9 * w, 9),
+        "inside-right-window": np.linspace(t1 - 0.9 * w, t1 - 0.1 * w, 9),
+        "across-windows": np.linspace(t0 + 0.5 * w, t1 - 0.5 * w, 65),
+        "from-left-edge": np.concatenate(([left_edge], mid)),
+        "below-left-edge": np.concatenate(([np.nextafter(left_edge, t0)],
+                                           mid)),
+        "to-right-edge": np.concatenate((mid, [right_edge])),
+        "above-right-edge": np.concatenate((mid, [np.nextafter(right_edge,
+                                                               t1)])),
+        "ends": np.array([t0, t1]),
+        "left-end": np.array([t0]),
+        "right-end": np.array([t1]),
+        "with-ends": np.concatenate(([t0], mid, [t1])),
+        "clipped": np.array([t0 - slack, t0 + 0.5 * w, t1 + slack]),
+        "empty": np.array([]),
+    }
+    for end in (t0, t1):
+        if end == 0.0:
+            queries[f"signed-zeros-{end}"] = np.array([-0.0, 0.0, -0.0])
+            queries[f"negative-zero-{end}"] = np.array([-0.0])
+    return queries
+
+
+@pytest.mark.parametrize("family", [
+    "sine", "cosine", "neck", "docking-r", "k", "collar", "sha-f", "sha-h",
+    "closability", "splice", "mollified", "scaled", "negative-cone"])
+def test_eval_into_out_has_the_bits_of_the_copying_form(family):
+    p = profile_families()[family]
+    for name, tq in eval_queries(p).items():
+        want = copying_eval(p, tq)
+        buf = np.full((3, tq.size), 7.0)
+        rows = tuple(buf)
+        got_out = p.eval(tq, out=rows)
+        assert all(a is b for a, b in zip(got_out, rows)), name
+        for got in (p.eval(tq), got_out):
+            assert len(got) == 3
+            for a, b in zip(got, want):
+                assert a.shape == tq.shape, name
+                assert_same_bits(a, b)
+    for t in (p.t0, p.t1, 0.5 * (p.t0 + p.t1)):
+        got, want = p.eval(t), copying_eval(p, t)
+        assert all(type(x) is float for x in got)
+        assert_same_bits(np.array(got), np.array(want))
+
+
+# --- dense output gathers with np.take ------------------------------------------
+
+def fancy_dense_eval(ts, fs, fps, fpps, tq, table):
+    """``kernels.dense_eval`` before ``np.take``: rows by fancy indexing."""
+    tq = np.asarray(tq, dtype=float)
+    (t0, h, fa, ma, half_aa, aa, c3, c4, c5, c3x3,
+     c4x4) = np.moveaxis(table[kernels.segment_index(ts, tq)], -1, 0)
+    s = (tq - t0) / h
+    f = fa + s * (ma + s * (half_aa + s * (c3 + s * (c4 + s * c5))))
+    fp = (ma + s * (aa + s * (c3x3 + s * (c4x4 + s * 5.0 * c5)))) / h
+    return f, fp
+
+
+@pytest.mark.parametrize("build", [sha_yang_solution, radial_floor_solution],
+                         ids=["sha-yang", "radial-floor"])
+def test_take_gathers_the_rows_of_fancy_indexing(build):
+    sol = build()
+    args = (sol.ts, sol.fs, sol.fps, sol.fpps)
+    lo, hi = sol.ts[0], sol.ts[-1]
+    queries = [np.array(0.5 * (lo + hi)), np.array(lo), np.array(hi),
+               np.random.default_rng(3).uniform(lo, hi, 300),
+               np.linspace(lo, hi, B), np.linspace(lo, hi, B)[::-1],
+               np.array([lo - 1.0, hi + 1.0])]
+    for tq in queries:
+        want = fancy_dense_eval(*args, tq, sol._table)
+        got = DENSE_EVAL(*args, tq, sol._table)
+        for a, b in zip(got, want):
+            assert np.shape(a) == tq.shape
+            assert_same_bits(a, b)
+
+
+# --- quadrature nodes built by contiguous loops -------------------------------
+
+def broadcast_integrate(ci, tq):
+    """``CumulativeIntegral._integrate`` before its contiguous node loops:
+    each block's nodes broadcast from a (rows, 1) column into a new matrix."""
+    idx = kernels.segment_index(ci.edges, tq)
+    lo = ci.edges[idx]
+    mid = 0.5 * (lo + tq)
+    half = 0.5 * (tq - lo)
+    sums = np.empty_like(half)
+    for s, e in row_blocks(len(half), quadrature._QUERY_BLOCK):
+        nodes = np.multiply(half[s:e, None], ci._x)
+        nodes += mid[s:e, None]
+        vals = np.asarray(ci.fn(nodes.ravel()), dtype=float)
+        sums[s:e] = vals.reshape(nodes.shape) @ ci._w
+    return (ci.prefix[idx] + half * sums,)
+
+
+NODE_ROWS = [1, 3, 4, 5, 1023, 1024, 1025, 1027, 2051, 8192]
+
+
+@pytest.mark.parametrize("block", [QB, 8])
+@pytest.mark.parametrize("n", NODE_ROWS)
+@pytest.mark.parametrize("fn", UNIT_INTEGRANDS)
+def test_contiguous_nodes_have_the_bits_of_the_broadcast_form(
+        monkeypatch, fn, n, block):
+    monkeypatch.setattr(quadrature, "_QUERY_BLOCK", block)
+    ci = profiles._unit_integral(fn)
+    t = query_points(n, seed=n)
+    for tq in (t, np.sort(t), np.sort(t)[::-1], t.reshape(-1, 1)):
+        (got,), (want,) = ci._integrate(tq), broadcast_integrate(ci, tq)
+        assert got.shape == tq.shape
+        assert_same_bits(got, want)
+
+
+# --- QueryMemo's cheap miss ---------------------------------------------------
+
+@pytest.fixture
+def counted_memo():
+    calls = []
+
+    def compute(tq):
+        calls.append(tq.copy())
+        return (tq * 2.0,)
+
+    return QueryMemo(2), compute, calls
+
+
+def test_memo_keys_alike_at_both_ends_but_not_inside_miss(counted_memo):
+    memo, compute, calls = counted_memo
+    a = np.array([1.0, 2.0, 3.0, 4.0])
+    b = np.array([1.0, 2.0, np.nextafter(3.0, 4.0), 4.0])
+    c = np.array([1.0, -0.0, 3.0, 4.0])
+    d = np.array([1.0, 0.0, 3.0, 4.0])
+    for q in (a, b, c, d):
+        (got,) = memo(q, compute)
+        assert_same_bits(got, q * 2.0)
+    assert len(calls) == 4
+    for q in (c, d):  # both still stored: hits
+        assert_same_bits(memo(q.copy(), compute)[0], q * 2.0)
+    assert len(calls) == 4
+
+
+def test_memo_signed_zero_first_elements_do_not_share_a_slot(counted_memo):
+    memo, compute, calls = counted_memo
+    for q in ([0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0],
+              [1.0, 0.0], [1.0, -0.0]):
+        (got,) = memo(np.array(q), compute)
+        assert_same_bits(got, np.array(q) * 2.0)
+    assert [bits(c).tolist() for c in calls] == [
+        bits(np.array(q)).tolist()
+        for q in ([0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [1.0, -0.0])]
+
+
+def test_memo_empty_scalar_and_2d_keys(counted_memo):
+    memo, compute, calls = counted_memo
+    empty = np.array([])
+    assert memo(empty, compute)[0].shape == (0,)
+    assert memo(empty.copy(), compute)[0].shape == (0,)
+    assert len(calls) == 1
+    assert memo(np.empty((0, 3)), compute)[0].shape == (0, 3)
+    assert len(calls) == 2
+    column, row = np.array([[0.5], [1.5]]), np.array([0.5, 1.5])
+    assert memo(column, compute)[0].shape == (2, 1)
+    assert memo(row, compute)[0].shape == (2,)
+    assert memo(column.copy(), compute)[0].shape == (2, 1)
+    assert len(calls) == 4
+    grid = np.arange(6.0).reshape(2, 3)
+    memo(grid, compute)
+    changed = grid.copy()
+    changed[1, 0] = -1.0  # neither the first nor the last element
+    assert_same_bits(memo(changed, compute)[0], changed * 2.0)
+    assert_same_bits(memo(grid.T, compute)[0], grid.T * 2.0)
+    assert len(calls) == 7
+    assert_same_bits(memo(np.array(0.25), compute)[0], np.array(0.5))
+    assert_same_bits(memo(np.array(0.25), compute)[0], np.array(0.5))
+    assert len(calls) == 8
+
+
+# --- one sine and one cosine per phase ------------------------------------------
+
+def sweep_trig_counts(monkeypatch, argv):
+    """The Ricci sweep blocks of ``cli.main(argv)``, the blocks in which
+    sin/cos was computed, its exit code, and its standard output and report
+    bytes."""
+    blocks, in_blocks = [], []
+    kernel, sin_cos = curvature._component_arrays, profiles._sin_cos
+
+    def counted_kernel(metric, ts, constants=None):
+        blocks.append(len(ts))
+        try:
+            return kernel(metric, ts, constants)
+        finally:
+            blocks[-1] = -len(ts)  # the block is done
+
+    def counted_sin_cos(th):
+        if blocks and blocks[-1] > 0:
+            in_blocks.append(len(blocks))
+        return sin_cos(th)
+
+    monkeypatch.setattr(curvature, "_component_arrays", counted_kernel)
+    monkeypatch.setattr(profiles, "_sin_cos", counted_sin_cos)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    report = Path(f"{argv[0]}.json").read_bytes()
+    return blocks, in_blocks, code, (out.getvalue(), report)
+
+
+@pytest.mark.parametrize("argv, nblocks", [
+    (["docking", "--n", "4", "--grid", "20000"], 3),
+    (["neck", "--nu", "0.1", "--n", "3", "--s", "0.5", "--grid", "64"], 1),
+])
+def test_each_sweep_block_computes_one_sine_and_cosine(monkeypatch, tmp_path,
+                                                       argv, nblocks):
+    # docking's cos and sin warps share omega and so their phase: its second
+    # block of each sweep block reuses the first's sine and cosine
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(profiles, "_TRIG_MEMO", QueryMemo(1))
+    blocks, in_blocks, code, report = sweep_trig_counts(monkeypatch, argv)
+    assert code == 0 and len(blocks) == nblocks
+    assert in_blocks == list(range(1, nblocks + 1))
+    # without the shared memo the report keeps every byte
+    monkeypatch.setattr(profiles, "_TRIG_MEMO",
+                        lambda th, compute: compute(th))
+    blocks, in_blocks, code, unshared = sweep_trig_counts(monkeypatch, argv)
+    assert code == 0 and unshared == report
+    assert len(in_blocks) == (2 if argv[0] == "docking" else 1) * nblocks

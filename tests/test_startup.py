@@ -68,6 +68,28 @@ def test_runs_import_neither_numpy_ma_nor_numpy_polynomial(tmp_path):
     assert loaded == [[0] * len(SMALL_RUNS), []]
 
 
+def test_module_level_arrays_stay_small(tmp_path):
+    """The module-level ndarrays of every warpcheck module total at most
+    4 KB once ``import warpcheck.cli`` has returned (680 bytes: the two
+    quadrature rules).
+
+    The benchmark's parent process imports the package, and a child's peak
+    RSS starts from the parent's, so module data lifts every workload's
+    ``peak_rss_mb`` floor: a table a run needs is built on first use or per
+    call, not at import.
+    """
+    sizes = _child(
+        "import json, sys, numpy as np\n"
+        "import warpcheck.cli\n"
+        "print(json.dumps({f'{name}.{attr}': value.nbytes\n"
+        "    for name, module in list(sys.modules.items())\n"
+        "    if name.split('.')[0] == 'warpcheck'\n"
+        "    for attr, value in vars(module).items()\n"
+        "    if isinstance(value, np.ndarray)}))\n", tmp_path)
+    assert "warpcheck.quadrature._CUMINT_X" in sizes
+    assert sum(sizes.values()) <= 4096, sizes
+
+
 def test_no_record_class_is_a_dataclass():
     for info in pkgutil.iter_modules(warpcheck.__path__, "warpcheck."):
         module = importlib.import_module(info.name)
