@@ -122,8 +122,9 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
         raise InputError(
             f"M needs Ricci >= n - 1 = {n - 1} on unit vectors, got "
             f"{M.ricci_lower}")
-    if not T > 0:
-        raise InputError("T must be positive")
+    if not T > EXCLUSION_WIDTH:  # where the sweep and rate checks start
+        raise InputError(f"--T {T:g} must exceed the exclusion width "
+                         f"{EXCLUSION_WIDTH:g} at the cone point t = 0")
 
     f, h, alpha = sha_yang_profiles(n, m, T)
     sphere = round_sphere_factor(m - 1, 1.0)

@@ -28,7 +28,7 @@ from .errors import DataMissingError, InputError, SingularPointError
 from .factors import FactorManifold, scale_factor
 from .profiles import (EXCLUSION_WIDTH, WarpProfile, parity_check,
                        scale_profile)
-from .quadrature import adaptive_quad, row_blocks
+from .quadrature import adaptive_quad, grid_blocks
 from .records import Record
 
 
@@ -278,34 +278,6 @@ def boundary_data(metric: MultiWarpedMetric, side: str) -> BoundaryData:
     raise InputError("side must be 'left' or 'right'")
 
 
-# points per block of the Ricci sweep, a multiple of 4: its blocks give the
-# same bits as one sweep over all points, since every component is
-# elementwise except the ``CumulativeIntegral`` of k and collar profiles,
-# whose BLAS product ``row_blocks`` keeps aligned. A block's temporaries
-# (dense output, quadrature queries, component rows) peak at about 1.5 MB
-# in a one-block sha-yang sweep whose memos miss (tracemalloc)
-_SWEEP_BLOCK = 1 << 13
-
-
-def _linspace_block(lo: float, hi: float, n: int, s: int,
-                    e: int) -> np.ndarray:
-    """``np.linspace(lo, hi, n)[s:e]`` bit for bit, built without the other
-    points: linspace's steps (float64 spacing, or its division-first branch
-    when the spacing underflows to 0), then ``hi`` as the last point."""
-    delta = np.subtract(hi, lo, dtype=float)
-    ts = np.arange(s, e, dtype=float)
-    step = delta / (n - 1)
-    if step == 0:
-        ts /= n - 1
-        ts *= delta
-    else:
-        ts *= step
-    ts += lo
-    if e == n:
-        ts[-1] = hi
-    return ts
-
-
 class RicciReport(Record):
     """Gridwise Ricci extrema and their global minimum: a measurement, which
     each caller compares against its own threshold.
@@ -330,9 +302,9 @@ def ricci_report(metric: MultiWarpedMetric, grid_size: int) -> RicciReport:
     """Sweep Ricci components over a uniform grid (closure zones excluded)
     and measure their extrema; the caller judges ``global_min``.
 
-    The grid is built and swept in blocks of ``_SWEEP_BLOCK`` points,
-    keeping only each component's minimum and maximum, so the memory the
-    sweep needs does not grow with the grid size.
+    The grid is built and swept in the blocks of ``grid_blocks``, keeping
+    only each component's minimum and maximum, so the memory the sweep
+    needs does not grow with the grid size.
     """
     if grid_size < 2:
         raise InputError("grid_size must be at least 2")
@@ -346,8 +318,7 @@ def ricci_report(metric: MultiWarpedMetric, grid_size: int) -> RicciReport:
 
     # min/max over the blocks' (tt, lo, hi) extrema: a NaN in any propagates
     lows, highs = np.array([
-        extrema_of(_linspace_block(lo, hi, grid_size, s, e))
-        for s, e in row_blocks(grid_size, _SWEEP_BLOCK)]).T
+        extrema_of(ts) for ts in grid_blocks(lo, hi, grid_size)]).T
     extrema = tuple(zip(lows.min(axis=1), highs.max(axis=1)))
     (tt_min, _), (lo_min, _), _ = extrema
     return RicciReport(grid_bounds=(lo, hi), grid_size=grid_size,

@@ -211,7 +211,7 @@ def hermite_table(ts, fs, fps, fpps):
                      4.0 * c4), axis=-1)
 
 
-def dense_eval(ts, fs, fps, fpps, tq, table=None):
+def dense_eval(ts, fs, fps, fpps, tq, table):
     """Quintic-Hermite dense output: (f, f') at query points, vectorized.
 
     Each segment interpolates (f, f', f'') at both nodes, so f is O(h^6)
@@ -220,12 +220,10 @@ def dense_eval(ts, fs, fps, fpps, tq, table=None):
     difference (Horner) form: the leading node value enters only additively,
     so f' keeps full relative accuracy even when |f| is large.
 
-    ``table`` is ``hermite_table`` of the nodes, built here when not given;
-    each query point gathers its segment's row of it. ``np.take`` gathers
-    the same rows as ``table[idx]`` in under half the time.
+    ``table`` is ``hermite_table`` of the nodes; each query point gathers
+    its segment's row of it. ``np.take`` gathers the same rows as
+    ``table[idx]`` in under half the time.
     """
-    if table is None:
-        table = hermite_table(ts, fs, fps, fpps)
     tq = np.asarray(tq, dtype=float)
     (t0, h, fa, ma, half_aa, aa, c3, c4, c5, c3x3, c4x4) = np.moveaxis(
         np.take(table, segment_index(ts, tq), axis=0), -1, 0)

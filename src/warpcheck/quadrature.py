@@ -72,6 +72,11 @@ _CUMINT_X.flags.writeable = _CUMINT_W.flags.writeable = False
 # row_blocks). A block's node matrix is 1024 x 24 doubles, 192 KB, so the
 # integrand's passes over it stay in cache.
 _QUERY_BLOCK = 1024
+# points per block of grid_blocks; a multiple of 4 (see row_blocks). A
+# block's temporaries (dense output, quadrature queries, component rows)
+# peak at about 1.5 MB in a one-block sha-yang sweep whose memos miss
+# (tracemalloc)
+_GRID_BLOCK = 1 << 13
 # distinct queries each CumulativeIntegral answers from memory: certify_collar
 # cycles through exactly four (the point [1.0], the 9-point C2 stencil and
 # the two 2048-point sweep grids), once per slope a closability search tries.
@@ -95,6 +100,31 @@ def row_blocks(n: int, block: int) -> list[tuple[int, int]]:
     if len(bounds) > 1 and bounds[-1][1] - bounds[-1][0] < 4:
         bounds[-2:] = [(bounds[-2][0], n)]
     return bounds
+
+
+def grid_blocks(lo: float, hi: float, n: int):
+    """Yield ``np.linspace(lo, hi, n)[s:e]`` bit for bit for each (s, e) of
+    ``row_blocks(n, _GRID_BLOCK)``, n >= 2, each block built without the
+    other points: linspace's steps (float64 spacing, or its division-first
+    branch when the spacing underflows to 0), then ``hi`` as the last point.
+
+    A Ricci sweep or a CSV export walks its grid this way, so its memory
+    does not grow with n, and a ``CumulativeIntegral`` queried block by
+    block gives the bits of one query over the whole grid.
+    """
+    delta = np.subtract(hi, lo, dtype=float)
+    step = delta / (n - 1)
+    for s, e in row_blocks(n, _GRID_BLOCK):
+        ts = np.arange(s, e, dtype=float)
+        if step == 0:
+            ts /= n - 1
+            ts *= delta
+        else:
+            ts *= step
+        ts += lo
+        if e == n:
+            ts[-1] = hi
+        yield ts
 
 
 def _gk15(fn, a: float, b: float) -> tuple[float, float]:

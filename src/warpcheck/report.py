@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
+from .quadrature import grid_blocks
 from .records import Record
 
 SCHEMA_VERSION = "1"
@@ -167,29 +168,26 @@ def revalidate_report(report: dict) -> bool:
     return bool(overall)
 
 
-# rows formatted and written per call while streaming a CSV
-_CSV_BLOCK = 4096
 _CSV_ROW = "%r,%r,%r,%r\n"
 
 
 def write_profile_csv(path, profile, grid_size: int) -> Path:
-    """Dump a profile to CSV: header t,f,fp,fpp then grid_size full-precision
-    rows.
+    """Dump a profile to CSV: header t,f,fp,fpp then one full-precision row
+    per point of ``np.linspace(profile.t0, profile.t1, grid_size)``.
 
-    Each value is ``repr(float(v))``, the shortest round-trip decimal. Rows
-    are formatted and written ``_CSV_BLOCK`` at a time, so the text held in
-    memory does not grow with the grid.
+    Each value is ``repr(float(v))``, the shortest round-trip decimal. The
+    grid is evaluated, formatted and written in the blocks of
+    ``grid_blocks``, so the memory an export needs does not grow with the
+    grid.
     """
     if grid_size < 2:
         raise InputError("grid_size must be at least 2")
-    cols = [np.asarray(c, dtype=float) for c in profile.sample(grid_size)]
-    rows = len(cols[0])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,f,fp,fpp\n")
-        for i in range(0, rows, _CSV_BLOCK):
-            block = np.column_stack([c[i:i + _CSV_BLOCK] for c in cols])
+        for ts in grid_blocks(profile.t0, profile.t1, grid_size):
+            block = np.column_stack((ts, *profile.eval(ts)))
             # %r of a Python float is its repr
             fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
     return path

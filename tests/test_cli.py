@@ -188,6 +188,15 @@ class TestExitCodeContract:
         report = read_report(fail_dir / f"{argv[0]}.json")
         assert report["overall_pass"] is False
 
+    @pytest.mark.parametrize("T", ["-1", "0", "1e-9", "0.001"])
+    def test_sha_yang_T_within_the_exclusion_width_names_both(
+            self, tmp_path, capsys, T):
+        rc = main(["sha-yang", "--n", "2", "--m", "2", "--T", T,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: --T {float(T):g} must exceed the exclusion width 0.001")
+
     def test_input_error_writes_nothing(self, tmp_path):
         rc = main(["sha-yang", "--n", "1", "--m", "2", "--out", str(tmp_path)])
         assert rc == 2
@@ -244,6 +253,11 @@ class TestExitCodeContract:
         ["export", "--profile", "k", "--grid", "1000000000000"],
         # longer than max_steps steps of h_max (was a spent step budget)
         ["sha-yang", "--n", "3", "--m", "2", "--T", "1e7"],
+        # no longer than the exclusion width at the cone point (was an
+        # error about an internal grid outside the profile's domain, and
+        # at 0.001 "interval shorter than its exclusion zones")
+        ["sha-yang", "--n", "2", "--m", "2", "--T", "1e-9"],
+        ["sha-yang", "--n", "2", "--m", "2", "--T", "0.001"],
         # 1/eps'^2 overflows (was an OverflowError traceback)
         ["export", "--profile", "k", "--eps-prime", "1e300"],
         # the inner slice has radius 0 (was a ZeroDivisionError traceback)
@@ -569,7 +583,7 @@ class _FailingWrites:
 def csv_write_fails_at(monkeypatch):
     """Make the n-th CSV write of the run fail partway, in blocks of 16
     rows; returns the list of attempted write sizes."""
-    monkeypatch.setattr("warpcheck.report._CSV_BLOCK", 16)
+    monkeypatch.setattr("warpcheck.quadrature._GRID_BLOCK", 16)
     counter = []
     real_open = Path.open
 

@@ -26,8 +26,7 @@ from warpcheck import (cli, constructions, curvature, kernels, profiles,
                        quadrature, report)
 from warpcheck.constructions import (certify_collar, docking_ambient,
                                      gN_regions, round_boundary)
-from warpcheck.curvature import (_SWEEP_BLOCK, MultiWarpedMetric,
-                                 _component_arrays, _linspace_block,
+from warpcheck.curvature import (MultiWarpedMetric, _component_arrays,
                                  _ordered_sum, ricci_report)
 from warpcheck.errors import DomainTruncationError
 from warpcheck.factors import abstract_factor, round_sphere_factor
@@ -36,7 +35,7 @@ from warpcheck.ode import DenseSolution, OdeRhs, integrate_ivp
 from warpcheck.profiles import (_collar_step, _collar_step_prime, _flat_decay,
                                 _flat_decay_value, closed_form_profile,
                                 collar_profile, k_profile, sha_yang_profiles)
-from warpcheck.quadrature import CumulativeIntegral, row_blocks
+from warpcheck.quadrature import CumulativeIntegral, grid_blocks, row_blocks
 from warpcheck.records import Record
 
 
@@ -294,7 +293,7 @@ def solution():
 def kernel_calls(monkeypatch):
     calls = []
 
-    def counted(ts, fs, fps, fpps, tq, table=None):
+    def counted(ts, fs, fps, fpps, tq, table):
         calls.append(np.size(tq))
         return DENSE_EVAL(ts, fs, fps, fpps, tq, table)
 
@@ -303,7 +302,8 @@ def kernel_calls(monkeypatch):
 
 
 def fresh(sol, tq):
-    f, fp = DENSE_EVAL(sol.ts, sol.fs, sol.fps, sol.fpps, tq)
+    nodes = (sol.ts, sol.fs, sol.fps, sol.fpps)
+    f, fp = DENSE_EVAL(*nodes, tq, kernels.hermite_table(*nodes))
     return f, fp, sol.rhs(tq, f, fp)
 
 
@@ -386,10 +386,8 @@ def assert_dense_eval_matches_per_point(ts, fs, fps, fpps, tq):
     assert table.shape == (len(ts) - 1, 11)
     for t in query_kinds(ts, tq).values():
         ref = per_point_dense_eval(ts, fs, fps, fpps, t)
-        for got in (DENSE_EVAL(ts, fs, fps, fpps, t, table),
-                    DENSE_EVAL(ts, fs, fps, fpps, t)):
-            for a, b in zip(got, ref):
-                assert_same_bits(a, b)
+        for a, b in zip(DENSE_EVAL(ts, fs, fps, fpps, t, table), ref):
+            assert_same_bits(a, b)
 
 
 MODERATE = st.floats(-1e3, 1e3)
@@ -645,7 +643,7 @@ def test_closability_search_integrates_each_collar_query_once(monkeypatch,
 
 # --- blocked Ricci sweep ----------------------------------------------------------
 
-B = _SWEEP_BLOCK
+B = quadrature._GRID_BLOCK
 
 
 # the edges of one and of two blocks, and of larger multiples
@@ -653,7 +651,7 @@ B = _SWEEP_BLOCK
     1, 2, 3, 4, 5, *(k * B + d for k in (1, 2) for d in range(-1, 6)),
     3 * B + 1, 4 * B, 4 * B + 3, 6 * B + 1}))
 def test_sweep_bounds_tile_the_grid_in_full_blocks(n):
-    bounds = row_blocks(n, curvature._SWEEP_BLOCK)
+    bounds = row_blocks(n, quadrature._GRID_BLOCK)
     assert B % 4 == 0
     assert bounds[0][0] == 0 and bounds[-1][1] == n
     assert all(e == s for (_, e), (s, _) in zip(bounds, bounds[1:]))
@@ -667,7 +665,7 @@ def blocks_match_one_shot(m, ts):
     the bits of one call over all of ts; return the one-shot arrays."""
     whole = _component_arrays(m, ts)
     blocks = [_component_arrays(m, ts[s:e])
-              for s, e in row_blocks(len(ts), curvature._SWEEP_BLOCK)]
+              for s, e in row_blocks(len(ts), quadrature._GRID_BLOCK)]
     for i, ref in enumerate(whole):
         assert_same_bits(np.concatenate([b[i] for b in blocks], axis=-1), ref)
     return whole
@@ -722,9 +720,9 @@ def test_small_blocks_keep_the_bits_of_the_quadrature_product(
     # k and collar antiderivatives go through one BLAS product per block;
     # thousands of 8-point blocks over random points expose a block boundary
     # that shifts the product's four-row grouping
-    monkeypatch.setattr(curvature, "_SWEEP_BLOCK", 8)
+    monkeypatch.setattr(quadrature, "_GRID_BLOCK", 8)
     m = sweep_metrics[name]
-    assert len(row_blocks(n, curvature._SWEEP_BLOCK)) == n // 8 + (n % 8 >= 4)
+    assert len(row_blocks(n, quadrature._GRID_BLOCK)) == n // 8 + (n % 8 >= 4)
     blocks_match_one_shot(m, np.random.default_rng(n).uniform(
         *m.grid_bounds(), n))
 
@@ -736,7 +734,7 @@ def test_blocked_sweep_keeps_an_exact_negative_zero_minimum():
           cone_profile(5.0)),),
         collapse_left=0)
     rep = ricci_report(cone, 3 * B + 1)
-    assert len(row_blocks(3 * B + 1, curvature._SWEEP_BLOCK)) == 3
+    assert len(row_blocks(3 * B + 1, quadrature._GRID_BLOCK)) == 3
     assert_same_bits(rep.global_min, -0.0)
     assert rep.global_min >= 0.0
 
@@ -899,9 +897,15 @@ def test_sweep_extrema_match_the_expression_form(sweep_metrics, name, g):
 # --- streamed sweep grid -------------------------------------------------------
 
 def assert_blocks_are_linspace(lo, hi, n, block=B):
+    """grid_blocks(lo, hi, n) at ``block`` yields the slices of linspace
+    over the blocks of row_blocks, in order."""
     whole = np.linspace(lo, hi, n)
-    for s, e in row_blocks(n, block):
-        assert_same_bits(_linspace_block(lo, hi, n, s, e), whole[s:e])
+    with mock.patch.object(quadrature, "_GRID_BLOCK", block):
+        got = list(grid_blocks(lo, hi, n))
+    bounds = row_blocks(n, block)
+    assert len(got) == len(bounds)
+    for ts, (s, e) in zip(got, bounds):
+        assert_same_bits(ts, whole[s:e])
 
 
 def test_grid_blocks_are_linspace_for_random_bounds():
@@ -912,10 +916,9 @@ def test_grid_blocks_are_linspace_for_random_bounds():
         n = int(rng.integers(2, 3 * B))
         block = int(4 * rng.integers(1, B // 4 + 1))
         assert_blocks_are_linspace(float(lo), float(hi), n, block)
-        s = int(rng.integers(0, n))
-        e = int(rng.integers(s + 1, n + 1))
-        assert_same_bits(_linspace_block(lo, hi, n, s, e),
-                         np.linspace(lo, hi, n)[s:e])
+        # numpy scalars and integer bounds, as linspace takes them
+        assert_blocks_are_linspace(lo, hi, n, block)
+    assert_blocks_are_linspace(0, 7, 10, 4)
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -1112,38 +1115,57 @@ def row_by_row_csv(path, cols):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-class FixedSamples:
-    """A profile stand-in whose samples are given columns."""
+def sampled_csv(path, profile, grid_size):
+    """``write_profile_csv`` before ``grid_blocks``: the whole grid sampled
+    at once, then formatted and written 4096 rows at a time."""
+    cols = [np.asarray(c, dtype=float) for c in profile.sample(grid_size)]
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,f,fp,fpp\n")
+        for i in range(0, len(cols[0]), 4096):
+            block = np.column_stack([c[i:i + 4096] for c in cols])
+            fh.write(("%r,%r,%r,%r\n" * len(block))
+                     % tuple(block.ravel().tolist()))
 
-    def __init__(self, cols):
-        self.cols = cols
 
-    def sample(self, n):
-        assert n == len(self.cols[0])
-        return self.cols
+class FixedColumns:
+    """A profile stand-in on [t0, t1] whose f, f' and f'' on the export's
+    grid are given columns: each call of ``eval`` must be passed the next
+    block of that grid, and gets those rows of the columns."""
+
+    def __init__(self, t0, t1, cols):
+        self.t0, self.t1, self.cols = t0, t1, cols
+        self.grid = np.linspace(t0, t1, len(cols[0]))
+        self.served = 0
+
+    def eval(self, ts):
+        s, e = self.served, self.served + len(ts)
+        assert_same_bits(ts, self.grid[s:e])
+        self.served = e
+        return tuple(c[s:e] for c in self.cols)
 
 
-def assert_csv_matches_row_by_row(directory, cols):
-    new = report.write_profile_csv(directory / "blocked.csv",
-                                   FixedSamples(cols), len(cols[0]))
-    row_by_row_csv(directory / "rows.csv", cols)
+def assert_csv_matches_row_by_row(directory, cols, domain=(-1.0, 3.0)):
+    profile = FixedColumns(*domain, cols)
+    new = report.write_profile_csv(directory / "blocked.csv", profile,
+                                   len(cols[0]))
+    assert profile.served == len(cols[0])
+    row_by_row_csv(directory / "rows.csv", (profile.grid, *cols))
     assert new.read_bytes() == (directory / "rows.csv").read_bytes()
 
 
-CSV_B = report._CSV_BLOCK
 CSV_EDGE_VALUES = np.array([
     0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-5,
     9.999999999999999e-05, 1e16, 9999999999999998.0, -1e16, 0.1, 1.0 / 3.0,
     2.0 ** 53, 1.7976931348623157e308, 2.2250738585072014e-308])
 
 
-@pytest.mark.parametrize("g", [2, CSV_B - 1, CSV_B, CSV_B + 1, 2 * CSV_B + 3])
+@pytest.mark.parametrize("g", [2, B - 1, B, B + 1, 2 * B + 3])
 def test_csv_blocks_keep_every_byte_of_the_row_writer(tmp_path, g):
     rng = np.random.default_rng(g)
-    # edge values in every column and at both ends of the file; random bit
-    # patterns (nan payloads and subnormals included) elsewhere
+    # edge values in every value column and at both ends of the file; random
+    # bit patterns (nan payloads and subnormals included) elsewhere
     cols = []
-    for j in range(4):
+    for j in range(3):
         col = rng.integers(0, 2 ** 64, g, dtype=np.uint64).view(float)
         edge = np.roll(CSV_EDGE_VALUES, j)
         k = min(g, edge.size)
@@ -1151,42 +1173,83 @@ def test_csv_blocks_keep_every_byte_of_the_row_writer(tmp_path, g):
         col[-k:] = edge[::-1][:k]
         cols.append(col)
     assert_csv_matches_row_by_row(tmp_path, cols)
+    # a grid of signed zeros and subnormals, and one of huge values
+    assert_csv_matches_row_by_row(tmp_path, cols, (-0.0, 5e-324 * g))
+    assert_csv_matches_row_by_row(tmp_path, cols, (-1e308, 1.5e308 / 2))
 
 
 def test_csv_columns_of_other_dtypes_are_written_as_floats(tmp_path):
     g = 37
     cols = [np.arange(g, dtype=np.int32),
-            np.linspace(0, 1, g, dtype=np.float32),
-            np.linspace(-1, 1, g), np.full(g, -0.0)]
+            np.linspace(0, 1, g, dtype=np.float32), np.full(g, -0.0)]
     assert_csv_matches_row_by_row(tmp_path, cols)
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), rows=st.integers(2, 40), block=st.integers(1, 9))
-def test_csv_property_any_float64_columns(tmp_path_factory, data, rows, block):
+@given(data=st.data(), rows=st.integers(2, 40),
+       block=st.sampled_from([4, 8, 12]),
+       domain=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2,
+                       unique=True).map(sorted))
+def test_csv_property_any_float64_columns(tmp_path_factory, data, rows, block,
+                                          domain):
     column = st.lists(st.floats(width=64) | SPECIALS, min_size=rows,
                       max_size=rows)
-    cols = [np.array(data.draw(column), dtype=float) for _ in range(4)]
+    cols = [np.array(data.draw(column), dtype=float) for _ in range(3)]
     directory = tmp_path_factory.mktemp("csv")
-    with mock.patch.object(report, "_CSV_BLOCK", block):
-        assert_csv_matches_row_by_row(directory, cols)
+    with mock.patch.object(quadrature, "_GRID_BLOCK", block):
+        assert_csv_matches_row_by_row(directory, cols, tuple(domain))
 
 
-def test_csv_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
-    # small blocks keep tracemalloc fast; the peak is one block's text
-    monkeypatch.setattr(report, "_CSV_BLOCK", 256)
+@pytest.fixture(scope="module")
+def export_profiles():
+    """Every profile ``export`` writes, at its default flags."""
+    return {pid: build(*reads.values())
+            for pid, (reads, build) in constructions.PROFILES.items()}
+
+
+SMALL_B = 8
+
+
+@pytest.mark.parametrize("n, block", [
+    *((n, SMALL_B) for n in (2, 3, SMALL_B - 1, SMALL_B, SMALL_B + 1,
+                             SMALL_B + 3, 2 * SMALL_B + 3, 3 * SMALL_B + 1)),
+    (B + 1, B)])
+@pytest.mark.parametrize("pid", list(constructions.PROFILES))
+def test_streamed_export_has_the_bytes_of_the_sampled_form(
+        tmp_path, monkeypatch, export_profiles, pid, n, block):
+    # the quadrature profiles (k, collar) see query blocks of 8 points, and
+    # at n = 3 B + 1 a last block of B + 1; a shifted row group of their
+    # BLAS product is caught on random points by
+    # test_small_blocks_keep_the_bits_of_the_quadrature_product
+    monkeypatch.setattr(quadrature, "_GRID_BLOCK", block)
+    profile = export_profiles[pid]
+    streamed = report.write_profile_csv(tmp_path / "streamed.csv", profile, n)
+    sampled_csv(tmp_path / "sampled.csv", profile, n)
+    assert streamed.read_bytes() == (tmp_path / "sampled.csv").read_bytes()
+
+
+@pytest.mark.parametrize("pid", ["neck", "sha-f", "k"])
+def test_export_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch,
+                                                   capsys, pid):
+    # a closed form, an IVP and a quadrature profile, built, evaluated and
+    # written by one export; small blocks keep tracemalloc fast. Sampling
+    # the whole grid, the export peaked 0.6-1.0 MB higher at 64 blocks than
+    # at 8; streamed, 0-10 KB (NumPy keeps about 100 bytes per block)
+    monkeypatch.setattr(quadrature, "_GRID_BLOCK", 256)
 
     def peak(rows):
-        cols = [np.linspace(0.1, 1.1, rows) * (j + 1) for j in range(4)]
+        argv = ["export", "--profile", pid, "--grid", str(rows),
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0  # fill the process-wide memos first
         tracemalloc.start()
         try:
-            report.write_profile_csv(tmp_path / "m.csv", FixedSamples(cols),
-                                     rows)
+            assert cli.main(argv) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    small, large = peak(2 * 256), peak(100 * 256)
-    assert large < small + 16 * 1024
+    small, large = peak(8 * 256), peak(64 * 256)
+    capsys.readouterr()
+    assert large < small + 32 * 1024
 
 
 # --- blocked CumulativeIntegral queries ---------------------------------------

@@ -9,18 +9,21 @@ temporary working directory into the benchmark's relative output directory,
 because their reports list the CSVs by that path.
 
 The benchmark's tracer also wraps program functions by name; the last tests
-check that every name it looks up still exists, and that every argv the
-benchmark's workloads can draw passes the command line's flag check.
+check that every name it looks up still exists, that it runs a scenario and
+an export end to end, and that every argv the benchmark's workloads can draw
+passes the command line's flag check.
 """
 import hashlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import child_env
 from warpcheck import cli
 from warpcheck.constructions import PROFILES, SCENARIOS
 from warpcheck.errors import WarpcheckError
@@ -121,6 +124,25 @@ def test_tracer_specs_resolve_to_callables(tracer):
         for part in path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{modname}.{path}"
+
+
+@pytest.mark.parametrize("argv, counter, value", [
+    (["neck", "--nu", "0.1", "--n", "3", "--s", "0.5", "--grid", "64"],
+     "curvature.ricci_report.calls", 1),
+    (["export", "--profile", "k", "--grid", "5"], "report.csv.rows", 5),
+])
+def test_tracer_runs_a_command_end_to_end(tmp_path, argv, counter, value):
+    # a wrapper that breaks a call, or a binding the import hook misses
+    # (the tracer then refuses to run), shows up only in a traced run
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "tracer.py"), str(trace), *argv,
+         "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(trace.read_text())["counts"]
+    assert counts[counter] == value
 
 
 def test_names_the_benchmark_reads_exist(tmp_path):
