@@ -19,8 +19,7 @@ from pathlib import Path
 
 from . import constructions as cons
 from .errors import WarpcheckError
-from .report import (ScenarioVerdict, check_ge, write_profile_csv,
-                     write_report)
+from .report import write_profile_csv, write_report
 
 EXIT_PASS = 0
 EXIT_VERIFICATION_FAILURE = 1
@@ -30,8 +29,8 @@ EXIT_INPUT_ERROR = 2
 CSV_GRID = 1001
 
 
-# flags of several subcommands: --out (all), --require-min (every
-# scenario), the rest where a declaration lists them
+# flags of several subcommands: --out (all), the rest where a declaration
+# lists them
 _SHARED = {
     # help: per subcommand, with its defaults; a grid below 2 is rejected
     # where it is used, so --grid 0 is never replaced by a default
@@ -40,9 +39,6 @@ _SHARED = {
               "help": "output directory for reports and CSVs"},
     "--csv": {"action": "store_true",
               "help": "dump the scenario's profiles as CSV"},
-    "--require-min": {"type": cons._finite_float,
-                      "help": "extra check: the scenario's headline minimum "
-                              "must reach this value (forces a failure)"},
 }
 
 
@@ -52,8 +48,8 @@ def _build_parsers(only=None):
     parser = argparse.ArgumentParser(
         prog="warpcheck",
         description="verification runs for warped-product curvature claims")
-    commands = [(s.name, s.help, s.args, (*s.common, "--require-min"),
-                 s.mode, s.grid) for s in cons.SCENARIOS.values()]
+    commands = [(s.name, s.help, s.args, s.common, s.mode, s.grid)
+                for s in cons.SCENARIOS.values()]
     commands.append(("export", "CSV export of a named profile",
                      cons.EXPORT_ARGS, cons.EXPORT_COMMON, cons.EXPORT_MODE,
                      None))
@@ -209,15 +205,7 @@ def _compute_and_write(prm, artifacts: _Artifacts) -> int:
         return EXIT_PASS
 
     scenario = cons.SCENARIOS[prm["scenario"]]
-    verdict, (name, value), profiles = scenario.run(
-        prm, _grid(prm, scenario.grid))
-    minimum = prm["require_min"]
-    if minimum is not None:
-        verdict = ScenarioVerdict(
-            verdict.scenario, dict(verdict.config, require_min=minimum),
-            verdict.checks + (check_ge(f"required_minimum({name})",
-                                       "cli-required-minimum", value, minimum),),
-            verdict.artifacts)
+    verdict, profiles = scenario.run(prm, _grid(prm, scenario.grid))
     csvs = profiles if prm.get("csv") else {}
     names = [f"{verdict.scenario}_{name}.csv" for name in csvs]
     *csv_temps, report_temp = artifacts.reserve(

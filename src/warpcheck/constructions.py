@@ -24,7 +24,7 @@ from .factors import (FactorManifold, abstract_factor, round_sphere_factor,
                       scale_factor, unit_sphere_volume)
 from .profiles import (EXCLUSION_WIDTH, SOLVER_TOL, closability_ode_profile,
                        closed_form_profile, collar_profile, docking_R_profile,
-                       k_profile, neck_profile, parity_check,
+                       k_profile, neck_end, neck_profile, parity_check,
                        radial_floor_value, sha_yang_profiles)
 from .report import (ScenarioVerdict, check_bool, check_eq, check_ge,
                      check_le)
@@ -260,18 +260,14 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
     curvatures nu, the inner boundary must glue against the core rescaled by
     sqrt(2) sin(nu s) with positive second-fundamental-form sum, and one
     positive delta must bound every member's Ricci curvature from below; the
-    member volumes must likewise share one positive floor.
+    member volumes must likewise share one positive floor. Every member is
+    built, and any input error raised, before the first is swept.
     """
     int_ge("n", n, 3)
-    if not nu > 0:
-        raise InputError("nu must be positive")
-    t_out = math.pi / (4.0 * nu)
+    t_out = neck_end(nu)
     s_values = [float(s) for s in s_values]
     if not s_values:
         raise InputError("at least one s value is required")
-    for s in s_values:
-        if not 0.0 < s < t_out:
-            raise InputError(f"s = {s} outside (0, {t_out})")
     if len(core.boundary.blocks) != 1:
         raise InputError("core boundary must have a single round block")
     cb = core.boundary.blocks[0]
@@ -285,27 +281,30 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
 
     sphere = round_sphere_factor(n - 1, 1.0)
 
-    def member(s: float) -> dict:
+    def member(s: float) -> tuple:
+        """The metric at s and what can refuse it: the profile, both
+        boundaries (a radius out of floating-point range is an input error)
+        and the glue against the rescaled core."""
         profile = neck_profile(nu, s)
         metric = MultiWarpedMetric((s, t_out), ((sphere, profile),))
-        # boundary data first: a boundary radius out of floating-point range
-        # is an input error, raised before a sweep over the degenerate metric
         outer = boundary_data(metric, "right")
         inner = boundary_data(metric, "left")
-        # only the minimum is read, so no member keeps its report
-        ricci_min = ricci_report(metric, grid_size).global_min
         lam = math.sqrt(2.0) * math.sin(nu * s)
         glue = glue_check(core.scaled(lam).boundary, inner)
-        vol = volume(metric)
-        ts = np.linspace(s, t_out, 512)
+        return metric, {"s": s, "profile": profile, "outer": outer,
+                        "inner": inner, "glue": glue}
+
+    def measure(metric, e: dict) -> dict:
+        ts = np.linspace(e["s"], t_out, 512)
         drift = float(np.max(np.abs(
-            profile.eval(ts)[0] - math.sqrt(2.0) * np.sin(nu * ts))))
-        return {"s": s, "profile": profile, "ricci_min": ricci_min,
-                "outer": outer, "inner": inner, "glue": glue, "volume": vol,
-                "drift": drift}
+            e["profile"].eval(ts)[0] - math.sqrt(2.0) * np.sin(nu * ts))))
+        # only the minimum is read, so no member keeps its report
+        return dict(e, ricci_min=ricci_report(metric, grid_size).global_min,
+                    volume=volume(metric), drift=drift)
 
     # one member per distinct s, repeated in per_s as often as s is given
-    measured = {s: member(s) for s in dict.fromkeys(s_values)}
+    built = [member(s) for s in dict.fromkeys(s_values)]
+    measured = {e["s"]: measure(metric, e) for metric, e in built}
     per_s = [measured[s] for s in s_values]
 
     checks = []
@@ -720,11 +719,10 @@ class Scenario(Record):
 
     ``args`` holds ``(flags, argparse kwargs)`` pairs for its own flags, and
     ``common`` names the shared flags (``cli._SHARED``) it reads besides
-    those every scenario takes; the parser accepts no others. ``grid`` is
+    ``--out``, which every subcommand takes; the parser accepts no others. ``grid`` is
     the default sweep grid (None: the scenario sweeps none). ``run(prm,
-    grid)`` takes the parsed flags and returns (verdict, (headline name,
-    value), {csv name: profile}); the headline is what ``--require-min``
-    checks.
+    grid)`` takes the parsed flags and returns (verdict, {csv name:
+    profile}).
 
     ``mode``, if set, is ``(dest, {value: {dest: default}})``: the value of
     flag ``dest`` selects which of the table's flags the run reads. These
@@ -752,8 +750,7 @@ def _run_sha_yang(prm, grid):
     ric = float(n - 1) if prm["ric"] is None else prm["ric"]
     M = abstract_factor("M", n, (ric, ric))
     v = sha_yang_space(n, prm["m"], M, prm["T"], grid_size=grid)
-    return (v, ("ricci_global_min", v.artifacts["ricci_report"].global_min),
-            {"sha-f": v.artifacts["f"], "sha-h": v.artifacts["h"]})
+    return v, {"sha-f": v.artifacts["f"], "sha-h": v.artifacts["h"]}
 
 
 def _run_neck(prm, grid):
@@ -761,16 +758,14 @@ def _run_neck(prm, grid):
     kappa = 2.0 * nu if prm["core_kappa"] is None else prm["core_kappa"]
     core = certified_core(prm["n"], kappa=kappa)
     v = neck_family_check(nu, prm["n"], prm["s"], core, grid_size=grid)
-    return (v, ("delta", v.config["delta"]),
-            {f"neck-s{e['s']!r}": e["profile"]
-             for e in v.artifacts["members"]})
+    return v, {f"neck-s{e['s']!r}": e["profile"]
+               for e in v.artifacts["members"]}
 
 
 def _run_closability(prm, grid):
     cb = round_boundary(prm["n"] - 1, 1.0, prm["kappa"])
     v = collar_closability(cb, prm["c_max"], prm["n"], grid_size=grid)
-    return (v, ("c_star", v.config["c_star"]),
-            {"collar": v.artifacts["profile"]})
+    return v, {"collar": v.artifacts["profile"]}
 
 
 def _run_gn(prm, grid):
@@ -778,14 +773,12 @@ def _run_gn(prm, grid):
     y_ric = float(-(n - 2)) if prm["y_ric"] is None else prm["y_ric"]
     Y = abstract_factor("Y", n - 1, (y_ric, y_ric))
     v = gN_regions(Y, prm["eps_prime"], n, grid_size=grid)
-    return (v, ("regionA_ricci_min", v.artifacts["ricci_report"].global_min),
-            {"k": v.artifacts["k"], "closability-f": v.artifacts["f"]})
+    return v, {"k": v.artifacts["k"], "closability-f": v.artifacts["f"]}
 
 
 def _run_docking(prm, grid):
     v = docking_ambient(prm["n"], grid_size=grid)
-    return (v, ("ricci_min", v.artifacts["ricci_report"].global_min),
-            {"docking-r": v.artifacts["R"]})
+    return v, {"docking-r": v.artifacts["R"]}
 
 
 def _run_thm22(prm, grid):
@@ -822,9 +815,7 @@ def _run_thm22(prm, grid):
     cert_boundary = round_boundary(n - 2, 1.0, 1.0)
     certificate = collar_closability(cert_boundary, 0.45, n - 1,
                                      grid_size=grid)
-    v = theorem22_hypotheses(members, n, certificate, grid_size=grid)
-    floors = [c.value for c in v.checks if c.name.endswith("ricci_floor")]
-    return v, ("min_member_ricci", min(floors)), {}
+    return theorem22_hypotheses(members, n, certificate, grid_size=grid), {}
 
 
 def _run_glue(prm, grid):
@@ -848,8 +839,7 @@ def _run_glue(prm, grid):
     )
     config = {k: prm[k] for k in ("example", "n", "dim", "r1", "k1", "r2", "k2")}
     config["glue_tol"] = GLUE_TOL
-    v = ScenarioVerdict("glue", config, checks)
-    return v, ("ii_sum_min", verdict.ii_sum_min), {}
+    return ScenarioVerdict("glue", config, checks), {}
 
 
 SCENARIOS = {s.name: s for s in (

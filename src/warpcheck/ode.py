@@ -74,9 +74,9 @@ class DenseSolution(Record):
         from the right-hand side.
 
         A query whose shape and bits equal the previous query's returns
-        copies of the stored result instead of interpolating again (see
-        ``QueryMemo``): profiles sharing one solution (f and h of sha-yang)
-        are evaluated on the same grid one after the other.
+        read-only views of the stored result instead of interpolating again
+        (see ``QueryMemo``): profiles sharing one solution (f and h of
+        sha-yang) are evaluated on the same grid one after the other.
         """
         return self._memo(np.asarray(t, dtype=float), self._interpolate)
 

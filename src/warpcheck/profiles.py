@@ -371,14 +371,23 @@ def radial_floor_value(profile: WarpProfile, n: int, t):
     return -fpp / f - (n - 2) * (1.0 + fp ** 2) / f ** 2
 
 
-def neck_profile(nu: float, s: float) -> WarpProfile:
-    """sqrt(2)*sin(nu*t) on [s, pi/(4 nu)]: the neck warp whose outer slice
-    has radius exactly 1 and principal curvature nu."""
+def neck_end(nu: float) -> float:
+    """pi/(4 nu), where every neck warp of ``nu`` ends; an input error
+    unless nu is positive and that end positive and finite."""
     if not nu > 0:
         raise InputError(f"nu must be positive, got {nu}")
     t_out = math.pi / (4.0 * nu)
     if math.isinf(t_out):
         raise InputError(f"nu = {nu} is too small: pi/(4 nu) overflows")
+    if t_out == 0.0:
+        raise InputError(f"nu = {nu} is too large: pi/(4 nu) rounds to 0")
+    return t_out
+
+
+def neck_profile(nu: float, s: float) -> WarpProfile:
+    """sqrt(2)*sin(nu*t) on [s, pi/(4 nu)]: the neck warp whose outer slice
+    has radius exactly 1 and principal curvature nu."""
+    t_out = neck_end(nu)
     if not 0.0 < s < t_out:
         raise InputError(f"s must lie in (0, {t_out}), got {s}")
     return closed_form_profile("sine", (s, t_out),

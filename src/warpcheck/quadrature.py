@@ -179,7 +179,7 @@ class CumulativeIntegral:
     one evaluation over all points.
 
     A query with the shape and bits of one of the last ``_MEMO_SLOTS``
-    distinct queries returns a copy of the stored result (see
+    distinct queries returns a read-only view of the stored result (see
     ``QueryMemo``); a scalar query is keyed as a one-point array.
     """
 

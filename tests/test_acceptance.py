@@ -249,8 +249,9 @@ def test_c10_determinism_and_exit_codes(tmp_path):
     identical = (d1 / "gn.json").read_bytes() == (d2 / "gn.json").read_bytes()
 
     fail_dir = tmp_path / "f"
-    rc_fail = main(argv + ["--out", str(fail_dir), "--require-min", "1.0"])
-    report_written = (fail_dir / "gn.json").exists()
+    rc_fail = main(["thm22", "--n", "4", "--members", "2", "--ric-deficit",
+                    "0.1", "--out", str(fail_dir)])
+    report_written = (fail_dir / "thm22.json").exists()
 
     err_dir = tmp_path / "e"
     rc_err = main(["gn", "--n", "2", "--out", str(err_dir)])

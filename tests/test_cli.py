@@ -3,6 +3,7 @@ import errno
 import gc
 import json
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -165,6 +166,19 @@ _MODE_ERRORS = {
 }
 
 
+# argvs that fail verification; closability and gn have none
+_FAILING = [
+    # radial_speed_limit reads 0.237 against 0.05 at T = 50
+    ["sha-yang", "--n", "2", "--m", "8"],
+    # nu > 1/sqrt(2): the s = 0.1 member's Ricci minimum is -10.0 (ROADMAP
+    # item 11)
+    ["neck", "--nu", "0.75", "--n", "3", "--s", "0.5,0.1"],
+    ["thm22", "--n", "4", "--members", "2", "--ric-deficit", "0.1"],
+    ["glue", "--dim", "2", "--r1", "1", "--k1", "1", "--r2", "5",
+     "--k2", "-3"],
+]
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("argv", [
         ["sha-yang", "--n", "2", "--m", "2", "--T", "20"],
@@ -176,17 +190,14 @@ class TestExitCodeContract:
         ["gn", "--n", "5"],
         ["thm22", "--n", "4"],
         ["glue", "--example", "hemisphere"],
+        *_FAILING,
     ])
     def test_pass_fail_and_input_error_paths(self, tmp_path, argv):
-        ok_dir = tmp_path / "ok"
-        assert main(argv + ["--out", str(ok_dir)]) == 0
-
-        fail_dir = tmp_path / "fail"
-        rc = main(argv + ["--out", str(fail_dir), "--require-min", "1e9"])
-        assert rc == 1
-        # the report is still written on verification failure
-        report = read_report(fail_dir / f"{argv[0]}.json")
-        assert report["overall_pass"] is False
+        rc = main(argv + ["--out", str(tmp_path)])
+        assert rc == (1 if argv in _FAILING else 0)
+        # the report is written on pass and on verification failure alike
+        report = read_report(tmp_path / f"{argv[0]}.json")
+        assert report["overall_pass"] is (rc == 0)
 
     @pytest.mark.parametrize("T", ["-1", "0", "1e-9", "0.001"])
     def test_sha_yang_T_within_the_exclusion_width_names_both(
@@ -354,6 +365,34 @@ class TestExitCodeContract:
         last = (tmp_path / "closability.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == 0.7404
 
+    def test_neck_refuses_every_member_before_sweeping_any(
+            self, tmp_path, capsys, monkeypatch):
+        # the collapsed slice s = 1e-300 is refused before s = 0.5 is swept
+        sweeps = []
+        sweep = cons.ricci_report
+
+        def counting(*args, **kwargs):
+            sweeps.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cons, "ricci_report", counting)
+        assert main(["neck", "--nu", "0.1", "--n", "3", "--s", "0.5,1e-300",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "t = 1e-300 is collapsed" in capsys.readouterr().err
+        assert sweeps == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["neck", "--nu", "1e308", "--n", "3", "--s", "0.5"],
+        ["export", "--profile", "neck", "--nu", "1e308"],
+    ])
+    def test_neck_nu_whose_end_rounds_to_zero_is_named(self, tmp_path,
+                                                       capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: nu = 1e+308 is too large: pi/(4 nu) rounds to 0\n")
+        assert not (tmp_path / "out").exists()
+
     def test_more_s_values_than_members_max_exit_before_any_work(
             self, tmp_path, monkeypatch):
         def no_work(*args, **kwargs):
@@ -414,6 +453,9 @@ class TestExitCodeContract:
         ["export", "--profile", "docking-r", "--tol", "1e-8"],
         ["export", "--profile", "docking-r", "--json", "--csv",
          "--require-min", "99"],
+        # no flag sets a threshold: each check's comes from its construction
+        ["gn", "--n", "3", "--require-min", "0"],
+        ["glue", "--example", "hemisphere", "--require-min", "0"],
         # the glue tolerance is GLUE_TOL; no flag loosens it
         ["glue", "--dim", "2", "--r1", "1", "--k1", "1", "--r2", "5",
          "--k2", "-3", "--glue-tol", "10"],
@@ -675,11 +717,10 @@ def _flags(text):
 def test_readme_command_line_tables_match_the_parsers():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert "--config" not in readme
+    assert "--require-min" not in readme
     section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
     every = _flags(re.search(r"Every\s+subcommand\s+takes(.*?)\.", section,
                              re.S)[1])
-    scenarios = _flags(re.search(r"Every\s+scenario\s+\(not\s+`export`\)"
-                                 r"\s+takes(.*?)\.", section, re.S)[1])
     listed, modes = {}, {}
     for line in section.splitlines():
         if not line.startswith("| `"):
@@ -688,8 +729,7 @@ def test_readme_command_line_tables_match_the_parsers():
         words = cells[0].replace("`", "").split()
         if len(cells) == 3:  # subcommand | its own flags | shared flags
             listed.setdefault(words[0], set()).update(
-                _flags(cells[1]), _flags(cells[2]), every,
-                scenarios if words[0] != "export" else ())
+                _flags(cells[1]), _flags(cells[2]), every)
         else:  # mode | flags it reads, each with its default if it has one
             value = words[2] if words[1].startswith("--") else None
             modes[words[0], value] = {
@@ -710,6 +750,26 @@ def test_readme_command_line_tables_match_the_parsers():
     tables.update({(s.name, value): reads for s in cons.SCENARIOS.values()
                    if s.mode for value, reads in s.mode[1].items()})
     assert modes == tables
+
+
+def _readme_examples():
+    """The lines of README's Examples block, each as (its words, its
+    comment)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"\nExamples:\n\n```sh\n(.*?)```", readme, re.S)[1]
+    lines = [line.partition("#") for line in block.splitlines()]
+    return [(shlex.split(cmd), comment) for cmd, _, comment in lines]
+
+
+@pytest.mark.parametrize("words, comment", _readme_examples())
+def test_readme_examples_exit_as_documented(tmp_path, words, comment):
+    program, *argv = words
+    assert program == "warpcheck"
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(tmp_path)
+    else:
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == (1 if "forces a" in comment else 0)
 
 
 def _option_help(parser, flag):

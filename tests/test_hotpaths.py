@@ -323,12 +323,14 @@ def test_mutating_results_or_query_does_not_reach_the_memo(solution,
     tq = np.linspace(0.0, 2.0, 257)
     ref = fresh(solution, tq.copy())
     for _ in range(3):  # a miss, then two hits
-        f, fp, fpp = solution.eval(tq)
-        for got, want in zip((f, fp, fpp), ref):
+        results = solution.eval(tq)
+        for got, want in zip(results, ref):
             assert_same_bits(got, want)
-        f[:] = 7.0
-        fp[:] = 7.0
-        fpp[:] = 7.0
+            # a read-only view: neither a write nor a flag flip gets through
+            with pytest.raises(ValueError):
+                got[:] = 7.0
+            with pytest.raises(ValueError):
+                got.flags.writeable = True
 
     moved = tq[::-1].copy()
     tq[:] = moved  # the caller rewrites its query array in place
@@ -569,7 +571,8 @@ def test_mutating_integral_results_or_query_does_not_reach_the_memo(
     for _ in range(3):  # a miss, then two hits
         out = phi(t)
         assert_same_bits(out, ref)
-        out[:] = 7.0
+        with pytest.raises(ValueError):
+            out[:] = 7.0
 
     moved = t[::-1].copy()
     t[:] = moved  # the caller rewrites its query array in place
@@ -1582,6 +1585,24 @@ def test_memo_empty_scalar_and_2d_keys(counted_memo):
     assert_same_bits(memo(np.array(0.25), compute)[0], np.array(0.5))
     assert_same_bits(memo(np.array(0.25), compute)[0], np.array(0.5))
     assert len(calls) == 8
+
+
+def test_memo_0d_query_returns_read_only_0d_arrays():
+    memo, calls = QueryMemo(1), []
+
+    def sin_cos(th):  # NumPy scalars for a 0-d phase
+        calls.append(th)
+        return profiles._sin_cos(th)
+
+    point = np.float64(0.25)
+    for _ in range(2):  # a miss, then a hit
+        sine, cosine = memo(point, sin_cos)
+        assert sine.shape == cosine.shape == ()
+        assert_same_bits(sine, np.sin(point))
+        assert_same_bits(cosine, np.cos(point))
+        with pytest.raises(ValueError):
+            sine[()] = 7.0
+    assert len(calls) == 1
 
 
 # --- one sine and one cosine per phase ------------------------------------------
