@@ -25,7 +25,7 @@ from .errors import (ConstructionError, DataMissingError,
                      SingularPointError, WarpcheckError)
 from .factors import (FactorManifold, abstract_factor, round_sphere_factor,
                       scale_factor, unit_sphere_volume)
-from .ode import DenseSolution, OdeRhs, integrate_ivp
+from .ode import DenseSolution, integrate_ivp
 from .profiles import (EXCLUSION_WIDTH, Joint, ParityReport, ParityTag,
                        WarpProfile, closability_ode_profile,
                        closed_form_profile, collar_profile, docking_R_profile,

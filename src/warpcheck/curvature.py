@@ -12,8 +12,8 @@ with all mixed components zero, while ``ricci_generic`` specializes the
 general cylinder-metric formulas (traces and norms of h_t' and h_t'' for
 h_t = sum f_i^2 g_i) with derivatives taken by central finite differences of
 f_i^2 alone. Factor Ricci curvatures enter only linearly through Ric_i, so a
-factor's eigenvalue interval propagates to exact per-block component
-intervals.
+factor's Ricci lower bound gives the exact lower bound of its block's
+component: the constructions certify Ricci lower bounds only.
 
 Block sums are accumulated in ascending order of the summands, making every
 result exactly invariant under block permutation.
@@ -122,33 +122,31 @@ class MultiWarpedMetric(Record):
 
 
 class RicciComponents(Record):
-    """Ricci values at one t: the dt-dt component and, per block, the exact
-    interval of Ric(v/f_i, v/f_i) induced by the factor's eigenvalue
-    interval. Mixed components vanish identically for block-diagonal warps."""
+    """Ricci values at one t: the dt-dt component and, per block, the lower
+    bound of Ric(v/f_i, v/f_i) that the factor's Ricci lower bound induces.
+    Mixed components vanish identically for block-diagonal warps."""
 
     t: float
     ric_tt: float
-    blocks: tuple  # ((lo, hi), ...)
+    blocks: tuple  # (lo, ...)
 
 
 def _block_constants(metric: MultiWarpedMetric):
-    """The kernel's per-metric columns (dims, dims - 1, rho_lo, rho_hi) and
-    whether every Ricci interval is a point by bits: (0.0, -0.0) is not."""
+    """The kernel's per-metric columns (dims, dims - 1, rho_lo)."""
     dims = np.array([[float(f.dim)] for f, _ in metric.blocks])
-    rho = np.array([f.ricci_interval for f, _ in metric.blocks], dtype=float)
-    point = np.array_equal(rho[:, 0].view(np.uint64), rho[:, 1].view(np.uint64))
-    return dims, dims - 1.0, rho[:, :1], rho[:, 1:], point
+    rho_lo = np.array([[f.ricci_lower] for f, _ in metric.blocks], dtype=float)
+    return dims, dims - 1.0, rho_lo
 
 
 def _component_arrays(metric: MultiWarpedMetric, ts: np.ndarray,
                       constants=None):
-    """Vectorized warped-product Ricci over a grid; returns (tt, lo, hi).
+    """Vectorized warped-product Ricci over a grid; returns (tt, lo).
 
     Computed in place in the rows of f, f', f'': phi = f'/f, f2 = f*f,
     tt = -sum((dims*f'')/f), base = ((-f'')/f - ((dims-1)*(f'*f'))/f2)
     - phi*(s_cross - dims*phi) and lo = base + rho_lo/f2, in this order up
-    to commutation. ``hi`` is ``lo`` when every interval is a point."""
-    dims, dims_m1, rho_lo, rho_hi, point = constants or _block_constants(metric)
+    to commutation."""
+    dims, dims_m1, rho_lo = constants or _block_constants(metric)
     f, fp, fpp = np.empty((3, len(metric.blocks), len(ts)))
     for i, (_, profile) in enumerate(metric.blocks):
         profile.eval(ts, out=(f[i], fp[i], fpp[i]))
@@ -166,21 +164,16 @@ def _component_arrays(metric: MultiWarpedMetric, ts: np.ndarray,
     fp /= f2
     base -= fp
     base -= cross
-    lo = np.add(np.divide(rho_lo, f2, out=fp), base, out=fp)
-    if point:
-        return ric_tt, lo, lo
-    return ric_tt, lo, np.add(np.divide(rho_hi, f2, out=f2), base, out=f2)
+    return ric_tt, np.add(np.divide(rho_lo, f2, out=fp), base, out=fp)
 
 
 def ricci_components(metric: MultiWarpedMetric, t: float) -> RicciComponents:
     """Ricci components at t from the closed warped-product formulas."""
     metric._check_regular(t)
     ts = np.array([float(t)])
-    ric_tt, lo, hi = _component_arrays(metric, ts)
-    return RicciComponents(
-        t=float(t), ric_tt=float(ric_tt[0]),
-        blocks=tuple((float(lo[i, 0]), float(hi[i, 0]))
-                     for i in range(len(metric.blocks))))
+    ric_tt, lo = _component_arrays(metric, ts)
+    return RicciComponents(t=float(t), ric_tt=float(ric_tt[0]),
+                           blocks=tuple(map(float, lo[:, 0])))
 
 
 def ricci_generic(metric: MultiWarpedMetric, t: float, dt: float) -> RicciComponents:
@@ -191,37 +184,23 @@ def ricci_generic(metric: MultiWarpedMetric, t: float, dt: float) -> RicciCompon
     if not dt > 0:
         raise InputError("dt must be positive")
     tt = float(t)
-    lo_list = []
-    hi_list = []
-    phis = []
-    psis = []
-    dims = []
-    for factor, profile in metric.blocks:
-        a_m = profile.eval(tt - dt)[0] ** 2
-        a_0 = profile.eval(tt)[0] ** 2
-        a_p = profile.eval(tt + dt)[0] ** 2
-        phis.append(((a_p - a_m) / (2.0 * dt)) / a_0)
-        psis.append(((a_p - 2.0 * a_0 + a_m) / dt ** 2) / a_0)
-        dims.append(float(factor.dim))
-
-    phis = np.array(phis)
-    psis = np.array(psis)
-    dims_a = np.array(dims)
-    tr_hp = float(_ordered_sum((dims_a * phis)[:, None])[0])
-    tr_hpp = float(_ordered_sum((dims_a * psis)[:, None])[0])
-    norm_hp = float(_ordered_sum((dims_a * phis ** 2)[:, None])[0])
+    a_m, a_0, a_p = np.array([[profile.eval(s)[0] ** 2
+                               for _, profile in metric.blocks]
+                              for s in (tt - dt, tt, tt + dt)])
+    phis = ((a_p - a_m) / (2.0 * dt)) / a_0
+    psis = ((a_p - 2.0 * a_0 + a_m) / dt ** 2) / a_0
+    dims = np.array([float(factor.dim) for factor, _ in metric.blocks])
+    tr_hp = float(_ordered_sum((dims * phis)[:, None])[0])
+    tr_hpp = float(_ordered_sum((dims * psis)[:, None])[0])
+    norm_hp = float(_ordered_sum((dims * phis ** 2)[:, None])[0])
     ric_tt = -0.5 * tr_hpp + 0.25 * norm_hp
 
-    for i, (factor, profile) in enumerate(metric.blocks):
-        a_0 = profile.eval(tt)[0] ** 2
-        base = -0.5 * psis[i] + 0.5 * phis[i] ** 2 - 0.25 * phis[i] * tr_hp
-        rlo, rhi = factor.ricci_interval
-        lo_list.append(base + rlo / a_0)
-        hi_list.append(base + rhi / a_0)
-
-    return RicciComponents(t=tt, ric_tt=ric_tt,
-                           blocks=tuple(zip(map(float, lo_list),
-                                            map(float, hi_list))))
+    # per block, in scalars: NumPy's ** 2 of an array and of a scalar can
+    # differ in the last bit
+    lo = [-0.5 * psi + 0.5 * phi ** 2 - 0.25 * phi * tr_hp
+          + factor.ricci_lower / a
+          for (factor, _), phi, psi, a in zip(metric.blocks, phis, psis, a_0)]
+    return RicciComponents(t=tt, ric_tt=ric_tt, blocks=tuple(map(float, lo)))
 
 
 class BoundaryBlock(Record):
@@ -283,13 +262,13 @@ class RicciReport(Record):
     each caller compares against its own threshold.
 
     ``extrema`` holds the minimum and maximum over the grid of Ric(dt, dt)
-    and of the per-block lower and upper components, over all blocks. The
+    and of the per-block lower components, over all blocks. The
     grid is ``np.linspace(*grid_bounds, grid_size)``; ``grid`` rebuilds it.
     """
 
     grid_bounds: tuple[float, float]
     grid_size: int
-    extrema: tuple  # ((tt_min, tt_max), (lo_min, lo_max), (hi_min, hi_max))
+    extrema: tuple  # ((tt_min, tt_max), (lo_min, lo_max))
     global_min: float
 
     @property
@@ -312,15 +291,14 @@ def ricci_report(metric: MultiWarpedMetric, grid_size: int) -> RicciReport:
     constants = _block_constants(metric)
 
     def extrema_of(ts):  # a block's rows are freed before the next is built
-        tt, lo_b, hi_b = _component_arrays(metric, ts, constants)
-        ext = [(a.min(), a.max()) for a in (tt, lo_b)]
-        return ext + [ext[1] if hi_b is lo_b else (hi_b.min(), hi_b.max())]
+        return [(a.min(), a.max())
+                for a in _component_arrays(metric, ts, constants)]
 
-    # min/max over the blocks' (tt, lo, hi) extrema: a NaN in any propagates
+    # min/max over the blocks' (tt, lo) extrema: a NaN in any propagates
     lows, highs = np.array([
         extrema_of(ts) for ts in grid_blocks(lo, hi, grid_size)]).T
     extrema = tuple(zip(lows.min(axis=1), highs.max(axis=1)))
-    (tt_min, _), (lo_min, _), _ = extrema
+    (tt_min, _), (lo_min, _) = extrema
     return RicciReport(grid_bounds=(lo, hi), grid_size=grid_size,
                        extrema=extrema,
                        global_min=float(min(tt_min, lo_min)))

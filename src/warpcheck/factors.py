@@ -78,12 +78,19 @@ def round_sphere_factor(dim: int, radius: float) -> FactorManifold:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
     if not radius > 0:
         raise InputError(f"radius must be positive, got {radius}")
-    rho = (dim - 1) / radius ** 2
+    try:
+        rho = (dim - 1) / radius ** 2
+        volume = unit_sphere_volume(dim) * radius ** dim
+    except (OverflowError, ZeroDivisionError):
+        rho = volume = math.inf
+    if not (math.isfinite(rho) and 0.0 < volume < math.inf):
+        raise InputError(f"radius {radius} is out of floating-point range: "
+                         "its curvature or volume is not a positive float")
     return FactorManifold(
         name=f"S{dim}",
         dim=dim,
         ricci_interval=(rho, rho),
-        volume=unit_sphere_volume(dim) * radius ** dim,
+        volume=volume,
         round_radius=radius,
     )
 

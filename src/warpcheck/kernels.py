@@ -37,26 +37,28 @@ STATUS_OK = 0
 STATUS_TRUNCATED = 1
 STATUS_MAX_STEPS = 2
 
-# escape guards: no step lands below F_FLOOR (once armed) or with |f'| > FP_CAP
+# escape guards: no step lands below F_FLOOR or with |f'| > FP_CAP
 F_FLOOR = 1e-4
 FP_CAP = 1e6
+
+# accepted steps of one solve before it stops with STATUS_MAX_STEPS
+MAX_STEPS = 200_000
 
 # node buffer entries (beyond the initial node) before the first doubling
 _NODES_INITIAL = 1024
 
 
-def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, max_steps):
+def _rk45(rhs, t0, t1, f0, fp0, tol, h_max):
     """Integrate (f, f')' = (f', rhs(t, f, f')) from t0 to t1 with an
-    embedded 5(4) pair.
+    embedded 5(4) pair, at relative and absolute tolerance ``tol``.
 
     Returns (ts, fs, fps, fpps, status, nfev) with one row per accepted node.
     The node buffers start at ``_NODES_INITIAL + 1`` entries and double when
-    full, so memory follows the steps taken, not ``max_steps``.
-    The positivity floor arms once f has risen above 2*F_FLOOR, so profiles
-    that start at a cone point (f = 0) are not rejected immediately. An error
+    full, so memory follows the steps taken, not ``MAX_STEPS``.
+    No step lands below F_FLOOR, so f0 must not lie below it. An error
     norm too large for a float rejects the step like a non-finite one.
     """
-    size = min(max_steps, _NODES_INITIAL) + 1
+    size = min(MAX_STEPS, _NODES_INITIAL) + 1
     ts, fs, fps, fpps = (np.empty(size) for _ in range(4))
 
     t, f, fp = t0, f0, fp0
@@ -66,14 +68,13 @@ def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, max_steps):
     n = 0
     ts[0], fs[0], fps[0], fpps[0] = t, f, fp, k1p
 
-    armed = f0 > 2.0 * F_FLOOR
     status = STATUS_OK
     h = (t1 - t0) / 100.0
     if h > h_max:
         h = h_max
 
     while t < t1:
-        if n >= max_steps:
+        if n >= MAX_STEPS:
             status = STATUS_MAX_STEPS
             break
         h_min = 1e-13 * max(abs(t), 1.0)
@@ -106,8 +107,8 @@ def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, max_steps):
 
         ef = h_try * (_E1 * k1f + _E3 * k3f + _E4 * k4f + _E5 * k5f + _E6 * k6f + _E7 * k7f)
         ep = h_try * (_E1 * k1p + _E3 * k3p + _E4 * k4p + _E5 * k5p + _E6 * k6p + _E7 * k7p)
-        sf = atol + rtol * max(abs(f), abs(fn))
-        sp = atol + rtol * max(abs(fp), abs(fpn))
+        sf = tol + tol * max(abs(f), abs(fn))
+        sp = tol + tol * max(abs(fp), abs(fpn))
         try:
             err = math.sqrt(0.5 * ((ef / sf) ** 2 + (ep / sp) ** 2))
         except OverflowError:
@@ -122,19 +123,16 @@ def _rk45(rhs, t0, t1, f0, fp0, rtol, atol, h_max, max_steps):
             h = h_try * max(0.1, 0.9 * err ** -0.2)
             continue
         # step is accurate; enforce the escape guards on the landing point
-        guard = (armed and fn < F_FLOOR) or abs(fpn) > FP_CAP
-        if guard:
+        if fn < F_FLOOR or abs(fpn) > FP_CAP:
             h = 0.5 * h_try
             continue
-        if not armed and fn > 2.0 * F_FLOOR:
-            armed = True
 
         t, f, fp = tn, fn, fpn
         k1f, k1p = k7f, k7p
         n += 1
         if n == ts.size:
-            # n <= max_steps, so the last growth still has room for node n
-            size = min(2 * ts.size, max_steps + 1)
+            # n <= MAX_STEPS, so the last growth still has room for node n
+            size = min(2 * ts.size, MAX_STEPS + 1)
             ts, fs, fps, fpps = (np.concatenate((a, np.empty(size - a.size)))
                                  for a in (ts, fs, fps, fpps))
         ts[n], fs[n], fps[n], fpps[n] = t, f, fp, k1p

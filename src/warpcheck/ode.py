@@ -11,42 +11,10 @@ from .memo import QueryMemo
 from .records import Record
 
 
-class OdeRhs(Record):
-    """A scalar second-order right-hand side f'' = F(t, f, f').
-
-    ``func`` is called with Python floats by the stepping loop and with
-    ndarrays when second derivatives of dense output are recomputed (never
-    differenced).
-    """
-
-    func: Callable
-
-    @staticmethod
-    def power(coef: float, exponent: float) -> "OdeRhs":
-        """F = coef * f**exponent (f > 0)."""
-        a, b = float(coef), float(exponent)
-        return OdeRhs(lambda t, f, fp: a * f ** b)
-
-    @staticmethod
-    def radial_floor(q: float) -> "OdeRhs":
-        """F = -f - q*(1 + f'^2)/f, the profile equation keeping the fiber
-        Ricci term at its floor; q = n - 2 in n ambient dimensions."""
-        qf = float(q)
-        return OdeRhs(lambda t, f, fp: -f - qf * (1.0 + fp * fp) / f)
-
-    @staticmethod
-    def from_callable(func: Callable) -> "OdeRhs":
-        """Wrap F(t, f, fp); must accept ndarray arguments elementwise."""
-        return OdeRhs(func)
-
-    def __call__(self, t, f, fp):
-        return self.func(t, f, fp)
-
-
 class DenseSolution(Record):
     """Accepted nodes plus a quintic-Hermite continuous extension."""
 
-    rhs: OdeRhs
+    rhs: Callable  # F(t, f, f'), on floats and elementwise on ndarrays
     ts: np.ndarray
     fs: np.ndarray
     fps: np.ndarray
@@ -102,28 +70,30 @@ class DenseSolution(Record):
         return float(np.max(np.abs(curv - rhs_val)))
 
 
-def integrate_ivp(rhs: OdeRhs, t0: float, t1: float, f0: float, fp0: float,
-                  tol: float, *, h_max: float = np.inf,
-                  max_steps: int = 200_000) -> DenseSolution:
-    """Adaptively integrate f'' = F from t0 to t1.
+def integrate_ivp(rhs: Callable, t0: float, t1: float, f0: float, fp0: float,
+                  tol: float, *, h_max: float = np.inf) -> DenseSolution:
+    """Adaptively integrate f'' = rhs(t, f, f') from t0 to t1.
 
-    Stopping early, when f drops below ``kernels.F_FLOOR`` (after having been
-    above it) or |f'| exceeds ``kernels.FP_CAP``, raises
+    f0 must be at least ``kernels.F_FLOOR``. Stopping early, when f drops
+    below that floor or |f'| exceeds ``kernels.FP_CAP``, raises
     ``DomainTruncationError`` with the time reached. Every accepted step
     is at most ``h_max`` long, so an interval longer than ``h_max *
-    max_steps`` is rejected before stepping.
+    kernels.MAX_STEPS`` is rejected before stepping.
     """
     if not t1 > t0:
         raise InputError(f"need t1 > t0, got [{t0}, {t1}]")
     if not (tol > 0 and np.isfinite(tol)):
         raise InputError(f"tol must be positive and finite, got {tol}")
-    if t1 - t0 > h_max * max_steps:
-        raise InputError(f"[{t0}, {t1}] cannot be covered in {max_steps} "
-                         f"steps of at most {h_max}")
+    if not f0 >= kernels.F_FLOOR:
+        raise InputError(f"initial value {f0} lies below the positivity "
+                         f"floor F_FLOOR = {kernels.F_FLOOR}")
+    if t1 - t0 > h_max * kernels.MAX_STEPS:
+        raise InputError(f"[{t0}, {t1}] cannot be covered in "
+                         f"{kernels.MAX_STEPS} steps of at most {h_max}")
 
     ts, fs, fps, fpps, status, nfev = kernels.rk45_callback(
-        rhs.func, float(t0), float(t1), float(f0), float(fp0), float(tol),
-        float(tol), float(h_max), int(max_steps))
+        rhs, float(t0), float(t1), float(f0), float(fp0), float(tol),
+        float(h_max))
 
     reached = float(ts[-1])
     if status == kernels.STATUS_MAX_STEPS:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (ConstructionError, GlueMismatchError, InputError,
                      IntegrationQualityError, int_ge)
 from .memo import QueryMemo
-from .ode import DenseSolution, OdeRhs, integrate_ivp
+from .ode import DenseSolution, integrate_ivp
 from .quadrature import CumulativeIntegral, adaptive_quad
 from .records import Record
 
@@ -213,9 +213,10 @@ def closed_form_profile(kind: str, domain, *, amplitude: float = 1.0,
                         omega: float = 1.0) -> WarpProfile:
     """``amplitude*sin(omega*t)`` (kind "sine") or the corresponding cosine.
 
-    The form must be positive on the open interior of the domain (checked on
-    a dense sample); it may vanish at an endpoint, which is then tagged as an
-    odd smooth-closure point.
+    The form must be positive on the open interior of the domain, so its
+    phase span omega*(t1 - t0) is at most pi, one half-wave (up to rounding);
+    positivity is checked on a dense sample. The form may vanish at an
+    endpoint, which is then tagged as an odd smooth-closure point.
     """
     t0, t1 = float(domain[0]), float(domain[1])
     if not t1 > t0:
@@ -234,6 +235,10 @@ def closed_form_profile(kind: str, domain, *, amplitude: float = 1.0,
     if not math.isfinite(top):
         raise InputError(f"amplitude {amp} and omega {w} are out of "
                          "floating-point range: amplitude * omega^3 overflows")
+    # a longer span has a zero inside, which a sample can miss by aliasing
+    if w * (t1 - t0) > math.pi * (1.0 + 1e-12):
+        raise InputError(f"{kind} profile on [{t0}, {t1}] spans the phase "
+                         f"{w * (t1 - t0)}, more than one half-wave, pi")
     # order: the (sin, cos) pair as (trig, cotrig)
     trig, cotrig, sign, order = ((np.sin, np.cos, 1.0, 1) if kind == "sine"
                                  else (np.cos, np.sin, -1.0, -1))
@@ -264,18 +269,29 @@ def closed_form_profile(kind: str, domain, *, amplitude: float = 1.0,
                        parity=_auto_parity((t0, t1), exact))
 
 
-def solve_ivp_profile(rhs: OdeRhs, f0: float, fp0: float,
+def power_rhs(coef: float, exponent: float) -> Callable:
+    """F(t, f, f') = coef * f**exponent (f > 0), as in sha_yang_profiles."""
+    a, b = float(coef), float(exponent)
+    return lambda t, f, fp: a * f ** b
+
+
+def radial_floor_rhs(q: float) -> Callable:
+    """F(t, f, f') = -f - q*(1 + f'^2)/f, the profile equation keeping the
+    fiber Ricci term at its floor; q = n - 2 in n ambient dimensions."""
+    qf = float(q)
+    return lambda t, f, fp: -f - qf * (1.0 + fp * fp) / f
+
+
+def solve_ivp_profile(rhs: Callable, f0: float, fp0: float,
                       domain) -> WarpProfile:
-    """Profile defined by f'' = F(t, f, f'), integrated at ``SOLVER_TOL``.
+    """Profile defined by f'' = rhs(t, f, f'), integrated at ``SOLVER_TOL``.
 
     Dense output supplies (f, f', f'') anywhere in the domain, with f''
-    recomputed from F. The solution must stay positive, starting from a
-    positive f0. Escape from positivity or a derivative blow-up raises
-    DomainTruncationError carrying the reached t.
+    recomputed from rhs. The solution must stay positive, starting from f0
+    at least ``kernels.F_FLOOR``. Escape from positivity or a derivative
+    blow-up raises DomainTruncationError carrying the reached t.
     """
     t0, t1 = float(domain[0]), float(domain[1])
-    if not f0 > 0:
-        raise InputError(f"initial value must be positive, got {f0}")
     sol = integrate_ivp(rhs, t0, t1, float(f0), float(fp0), SOLVER_TOL)
     return _profile_from_solution(sol, {})
 
@@ -307,7 +323,7 @@ def sha_yang_profiles(n: int, m: int, T: float):
         raise InputError(f"T must be positive, got {T}")
 
     alpha = 2.0 * (n - 1) / m
-    rhs = OdeRhs.power(alpha / 2.0, -alpha - 1.0)
+    rhs = power_rhs(alpha / 2.0, -alpha - 1.0)
     # integrate tighter than advertised so the first integral meets its bound;
     # cap the step so the dense output is second-derivative accurate (finite
     # differences of the interpolant are used as an oracle against it)
@@ -357,7 +373,7 @@ def closability_ode_profile(n: int, eps: float) -> WarpProfile:
     int_ge("n", n, 3)
     if not eps > 0:
         raise InputError("eps must be positive")
-    sol = integrate_ivp(OdeRhs.radial_floor(float(n - 2)), 0.0, eps, 1.0, 0.0,
+    sol = integrate_ivp(radial_floor_rhs(float(n - 2)), 0.0, eps, 1.0, 0.0,
                         SOLVER_TOL / 8.0)
     return _profile_from_solution(
         sol, {"left": ParityTag("even", coeffs=(1.0, float(-(n - 1))))})

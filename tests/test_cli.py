@@ -262,7 +262,7 @@ class TestExitCodeContract:
         # traceback, then a MemoryError from the grid's allocation)
         ["sha-yang", "--n", "3", "--m", "2", "--grid", "1000000000000"],
         ["export", "--profile", "k", "--grid", "1000000000000"],
-        # longer than max_steps steps of h_max (was a spent step budget)
+        # longer than MAX_STEPS steps of h_max (was a spent step budget)
         ["sha-yang", "--n", "3", "--m", "2", "--T", "1e7"],
         # no longer than the exclusion width at the cone point (was an
         # error about an internal grid outside the profile's domain, and

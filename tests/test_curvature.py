@@ -35,8 +35,8 @@ def flat_cone(n):
 
 def components_gap(a, b):
     gap = abs(a.ric_tt - b.ric_tt)
-    for (lo1, hi1), (lo2, hi2) in zip(a.blocks, b.blocks):
-        gap = max(gap, abs(lo1 - lo2), abs(hi1 - hi2))
+    for lo1, lo2 in zip(a.blocks, b.blocks):
+        gap = max(gap, abs(lo1 - lo2))
     return gap
 
 
@@ -50,12 +50,12 @@ class TestModelSpaces:
     def test_round_sphere_pointwise(self):
         c = ricci_components(warped_round_sphere(4), math.pi / 2)
         assert c.ric_tt == pytest.approx(3.0, abs=1e-12)
-        assert c.blocks[0] == pytest.approx((3.0, 3.0), abs=1e-12)
+        assert c.blocks[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_flat_cone_components(self):
         c = ricci_components(flat_cone(4), 1.0)
         assert c.ric_tt == 0.0
-        assert c.blocks[0] == (0.0, 0.0)
+        assert c.blocks[0] == 0.0
         rep = ricci_report(flat_cone(5), 3000)
         for extremes in rep.extrema:
             assert np.max(np.abs(extremes)) <= 1e-12
@@ -69,15 +69,14 @@ class TestModelSpaces:
         assert not rep.global_min >= 0.1
 
     def test_riemannian_product(self):
-        # constant warps: Ric(dt,dt) = 0 and block values are the factor's
-        # divided by the squared warp
+        # constant warps: Ric(dt,dt) = 0 and the block value is the factor's
+        # lower bound divided by the squared warp
         f1 = constant_profile((0.0, 2.0), 2.0)
         factor = abstract_factor("B", 3, (0.6, 1.2))
         m = MultiWarpedMetric((0.0, 2.0), ((factor, f1),))
         c = ricci_components(m, 1.0)
         assert c.ric_tt == 0.0
-        assert c.blocks[0][0] == pytest.approx(0.6 / 4.0, abs=1e-15)
-        assert c.blocks[0][1] == pytest.approx(1.2 / 4.0, abs=1e-15)
+        assert c.blocks == pytest.approx((0.6 / 4.0,), abs=1e-15)
 
 
 class TestOracleEquivalence:
@@ -300,8 +299,8 @@ class TestRescale:
         r = rescale_metric(m, 0.1)
         a = ricci_components(r, 10.0)
         b = ricci_components(m, 100.0)
-        assert a.blocks[1][0] == pytest.approx(0.01 * b.blocks[1][0],
-                                               rel=1e-9, abs=1e-9)
+        assert a.blocks[1] == pytest.approx(0.01 * b.blocks[1],
+                                            rel=1e-9, abs=1e-9)
 
     def test_scaling_covariance_random(self):
         for m in random_block_metrics(5, seed=11):
@@ -311,7 +310,7 @@ class TestRescale:
                 a = ricci_components(r, t / R)
                 b = ricci_components(m, t)
                 assert abs(a.ric_tt - R * R * b.ric_tt) <= 1e-9 * max(1, abs(b.ric_tt))
-                for (lo1, _), (lo2, _) in zip(a.blocks, b.blocks):
+                for lo1, lo2 in zip(a.blocks, b.blocks):
                     assert abs(lo1 - R * R * lo2) <= 1e-9 * max(1, abs(lo2))
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +31,19 @@ def test_curvature_and_volume_scaling_of_round_two_sphere():
 @pytest.mark.parametrize("dim,radius", [(0, 1.0), (3, 0.0), (3, -2.0)])
 def test_round_sphere_input_errors(dim, radius):
     with pytest.raises(InputError):
+        round_sphere_factor(dim, radius)
+
+
+@pytest.mark.parametrize("dim, radius", [
+    (2, math.inf),  # Ricci 0 and volume inf
+    (2, 1e-200),    # radius^2 underflows to 0
+    (2, 1e-160),    # radius^2 is subnormal, 1/radius^2 overflows
+    (3, 1e-110),    # radius^3 underflows, so the volume is 0
+    (2, 1e200),     # radius^2 overflows
+])
+def test_round_sphere_rejects_a_radius_out_of_range(dim, radius):
+    with pytest.raises(InputError, match=re.escape(
+            f"radius {radius} is out of floating-point range")):
         round_sphere_factor(dim, radius)
 
 

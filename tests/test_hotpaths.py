@@ -31,10 +31,11 @@ from warpcheck.curvature import (MultiWarpedMetric, _component_arrays,
 from warpcheck.errors import DomainTruncationError
 from warpcheck.factors import abstract_factor, round_sphere_factor
 from warpcheck.memo import QueryMemo
-from warpcheck.ode import DenseSolution, OdeRhs, integrate_ivp
+from warpcheck.ode import DenseSolution, integrate_ivp
 from warpcheck.profiles import (_collar_step, _collar_step_prime, _flat_decay,
                                 _flat_decay_value, closed_form_profile,
-                                collar_profile, k_profile, sha_yang_profiles)
+                                collar_profile, k_profile, power_rhs,
+                                radial_floor_rhs, sha_yang_profiles)
 from warpcheck.quadrature import CumulativeIntegral, grid_blocks, row_blocks
 from warpcheck.records import Record
 
@@ -244,8 +245,8 @@ def test_collar_profile_matches_masked_integrand(c):
 
 def coded_rhs(code, p0, p1, p2, t, f, fp):
     """The former integer-coded right-hand side of the stepping loop; with
-    ndarrays it is also the former vectorized dispatch of ``OdeRhs``, which
-    used the same expressions."""
+    ndarrays it is also the former vectorized dispatch of the right-hand
+    side record, which used the same expressions."""
     if code == 1:
         return p0 * f ** p1
     return -f - p0 * (1.0 + fp * fp) / f
@@ -253,10 +254,10 @@ def coded_rhs(code, p0, p1, p2, t, f, fp):
 
 # the ids keep the numbering they had beside the removed linear form (code 0)
 @pytest.mark.parametrize("rhs, code, params, t1", [
-    (OdeRhs.power(0.5, -2.0), 1, (0.5, -2.0), 50.0),
-    (OdeRhs.power(1.5, -4.0), 1, (1.5, -4.0), 20.0),
-    (OdeRhs.radial_floor(1.0), 2, (1.0,), 5.0),
-    (OdeRhs.radial_floor(3), 2, (3.0,), 2.0),
+    (power_rhs(0.5, -2.0), 1, (0.5, -2.0), 50.0),
+    (power_rhs(1.5, -4.0), 1, (1.5, -4.0), 20.0),
+    (radial_floor_rhs(1.0), 2, (1.0,), 5.0),
+    (radial_floor_rhs(3), 2, (3.0,), 2.0),
 ], ids=["rhs1-1-params1-50.0", "rhs2-1-params2-20.0", "rhs3-2-params3-5.0",
         "rhs4-2-params4-2.0"])
 def test_rhs_closures_keep_the_bits_of_the_coded_forms(rhs, code, params, t1):
@@ -265,13 +266,12 @@ def test_rhs_closures_keep_the_bits_of_the_coded_forms(rhs, code, params, t1):
     p0, p1, p2 = (*params, 0.0, 0.0, 0.0)[:3]
     ts, fs, fps, fpps, status, nfev = kernels._rk45(
         functools.partial(coded_rhs, code, p0, p1, p2),
-        0.0, t1, 1.0, 0.0, 1e-10, 1e-10, np.inf, 200_000)
+        0.0, t1, 1.0, 0.0, 1e-10, np.inf)
     try:
         sol = integrate_ivp(rhs, 0.0, t1, 1.0, 0.0, 1e-10)
         got_status = kernels.STATUS_OK
     except DomainTruncationError:
-        got = kernels.rk45_callback(rhs.func, 0.0, t1, 1.0, 0.0, 1e-10,
-                                    1e-10, np.inf, 200_000)
+        got = kernels.rk45_callback(rhs, 0.0, t1, 1.0, 0.0, 1e-10, np.inf)
         got_status = got[4]
         sol = DenseSolution(rhs, *got[:4], got[5])
     for a, b in zip((sol.ts, sol.fs, sol.fps, sol.fpps), (ts, fs, fps, fpps)):
@@ -286,7 +286,7 @@ def test_rhs_closures_keep_the_bits_of_the_coded_forms(rhs, code, params, t1):
 
 @pytest.fixture
 def solution():
-    return integrate_ivp(OdeRhs.power(0.5, -2.0), 0.0, 2.0, 1.0, 0.0, 1e-10)
+    return integrate_ivp(power_rhs(0.5, -2.0), 0.0, 2.0, 1.0, 0.0, 1e-10)
 
 
 @pytest.fixture
@@ -422,16 +422,16 @@ def test_table_dense_eval_has_the_bits_of_the_per_point_form(case):
 
 def sha_yang_solution():
     # the IVP of sha_yang_profiles(3, 2, 50.0): alpha = 2
-    return integrate_ivp(OdeRhs.power(1.0, -3.0), 0.0, 50.0, 1.0, 0.0,
+    return integrate_ivp(power_rhs(1.0, -3.0), 0.0, 50.0, 1.0, 0.0,
                          profiles.SOLVER_TOL / 8.0, h_max=0.25)
 
 
 def radial_floor_solution():
     # collapses before t1, where integrate_ivp refuses: the stepping loop's
     # partial solution
-    rhs = OdeRhs.radial_floor(3)
+    rhs = radial_floor_rhs(3)
     ts, fs, fps, fpps, status, nfev = kernels.rk45_callback(
-        rhs.func, 0.0, 2.0, 1.0, 0.0, 1e-10, 1e-10, np.inf, 200_000)
+        rhs, 0.0, 2.0, 1.0, 0.0, 1e-10, np.inf)
     assert status == kernels.STATUS_TRUNCATED
     return DenseSolution(rhs, ts, fs, fps, fpps, nfev)
 
@@ -746,7 +746,7 @@ def test_blocked_sweep_keeps_an_exact_negative_zero_minimum():
 
 def expression_form_arrays(metric, ts):
     """The warped-product Ricci rows before the in-place kernel: fresh
-    temporaries per expression, and ``hi`` always its own row."""
+    temporaries per expression."""
     nb = len(metric.blocks)
     nt = len(ts)
     f = np.empty((nb, nt))
@@ -754,11 +754,10 @@ def expression_form_arrays(metric, ts):
     fpp = np.empty((nb, nt))
     dims = np.empty((nb, 1))
     rho_lo = np.empty((nb, 1))
-    rho_hi = np.empty((nb, 1))
     for i, (factor, profile) in enumerate(metric.blocks):
         f[i], fp[i], fpp[i] = profile.eval(ts)
         dims[i] = factor.dim
-        rho_lo[i], rho_hi[i] = factor.ricci_interval
+        rho_lo[i] = factor.ricci_lower
 
     phi = fp / f
     f2 = f ** 2
@@ -769,8 +768,7 @@ def expression_form_arrays(metric, ts):
     base = -fpp / f - (dims - 1.0) * fp ** 2 / f2 \
         - phi * (s_cross[None, :] - dims_phi)
     lo = base + rho_lo / f2
-    hi = base + rho_hi / f2
-    return ric_tt, lo, hi
+    return ric_tt, lo
 
 
 def assert_same_bits_or_nan(a, b):
@@ -807,19 +805,12 @@ class FactorData(Record):
     """Only the factor data a Ricci kernel reads, unvalidated."""
 
     dim: int
-    ricci_interval: tuple
+    ricci_lower: float
 
 
 ROW_VALUES = st.floats(width=64, allow_nan=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e160])
-INTERVAL_ENDS = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3e-300, 1e300])
-INTERVALS = (st.tuples(INTERVAL_ENDS, INTERVAL_ENDS)
-             | INTERVAL_ENDS.map(lambda x: (x, x))
-             | st.just((0.0, -0.0)) | st.just((-0.0, 0.0)))
-
-
-def point_by_bits(intervals):
-    return all(bits(lo) == bits(hi) for lo, hi in intervals)
+RICCI_LOWER = st.sampled_from([0.0, -0.0, 1.0, -2.5, 3e-300, 1e300])
 
 
 @settings(max_examples=200, deadline=None)
@@ -827,10 +818,10 @@ def point_by_bits(intervals):
        seed=st.integers(0, 2 ** 32 - 1),
        specials=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
                                    ROW_VALUES), max_size=12),
-       intervals=st.lists(INTERVALS, min_size=4, max_size=4),
+       lowers=st.lists(RICCI_LOWER, min_size=4, max_size=4),
        dims=st.lists(st.integers(1, 6), min_size=4, max_size=4))
 def test_in_place_kernel_has_the_bits_of_the_expression_form(
-        nb, nt, seed, specials, intervals, dims):
+        nb, nt, seed, specials, lowers, dims):
     rng = np.random.default_rng(seed)
     # warps of either sign and derivatives across many binades, with
     # hypothesis's values (signed zeros, subnormals, huge) at its positions
@@ -840,47 +831,24 @@ def test_in_place_kernel_has_the_bits_of_the_expression_form(
     for k, (j, i, value) in enumerate(specials):
         rows[i % nb][j, k * 7919 % nt] = value
     metric = BlockRows(tuple(
-        (FactorData(dims[i], intervals[i]), FixedRows(tuple(rows[i])))
+        (FactorData(dims[i], lowers[i]), FixedRows(tuple(rows[i])))
         for i in range(nb)))
     given_rows = [r.copy() for r in rows]
     with np.errstate(all="ignore"):
         got = _component_arrays(metric, np.zeros(nt))
         want = expression_form_arrays(metric, np.zeros(nt))
+    assert len(got) == len(want) == 2
     for a, b in zip(got, want):
         assert_same_bits_or_nan(a, b)
-    assert (got[2] is got[1]) == point_by_bits(intervals[:nb])
     for r, before in zip(rows, given_rows):  # the profile's rows are read only
         assert_same_bits(r, before)
-
-
-@pytest.mark.parametrize("intervals, shared", [
-    (((2.0, 2.0), (1.0, 1.0)), True),
-    (((-0.0, -0.0), (0.0, 0.0)), True),
-    (((2.0, 2.0), (1.0, 1.5)), False),
-    (((0.0, -0.0), (1.0, 1.0)), False),
-    (((1.0, 1.0), (-0.0, 0.0)), False),
-])
-def test_hi_is_lo_exactly_when_every_interval_is_a_point_by_bits(
-        intervals, shared):
-    # at f' = f'' = 0 every component is a zero, and base is -0.0, so a
-    # (0.0, -0.0) interval gives rows that differ in the sign of zero alone
-    metric = BlockRows(tuple(
-        (FactorData(2, iv),
-         FixedRows((np.full(3, 1.5), np.full(3, 0.0), np.full(3, 0.0))))
-        for iv in intervals))
-    tt, lo, hi = _component_arrays(metric, np.zeros(3))
-    assert (hi is lo) == shared
-    assert shared or not np.array_equal(bits(lo), bits(hi))
-    want = expression_form_arrays(metric, np.zeros(3))
-    for a, b in zip((tt, lo, hi), want):
-        assert_same_bits(a, b)
 
 
 @pytest.mark.parametrize("g", [2, B - 1, B + 1, 2 * B + 3, 3 * B, 4 * B + 1])
 @pytest.mark.parametrize("name", ["sha-yang", "docking", "gn", "collar",
                                   "thm22", "interval"])
 def test_sweep_extrema_match_the_expression_form(sweep_metrics, name, g):
-    if name == "interval":  # a non-point interval, signed zeros included
+    if name == "interval":  # Ricci intervals that are not points
         m = sweep_metrics["thm22"]
         m = MultiWarpedMetric(m.interval, (
             (abstract_factor("X", 2, (0.0, -0.0)), m.blocks[0][1]),
@@ -1030,7 +998,7 @@ def test_grid_above_grid_max_is_rejected_at_parse_time(capsys, name):
 def test_solution_nodes_hold_only_the_steps_taken():
     tracemalloc.start()
     try:
-        sol = integrate_ivp(OdeRhs.power(0.5, -2.0), 0.0, 50.0, 1.0, 0.0,
+        sol = integrate_ivp(power_rhs(0.5, -2.0), 0.0, 50.0, 1.0, 0.0,
                             1e-10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1041,21 +1009,22 @@ def test_solution_nodes_hold_only_the_steps_taken():
     assert peak < 1_000_000
 
 
-def test_node_buffers_grow_past_their_first_size():
+def test_node_buffers_grow_past_their_first_size(monkeypatch):
     # f'' = 0 from f = 1, f' = 1: every step is h_max = 0.1 long, so 4000
     # steps cross the initial buffer size twice
     n0 = kernels._NODES_INITIAL
     def rhs(t, f, fp):  # f'' = 0
         return 0.0 * fp
+    monkeypatch.setattr(kernels, "MAX_STEPS", 10 * n0)
     ts, fs, fps, fpps, status, _ = kernels._rk45(
-        rhs, 0.0, 400.0, 1.0, 1.0, 1e-10, 1e-10, 0.1, 10 * n0)
+        rhs, 0.0, 400.0, 1.0, 1.0, 1e-10, 0.1)
     assert status == kernels.STATUS_OK and len(ts) > 2 * n0 + 1
     assert np.all(np.diff(ts) > 0.0) and ts[-1] == 400.0
     np.testing.assert_allclose(fs, 1.0 + ts, rtol=1e-12)
     assert np.all(fps == 1.0) and np.all(fpps == 0.0)
-    # a budget the loop exhausts fills the buffer to max_steps + 1 nodes
-    ts, *_, status, _ = kernels._rk45(rhs, 0.0, 400.0, 1.0, 1.0, 1e-10,
-                                      1e-10, 0.1, n0 + 5)
+    # a budget the loop exhausts fills the buffer to MAX_STEPS + 1 nodes
+    monkeypatch.setattr(kernels, "MAX_STEPS", n0 + 5)
+    ts, *_, status, _ = kernels._rk45(rhs, 0.0, 400.0, 1.0, 1.0, 1e-10, 0.1)
     assert status == kernels.STATUS_MAX_STEPS and len(ts) == n0 + 6
 
 

@@ -4,11 +4,21 @@ import pytest
 from warpcheck import kernels
 from warpcheck.errors import DomainTruncationError, InputError
 from warpcheck.kernels import STATUS_TRUNCATED
-from warpcheck.ode import OdeRhs, integrate_ivp
+from warpcheck.ode import integrate_ivp
+from warpcheck.profiles import power_rhs, radial_floor_rhs
+
 
 # f'' = 0 and the harmonic oscillator f'' = -f
-FREE = OdeRhs.from_callable(lambda t, f, fp: 0.0 * fp)
-HARMONIC = OdeRhs.from_callable(lambda t, f, fp: -f)
+def FREE(t, f, fp):
+    return 0.0 * fp
+
+
+def HARMONIC(t, f, fp):
+    return -f
+
+
+# the harmonic start of sin(t + 0.5), positive on [0, 2.5]
+SINE_START = (np.sin(0.5), np.cos(0.5))
 
 
 def test_trivial_linear_solution_is_exact():
@@ -21,47 +31,47 @@ def test_trivial_linear_solution_is_exact():
 
 
 def test_harmonic_oscillator_matches_sine():
-    sol = integrate_ivp(HARMONIC, 0.0, 3.0, 0.0, 1.0, 1e-10)
-    t = np.linspace(0.0, 3.0, 2001)
+    sol = integrate_ivp(HARMONIC, 0.0, 2.5, *SINE_START, 1e-10)
+    t = np.linspace(0.0, 2.5, 2001)
     f, fp, _ = sol.eval(t)
-    assert np.max(np.abs(f - np.sin(t))) < 1e-9
-    assert np.max(np.abs(fp - np.cos(t))) < 1e-9
+    assert np.max(np.abs(f - np.sin(t + 0.5))) < 1e-9
+    assert np.max(np.abs(fp - np.cos(t + 0.5))) < 1e-9
 
 
 def test_first_integral_of_power_rhs():
     # independent check of the integrator: f'' = (1/2) f^-2 conserves
     # f'^2 - (1 - 1/f) exactly along true solutions
-    sol = integrate_ivp(OdeRhs.power(0.5, -2.0), 0.0, 50.0, 1.0, 0.0, 1e-10)
+    sol = integrate_ivp(power_rhs(0.5, -2.0), 0.0, 50.0, 1.0, 0.0, 1e-10)
     t = np.linspace(0.0, 50.0, 20001)
     f, fp, _ = sol.eval(t)
     assert np.max(np.abs(fp ** 2 - (1.0 - 1.0 / f))) <= 1e-8
 
 
 def test_radial_floor_rhs_truncates_before_collapse():
-    rhs = OdeRhs.radial_floor(3.0)
+    rhs = radial_floor_rhs(3.0)
     with pytest.raises(DomainTruncationError) as err:
         integrate_ivp(rhs, 0.0, 2.0, 1.0, 0.0, 1e-10)
     assert 0.0 < err.value.reached < 2.0
     # the stepping loop's partial solution ends at the reached time and
     # stays above the positivity floor
     ts, fs, _, _, status, _ = kernels.rk45_callback(
-        rhs.func, 0.0, 2.0, 1.0, 0.0, 1e-10, 1e-10, np.inf, 200_000)
+        rhs, 0.0, 2.0, 1.0, 0.0, 1e-10, np.inf)
     assert status == STATUS_TRUNCATED and ts[-1] == err.value.reached
     assert fs.min() >= 1e-4
 
 
 def test_coded_and_callback_loops_agree_bitwise():
     # the expression of the former built-in linear form against a plain one
-    a = integrate_ivp(OdeRhs.from_callable(
-        lambda t, f, fp: 0.0 + -1.0 * f + 0.0 * fp), 0.0, 3.0, 0.0, 1.0, 1e-8)
-    b = integrate_ivp(HARMONIC, 0.0, 3.0, 0.0, 1.0, 1e-8)
+    a = integrate_ivp(lambda t, f, fp: 0.0 + -1.0 * f + 0.0 * fp, 0.0, 2.5,
+                      *SINE_START, 1e-8)
+    b = integrate_ivp(HARMONIC, 0.0, 2.5, *SINE_START, 1e-8)
     assert np.array_equal(a.ts, b.ts)
     assert np.array_equal(a.fs, b.fs)
     assert np.array_equal(a.fps, b.fps)
 
 
 def test_second_derivative_recomputed_from_rhs():
-    rhs = OdeRhs.power(0.5, -2.0)
+    rhs = power_rhs(0.5, -2.0)
     sol = integrate_ivp(rhs, 0.0, 10.0, 1.0, 0.0, 1e-10)
     t = np.linspace(0.1, 9.9, 101)
     f, fp, fpp = sol.eval(t)
@@ -69,10 +79,10 @@ def test_second_derivative_recomputed_from_rhs():
 
 
 def test_defect_scales_with_tolerance():
-    loose = integrate_ivp(HARMONIC, 0.0, 3.0, 0.0, 1.0, 1e-6)
-    tight = integrate_ivp(HARMONIC, 0.0, 3.0, 0.0, 1.0, 1e-10)
+    loose = integrate_ivp(HARMONIC, 0.0, 2.5, *SINE_START, 1e-6)
+    tight = integrate_ivp(HARMONIC, 0.0, 2.5, *SINE_START, 1e-10)
     assert tight.defect() < loose.defect()
-    assert tight.t_end == 3.0
+    assert tight.t_end == 2.5
 
 
 def test_domain_and_tolerance_validation():
@@ -85,22 +95,32 @@ def test_domain_and_tolerance_validation():
             integrate_ivp(FREE, 0.0, 1.0, 1.0, 0.0, tol)
 
 
+@pytest.mark.parametrize("f0", [0.0, 5e-5, -1.0, np.nan])
+def test_a_start_below_the_positivity_floor_is_refused(f0):
+    # no step lands below F_FLOOR, so neither may the start: there is no
+    # start at a cone point
+    with pytest.raises(InputError, match="F_FLOOR"):
+        integrate_ivp(HARMONIC, 0.0, 1.0, f0, 1.0, 1e-8)
+    sol = integrate_ivp(FREE, 0.0, 1.0, kernels.F_FLOOR, 1.0, 1e-8)
+    assert sol.fs[0] == kernels.F_FLOOR and sol.t_end == 1.0
+
+
 def test_error_norm_overflow_truncates_instead_of_raising():
     # at tol = 1e-300 the scaled local error overflows when squared; the
     # step is rejected like a non-finite one until the step size underflows
     with pytest.raises(DomainTruncationError):
-        integrate_ivp(OdeRhs.radial_floor(1.0), 0.0, 5.0, 1.0, 0.0, 1e-300)
+        integrate_ivp(radial_floor_rhs(1.0), 0.0, 5.0, 1.0, 0.0, 1e-300)
 
 
-def test_step_budget_exhaustion_reports_reached_time():
-    with pytest.raises(DomainTruncationError) as err:
-        integrate_ivp(HARMONIC, 0.0, 1000.0, 0.0, 1.0, 1e-12,
-                      max_steps=50)
+def test_step_budget_exhaustion_reports_reached_time(monkeypatch):
+    monkeypatch.setattr(kernels, "MAX_STEPS", 50)
+    with pytest.raises(DomainTruncationError, match="step budget") as err:
+        integrate_ivp(HARMONIC, 0.0, 1000.0, *SINE_START, 1e-12)
     assert 0.0 < err.value.reached < 1000.0
 
 
-def test_unreachable_endpoint_is_rejected_before_stepping():
-    # every accepted step is at most h_max, so max_steps of them cannot
+def test_unreachable_endpoint_is_rejected_before_stepping(monkeypatch):
+    # every accepted step is at most h_max, so MAX_STEPS of them cannot
     # cover a longer interval; the right-hand side is never called
     calls = []
 
@@ -108,11 +128,11 @@ def test_unreachable_endpoint_is_rejected_before_stepping():
         calls.append(t)
         return 0.0
 
+    monkeypatch.setattr(kernels, "MAX_STEPS", 399)
     with pytest.raises(InputError):
-        integrate_ivp(OdeRhs.from_callable(rhs), 0.0, 100.0, 1.0, 0.0, 1e-8,
-                      h_max=0.25, max_steps=399)
+        integrate_ivp(rhs, 0.0, 100.0, 1.0, 0.0, 1e-8, h_max=0.25)
     assert calls == []
     # the bound is tight: f'' = 0 takes full h_max steps and just arrives
-    sol = integrate_ivp(OdeRhs.from_callable(rhs), 0.0, 100.0, 1.0, 0.0, 1e-8,
-                        h_max=0.25, max_steps=400)
+    monkeypatch.setattr(kernels, "MAX_STEPS", 400)
+    sol = integrate_ivp(rhs, 0.0, 100.0, 1.0, 0.0, 1e-8, h_max=0.25)
     assert sol.t_end == 100.0 and len(sol.ts) - 1 == 400

@@ -7,15 +7,14 @@ from conftest import cone_profile, constant_profile
 from warpcheck import profiles
 from warpcheck.errors import (ConstructionError, DomainTruncationError,
                               GlueMismatchError, InputError)
-from warpcheck.ode import OdeRhs
 from warpcheck.profiles import (SOLVER_TOL, closability_ode_profile,
                                 closed_form_profile, collar_profile,
                                 docking_R_profile, finite_difference_residual,
                                 k_profile, mollify_profile, neck_profile,
-                                parity_check, profile_from_callable,
-                                radial_floor_value, scale_profile,
-                                sha_yang_profiles, solve_ivp_profile,
-                                splice_profiles)
+                                parity_check, power_rhs, profile_from_callable,
+                                radial_floor_rhs, radial_floor_value,
+                                scale_profile, sha_yang_profiles,
+                                solve_ivp_profile, splice_profiles)
 
 
 class TestClosedForms:
@@ -39,6 +38,18 @@ class TestClosedForms:
         with pytest.raises(InputError):
             closed_form_profile("sine", (0.0, 1.5 * math.pi))
 
+    def test_a_span_past_one_half_wave_is_refused(self):
+        # 4096 periods: a 4097-point sample lands on aliases of sin(1) alone,
+        # yet f reaches -1 inside
+        with pytest.raises(InputError, match="half-wave"):
+            closed_form_profile("sine", (1.0, 1.0 + 4096 * 2 * math.pi))
+        with pytest.raises(InputError, match="half-wave"):
+            closed_form_profile("cosine", (0.0, 1.0), omega=3.2)
+        # one half-wave, with its rounding, is accepted
+        closed_form_profile("sine", (0.0, math.pi))
+        closed_form_profile("cosine", (0.0, math.pi / 2))
+        closed_form_profile("sine", (0.0, 1.0), omega=math.pi)
+
     def test_vanishing_endpoint_gets_odd_tag(self):
         p = closed_form_profile("sine", (0.0, math.pi))
         assert p.parity["left"].kind == "odd"
@@ -55,25 +66,23 @@ class TestIvpProfiles:
     def test_cone_point_rejected_without_closure_mode(self):
         # an IVP profile starts from a positive value; no mode starts one at
         # a cone point
-        harmonic = OdeRhs.from_callable(lambda t, f, fp: -f)
         with pytest.raises(InputError):
-            solve_ivp_profile(harmonic, 0.0, 1.0, (0.0, 3.0))
+            solve_ivp_profile(lambda t, f, fp: -f, 0.0, 1.0, (0.0, 3.0))
 
     def test_linear_rhs_exact(self):
-        free = OdeRhs.from_callable(lambda t, f, fp: 0.0 * fp)
-        p = solve_ivp_profile(free, 1.0, 2.0, (0.0, 4.0))
+        p = solve_ivp_profile(lambda t, f, fp: 0.0 * fp, 1.0, 2.0, (0.0, 4.0))
         t = np.linspace(0.0, 4.0, 101)
         assert np.max(np.abs(p.eval(t)[0] - (1.0 + 2.0 * t))) < 1e-12
 
     def test_first_integral_residual_oracle(self):
-        p = solve_ivp_profile(OdeRhs.power(0.5, -2.0), 1.0, 0.0, (0.0, 50.0))
+        p = solve_ivp_profile(power_rhs(0.5, -2.0), 1.0, 0.0, (0.0, 50.0))
         t = np.linspace(0.0, 50.0, 8192)
         f, fp, _ = p.eval(t)
         assert np.max(np.abs(fp ** 2 - (1.0 - 1.0 / f))) <= 1e-8
 
     def test_truncation_raises_with_reached_time(self):
         with pytest.raises(DomainTruncationError) as err:
-            solve_ivp_profile(OdeRhs.radial_floor(3.0), 1.0, 0.0, (0.0, 2.0))
+            solve_ivp_profile(radial_floor_rhs(3.0), 1.0, 0.0, (0.0, 2.0))
         assert err.value.reached < 2.0
 
 

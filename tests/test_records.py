@@ -7,7 +7,7 @@ import pytest
 
 from warpcheck.curvature import MultiWarpedMetric, ricci_report
 from warpcheck.factors import round_sphere_factor
-from warpcheck.ode import OdeRhs, integrate_ivp
+from warpcheck.ode import integrate_ivp
 from warpcheck.profiles import ParityTag, closed_form_profile
 from warpcheck.report import ScenarioVerdict, check_le
 
@@ -18,7 +18,6 @@ def records():
     factor = round_sphere_factor(2, 1.0)
     metric = MultiWarpedMetric((0.0, math.pi), ((factor, profile),),
                                collapse_left=0, collapse_right=0)
-    rhs = OdeRhs.from_callable(lambda t, f, fp: -f)
     check = check_le("c", "a", 0.0, 1.0)
     return {
         "WarpProfile": (profile, "domain", (0.0, 1.0)),
@@ -28,16 +27,14 @@ def records():
         "CheckResult": (check, "passed", False),
         "ScenarioVerdict": (ScenarioVerdict("s", {}, (check,)), "checks", ()),
         "FactorManifold": (factor, "dim", 3),
-        "OdeRhs": (rhs, "func", abs),
-        "DenseSolution": (integrate_ivp(rhs, 0.0, 1.0, 1.0, 0.0, 1e-8),
-                          "nfev", 0),
+        "DenseSolution": (integrate_ivp(lambda t, f, fp: -f, 0.0, 1.0, 1.0,
+                                        0.0, 1e-8), "nfev", 0),
     }
 
 
 @pytest.mark.parametrize("name", [
     "WarpProfile", "ParityTag", "MultiWarpedMetric", "RicciReport",
-    "CheckResult", "ScenarioVerdict", "FactorManifold", "OdeRhs",
-    "DenseSolution"])
+    "CheckResult", "ScenarioVerdict", "FactorManifold", "DenseSolution"])
 def test_assigning_a_field_raises(records, name):
     record, field, value = records[name]
     assert type(record).__name__ == name

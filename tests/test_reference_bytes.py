@@ -158,8 +158,7 @@ def test_names_the_benchmark_reads_exist(tmp_path):
     assert cumint.edges.size - 1 == quadrature.CUMINT_PANELS
     assert cumint._x.size == cumint._w.size == quadrature.CUMINT_ORDER
 
-    sol = ode.integrate_ivp(ode.OdeRhs.from_callable(lambda t, f, fp: -f),
-                            0.0, 1.0, 1.0, 0.0, 1e-8)
+    sol = ode.integrate_ivp(lambda t, f, fp: -f, 0.0, 1.0, 1.0, 0.0, 1e-8)
     assert len(sol.ts) >= 2 and sol.nfev > 0
     sine = profiles.closed_form_profile("sine", (0.0, 1.0))
     metric = MultiWarpedMetric((0.0, 1.0),
