@@ -19,7 +19,7 @@ import numpy as np
 
 from .curvature import (BoundaryBlock, BoundaryData, MultiWarpedMetric,
                         boundary_data, glue_check, ricci_report, volume)
-from .errors import InputError, SearchFailureError, int_ge
+from .errors import InputError, SearchFailureError, int_ge, removed
 from .factors import (FactorManifold, abstract_factor, round_sphere_factor,
                       scale_factor, unit_sphere_volume)
 from .profiles import (EXCLUSION_WIDTH, SOLVER_TOL, closability_ode_profile,
@@ -212,43 +212,8 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
                                       "ricci_report": rep})
 
 
-def cone_asymptotics(metric: MultiWarpedMetric, slopes: Sequence[float],
-                     windows: Sequence[float], *, threshold: float = 0.1,
-                     grid_size: int = 512) -> ScenarioVerdict:
-    """Measure per-block cone convergence: on each window [T, 2T] the sup of
-    |f_i(t)/t - c_i| (c_i = 0 for collapsing blocks) must not increase from
-    window to window and must end below the threshold."""
-    if len(slopes) != len(metric.blocks):
-        raise InputError("one target slope per block is required")
-    windows = sorted(float(w) for w in windows)
-    if not windows:
-        raise InputError("at least one window is required")
-    t0, t1 = metric.interval
-    if 2.0 * windows[-1] > t1 + 1e-12:
-        raise InputError(
-            f"metric domain ends at {t1}; largest window needs {2 * windows[-1]}")
-
-    sups = np.empty((len(windows), len(metric.blocks)))
-    for k, T in enumerate(windows):
-        ts = np.linspace(T, 2.0 * T, grid_size)
-        for i, (_, profile) in enumerate(metric.blocks):
-            fv = profile.eval(ts)[0]
-            sups[k, i] = np.max(np.abs(fv / ts - slopes[i]))
-
-    checks = []
-    for i in range(len(metric.blocks)):
-        if len(windows) > 1:
-            worst_rise = float(np.max(np.diff(sups[:, i])))
-            checks.append(check_le(f"block{i}_window_monotone", "cone-window-decay",
-                                   worst_rise, 1e-12,
-                                   note="largest increase across successive windows"))
-        checks.append(check_le(f"block{i}_final_sup", "cone-limit-slope",
-                               float(sups[-1, i]), threshold))
-
-    config = {"slopes": list(map(float, slopes)), "windows": windows,
-              "threshold": threshold, "grid_size": grid_size}
-    return ScenarioVerdict("cone-asymptotics", config, tuple(checks),
-                           artifacts={"sups": sups})
+# deleted; perfbench/tracer.py's SPECS still looks the name up
+cone_asymptotics = removed("cone_asymptotics")
 
 
 def neck_family_check(nu: float, n: int, s_values: Sequence[float],

@@ -24,10 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataMissingError, InputError, SingularPointError
+from .errors import DataMissingError, InputError, SingularPointError, removed
 from .factors import FactorManifold, scale_factor
-from .profiles import (EXCLUSION_WIDTH, WarpProfile, parity_check,
-                       scale_profile)
+from .profiles import EXCLUSION_WIDTH, WarpProfile, parity_check
 from .quadrature import adaptive_quad, grid_blocks
 from .records import Record
 
@@ -361,16 +360,5 @@ def glue_check(b1: BoundaryData, b2: BoundaryData) -> GlueVerdict:
                        ii_sum_min=float(min(sums)))
 
 
-def rescale_metric(metric: MultiWarpedMetric, R: float) -> MultiWarpedMetric:
-    """Distances divided by R: the interval maps to interval/R and each
-    profile to t -> f(R t)/R, leaving the factors untouched. Ricci components
-    of the result at t equal R^2 times the original components at R t."""
-    if not R > 0:
-        raise InputError(f"R must be positive, got {R}")
-    t0, t1 = metric.interval
-    return MultiWarpedMetric(
-        interval=(t0 / R, t1 / R),
-        blocks=tuple((factor, scale_profile(profile, R))
-                     for factor, profile in metric.blocks),
-        collapse_left=metric.collapse_left,
-        collapse_right=metric.collapse_right)
+# deleted; perfbench/tracer.py's SPECS still looks the name up
+rescale_metric = removed("rescale_metric")

@@ -18,18 +18,6 @@ class DataMissingError(WarpcheckError):
     """An operation needed optional data (e.g. a factor volume) that is unset."""
 
 
-class GlueMismatchError(WarpcheckError):
-    """Profiles cannot be spliced: value or slope mismatch at the joint.
-
-    Carries both sides so callers can report the discrepancy.
-    """
-
-    def __init__(self, message, left, right):
-        super().__init__(message)
-        self.left = left
-        self.right = right
-
-
 class DomainTruncationError(WarpcheckError):
     """An IVP solution left its admissible region, or ran out of steps,
     before the requested endpoint.
@@ -69,3 +57,15 @@ def int_ge(name: str, v, lo: int) -> int:
     if not (isinstance(v, int) and not isinstance(v, bool)) or v < lo:
         raise InputError(f"{name} must be an integer >= {lo}, got {v!r}")
     return v
+
+
+def removed(name: str):
+    """A stand-in for the deleted function ``name``, which raises
+    WarpcheckError naming it. perfbench/tracer.py's ``SPECS`` looks some
+    deleted names up by ``getattr``; each stand-in goes when ``SPECS`` drops
+    its name."""
+
+    def stand_in(*args, **kwargs):
+        raise WarpcheckError(f"{name} has been removed from warpcheck")
+
+    return stand_in

@@ -66,6 +66,20 @@ class FactorManifold(Record):
             if self.volume is None or abs(self.volume - vol) > _REL * vol:
                 raise InputError(
                     f"round sphere of radius {r} must have volume {vol}, got {self.volume}")
+        elif self.volume is not None and self.dim >= 2 and lo > 0:
+            # Bishop-Gromov: Ric >= lo caps the volume at vol(S^d) *
+            # ((d - 1)/lo)^(d/2), the round sphere of that Ricci constant,
+            # whose own volume the branch above pins to the cap; compared in
+            # logs, so that no factor of the cap overflows
+            d = self.dim
+            log_cap = (math.log(2.0) + (d + 1) / 2.0 * math.log(math.pi)
+                       - math.lgamma((d + 1) / 2.0)
+                       + d / 2.0 * (math.log(d - 1) - math.log(lo)))
+            if math.log(self.volume) > log_cap + math.log1p(_REL):
+                raise InputError(
+                    f"volume {self.volume} exceeds the Bishop-Gromov bound "
+                    f"vol(S^{d}) * ((d - 1)/{lo})^(d/2) = {math.exp(log_cap)} "
+                    f"of a closed {d}-manifold with Ricci >= {lo}")
 
     @property
     def ricci_lower(self) -> float:
@@ -117,12 +131,14 @@ def scale_factor(factor: FactorManifold, c: float) -> FactorManifold:
         volume = None if factor.volume is None else factor.volume * c ** factor.dim
     except OverflowError:
         c2 = volume = math.inf
-    if c2 == 0.0 or math.isinf(c2) or (volume is not None
-                                       and math.isinf(volume)):
-        raise InputError(f"scale {c} is out of floating-point range: c^2 or "
-                         f"the volume factor c^{factor.dim} over- or underflows")
+    # a subnormal c^2 overflows the divisions unless the interval is flat
+    ricci = (lo / c2, hi / c2) if 0.0 < c2 < math.inf else (math.inf, math.inf)
+    if not all(map(math.isfinite, ricci)) or volume in (0.0, math.inf):
+        raise InputError(f"scale {c} is out of floating-point range: the "
+                         f"scaled Ricci interval [{lo}, {hi}]/c^2 or the "
+                         f"volume factor c^{factor.dim} over- or underflows")
     return factor.replace(
-        ricci_interval=(lo / c2, hi / c2),
+        ricci_interval=ricci,
         volume=volume,
         round_radius=None if factor.round_radius is None else c * factor.round_radius,
     )

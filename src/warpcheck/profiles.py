@@ -1,9 +1,9 @@
 """Warping profiles: positive functions f(t) with exact derivative access.
 
-Profiles come from closed forms, initial value problems, splicing, and
-mollification. Every profile evaluates to the triple (f, f', f''), vectorized
-over t. Near an endpoint where the profile closes up smoothly (a cone point,
-or a reflection-symmetric end) evaluation is served by the stored parity
+Profiles come from closed forms, initial value problems and quadratures.
+Every profile evaluates to the triple (f, f', f''), vectorized over t. Near
+an endpoint where the profile closes up smoothly (a cone point, or a
+reflection-symmetric end) evaluation is served by the stored parity
 expansion instead of the raw formula, so endpoint values like f(t*) = 0 or
 f'(t*) = 0 are exact.
 """
@@ -15,11 +15,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ConstructionError, GlueMismatchError, InputError,
-                     IntegrationQualityError, int_ge)
+from .errors import (ConstructionError, InputError, IntegrationQualityError,
+                     int_ge, removed)
 from .memo import QueryMemo
 from .ode import DenseSolution, integrate_ivp
-from .quadrature import CumulativeIntegral, adaptive_quad
+from .quadrature import CumulativeIntegral
 from .records import Record
 
 # Width of the endpoint window where tagged profiles evaluate via their parity
@@ -48,13 +48,6 @@ class ParityTag(Record):
             raise InputError(f"unknown parity kind {self.kind!r}")
 
 
-class Joint(Record):
-    """A splice location; f and f' match there, f'' may jump by fpp_jump."""
-
-    t: float
-    fpp_jump: float
-
-
 class WarpProfile(Record):
     """A positive warping function on an interval with two derivatives.
 
@@ -64,7 +57,6 @@ class WarpProfile(Record):
     domain: tuple[float, float]
     raw_eval: Callable
     parity: dict = {}
-    joints: tuple = ()
     solver_meta: Optional[dict] = None
 
     def __post_init__(self):
@@ -148,28 +140,9 @@ class WarpProfile(Record):
             return float(f[0]), float(fp[0]), float(fpp[0])
         return f, fp, fpp
 
-    def sample(self, n: int):
-        """Uniform grid of n points with (t, f, f', f'') columns."""
-        if n < 2:
-            raise InputError("need at least 2 sample points")
-        t = np.linspace(self.t0, self.t1, n)
-        f, fp, fpp = self.eval(t)
-        return t, f, fp, fpp
-
-    def restrict(self, a: float, b: float) -> "WarpProfile":
-        """The same profile on a sub-interval [a, b]."""
-        t0, t1 = self.domain
-        if not (t0 - 1e-12 <= a < b <= t1 + 1e-12):
-            raise InputError(f"[{a}, {b}] is not inside [{t0}, {t1}]")
-        parity = {}
-        if abs(a - t0) <= 1e-12 and "left" in self.parity:
-            parity["left"] = self.parity["left"]
-        if abs(b - t1) <= 1e-12 and "right" in self.parity:
-            parity["right"] = self.parity["right"]
-        joints = tuple(j for j in self.joints if a < j.t < b)
-        return WarpProfile(domain=(max(a, t0), min(b, t1)),
-                           raw_eval=self.raw_eval, parity=parity, joints=joints,
-                           solver_meta=self.solver_meta)
+    # deleted; perfbench/tracer.py's SPECS still looks both names up
+    sample = removed("WarpProfile.sample")
+    restrict = removed("WarpProfile.restrict")
 
 
 def profile_from_callable(domain, f, fp, fpp, *,
@@ -580,150 +553,6 @@ def docking_R_profile() -> WarpProfile:
     return closed_form_profile("sine", (0.0, math.pi / 2.0))
 
 
-def splice_profiles(p1: WarpProfile, p2: WarpProfile, tol: float) -> WarpProfile:
-    """Join two profiles along a shared slice.
-
-    The right end of p1 must coincide with the left end of p2 and the values
-    and slopes must agree within tol; otherwise GlueMismatchError reports both
-    sides. The second derivative may jump; the jump is recorded as a joint.
-    """
-    if not tol > 0:
-        raise InputError("tol must be positive")
-    J = p1.t1
-    if abs(p2.t0 - J) > tol:
-        raise InputError(
-            f"profile domains are not adjacent: {p1.domain} then {p2.domain}")
-    f1, fp1, fpp1 = p1.eval(J)
-    f2, fp2, fpp2 = p2.eval(p2.t0)
-    if abs(f1 - f2) > tol or abs(fp1 - fp2) > tol:
-        raise GlueMismatchError(
-            f"mismatch at t = {J}: left (f, f') = ({f1}, {fp1}), "
-            f"right = ({f2}, {fp2}), tol = {tol}",
-            left=(f1, fp1), right=(f2, fp2))
-
-    lo2, hi2 = p2.domain
-
-    def triple(t):
-        t = np.asarray(t, dtype=float)
-        left = t <= J
-        f = np.empty_like(t)
-        fp = np.empty_like(t)
-        fpp = np.empty_like(t)
-        if left.any():
-            a, b, cdd = p1.eval(t[left])
-            f[left], fp[left], fpp[left] = a, b, cdd
-        if (~left).any():
-            a, b, cdd = p2.eval(np.clip(t[~left], lo2, hi2))
-            f[~left], fp[~left], fpp[~left] = a, b, cdd
-        return f, fp, fpp
-
-    parity = {}
-    if "left" in p1.parity:
-        parity["left"] = p1.parity["left"]
-    if "right" in p2.parity:
-        parity["right"] = p2.parity["right"]
-    joints = p1.joints + (Joint(J, fpp2 - fpp1),) + p2.joints
-    return WarpProfile(domain=(p1.t0, p2.t1), raw_eval=triple, parity=parity,
-                       joints=joints)
-
-
-# normalized C-infinity bump on [-1, 1]
-def _bump_raw(v):
-    v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
-    inside = np.abs(v) < 1.0
-    with np.errstate(under="ignore"):
-        out[inside] = np.exp(-1.0 / (1.0 - v[inside] ** 2))
-    return out
-
-
-@functools.cache
-def _mollifier_rule():
-    """(bump normalisation, 40-point Gauss-Legendre nodes, weights), computed
-    on first use so that importing the package runs no quadrature and does
-    not import ``numpy.polynomial``."""
-    norm = 1.0 / adaptive_quad(_bump_raw, -1.0, 1.0, rtol=1e-13, atol=1e-16)
-    nodes, weights = np.polynomial.legendre.leggauss(40)
-    return norm, nodes, weights
-
-
-def _bump(v):
-    return _mollifier_rule()[0] * _bump_raw(v)
-
-
-def mollify_profile(p: WarpProfile, width: float) -> WarpProfile:
-    """Smooth a spliced profile across its joints.
-
-    Averages f against a normalized bump whose half-width tapers smoothly
-    from width/2 at each joint to zero at distance ``width``, so the result
-    is C2 across joints and *bit-identical* to p outside the width-windows.
-    A profile without joints is returned unchanged.
-    """
-    if not width > 0:
-        raise InputError("width must be positive")
-    if not p.joints:
-        return p
-    t0, t1 = p.domain
-    js = np.array([j.t for j in p.joints])
-    if (np.minimum(js - t0, t1 - js) <= 2.0 * width).any():
-        raise InputError("width must be below half the distance from every "
-                         "joint to the domain boundary")
-    if len(js) > 1 and np.diff(np.sort(js)).min() <= 2.0 * width:
-        raise InputError("joints are closer than twice the mollification width")
-    _, gl_nodes, gl_weights = _mollifier_rule()
-
-    def delta_fn(u):
-        # smooth half-width taper: width/2 at the joint, flat zero at |u| = 1
-        u2 = u * u
-        chi = math.exp(-u2 / (1.0 - u2)) if u2 < 1.0 else 0.0
-        g = 2.0 * u / (1.0 - u2) ** 2 if u2 < 1.0 else 0.0
-        gp = (2.0 / (1.0 - u2) ** 2 + 8.0 * u2 / (1.0 - u2) ** 3) if u2 < 1.0 else 0.0
-        d = 0.5 * width * chi
-        dp = -0.5 * chi * g
-        dpp = 0.5 * chi * (g * g - gp) / width
-        return d, dp, dpp
-
-    def smooth_point(t, J):
-        u = (t - J) / width
-        d, dp, dpp = delta_fn(u)
-        if d <= 0.0:
-            return None
-        vstar = (t - J) / d
-        if -1.0 < vstar < 1.0:
-            segs = ((-1.0, vstar), (vstar, 1.0))
-        else:
-            segs = ((-1.0, 1.0),)
-        gf = gp = gpp = 0.0
-        for a, b in segs:
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            v = mid + half * gl_nodes
-            wq = half * gl_weights * _bump(v)
-            fv, fpv, fppv = p.eval(t - d * v)
-            gf += float(np.dot(wq, fv))
-            gp += float(np.dot(wq, fpv * (1.0 - dp * v)))
-            gpp += float(np.dot(wq, fppv * (1.0 - dp * v) ** 2 - fpv * dpp * v))
-        return gf, gp, gpp
-
-    def triple(t):
-        t = np.asarray(t, dtype=float)
-        f, fp, fpp = (np.array(a, dtype=float, copy=True) for a in p.raw_eval(t))
-        for J in js:
-            mask = np.abs(t - J) < width
-            if not mask.any():
-                continue
-            for i in np.nonzero(mask)[0]:
-                out = smooth_point(float(t[i]), float(J))
-                if out is not None:
-                    f[i], fp[i], fpp[i] = out
-        return f, fp, fpp
-
-    return WarpProfile(domain=p.domain, raw_eval=triple,
-                       parity=dict(p.parity), joints=(),
-                       solver_meta={"mollify_width": width,
-                                    "healed_joints": [j.t for j in p.joints]})
-
-
 class ParityReport(Record):
     """Measured endpoint parity conditions; failures are carried, not raised."""
 
@@ -762,40 +591,8 @@ def parity_check(p: WarpProfile, endpoint: str, parity: str, *,
     return ParityReport(conditions=rows, passed=all(r[3] for r in rows))
 
 
-def scale_profile(p: WarpProfile, R: float) -> WarpProfile:
-    """The profile of the metric with distances divided by R:
-    t -> f(R t)/R on domain/R."""
-    if not R > 0:
-        raise InputError(f"R must be positive, got {R}")
-    if R == 1.0:
-        return p
-
-    def triple(t):
-        f, fp, fpp = p.eval(np.asarray(t, dtype=float) * R)
-        return f / R, fp, fpp * R
-
-    parity = {}
-    for end, tag in p.parity.items():
-        if tag.kind == "odd":
-            c1, c3 = tag.coeffs
-            parity[end] = tag.replace(coeffs=(c1, c3 * R * R))
-        else:
-            c0, c2 = tag.coeffs
-            parity[end] = tag.replace(coeffs=(c0 / R, c2 * R))
-    joints = tuple(Joint(j.t / R, j.fpp_jump * R) for j in p.joints)
-    return WarpProfile(domain=(p.t0 / R, p.t1 / R), raw_eval=triple,
-                       parity=parity, joints=joints, solver_meta=p.solver_meta)
-
-
-def finite_difference_residual(p: WarpProfile, dt: float, n: int = 129) -> float:
-    """Max |f'(t) - (f(t+dt) - f(t-dt))/(2 dt)| over an interior grid; the
-    profile invariant requires this to be O(dt^2)."""
-    t0, t1 = p.domain
-    lo, hi = t0 + 2 * dt + EXCLUSION_WIDTH, t1 - 2 * dt - EXCLUSION_WIDTH
-    if hi <= lo:
-        lo, hi = t0 + 2 * dt, t1 - 2 * dt
-    ts = np.linspace(lo, hi, n)
-    f_hi = p.eval(ts + dt)[0]
-    f_lo = p.eval(ts - dt)[0]
-    fp = p.eval(ts)[1]
-    return float(np.max(np.abs(fp - (f_hi - f_lo) / (2.0 * dt))))
+# deleted; perfbench/tracer.py's SPECS still looks each name up
+splice_profiles = removed("splice_profiles")
+mollify_profile = removed("mollify_profile")
+scale_profile = removed("scale_profile")
+finite_difference_residual = removed("finite_difference_residual")

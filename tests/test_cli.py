@@ -535,6 +535,19 @@ class TestExitCodeContract:
         failing = [c for c in report["checks"] if not c["pass"]]
         assert any("ricci_floor" in c["name"] for c in failing)
 
+    @pytest.mark.parametrize("argv", [
+        ["thm22", "--n", "4", "--members", "2", "--ric-deficit=-0.5"],
+        ["thm22", "--n", "6", "--members", "3", "--ric-deficit=-1"],
+    ])
+    def test_thm22_refuses_a_factor_past_bishop_gromov(self, tmp_path,
+                                                       capsys, argv):
+        # the last member's factor has the unit sphere's volume and a Ricci
+        # constant above the unit sphere's (was exit 0, OVERALL PASS)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "Bishop-Gromov bound" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeterminismAndRoundTrip:
     def test_identical_configs_are_byte_identical(self, tmp_path):

@@ -133,3 +133,42 @@ def test_unit_sphere_volumes():
     assert unit_sphere_volume(1) == pytest.approx(2 * math.pi, rel=1e-14)
     assert unit_sphere_volume(2) == pytest.approx(4 * math.pi, rel=1e-14)
     assert unit_sphere_volume(3) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
+
+
+def test_scale_names_a_scale_whose_ricci_interval_overflows():
+    # c^2 = 1e-320 is subnormal, not 0, so only 1/c^2 overflows
+    with pytest.raises(InputError, match=r"scale 1e-160 .*Ricci interval"):
+        scale_factor(round_sphere_factor(2, 1.0), 1e-160)
+
+
+def test_scale_names_a_scale_whose_volume_underflows():
+    # c^2 = 1e-220 is normal, c^3 = 1e-330 underflows to 0
+    with pytest.raises(InputError, match=r"scale 1e-110 .*volume factor c\^3"):
+        scale_factor(round_sphere_factor(3, 1.0), 1e-110)
+
+
+def test_bishop_gromov_refuses_more_volume_than_the_round_model():
+    # K = 1.5 on a closed surface allows an area of at most 4 pi/1.5 = 8 pi/3
+    with pytest.raises(InputError, match="Bishop-Gromov bound") as err:
+        abstract_factor("X", 2, (1.5, 1.5), volume=unit_sphere_volume(2))
+    assert repr(8.0 * math.pi / 3.0)[:12] in str(err.value)
+    assert abstract_factor("X", 2, (1.5, 1.5),
+                           volume=8.0 * math.pi / 3.0).volume > 0
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_round_spheres_meet_the_bishop_gromov_bound(dim, radius):
+    # the equality case, both as a round sphere and as abstract data
+    f = round_sphere_factor(dim, radius)
+    abstract_factor("X", dim, f.ricci_interval, volume=f.volume)
+
+
+def test_bishop_gromov_cap_is_finite_where_its_factors_overflow():
+    # vol(S^400) is about 1.7e-274 while Gamma(200.5) and (399/11)^200
+    # overflow; the cap itself is about 1.4e38
+    abstract_factor("X", 400, (11.0, 11.0), volume=1e38)
+    with pytest.raises(InputError, match="Bishop-Gromov bound"):
+        abstract_factor("X", 400, (11.0, 11.0), volume=1e39)
+    # a negligible Ricci floor caps nothing that a float holds
+    abstract_factor("X", 400, (1e-300, 1e-300), volume=1e300)

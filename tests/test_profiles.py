@@ -3,18 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cone_profile, constant_profile
+from conftest import cone_profile
 from warpcheck import profiles
 from warpcheck.errors import (ConstructionError, DomainTruncationError,
-                              GlueMismatchError, InputError)
-from warpcheck.profiles import (SOLVER_TOL, closability_ode_profile,
-                                closed_form_profile, collar_profile,
-                                docking_R_profile, finite_difference_residual,
-                                k_profile, mollify_profile, neck_profile,
-                                parity_check, power_rhs, profile_from_callable,
-                                radial_floor_rhs, radial_floor_value,
-                                scale_profile, sha_yang_profiles,
-                                solve_ivp_profile, splice_profiles)
+                              InputError)
+from warpcheck.profiles import (EXCLUSION_WIDTH, SOLVER_TOL,
+                                closability_ode_profile, closed_form_profile,
+                                collar_profile, docking_R_profile, k_profile,
+                                neck_profile, parity_check, power_rhs,
+                                profile_from_callable, radial_floor_rhs,
+                                radial_floor_value, sha_yang_profiles,
+                                solve_ivp_profile)
+
+
+def finite_difference_residual(p, dt: float, n: int = 129) -> float:
+    """Max |f'(t) - (f(t+dt) - f(t-dt))/(2 dt)| over an interior grid; the
+    profile invariant requires this to be O(dt^2)."""
+    t0, t1 = p.domain
+    lo, hi = t0 + 2 * dt + EXCLUSION_WIDTH, t1 - 2 * dt - EXCLUSION_WIDTH
+    if hi <= lo:
+        lo, hi = t0 + 2 * dt, t1 - 2 * dt
+    ts = np.linspace(lo, hi, n)
+    f_hi = p.eval(ts + dt)[0]
+    f_lo = p.eval(ts - dt)[0]
+    fp = p.eval(ts)[1]
+    return float(np.max(np.abs(fp - (f_hi - f_lo) / (2.0 * dt))))
 
 
 class TestClosedForms:
@@ -257,101 +270,6 @@ class TestDockingR:
         assert np.all(R.eval(t)[2] < 0.0)
 
 
-class TestSplice:
-    def sine_const(self):
-        p1 = closed_form_profile("sine", (0.0, math.pi / 2))
-        p2 = constant_profile((math.pi / 2, 2.5), 1.0)
-        return splice_profiles(p1, p2, 1e-9)
-
-    def test_c1_joint_with_recorded_jump(self):
-        sp = self.sine_const()
-        assert len(sp.joints) == 1
-        assert sp.joints[0].fpp_jump == pytest.approx(1.0, abs=1e-12)
-
-    def test_slope_mismatch_raises(self):
-        p1 = cone_profile(1.0)
-        p2 = profile_from_callable((1.0, 2.0), lambda t: 2.0 * t,
-                                   lambda t: 2.0 + 0.0 * t, lambda t: 0.0 * t)
-        with pytest.raises(GlueMismatchError) as err:
-            splice_profiles(p1, p2, 1e-9)
-        assert err.value.left[1] == 1.0
-        assert err.value.right[1] == 2.0
-
-    def test_self_splice_is_identity(self):
-        p = collar_profile(0.07)
-        sp = splice_profiles(p.restrict(0.0, 1.2), p.restrict(1.2, 2.0), 1e-12)
-        t = np.linspace(0.0, 2.0, 333)
-        for a, b in zip(sp.eval(t), p.eval(t)):
-            assert np.max(np.abs(a - b)) <= 1e-12
-
-
-class TestMollify:
-    def test_profile_without_joints_unchanged(self):
-        p = closed_form_profile("sine", (0.0, math.pi))
-        assert mollify_profile(p, 0.01) is p
-
-    def test_bit_identical_outside_windows(self):
-        sp = TestSplice().sine_const()
-        mo = mollify_profile(sp, 0.05)
-        for t in (0.3, 1.0, math.pi / 2 - 0.0501, math.pi / 2 + 0.0501, 2.2):
-            assert mo.eval(t) == sp.eval(t)
-
-    def test_deviation_bound_and_direct_convolution_oracle(self):
-        sp = TestSplice().sine_const()
-        width = 0.05
-        mo = mollify_profile(sp, width)
-        J = math.pi / 2
-        t = np.linspace(J - 0.049, J + 0.049, 41)
-        f_mo = mo.eval(t)[0]
-        f_sp = sp.eval(t)[0]
-        # coarse a-priori bound: half the width times the curvature jump
-        assert np.max(np.abs(f_mo - f_sp)) <= width * 1.0 / 2
-        # oracle: Riemann-sum convolution with the same taper at 10x resolution
-        from warpcheck.profiles import _bump
-        for ti, fi in zip(t, f_mo):
-            u = (ti - J) / width
-            d = 0.5 * width * math.exp(-u * u / (1 - u * u))
-            v = np.linspace(-1.0, 1.0, 4001)
-            w = _bump(v)
-            vals = sp.eval(ti - d * v)[0]
-            direct = np.trapezoid(w * vals, v)
-            assert fi == pytest.approx(direct, abs=2e-7)
-
-    def test_result_is_c2(self):
-        sp = TestSplice().sine_const()
-        mo = mollify_profile(sp, 0.05)
-        J = math.pi / 2
-        for n in (801, 1601):
-            t = np.linspace(J - 0.06, J + 0.06, n)
-            jumps = np.abs(np.diff(mo.eval(t)[2])).max()
-            # a C2 function's sampled f'' jumps shrink with the grid; the
-            # unsmoothed splice keeps a unit jump at every resolution
-            assert jumps <= 60.0 * (t[1] - t[0])
-        assert np.abs(np.diff(sp.eval(np.linspace(J - 0.06, J + 0.06, 1601))[2])).max() > 0.9
-
-    def test_second_application_is_fixed_point(self):
-        sp = TestSplice().sine_const()
-        mo1 = mollify_profile(sp, 0.05)
-        mo2 = mollify_profile(mo1, 0.05)
-        t = np.linspace(math.pi / 2 - 0.06, math.pi / 2 + 0.06, 101)
-        first_change = np.max(np.abs(mo1.eval(t)[0] - sp.eval(t)[0]))
-        second_change = np.max(np.abs(mo2.eval(t)[0] - mo1.eval(t)[0]))
-        assert second_change <= 1e-6 * first_change
-
-    def test_positivity_preserved(self):
-        # the spliced sine vanishes at its cone point t = 0; positivity is an
-        # interior property
-        sp = TestSplice().sine_const()
-        mo = mollify_profile(sp, 0.05)
-        t = np.linspace(0.01, 2.5, 1001)
-        assert mo.eval(t)[0].min() > 0.0
-
-    def test_width_validation(self):
-        sp = TestSplice().sine_const()
-        with pytest.raises(InputError):
-            mollify_profile(sp, 0.6)
-
-
 class TestParityCheck:
     def test_sine_odd_at_origin(self):
         p = closed_form_profile("sine", (0.0, math.pi))
@@ -381,8 +299,6 @@ class TestParityCheck:
 
 
 class TestDerivativeConsistency:
-    # the mollified profile carries ~1e-9 quadrature jitter, so its O(dt^2)
-    # truncation term must be measured at a coarser base step
     @pytest.mark.parametrize("maker, dt", [
         (lambda: closed_form_profile("sine", (0.0, math.pi)), 1e-3),
         (lambda: sha_yang_profiles(2, 2, 20.0)[0], 1e-3),
@@ -390,8 +306,7 @@ class TestDerivativeConsistency:
         (lambda: k_profile(0.5), 1e-3),
         (lambda: collar_profile(0.1), 1e-3),
         (lambda: closability_ode_profile(4, 0.2), 1e-3),
-        (lambda: mollify_profile(TestSplice().sine_const(), 0.05), 1e-2),
-    ], ids=["sine", "sha-f", "sha-h", "k", "collar", "radial-floor", "mollified"])
+    ], ids=["sine", "sha-f", "sha-h", "k", "collar", "radial-floor"])
     def test_halving_reduces_residual_fourfold(self, maker, dt):
         p = maker()
         r1 = finite_difference_residual(p, dt)
@@ -400,16 +315,6 @@ class TestDerivativeConsistency:
             assert r2 < 1e-12
         else:
             assert r1 / r2 >= 3.5
-
-    def test_restrict_and_scale(self):
-        p = closed_form_profile("sine", (0.0, math.pi))
-        q = scale_profile(p, 2.0)
-        assert q.domain == (0.0, math.pi / 2)
-        t = np.linspace(0.1, 1.4, 17)
-        f, fp, fpp = q.eval(t)
-        assert np.max(np.abs(f - np.sin(2 * t) / 2)) < 1e-15
-        assert np.max(np.abs(fp - np.cos(2 * t))) < 1e-15
-        assert np.max(np.abs(fpp + 2 * np.sin(2 * t))) < 1e-14
 
     def test_eval_outside_domain_rejected(self):
         p = closed_form_profile("sine", (0.0, math.pi))

@@ -16,6 +16,8 @@ passes the command line's flag check.
 import hashlib
 import importlib.util
 import json
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
+import warpcheck
 from warpcheck import cli
 from warpcheck.constructions import PROFILES, SCENARIOS
 from warpcheck.errors import WarpcheckError
@@ -124,6 +127,51 @@ def test_tracer_specs_resolve_to_callables(tracer):
         for part in path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{modname}.{path}"
+
+
+# deleted functions whose names the tracer's SPECS still looks up, each
+# bound to a stand-in that raises
+STAND_INS = [
+    ("warpcheck.profiles", "WarpProfile.sample"),
+    ("warpcheck.profiles", "WarpProfile.restrict"),
+    ("warpcheck.profiles", "splice_profiles"),
+    ("warpcheck.profiles", "mollify_profile"),
+    ("warpcheck.profiles", "scale_profile"),
+    ("warpcheck.profiles", "finite_difference_residual"),
+    ("warpcheck.curvature", "rescale_metric"),
+    ("warpcheck.constructions", "cone_asymptotics"),
+]
+
+
+@pytest.mark.parametrize("modname, path", STAND_INS)
+def test_stand_ins_raise_while_the_tracer_looks_them_up(tracer, modname,
+                                                        path):
+    # a stand-in lives only while SPECS names it: the change that drops a
+    # name from SPECS deletes its stand-in and its entry here
+    assert path in tracer.SPECS[modname]
+    owner = importlib.import_module(modname)
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    with pytest.raises(WarpcheckError, match=re.escape(path)):
+        owner()
+    assert path not in vars(warpcheck)  # not re-exported
+
+
+def test_every_stand_in_is_listed():
+    found = []
+    for info in pkgutil.iter_modules(warpcheck.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"warpcheck.{info.name}")
+        for name, value in vars(module).items():
+            members = [(name, value)]
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                members += [(f"{name}.{attr}", v)
+                            for attr, v in vars(value).items()]
+            found += [(module.__name__, path) for path, v in members
+                      if getattr(v, "__qualname__", "")
+                      == "removed.<locals>.stand_in"]
+    assert sorted(found) == sorted(STAND_INS)
 
 
 @pytest.mark.parametrize("argv, counter, value", [

@@ -44,8 +44,7 @@ def _child(code, tmp_path):
 
 
 def test_importing_the_cli_loads_only_allowlisted_modules(tmp_path):
-    # numpy.polynomial among those left out: the mollifier builds its
-    # quadrature rule on first use
+    # numpy.polynomial among those left out: no module calls leggauss
     added = _child("import json, sys, numpy; before = set(sys.modules); "
                    "import warpcheck.cli; "
                    "print(json.dumps(sorted(set(sys.modules) - before)))",
