@@ -712,16 +712,14 @@ class Scenario(Record):
 
 def _run_sha_yang(prm, grid):
     n = prm["n"]
-    ric = float(n - 1) if prm["ric"] is None else prm["ric"]
-    M = abstract_factor("M", n, (ric, ric))
+    M = abstract_factor("M", n, (n - 1, n - 1))  # Ric = n - 1, its floor
     v = sha_yang_space(n, prm["m"], M, prm["T"], grid_size=grid)
     return v, {"sha-f": v.artifacts["f"], "sha-h": v.artifacts["h"]}
 
 
 def _run_neck(prm, grid):
     nu = prm["nu"]
-    kappa = 2.0 * nu if prm["core_kappa"] is None else prm["core_kappa"]
-    core = certified_core(prm["n"], kappa=kappa)
+    core = certified_core(prm["n"], kappa=2.0 * nu)  # kappa = 2 nu, its floor
     v = neck_family_check(nu, prm["n"], prm["s"], core, grid_size=grid)
     return v, {f"neck-s{e['s']!r}": e["profile"]
                for e in v.artifacts["members"]}
@@ -735,8 +733,7 @@ def _run_closability(prm, grid):
 
 def _run_gn(prm, grid):
     n = prm["n"]
-    y_ric = float(-(n - 2)) if prm["y_ric"] is None else prm["y_ric"]
-    Y = abstract_factor("Y", n - 1, (y_ric, y_ric))
+    Y = abstract_factor("Y", n - 1, (2 - n, 2 - n))  # Ric = 2 - n, its floor
     v = gN_regions(Y, prm["eps_prime"], n, grid_size=grid)
     return v, {"k": v.artifacts["k"], "closability-f": v.artifacts["f"]}
 
@@ -812,17 +809,12 @@ SCENARIOS = {s.name: s for s in (
         (("--n",), {"type": int, "required": True}),
         (("--m",), {"type": int, "required": True}),
         (("--T",), {"type": _finite_float, "default": 50.0}),
-        (("--ric",), {"type": _finite_float, "default": None,
-                      "help": "Einstein constant of M (default n-1)"}),
     ), ("--grid", "--csv"), 10_000, _run_sha_yang),
     Scenario("neck", "shrinking neck family against a certified core", (
         (("--nu",), {"type": _finite_float, "required": True}),
         (("--n",), {"type": int, "required": True}),
         (("--s",), {"type": _csv_list, "required": True,
                     "help": "comma-separated list of s values"}),
-        (("--core-kappa",), {"type": _finite_float, "default": None,
-                             "help": "core boundary principal curvature "
-                                     "(default 2 nu)"}),
     ), ("--grid", "--csv"), 2048, _run_neck),
     Scenario("closability", "largest certified collar slope over a convex "
                             "core", (
@@ -834,9 +826,6 @@ SCENARIOS = {s.name: s for s in (
     Scenario("gn", "doubled-region metric over a hypersurface", (
         (("--n",), {"type": int, "required": True}),
         (("--eps-prime",), {"type": _finite_float, "default": 0.2}),
-        (("--y-ric",), {"type": _finite_float, "default": None,
-                        "help": "Ricci constant of the hypersurface "
-                                "(default -(n-2))"}),
     ), ("--grid", "--csv"), 2048, _run_gn),
     Scenario("docking", "ambient doubly warped sphere", (
         (("--n",), {"type": int, "required": True}),

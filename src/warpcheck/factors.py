@@ -7,6 +7,7 @@ total volume. Nothing else about the manifold is represented.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional
 
 from .errors import InputError
@@ -97,9 +98,11 @@ def round_sphere_factor(dim: int, radius: float) -> FactorManifold:
         volume = unit_sphere_volume(dim) * radius ** dim
     except (OverflowError, ZeroDivisionError):
         rho = volume = math.inf
-    if not (math.isfinite(rho) and 0.0 < volume < math.inf):
+    # a subnormal volume keeps too few bits to be compared
+    if not (math.isfinite(rho) and sys.float_info.min <= volume < math.inf):
         raise InputError(f"radius {radius} is out of floating-point range: "
-                         "its curvature or volume is not a positive float")
+                         "its curvature or volume is not a positive normal "
+                         "float")
     return FactorManifold(
         name=f"S{dim}",
         dim=dim,
@@ -133,10 +136,13 @@ def scale_factor(factor: FactorManifold, c: float) -> FactorManifold:
         c2 = volume = math.inf
     # a subnormal c^2 overflows the divisions unless the interval is flat
     ricci = (lo / c2, hi / c2) if 0.0 < c2 < math.inf else (math.inf, math.inf)
-    if not all(map(math.isfinite, ricci)) or volume in (0.0, math.inf):
+    # a subnormal volume keeps too few bits to be compared
+    if not all(map(math.isfinite, ricci)) or volume is not None and not (
+            sys.float_info.min <= volume < math.inf):
         raise InputError(f"scale {c} is out of floating-point range: the "
-                         f"scaled Ricci interval [{lo}, {hi}]/c^2 or the "
-                         f"volume factor c^{factor.dim} over- or underflows")
+                         f"scaled Ricci interval [{lo}, {hi}]/c^2 is not "
+                         f"finite, or the volume factor c^{factor.dim} makes "
+                         f"the volume not a positive normal float")
     return factor.replace(
         ricci_interval=ricci,
         volume=volume,

@@ -294,12 +294,13 @@ class TestExitCodeContract:
         # the collar's f' = 2c squares past the float range (was a
         # RuntimeWarning, then exit 2 after a 60-step halving search)
         ["closability", "--n", "3", "--c-max", "1e154"],
-        # the glued principal curvatures sum to inf, k1 + k2 or the core's
-        # kappa scaled by 1/(sqrt(2) sin(nu s)) (was exit 0, OVERALL PASS)
+        # the glued principal curvatures k1 + k2 sum to inf (was exit 0,
+        # OVERALL PASS)
         ["glue", "--dim", "2", "--r1", "1", "--k1", "1e308", "--r2", "1",
          "--k2", "1e308"],
-        ["neck", "--nu", "0.1", "--n", "3", "--s", "0.5",
-         "--core-kappa", "1e308"],
+        # each boundary's volume, 2.4e-320, is subnormal (was exit 0)
+        ["glue", "--dim", "16", "--r1", "1e-20", "--k1", "1", "--r2",
+         "1e-20", "--k2", "1"],
     ])
     def test_out_of_range_input_is_input_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -472,6 +473,12 @@ class TestExitCodeContract:
         ["sha-yang", "--n", "3", "--m", "2", "--tol", "1e-8"],
         ["gn", "--n", "3", "--json"],
         ["export", "--profile", "sha-f", "--tol", "1e-8"],
+        # M's Einstein constant, the core's curvature and Y's Ricci constant
+        # sit at their floors; no flag raises them
+        ["sha-yang", "--n", "3", "--m", "2", "--ric", "3"],
+        ["neck", "--nu", "0.1", "--n", "3", "--s", "0.5", "--core-kappa",
+         "1"],
+        ["gn", "--n", "3", "--y-ric", "0"],
     ])
     def test_flags_a_run_cannot_use_are_input_errors(self, tmp_path, capsys,
                                                      monkeypatch, argv):

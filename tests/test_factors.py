@@ -39,6 +39,7 @@ def test_round_sphere_input_errors(dim, radius):
     (2, 1e-200),    # radius^2 underflows to 0
     (2, 1e-160),    # radius^2 is subnormal, 1/radius^2 overflows
     (3, 1e-110),    # radius^3 underflows, so the volume is 0
+    (16, 1e-20),    # the volume, 2.3967e-320, is subnormal
     (2, 1e200),     # radius^2 overflows
 ])
 def test_round_sphere_rejects_a_radius_out_of_range(dim, radius):
@@ -95,9 +96,11 @@ def test_scale_rejects_nonpositive():
     (2, 1e300),   # c^2 overflows
     (5, 1e100),   # c^5 overflows
     (2, 1e154),   # c^2 is finite, volume * c^2 is not
+    (16, 1e-20),  # the volume is subnormal
 ])
 def test_scale_rejects_out_of_range(dim, c):
-    with pytest.raises(InputError, match="out of floating-point range"):
+    with pytest.raises(InputError, match=re.escape(
+            f"scale {c} is out of floating-point range")):
         scale_factor(round_sphere_factor(dim, 1.0), c)
 
 

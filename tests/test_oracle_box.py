@@ -18,6 +18,20 @@ check's own threshold; a check whose verdict disagrees is a finding, kept in
   exclusion width. Its radial component is n - 2.
 - glue's hemisphere example glues the round hemisphere to its mirror along
   the equator, which is isometric to itself and totally geodesic.
+- neck's member at s is dt^2 + 2 sin^2(nu t) g on [s, pi/(4 nu)] with g
+  the round unit S^(n-1). Its radial component is (n - 1) nu^2 and its
+  sphere component (n - 1) nu^2 + (n - 2)(1 - 2 nu^2)/(2 sin^2(nu t)), least
+  at t = s when nu > 1/sqrt(2) and above the radial one otherwise. The
+  inner boundary, of radius sqrt(2) sin(nu s), glues against the core
+  (principal curvatures 2 nu) scaled by that radius, so the second
+  fundamental forms sum to nu (sqrt(2) - cos(nu s))/sin(nu s), which falls
+  as s grows. Each check is decided twice: over the listed s, which the
+  report must match, and over the whole family (0, max s], the shrinking
+  family the construction claims (ROADMAP item 11); for nu > 1/sqrt(2) the
+  sphere component there has no lower bound.
+- sha-yang's components are functions of f >= 1 along the profile (ROADMAP
+  item 10). With M at Ric = n - 1 the M directions are exactly 0, and the
+  radial and sphere components are non-negative, so the least is 0.
 """
 import json
 
@@ -33,6 +47,12 @@ THM22_N = range(4, 13)
 THM22_MEMBERS = (1, 3)
 THM22_DEFICITS = ("0", "0.1")
 GLUE_N = range(3, 13)
+NECK_NU = ("0.1", "0.5", "0.7", "0.75", "1.0")  # 1/sqrt(2) = 0.7071...
+NECK_N = range(3, 9)
+NECK_S = (("0.5", 65536), ("0.5,0.1", 2048), ("0.3,0.05,0.01", 257))
+SHA_YANG_N = range(2, 13)
+SHA_YANG_M = range(2, 7)
+SHA_YANG_GRIDS = (257, 2048, 65536)
 
 
 def docking_argv(n, grid):
@@ -53,6 +73,25 @@ KNOWN = {
         (19, (65536,)), (20, (65536,)))
     for grid in grids
 }
+
+
+def neck_argv(nu, n, s, grid):
+    return ["neck", "--nu", nu, "--n", str(n), "--s", s, "--grid", str(grid)]
+
+
+# Known findings of the neck family (ROADMAP item 11): for nu > 1/sqrt(2)
+# the sphere component falls without bound as s -> 0, so over the family
+# (0, max s] no delta bounds Ricci from below and the member minima spread
+# without bound, but the checks see only the listed s. A lone s = 0.5
+# passes the spread, and at nu = 0.75 the floor too, its least component
+# being about 0.0966 n + 0.369 (0.659 at n = 3):
+KNOWN.update({
+    " ".join(neck_argv(nu, n, "0.5", 65536)): checks
+    for nu, checks in (
+        ("0.75", {"uniform_ricci_floor_delta", "ricci_floor_spread"}),
+        ("1.0", {"ricci_floor_spread"}))
+    for n in NECK_N
+})
 
 
 def run(tmp_path, argv):
@@ -135,10 +174,86 @@ def test_glue_hemisphere_matches_the_round_sphere(tmp_path, n):
                                                          set())
 
 
+@pytest.mark.parametrize("s, grid", NECK_S)
+@pytest.mark.parametrize("n", NECK_N)
+@pytest.mark.parametrize("nu", NECK_NU)
+def test_neck_matches_its_closed_forms(tmp_path, nu, n, s, grid):
+    argv = neck_argv(nu, n, s, grid)
+    report = run(tmp_path, argv)
+    with mp.workdps(40):
+        nu, ss = mpf(float(nu)), [mpf(float(x)) for x in s.split(",")]
+        radial = (n - 1) * nu ** 2
+        bend = (n - 2) * (1 - 2 * nu ** 2) / 2  # over sin^2(nu t)
+        floors = [radial + min(0, bend / mp.sin(nu * x) ** 2) for x in ss]
+        ii_sums = [nu * (mp.sqrt(2) - mp.cos(nu * x)) / mp.sin(nu * x)
+                   for x in ss]
+        # a member's volume falls as s grows
+        volume = sphere_volume(n - 1) * mp.quad(
+            lambda t: (mp.sqrt(2) * mp.sin(nu * t)) ** (n - 1),
+            [max(ss), mp.pi / (4 * nu)])
+        # the inner boundary and the scaled core are one round sphere
+        gap_ok = 0 <= mpf(report["config"]["glue_tol"])
+        listed = {
+            "uniform_ricci_floor_delta": min(floors) - mpf(1e-9),
+            "ricci_floor_spread": max(floors) - min(floors),
+            "uniform_volume_floor": volume,
+            "core_glue_isometry": 1 if gap_ok else 0,
+            "core_glue_ii_sum": min(ii_sums),
+        }
+        # the volume and the glue sum are least at max s, in the list too
+        family = dict(listed)
+        if bend < 0:
+            family["uniform_ricci_floor_delta"] = -mp.inf
+            family["ricci_floor_spread"] = mp.inf
+        assert disagreements(report, listed) == set()
+        assert disagreements(report, family) == KNOWN.get(" ".join(argv),
+                                                          set())
+
+
+def sha_yang_argv(n, m):
+    grid = SHA_YANG_GRIDS[(n + m) % len(SHA_YANG_GRIDS)]
+    return ["sha-yang", "--n", str(n), "--m", str(m), "--grid", str(grid)]
+
+
+@pytest.mark.parametrize("m", SHA_YANG_M)
+@pytest.mark.parametrize("n", SHA_YANG_N)
+def test_sha_yang_matches_its_closed_forms(tmp_path, n, m):
+    argv = sha_yang_argv(n, m)
+    if m == 2 and n >= 11:
+        # the window decay is below the solver's resolution (ROADMAP item 8)
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
+        return
+    report = run(tmp_path, argv)
+    with mp.workdps(40):
+        alpha = mpf(2 * (n - 1)) / m
+
+        def radial(f):
+            return (m - 2) * (n - 1) * (m + n - 1) / mpf(m) ** 2 \
+                * f ** (-alpha - 2)
+
+        def sphere(f):
+            return (m - 2) * (n - 1) ** 2 / mpf(m) ** 2 \
+                * (f ** 2 - f ** -alpha) / (f ** 2 * (1 - f ** -alpha))
+
+        # f rises from f(0) = 1 with f' < 1, so f(T) < 1 + T; the M
+        # directions are exactly 0
+        T = mpf(report["config"]["T"])
+        fs = [1 + mpf(10) ** -k for k in range(1, 31)]
+        fs += [1 + T * k / 16 for k in range(1, 17)]
+        exact = {"ricci_global_min": min(
+            [mpf(0)] + [g(f) for f in fs for g in (radial, sphere)])}
+        assert disagreements(report, exact) == KNOWN.get(" ".join(argv),
+                                                         set())
+
+
 def test_every_known_finding_is_in_the_box():
     box = [docking_argv(n, grid) for n in DOCKING_N for grid in DOCKING_GRIDS]
     box += [thm22_argv(n, members, deficit) for n in THM22_N
             for members in THM22_MEMBERS for deficit in THM22_DEFICITS]
     box += [glue_argv(n) for n in GLUE_N]
-    assert len(KNOWN) == 20
+    box += [neck_argv(nu, n, s, grid) for nu in NECK_NU for n in NECK_N
+            for s, grid in NECK_S]
+    box += [sha_yang_argv(n, m) for n in SHA_YANG_N for m in SHA_YANG_M]
+    assert len(KNOWN) == 32
     assert set(KNOWN) <= {" ".join(argv) for argv in box}

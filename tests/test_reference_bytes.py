@@ -11,7 +11,8 @@ because their reports list the CSVs by that path.
 The benchmark's tracer also wraps program functions by name; the last tests
 check that every name it looks up still exists, that it runs a scenario and
 an export end to end, and that every argv the benchmark's workloads can draw
-passes the command line's flag check.
+passes the command line's flag check. Every flag the command line accepts is
+set by some recorded argv, or listed with the reason it stays.
 """
 import hashlib
 import importlib.util
@@ -76,6 +77,40 @@ def test_subcommands_are_the_scenario_table_plus_export():
     (subcommands,) = [a for a in parser._actions
                       if a.dest == "scenario"]
     assert set(subcommands.choices) == {*SCENARIOS, "export"}
+
+
+_GLUE_EXPLICIT = ("explicit round boundaries, the glue mode the tests of "
+                  "input errors and failed gluings drive")
+_CSV = "the CSV dump that the other scenarios' --csv argvs exercise"
+# (subcommand, flag) pairs that no reference argv sets, each with why it
+# stays
+UNEXERCISED = {
+    ("sha-yang", "--T"): "criterion 3's horizon",
+    ("closability", "--kappa"): "the Ricci-binding regime of the search",
+    ("closability", "--grid"): "the sweep grid every other scenario's "
+                               "argvs exercise",
+    ("gn", "--eps-prime"): "the only way to run gn --n >= 9",
+    **{("glue", flag): _GLUE_EXPLICIT
+       for flag in ("--dim", "--r1", "--k1", "--r2", "--k2")},
+    **{(name, "--csv"): _CSV for name in ("closability", "docking", "neck")},
+    ("export", "--T"): "the horizon of sha-f and sha-h, as sha-yang --T",
+}
+
+
+def test_every_flag_is_exercised_or_listed():
+    # a flag that no recorded argv sets must say why it stays, and a listed
+    # one must still be accepted and still be unexercised
+    (subcommands,) = [a for a in cli._build_parsers()._actions
+                      if a.dest == "scenario"]
+    accepted = {(name, flag) for name, p in subcommands.choices.items()
+                for a in p._actions for flag in a.option_strings} - {
+        (name, flag) for name in subcommands.choices
+        for flag in ("-h", "--help", "--out")}
+    exercised = {(key.split()[0], word.split("=")[0])
+                 for key in RECORDED for word in key.split()
+                 if word.startswith("--")}
+    assert exercised <= accepted
+    assert accepted - exercised == set(UNEXERCISED)
 
 
 @pytest.fixture(scope="module")
