@@ -16,13 +16,21 @@ from .records import Record
 _REL = 1e-12
 
 
+def log_unit_sphere_volume(dim: int) -> float:
+    """log vol(S^dim), finite where Gamma((dim + 1)/2) overflows."""
+    return (math.log(2.0) + (dim + 1) / 2.0 * math.log(math.pi)
+            - math.lgamma((dim + 1) / 2.0))
+
+
 def unit_sphere_volume(dim: int) -> float:
-    """Volume of the round unit sphere S^dim; InputError if a term overflows."""
-    try:
+    """Volume of the round unit sphere S^dim, from its log where Gamma
+    overflows (dim >= 343); an InputError below the least normal float."""
+    if dim < 343:
         return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
-    except OverflowError:
-        raise InputError(f"the volume of the unit {dim}-sphere overflows a "
-                         "float") from None
+    volume = math.exp(log_unit_sphere_volume(dim))
+    if volume < sys.float_info.min:
+        raise InputError(f"the volume of the unit {dim}-sphere underflows")
+    return volume
 
 
 class FactorManifold(Record):
@@ -73,8 +81,7 @@ class FactorManifold(Record):
             # whose own volume the branch above pins to the cap; compared in
             # logs, so that no factor of the cap overflows
             d = self.dim
-            log_cap = (math.log(2.0) + (d + 1) / 2.0 * math.log(math.pi)
-                       - math.lgamma((d + 1) / 2.0)
+            log_cap = (log_unit_sphere_volume(d)
                        + d / 2.0 * (math.log(d - 1) - math.log(lo)))
             if math.log(self.volume) > log_cap + math.log1p(_REL):
                 raise InputError(

@@ -492,13 +492,6 @@ def _collar_step(x):
     return y
 
 
-def _collar_step_prime(x):
-    """Derivative of ``_collar_step``: exp(1 - 1/x) / x^2 for x > 0."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(all="ignore"):
-        return np.where(x > 0.0, np.exp(1.0 - 1.0 / x) / x ** 2, 0.0)
-
-
 def collar_profile(c: float, length: float = 2.0) -> WarpProfile:
     """Cylinder warp with f(0) = 1, f'(0) = 2c, f'' < 0 on [0, 1) and
     f' = c from t = 1 on, smooth across the transition.
@@ -526,8 +519,9 @@ def collar_profile(c: float, length: float = 2.0) -> WarpProfile:
         t = np.asarray(t, dtype=float)
         u = np.clip(1.0 - t, 0.0, 1.0)
         f = 1.0 + cc * t + cc * (phi_total - np.asarray(big_phi(u), dtype=float))
-        fp = cc * (1.0 + _collar_step(u))
-        fpp = -cc * _collar_step_prime(u)
+        step = _collar_step(u)
+        fp = cc * (1.0 + step)
+        fpp = -cc * np.divide(step, u ** 2, out=np.zeros_like(u), where=u > 0.0)
         return f, fp, fpp
 
     prof = WarpProfile(domain=(0.0, float(length)), raw_eval=triple,

@@ -199,6 +199,17 @@ class TestExitCodeContract:
         report = read_report(tmp_path / f"{argv[0]}.json")
         assert report["overall_pass"] is (rc == 0)
 
+    @pytest.mark.parametrize("argv", [
+        ["glue", "--example", "hemisphere", "--n", "344"],
+        ["closability", "--n", "345"],
+        ["thm22", "--n", "345"],
+    ])
+    def test_sphere_volume_past_the_gamma_overflow_runs(self, tmp_path,
+                                                        argv):
+        # Gamma((d + 1)/2) overflows from d = 343 on, while vol(S^d) stays
+        # a normal float up to d = 437 (each was exit 2, "overflows a float")
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("T", ["-1", "0", "1e-9", "0.001"])
     def test_sha_yang_T_within_the_exclusion_width_names_both(
             self, tmp_path, capsys, T):
@@ -254,8 +265,9 @@ class TestExitCodeContract:
         # after two RuntimeWarnings)
         ["thm22", "--n", "4", "--ric-deficit=2e302"],
         ["thm22", "--n", "5", "--members", "3", "--ric-deficit=-1e308"],
-        # the unit-sphere volume overflows (was an OverflowError traceback)
-        ["thm22", "--n", "400"],
+        # vol(S^438) underflows past the least normal float (thm22 --n 400
+        # was an OverflowError traceback, then a false overflow refusal)
+        ["thm22", "--n", "439"],
         ["neck", "--nu", "0.1", "--n", "1000000", "--s", "0.5"],
         ["docking", "--n", "100000000"],
         # grids above GRID_MAX, rejected at parse time (was a MemoryError
@@ -443,6 +455,9 @@ class TestExitCodeContract:
         ["docking", "--n", "3", "--tol", "1e-5"],
         ["glue", "--example", "hemisphere", "--grid", "5"],
         ["thm22", "--n", "4", "--csv"],
+        # docking's only profile is R = sin, which export --profile
+        # docking-r writes
+        ["docking", "--n", "3", "--csv"],
         # explicit boundaries do not read the example's --n
         ["glue", "--n", "7", "--dim", "2", "--r1", "1", "--k1", "1",
          "--r2", "1", "--k2", "1"],

@@ -3,6 +3,7 @@ import re
 
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import mp, mpf
 
 from warpcheck.errors import InputError
 from warpcheck.factors import (abstract_factor, round_sphere_factor,
@@ -136,6 +137,27 @@ def test_unit_sphere_volumes():
     assert unit_sphere_volume(1) == pytest.approx(2 * math.pi, rel=1e-14)
     assert unit_sphere_volume(2) == pytest.approx(4 * math.pi, rel=1e-14)
     assert unit_sphere_volume(3) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
+
+
+def test_unit_sphere_volume_keeps_the_direct_formula_while_gamma_is_finite():
+    d = 342  # the last d whose Gamma((d + 1)/2) is finite
+    direct = 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    assert unit_sphere_volume(d).hex() == direct.hex()
+
+
+@pytest.mark.parametrize("dim", [343, 400, 437])
+def test_unit_sphere_volume_is_computed_in_logs_past_gamma_overflow(dim):
+    # Gamma((dim + 1)/2) overflows, the volume is a normal float (was an
+    # InputError saying the volume overflows)
+    with mp.workdps(40):
+        exact = 2 * mp.pi ** (mpf(dim + 1) / 2) / mp.gamma(mpf(dim + 1) / 2)
+        assert abs(unit_sphere_volume(dim) / exact - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [438, 10 ** 6])
+def test_unit_sphere_volume_below_the_least_normal_float_is_refused(dim):
+    with pytest.raises(InputError, match=f"unit {dim}-sphere underflows"):
+        unit_sphere_volume(dim)
 
 
 def test_scale_names_a_scale_whose_ricci_interval_overflows():

@@ -32,10 +32,10 @@ from warpcheck.errors import DomainTruncationError
 from warpcheck.factors import abstract_factor, round_sphere_factor
 from warpcheck.memo import QueryMemo
 from warpcheck.ode import DenseSolution, integrate_ivp
-from warpcheck.profiles import (_collar_step, _collar_step_prime, _flat_decay,
-                                _flat_decay_value, closed_form_profile,
-                                collar_profile, k_profile, power_rhs,
-                                radial_floor_rhs, sha_yang_profiles)
+from warpcheck.profiles import (_collar_step, _flat_decay, _flat_decay_value,
+                                closed_form_profile, collar_profile,
+                                k_profile, power_rhs, radial_floor_rhs,
+                                sha_yang_profiles)
 from warpcheck.quadrature import CumulativeIntegral, grid_blocks, row_blocks
 from warpcheck.records import Record
 
@@ -187,10 +187,21 @@ EDGE_GRID = np.concatenate([
 ])
 
 
+# the points of the edge grid inside the collar's domain [0, 2]
+COLLAR_EDGE_GRID = EDGE_GRID[(EDGE_GRID >= 0.0) & (EDGE_GRID <= 2.0)]
+
+
 def test_collar_step_matches_masked_form():
     assert_same_bits(_collar_step(EDGE_GRID), masked_phi(EDGE_GRID))
-    assert_same_bits(_collar_step_prime(EDGE_GRID), masked_phi_prime(EDGE_GRID))
     assert_same_bits(_collar_step(0.25), masked_phi(np.float64(0.25)))
+
+
+@pytest.mark.parametrize("c", [0.1, 0.3])
+def test_collar_second_derivative_matches_masked_form(c):
+    # f'' reuses the step of f': -c step(u)/u^2 for u = 1 - t > 0, else 0
+    u = np.clip(1.0 - COLLAR_EDGE_GRID, 0.0, 1.0)
+    fpp = collar_profile(c).eval(COLLAR_EDGE_GRID)[2]
+    assert_same_bits(fpp, -c * masked_phi_prime(u))
 
 
 def test_flat_decay_matches_masked_form():
@@ -205,8 +216,7 @@ def test_flat_decay_matches_masked_form():
 
 def test_integrands_leave_their_input_unchanged():
     x = EDGE_GRID.copy()
-    for fn in (_collar_step, _collar_step_prime, _flat_decay_value,
-               _flat_decay):
+    for fn in (_collar_step, _flat_decay_value, _flat_decay):
         fn(x)
         assert_same_bits(x, EDGE_GRID)
 
@@ -214,7 +224,6 @@ def test_integrands_leave_their_input_unchanged():
 def test_integrands_raise_no_floating_point_warnings():
     with np.errstate(all="raise"):
         _collar_step(EDGE_GRID)
-        _collar_step_prime(EDGE_GRID)
         _flat_decay(EDGE_GRID)
 
 

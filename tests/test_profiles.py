@@ -244,10 +244,15 @@ class TestCollarProfile:
                 p.eval(t0)[2], abs=1e-4)
 
     def test_c2_post_check_fires(self, monkeypatch):
-        # an f'' off by 1 on the ramp must fail the construction's own check
-        step_prime = profiles._collar_step_prime
-        monkeypatch.setattr(profiles, "_collar_step_prime",
-                            lambda x: step_prime(x) + 1.0)
+        # an f'' off by c, the step's slope off by 1, must fail the
+        # construction's own check, which reads the profile through eval
+        evaluate = profiles.WarpProfile.eval
+
+        def off_by_c(self, t, **kw):
+            f, fp, fpp = evaluate(self, t, **kw)
+            return f, fp, fpp - 0.1
+
+        monkeypatch.setattr(profiles.WarpProfile, "eval", off_by_c)
         with pytest.raises(ConstructionError, match="not C2"):
             collar_profile(0.1)
 

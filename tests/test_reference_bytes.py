@@ -92,7 +92,7 @@ UNEXERCISED = {
     ("gn", "--eps-prime"): "the only way to run gn --n >= 9",
     **{("glue", flag): _GLUE_EXPLICIT
        for flag in ("--dim", "--r1", "--k1", "--r2", "--k2")},
-    **{(name, "--csv"): _CSV for name in ("closability", "docking", "neck")},
+    **{(name, "--csv"): _CSV for name in ("closability", "neck")},
     ("export", "--T"): "the horizon of sha-f and sha-h, as sha-yang --T",
 }
 
