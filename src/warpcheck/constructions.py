@@ -127,6 +127,22 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
                          f"{EXCLUSION_WIDTH:g} at the cone point t = 0")
 
     f, h, alpha = sha_yang_profiles(n, m, T)
+    w1 = np.linspace(T / 5.0, 2.0 * T / 5.0, 1024)
+    # f and h share one solution: evaluating both on a window back to back
+    # lets the second reuse the first's interpolation
+    f1, fp1, _ = f.eval(w1)
+    sup_f1 = float(np.max(np.abs(fp1 - 1.0)))
+    sup_h1 = float(np.max(np.abs(h.eval(w1)[0] - 2.0 / alpha)))
+    # f'^2 = 1 - f^-alpha along f, and h - 2/alpha = (2/alpha)(f' - 1): where
+    # the deviation this predicts on the first window is within the solve
+    # tolerance, the window sups measure solver error, not a decay
+    predicted = float(np.max(1.0 - np.sqrt(1.0 - f1 ** -alpha)))
+    if predicted <= SOLVER_TOL:
+        raise InputError(
+            f"n = {n}, m = {m}, T = {T}: the window decay is below the "
+            f"solver's resolution, since 1 - f' = 1 - sqrt(1 - f^-alpha) is "
+            f"at most {predicted:.3e} on the first decay window "
+            f"[{T / 5.0}, {2.0 * T / 5.0}], not above tol = {SOLVER_TOL:g}")
     sphere = round_sphere_factor(m - 1, 1.0)
     metric = MultiWarpedMetric((0.0, T), ((sphere, h), (M, f)),
                                collapse_left=0)
@@ -173,26 +189,9 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
     checks.append(check_le("sphere_radius_limit", "asymptotic-cone",
                            abs(h_T - 2.0 / alpha), asym_threshold_h))
 
-    w1 = np.linspace(T / 5.0, 2.0 * T / 5.0, 1024)
     w2 = np.linspace(2.0 * T / 5.0, 4.0 * T / 5.0, 1024)
-    # f and h share one solution: evaluating both on a window back to back
-    # lets the second reuse the first's interpolation
-    f1, fp1, _ = f.eval(w1)
-    sup_f1 = float(np.max(np.abs(fp1 - 1.0)))
-    sup_h1 = float(np.max(np.abs(h.eval(w1)[0] - 2.0 / alpha)))
-    f2, fp2, _ = f.eval(w2)
-    sup_f2 = float(np.max(np.abs(fp2 - 1.0)))
+    sup_f2 = float(np.max(np.abs(f.eval(w2)[1] - 1.0)))
     sup_h2 = float(np.max(np.abs(h.eval(w2)[0] - 2.0 / alpha)))
-    # f'^2 = 1 - f^-alpha along f, and h - 2/alpha = (2/alpha)(f' - 1): where
-    # the deviation this predicts on the first window is within the solve
-    # tolerance, the window sups measure solver error, not a decay
-    predicted = float(np.max(1.0 - np.sqrt(1.0 - f1 ** -alpha)))
-    if predicted <= SOLVER_TOL:
-        raise InputError(
-            f"n = {n}, m = {m}, T = {T}: the window decay is below the "
-            f"solver's resolution, since 1 - f' = 1 - sqrt(1 - f^-alpha) is "
-            f"at most {predicted:.3e} on the first decay window "
-            f"[{T / 5.0}, {2.0 * T / 5.0}], not above tol = {SOLVER_TOL:g}")
     checks.append(check_ge("radial_speed_window_decay", "asymptotic-cone",
                            sup_f1 - sup_f2, 0.0, strict=True,
                            note=f"sup drops {sup_f1:.3e} -> {sup_f2:.3e}"))
@@ -208,8 +207,7 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
               "M": {"name": M.name, "dim": M.dim,
                     "ricci_interval": list(M.ricci_interval)}}
     return ScenarioVerdict("sha-yang", config, tuple(checks),
-                           artifacts={"metric": metric, "f": f, "h": h,
-                                      "ricci_report": rep})
+                           artifacts={"f": f, "h": h})
 
 
 # deleted; perfbench/tracer.py's SPECS still looks the name up
@@ -309,8 +307,7 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
     config = {"nu": nu, "n": n, "s_values": s_values, "grid_size": grid_size,
               "glue_tol": GLUE_TOL, "core_kappa": cb.kappa,
               "core_note": core.note, "delta": delta}
-    return ScenarioVerdict("neck", config, tuple(checks),
-                           artifacts={"members": per_s})
+    return ScenarioVerdict("neck", config, tuple(checks))
 
 
 def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
@@ -570,7 +567,7 @@ def docking_ambient(n: int, *, grid_size: int = 2048) -> ScenarioVerdict:
     config = {"n": n, "grid_size": grid_size, "default_R": True,
               "round_check": True}
     return ScenarioVerdict("docking", config, tuple(checks),
-                           artifacts={"metric": metric, "ricci_report": rep})
+                           artifacts={"metric": metric})
 
 
 def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
@@ -649,16 +646,19 @@ def _number(kind, lo=-math.inf, hi=math.inf):
     def convert(text: str):
         try:
             value = kind(text)
-        except ValueError:
-            value = math.nan  # fails the range test below
-        if not lo <= value <= hi or value in (-math.inf, math.inf):
+            finite = math.isfinite(value)  # an int past float range raises
+        except (ValueError, OverflowError):
+            finite = False
+        if not (finite and lo <= value <= hi):
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not a finite {kind.__name__} in [{lo:g}, {hi:g}]")
         return value
+    convert.__name__ = kind.__name__  # as argparse names a type
     return convert
 
 
 _finite_float = _number(float)
+_integer = _number(int)
 _member_count = _number(int, 1, MEMBERS_MAX)
 
 
@@ -717,9 +717,8 @@ def _run_sha_yang(prm, grid):
 def _run_neck(prm, grid):
     nu = prm["nu"]
     core = certified_core(prm["n"], kappa=2.0 * nu)  # kappa = 2 nu, its floor
-    v = neck_family_check(nu, prm["n"], prm["s"], core, grid_size=grid)
-    return v, {f"neck-s{e['s']!r}": e["profile"]
-               for e in v.artifacts["members"]}
+    return neck_family_check(nu, prm["n"], prm["s"], core,
+                             grid_size=grid), {}
 
 
 def _run_closability(prm, grid):
@@ -802,33 +801,33 @@ def _run_glue(prm, grid):
 
 SCENARIOS = {s.name: s for s in (
     Scenario("sha-yang", "complete metric collapsing to a cone over M", (
-        (("--n",), {"type": int, "required": True}),
-        (("--m",), {"type": int, "required": True}),
+        (("--n",), {"type": _integer, "required": True}),
+        (("--m",), {"type": _integer, "required": True}),
         (("--T",), {"type": _finite_float, "default": 50.0}),
     ), ("--grid", "--csv"), 10_000, _run_sha_yang),
     Scenario("neck", "shrinking neck family against a certified core", (
         (("--nu",), {"type": _finite_float, "required": True}),
-        (("--n",), {"type": int, "required": True}),
+        (("--n",), {"type": _integer, "required": True}),
         (("--s",), {"type": _csv_list, "required": True,
                     "help": "comma-separated list of s values"}),
-    ), ("--grid", "--csv"), 2048, _run_neck),
+    ), ("--grid",), 2048, _run_neck),
     Scenario("closability", "largest certified collar slope over a convex "
                             "core", (
-        (("--n",), {"type": int, "required": True}),
+        (("--n",), {"type": _integer, "required": True}),
         (("--c-max",), {"type": _finite_float, "default": 0.45}),
         (("--kappa",), {"type": _finite_float, "default": 1.0,
                         "help": "core boundary principal curvature"}),
     ), ("--grid", "--csv"), 2048, _run_closability),
     Scenario("gn", "doubled-region metric over a hypersurface", (
-        (("--n",), {"type": int, "required": True}),
+        (("--n",), {"type": _integer, "required": True}),
         (("--eps-prime",), {"type": _finite_float, "default": 0.2}),
     ), ("--grid", "--csv"), 2048, _run_gn),
     Scenario("docking", "ambient doubly warped sphere", (
-        (("--n",), {"type": int, "required": True}),
+        (("--n",), {"type": _integer, "required": True}),
     ), ("--grid",), 2048, _run_docking),
     Scenario("thm22", "family hypotheses: volume cap, Ricci floor, closable "
                       "member", (
-        (("--n",), {"type": int, "required": True}),
+        (("--n",), {"type": _integer, "required": True}),
         (("--members",), {"type": _member_count, "default": 1}),
         (("--ric-deficit",), {"type": _finite_float, "default": 0.0,
                               "help": "subtract from the last member's factor "
@@ -837,8 +836,8 @@ SCENARIOS = {s.name: s for s in (
     ), ("--grid",), 2048, _run_thm22),
     Scenario("glue", "gluing hypotheses for a pair of boundaries", (
         (("--example",), {"choices": ["hemisphere"]}),
-        (("--n",), {"type": int, "help": "total dimension"}),
-        (("--dim",), {"type": int, "help": "boundary factor dimension"}),
+        (("--n",), {"type": _integer, "help": "total dimension"}),
+        (("--dim",), {"type": _integer, "help": "boundary factor dimension"}),
         (("--r1",), {"type": _finite_float}),
         (("--k1",), {"type": _finite_float}),
         (("--r2",), {"type": _finite_float}),
@@ -866,8 +865,8 @@ PROFILES = {
 
 EXPORT_ARGS = (
     (("--profile",), {"required": True, "choices": list(PROFILES)}),
-    (("--n",), {"type": int}),
-    (("--m",), {"type": int}),
+    (("--n",), {"type": _integer}),
+    (("--m",), {"type": _integer}),
     (("--T",), {"type": _finite_float}),
     (("--nu",), {"type": _finite_float}),
     (("--s",), {"type": _finite_float}),

@@ -24,6 +24,13 @@ def read_report(path):
     return json.loads(path.read_text())
 
 
+def _subparsers():
+    """Each subcommand's parser, by name."""
+    (subcommands,) = [a for a in _build_parsers()._actions
+                      if a.dest == "scenario"]
+    return subcommands.choices
+
+
 class TestScenarioRuns:
     def test_sha_yang_passes_with_residual_field(self, tmp_path, capsys):
         rc = main(["sha-yang", "--n", "2", "--m", "3", "--T", "50",
@@ -44,7 +51,6 @@ class TestScenarioRuns:
         assert float(report["config"]["delta"]) > 0.0
 
     def test_neck_builds_each_profile_once(self, tmp_path, monkeypatch):
-        # the CSV map reuses the profiles the family check built
         calls = []
         build = cons.neck_profile
 
@@ -55,19 +61,9 @@ class TestScenarioRuns:
         monkeypatch.setattr(cons, "neck_profile", counting)
         argv = ["neck", "--nu", "0.1", "--n", "5", "--s", "0.5,0.25,0.1",
                 "--grid", "64"]
-        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        assert main(argv + ["--out", str(tmp_path)]) == 0
         assert calls == [0.5, 0.25, 0.1]
-        calls.clear()
-        assert main(argv + ["--csv", "--out", str(tmp_path / "b")]) == 0
-        assert calls == [0.5, 0.25, 0.1]
-        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
-            "neck.json", "neck_neck-s0.1.csv", "neck_neck-s0.25.csv",
-            "neck_neck-s0.5.csv"]
-        # the same bytes as an export of a profile built on its own
-        assert main(["export", "--profile", "neck", "--nu", "0.1", "--s",
-                     "0.25", "--grid", "64", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "b" / "neck_neck-s0.25.csv").read_bytes() == \
-            (tmp_path / "neck.csv").read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["neck.json"]
 
     def test_neck_measures_each_distinct_s_once(self, tmp_path, monkeypatch):
         # a repeated s is one member, swept once and repeated in the
@@ -85,39 +81,13 @@ class TestScenarioRuns:
             out = tmp_path / s
             sweeps.clear()
             assert main(["neck", "--nu", "0.1", "--n", "3", "--s", s,
-                         "--csv", "--grid", "64", "--out", str(out)]) == 0
+                         "--grid", "64", "--out", str(out)]) == 0
             assert sweeps == [0.5]
-            assert sorted(p.name for p in out.iterdir()) == [
-                "neck.json", "neck_neck-s0.5.csv"]
             runs[s] = read_report(out / "neck.json")
-        assert (tmp_path / "0.5,0.5,0.5" / "neck_neck-s0.5.csv").read_bytes() \
-            == (tmp_path / "0.5" / "neck_neck-s0.5.csv").read_bytes()
         repeated, single = runs["0.5,0.5,0.5"], runs["0.5"]
         assert repeated["config"].pop("s_values") == ["0.5"] * 3
         single["config"].pop("s_values")
-        for rep, s in ((repeated, "0.5,0.5,0.5"), (single, "0.5")):
-            rep["artifacts"] = [str(Path(a).relative_to(tmp_path / s))
-                                for a in rep["artifacts"]]
         assert repeated == single
-
-    def test_neck_csv_names_keep_distinct_s_apart(self, tmp_path):
-        # s values that print alike with "%g" name distinct files: each
-        # holds its own member's profile and the report lists each one
-        out = tmp_path / "run"
-        assert main(["neck", "--nu", "0.1", "--n", "3", "--s",
-                     "0.1,0.1000001,1", "--csv", "--grid", "16",
-                     "--out", str(out)]) == 0
-        names = ["neck_neck-s0.1.csv", "neck_neck-s0.1000001.csv",
-                 "neck_neck-s1.0.csv"]
-        assert sorted(p.name for p in out.iterdir()) == ["neck.json", *names]
-        assert read_report(out / "neck.json")["artifacts"] == [
-            str(out / name) for name in names]
-        for s, name in zip(("0.1", "0.1000001", "1"), names):
-            export = tmp_path / f"export-{s}"
-            assert main(["export", "--profile", "neck", "--nu", "0.1", "--s",
-                         s, "--grid", "16", "--out", str(export)]) == 0
-            assert (out / name).read_bytes() == \
-                (export / "neck.csv").read_bytes()
 
     def test_closability_search_failure_names_what_it_tried(self, tmp_path,
                                                             capsys):
@@ -395,6 +365,43 @@ class TestExitCodeContract:
         assert sweeps == []
         assert not (tmp_path / "out").exists()
 
+    def test_sha_yang_refuses_an_unresolved_decay_before_sweeping(
+            self, tmp_path, capsys, monkeypatch):
+        # the decay predicted on the first window, 2.2e-11, is within
+        # tol = 1e-10; the refusal comes before the Ricci sweep
+        sweeps = []
+        sweep = cons.ricci_report
+
+        def counting(*args, **kwargs):
+            sweeps.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cons, "ricci_report", counting)
+        assert main(["sha-yang", "--n", "11", "--m", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "below the solver's resolution" in capsys.readouterr().err
+        assert sweeps == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, flag", sorted(
+        (name, flag) for name, p in _subparsers().items()
+        for a in p._actions if getattr(a.type, "__name__", None) == "int"
+        for flag in a.option_strings))
+    def test_an_integer_past_float_range_is_an_input_error(
+            self, tmp_path, capsys, monkeypatch, name, flag):
+        # every integer flag, so a new one is covered without being listed
+        # (--n 10**400 was an OverflowError traceback, exit 1, in thm22,
+        # sha-yang and gn, and a refused "radius 1.0" in docking)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([name, flag, str(10 ** 400), "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        (line,) = [x for x in err.splitlines() if "error:" in x]
+        assert f"argument {flag}: " in line and "not a finite int" in line
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["neck", "--nu", "1e308", "--n", "3", "--s", "0.5"],
         ["export", "--profile", "neck", "--nu", "1e308"],
@@ -458,6 +465,9 @@ class TestExitCodeContract:
         # docking's only profile is R = sin, which export --profile
         # docking-r writes
         ["docking", "--n", "3", "--csv"],
+        # nor does neck: export --profile neck --nu nu --s s writes each
+        # member
+        ["neck", "--nu", "0.1", "--n", "3", "--s", "0.5", "--csv"],
         # explicit boundaries do not read the example's --n
         ["glue", "--n", "7", "--dim", "2", "--r1", "1", "--k1", "1",
          "--r2", "1", "--k2", "1"],
@@ -774,12 +784,10 @@ def test_readme_command_line_tables_match_the_parsers():
     for (name, _), reads in modes.items():
         listed[name].update("--" + d.replace("_", "-") for d in reads)
 
-    (subcommands,) = [a for a in _build_parsers()._actions
-                      if a.dest == "scenario"]
     assert listed == {
         name: {flag for a in p._actions for flag in a.option_strings} - {
             "-h", "--help"}
-        for name, p in subcommands.choices.items()}
+        for name, p in _subparsers().items()}
     tables = {("export", value): reads
               for value, reads in cons.EXPORT_MODE[1].items()}
     tables.update({(s.name, value): reads for s in cons.SCENARIOS.values()
@@ -827,9 +835,7 @@ def test_help_gives_every_default_a_run_takes(monkeypatch):
     # wide enough that argparse wraps no help line: a profile such as
     # sha-f would otherwise break at its hyphen
     monkeypatch.setenv("COLUMNS", "1000")
-    (subcommands,) = [a for a in _build_parsers()._actions
-                      if a.dest == "scenario"]
-    parsers = subcommands.choices
+    parsers = _subparsers()
     for s in cons.SCENARIOS.values():
         if "--grid" in s.common:
             grid = _option_help(parsers[s.name], "--grid")
