@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -642,18 +643,16 @@ GRID_MAX = 10 ** 8
 
 
 def _number(kind, lo=-math.inf, hi=math.inf):
-    """An argparse type: a finite ``kind`` (int or float) in [lo, hi]."""
+    """argparse type: a ``kind`` (int or float) in [lo, hi] and float range."""
+    bounds = "" if hi == -lo == math.inf else f" in [{lo:g}, {hi:g}]"
     def convert(text: str):
-        try:
-            value = kind(text)
-            finite = math.isfinite(value)  # an int past float range raises
-        except (ValueError, OverflowError):
-            finite = False
-        if not (finite and lo <= value <= hi):
+        value = kind(text)  # argparse reports a ValueError itself
+        if not (lo <= value <= hi and abs(value) <= sys.float_info.max):
+            shown = text if len(text) <= 24 else text[:20] + "..."
             raise argparse.ArgumentTypeError(
-                f"{text!r} is not a finite {kind.__name__} in [{lo:g}, {hi:g}]")
+                f"{shown!r} is not a finite {kind.__name__}{bounds}")
         return value
-    convert.__name__ = kind.__name__  # as argparse names a type
+    convert.__name__ = kind.__name__  # as "invalid int value" names it
     return convert
 
 
@@ -674,6 +673,7 @@ def _csv_list(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(
                 f"value {i} of {len(items)} in {text!r} is empty")
     return [_finite_float(x) for x in items]
+_csv_list.__name__ = "float list"  # as "invalid float list value" names it
 
 
 class Scenario(Record):

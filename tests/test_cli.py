@@ -398,9 +398,30 @@ class TestExitCodeContract:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         (line,) = [x for x in err.splitlines() if "error:" in x]
-        assert f"argument {flag}: " in line and "not a finite int" in line
+        assert f"argument {flag}: '10000000000000000000...' is not a " \
+               "finite int" in line and "[-inf, inf]" not in line
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["thm22", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+        (["thm22", "--n", "4", "--members", "1.5"],
+         "argument --members: invalid int value: '1.5'"),
+        (["neck", "--nu", "x", "--n", "3", "--s", "0.5"],
+         "argument --nu: invalid float value: 'x'"),
+        (["neck", "--nu", "0.1", "--n", "3", "--s", "0.5,x"],
+         "argument --s: invalid float list value: '0.5,x'"),
+    ])
+    def test_malformed_number_is_named_as_malformed(self, tmp_path, capsys,
+                                                    argv, message):
+        # was "'abc' is not a finite int in [-inf, inf]"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        (line,) = [x for x in capsys.readouterr().err.splitlines()
+                   if "error:" in x]
+        assert line.endswith(message)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["neck", "--nu", "1e308", "--n", "3", "--s", "0.5"],
