@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import cone_profile, random_block_metrics
-from warpcheck.constructions import (certified_core, certify_collar,
-                                     collar_closability, docking_ambient,
-                                     gN_regions, neck_family_check,
-                                     round_boundary)
+from warpcheck.constructions import (certify_collar, collar_closability,
+                                     docking_ambient, gN_regions,
+                                     neck_family_check, round_boundary)
 from warpcheck.curvature import (MultiWarpedMetric, boundary_data, glue_check,
                                  ricci_components, ricci_generic, ricci_report)
 from warpcheck.factors import abstract_factor, round_sphere_factor
@@ -172,8 +171,7 @@ def test_c5_model_spaces():
 def test_c6_neck_family():
     nu, n = 0.1, 5
     s_values = [0.5, 0.25, 0.1, 0.01]
-    core = certified_core(n, kappa=2 * nu)
-    v = neck_family_check(nu, n, s_values, core)
+    v = neck_family_check(nu, n, s_values, 2 * nu)
     delta = v.config["delta"]
     outer = next(c.value for c in v.checks if c.name == "outer_kappa")
     inner = next(c.value for c in v.checks

@@ -140,8 +140,8 @@ _MODE_ERRORS = {
 _FAILING = [
     # radial_speed_limit reads 0.237 against 0.05 at T = 50
     ["sha-yang", "--n", "2", "--m", "8"],
-    # nu > 1/sqrt(2): the s = 0.1 member's Ricci minimum is -10.0 (ROADMAP
-    # item 11)
+    # nu > 1/sqrt(2): the family has no Ricci floor, so the floor reads -inf
+    # and the spread inf
     ["neck", "--nu", "0.75", "--n", "3", "--s", "0.5,0.1"],
     ["thm22", "--n", "4", "--members", "2", "--ric-deficit", "0.1"],
     ["glue", "--dim", "2", "--r1", "1", "--k1", "1", "--r2", "5",

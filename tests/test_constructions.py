@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from warpcheck.constructions import (certified_core, certify_collar,
-                                     collar_closability, docking_ambient,
-                                     gN_regions, neck_family_check,
-                                     round_boundary, sha_yang_space,
-                                     theorem22_hypotheses)
+from warpcheck.constructions import (certify_collar, collar_closability,
+                                     docking_ambient, gN_regions,
+                                     neck_family_check, round_boundary,
+                                     sha_yang_space, theorem22_hypotheses)
 from warpcheck.curvature import MultiWarpedMetric
 from warpcheck.errors import (DataMissingError, DomainTruncationError,
                               InputError)
@@ -84,31 +83,23 @@ class TestShaYangSpace:
 
 class TestNeckFamily:
     def test_family_certified(self):
-        core = certified_core(5, kappa=0.2)
-        v = neck_family_check(0.1, 5, [0.5, 0.25, 0.1, 0.01], core)
+        v = neck_family_check(0.1, 5, [0.5, 0.25, 0.1, 0.01], 0.2)
         assert v.overall
         assert v.config["delta"] > 0.0
 
     def test_delta_stable_under_s_refinement(self):
-        core = certified_core(5, kappa=0.2)
-        d1 = neck_family_check(0.1, 5, [0.5, 0.25], core).config["delta"]
-        d2 = neck_family_check(0.1, 5, [0.5, 0.375, 0.3125, 0.25], core).config["delta"]
+        d1 = neck_family_check(0.1, 5, [0.5, 0.25], 0.2).config["delta"]
+        d2 = neck_family_check(0.1, 5, [0.5, 0.375, 0.3125, 0.25],
+                               0.2).config["delta"]
         assert abs(d1 - d2) <= 1e-6
 
     def test_s_out_of_range(self):
-        core = certified_core(5, kappa=0.2)
         with pytest.raises(InputError):
-            neck_family_check(0.1, 5, [10.0], core)
+            neck_family_check(0.1, 5, [10.0], 0.2)
 
     def test_core_curvature_floor_enforced(self):
-        weak = certified_core(5, kappa=0.1)  # needs >= 2 nu = 0.2
         with pytest.raises(InputError):
-            neck_family_check(0.1, 5, [0.5], weak)
-
-    def test_core_dimension_enforced(self):
-        wrong = certified_core(4, kappa=0.3)
-        with pytest.raises(InputError):
-            neck_family_check(0.1, 5, [0.5], wrong)
+            neck_family_check(0.1, 5, [0.5], 0.1)  # needs >= 2 nu = 0.2
 
 
 class TestCollarClosability:

@@ -1042,13 +1042,11 @@ def test_node_buffers_grow_past_their_first_size(monkeypatch):
 def test_neck_memory_does_not_grow_with_the_member_count():
     # each member keeps its Ricci minimum, not its report with the sweep
     # grid, which at this size is 800 KB
-    core = constructions.certified_core(3, 0.2)
-
     def peak(count):
         s_values = np.linspace(0.5, 1.0, count)
         tracemalloc.start()
         try:
-            constructions.neck_family_check(0.1, 3, s_values, core,
+            constructions.neck_family_check(0.1, 3, s_values, 0.2,
                                             grid_size=100_000)
             return tracemalloc.get_traced_memory()[1]
         finally:

@@ -25,20 +25,26 @@ check's own threshold; a check whose verdict disagrees is a finding, kept in
   inner boundary, of radius sqrt(2) sin(nu s), glues against the core
   (principal curvatures 2 nu) scaled by that radius, so the second
   fundamental forms sum to nu (sqrt(2) - cos(nu s))/sin(nu s), which falls
-  as s grows. Each check is decided twice: over the listed s, which the
-  report must match, and over the whole family (0, max s], the shrinking
-  family the construction claims (ROADMAP item 11); for nu > 1/sqrt(2) the
-  sphere component there has no lower bound.
+  as s grows. Each check is decided over the whole family (0, max s], the
+  shrinking family the construction claims: for nu > 1/sqrt(2) the sphere
+  component there has no lower bound, so the floor and the spread fail.
 - sha-yang's components are functions of f >= 1 along the profile (ROADMAP
   item 10). With M at Ric = n - 1 the M directions are exactly 0, and the
   radial and sphere components are non-negative, so the least is 0.
+- closability's search returns a slope below the supremum of the slopes
+  whose collar certifies, c* = min(c_max, kappa/2, c_R(n)): the glue sum
+  kappa - 2c must be positive, and the collar's sphere component at t = 0,
+  (n - 2)(1 - 4c^2) + c, vanishes at c_R(n) = (1 + sqrt(1 + 16(n - 2)^2))/
+  (8(n - 2)). The search must land within c_max 2^-40 below c*, as ROADMAP
+  item 9's premise, that Ricci binds first at t = 0, predicts.
 
 Besides the fixed argvs, hypothesis draws argvs from each scenario's box,
 with --grid from 257 to 65536, derandomized so that every run draws the
 same ones. A drawn run is decided as a fixed one, but ``KNOWN`` names
 argvs, so a drawn run may disagree only where a named rule allows it (see
 ``allowed``); any other disagreement fails. One run of each scenario that
-takes a grid runs at --grid 1000000.
+takes a grid runs at --grid 1000000. closability runs only its fixed
+argvs.
 """
 import contextlib
 import io
@@ -85,9 +91,6 @@ MILLION = [
 # (d - 1) f'^2/f^2, each about n * 1e6, cancel, and their rounding can make
 # docking's max_component_spread exceed its bound of 1e-9
 ITEM_12 = {"max_component_spread"}
-# ROADMAP item 11: for nu > 1/sqrt(2) the neck family (0, max s] has no
-# Ricci floor and its member minima spread without bound
-ITEM_11 = {"uniform_ricci_floor_delta", "ricci_floor_spread"}
 
 # Known findings, by argv (item 12): the spread reads 1.40e-9 to 3.73e-9.
 # The (n, grid) pairs that fail it, and n = 6 at a million points:
@@ -106,16 +109,6 @@ KNOWN = {
 
 def neck_argv(nu, n, s, grid):
     return ["neck", "--nu", nu, "--n", str(n), "--s", s, "--grid", str(grid)]
-
-
-# Known findings of the neck family (item 11): the checks see only the
-# listed s. A lone s = 0.5 passes the spread, and at nu = 0.75 the floor
-# too, its least component being about 0.0966 n + 0.369 (0.659 at n = 3):
-KNOWN.update({
-    " ".join(neck_argv(nu, n, "0.5", 65536)): checks
-    for nu, checks in (("0.75", ITEM_11), ("1.0", {"ricci_floor_spread"}))
-    for n in NECK_N
-})
 
 
 def run(out, argv):
@@ -168,7 +161,7 @@ def glue_exact(report):
 
 
 def neck_exact(report, nu, n, s):
-    """The decisions over the listed s, and over the family (0, max s]."""
+    """The decisions over the family (0, max s]."""
     nu, ss = mpf(float(nu)), [mpf(float(x)) for x in s.split(",")]
     radial = (n - 1) * nu ** 2
     bend = (n - 2) * (1 - 2 * nu ** 2) / 2  # over sin^2(nu t)
@@ -181,19 +174,19 @@ def neck_exact(report, nu, n, s):
         [max(ss), mp.pi / (4 * nu)])
     # the inner boundary and the scaled core are one round sphere
     gap_ok = 0 <= mpf(report["config"]["glue_tol"])
-    listed = {
+    exact = {
         "uniform_ricci_floor_delta": min(floors) - mpf(1e-9),
         "ricci_floor_spread": max(floors) - min(floors),
         "uniform_volume_floor": volume,
         "core_glue_isometry": 1 if gap_ok else 0,
         "core_glue_ii_sum": min(ii_sums),
     }
-    # the volume and the glue sum are least at max s, in the list too
-    family = dict(listed)
+    # the volume and the glue sum are least at max s, which is listed; the
+    # Ricci floor over the family is the listed one unless it is unbounded
     if bend < 0:
-        family["uniform_ricci_floor_delta"] = -mp.inf
-        family["ricci_floor_spread"] = mp.inf
-    return listed, family
+        exact["uniform_ricci_floor_delta"] = -mp.inf
+        exact["ricci_floor_spread"] = mp.inf
+    return exact
 
 
 def sha_yang_exact(report, n, m):
@@ -218,8 +211,7 @@ def sha_yang_exact(report, n, m):
 
 def oracle_disagreements(out, argv):
     """Run ``argv`` and return the checks whose verdict differs from the
-    decision made here. A neck run must agree over its listed s; what is
-    returned for it is decided over the whole family."""
+    decision made here."""
     report = run(out, argv)
     name, prm = argv[0], dict(zip(argv[1::2], argv[2::2]))
     n = int(prm["--n"])
@@ -235,8 +227,7 @@ def oracle_disagreements(out, argv):
         elif name == "sha-yang":
             exact = sha_yang_exact(report, n, int(prm["--m"]))
         else:
-            listed, exact = neck_exact(report, prm["--nu"], n, prm["--s"])
-            assert disagreements(report, listed) == set()
+            exact = neck_exact(report, prm["--nu"], n, prm["--s"])
         return disagreements(report, exact)
 
 
@@ -305,6 +296,27 @@ def test_a_million_point_grid_matches_the_oracle(tmp_path, argv):
     assert oracle_disagreements(tmp_path, argv) == known(argv)
 
 
+def c_R(n):
+    """The slope at which the collar's sphere component at t = 0,
+    (n - 2)(1 - 4c^2) + c, vanishes."""
+    return (1 + mp.sqrt(1 + 16 * (n - 2) ** 2)) / (8 * (n - 2))
+
+
+@pytest.mark.parametrize("c_max", ("0.45", "0.6", "0.7", "0.8"))
+@pytest.mark.parametrize("kappa", ("1", "2"))
+@pytest.mark.parametrize("n", range(3, 13))
+def test_closability_finds_its_closed_form_slope(tmp_path, n, kappa, c_max):
+    argv = ["closability", "--n", str(n), "--kappa", kappa, "--c-max", c_max]
+    report = run(tmp_path, argv)
+    assert report["overall_pass"]
+    with mp.workdps(40):
+        top = mpf(float(c_max))
+        c_star = min(top, mpf(float(kappa)) / 2, c_R(n))
+        gap = c_star - mpf(float(report["config"]["c_star"]))
+        # the bisection's resolution
+        assert 0 <= gap <= top * mpf(2) ** -40, argv
+
+
 def test_every_known_finding_is_in_the_box():
     box = [docking_argv(n, grid) for n in DOCKING_N for grid in DOCKING_GRIDS]
     box += [thm22_argv(n, members, deficit) for n in THM22_N
@@ -314,7 +326,7 @@ def test_every_known_finding_is_in_the_box():
             for s, grid in NECK_S]
     box += [sha_yang_argv(n, m) for n in SHA_YANG_N for m in SHA_YANG_M]
     box += MILLION
-    assert len(KNOWN) == 33
+    assert len(KNOWN) == 21
     assert set(KNOWN) <= {" ".join(argv) for argv in box}
 
 
@@ -323,11 +335,7 @@ def test_every_known_finding_is_in_the_box():
 def allowed(argv):
     """The checks on which a drawn run may disagree with the oracle, each
     set by the ROADMAP item that names the defect."""
-    if argv[0] == "docking":
-        return ITEM_12
-    if argv[0] == "neck" and 2 * mpf(float(argv[2])) ** 2 > 1:
-        return ITEM_11  # nu > 1/sqrt(2)
-    return set()
+    return ITEM_12 if argv[0] == "docking" else set()
 
 
 def assert_drawn_run_agrees(argv):
@@ -363,7 +371,7 @@ def test_drawn_glue_hemisphere_agrees(n):
 @given(nu=st.floats(0.05, 1.5), n=st.integers(3, 8),
        fractions=st.lists(st.floats(0.01, 0.9), min_size=1, max_size=3),
        grid=GRID)
-def test_drawn_neck_agrees_but_for_item_11(nu, n, fractions, grid):
+def test_drawn_neck_agrees(nu, n, fractions, grid):
     # each s a fraction of the outer end pi/(4 nu)
     s = ",".join(repr(x * math.pi / (4 * nu)) for x in fractions)
     assert_drawn_run_agrees(neck_argv(repr(nu), n, s, grid))

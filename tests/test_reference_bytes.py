@@ -213,6 +213,11 @@ def test_every_stand_in_is_listed():
     (["neck", "--nu", "0.1", "--n", "3", "--s", "0.5", "--grid", "64"],
      "curvature.ricci_report.calls", 1),
     (["export", "--profile", "k", "--grid", "5"], "report.csv.rows", 5),
+    # neck builds its core from kappa once; gn builds no boundary
+    (["neck", "--nu", "0.1", "--n", "3", "--s", "0.5,0.25", "--grid", "64"],
+     "constructions.certified_core.calls", 1),
+    (["gn", "--n", "3", "--grid", "64"],
+     "constructions.round_boundary.calls", 0),
 ])
 def test_tracer_runs_a_command_end_to_end(tmp_path, argv, counter, value):
     # a wrapper that breaks a call, or a binding the import hook misses
@@ -225,7 +230,7 @@ def test_tracer_runs_a_command_end_to_end(tmp_path, argv, counter, value):
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(trace.read_text())["counts"]
-    assert counts[counter] == value
+    assert counts.get(counter, 0) == value
 
 
 def test_names_the_benchmark_reads_exist(tmp_path):
