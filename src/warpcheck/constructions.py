@@ -308,23 +308,16 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
     return ScenarioVerdict("neck", config, tuple(checks))
 
 
-def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
+def certify_collar(kappa: float, c: float, n: int, *,
                    grid_size: int = 2048) -> ScenarioVerdict:
-    """Certification of one collar slope c against a round unit core
-    boundary: the collar metric dt^2 + f(t)^2 g must keep Ricci >= 0 out to
-    t = 1 + COLLAR_MARGIN, strictly positive Ricci near the gluing slice, and a
-    strictly positive second-fundamental-form sum with the core."""
-    if len(core_boundary.blocks) != 1:
-        raise InputError("core boundary must have a single block")
-    cb = core_boundary.blocks[0]
-    if abs(cb.radius - 1.0) > 1e-9:
-        raise InputError("core boundary must have radius 1")
-    if not cb.kappa > 0:
-        raise InputError("core boundary must be strictly convex (kappa > 0)")
+    """Certification of one collar slope c against a core whose round unit
+    boundary S^(n-1) has principal curvatures kappa: the collar metric
+    dt^2 + f(t)^2 g must keep Ricci >= 0 out to t = 1 + COLLAR_MARGIN,
+    strictly positive Ricci near the gluing slice, and a strictly positive
+    second-fundamental-form sum with the core."""
     int_ge("n", n, 2)
-    if cb.factor.dim != n - 1:
-        raise InputError(f"core boundary dimension {cb.factor.dim} "
-                         f"does not match n - 1 = {n - 1}")
+    if not kappa > 0:
+        raise InputError("core boundary must be strictly convex (kappa > 0)")
     if not c > 0:
         raise InputError("c must be positive")
     length = 1.0 + COLLAR_MARGIN
@@ -336,13 +329,14 @@ def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
                          f"collar's f and f' reach up to 1 + 2c * {length}, "
                          "whose square overflows")
 
-    factor = cb.induced
+    core = certified_core(n, kappa).boundary
+    factor = core.blocks[0].induced
     profile = collar_profile(c, length=length)
     metric = MultiWarpedMetric((0.0, length), ((factor, profile),))
     rep_full = ricci_report(metric, grid_size)
     near = MultiWarpedMetric((0.0, STRICT_WINDOW), ((factor, profile),))
     rep_near = ricci_report(near, grid_size)
-    glue = glue_check(core_boundary, boundary_data(metric, "left"))
+    glue = glue_check(core, boundary_data(metric, "left"))
 
     checks = (
         check_ge("collar_ricci_nonnegative", "ricci-nonnegative",
@@ -354,21 +348,23 @@ def certify_collar(core_boundary: BoundaryData, c: float, n: int, *,
                    glue.isometry_gap <= GLUE_TOL),
         check_ge("core_glue_ii_sum", "glue-ii-sum", glue.ii_sum_min, 0.0,
                  strict=True,
-                 note=f"core kappa {cb.kappa} plus collar -2c = {cb.kappa - 2 * c}"),
+                 note=f"core kappa {float(kappa)} plus collar -2c = "
+                      f"{float(kappa) - 2 * c}"),
     )
     config = {"c": c, "n": n, "margin": COLLAR_MARGIN,
               "strict_window": STRICT_WINDOW,
               "grid_size": grid_size, "glue_tol": GLUE_TOL,
-              "core_kappa": cb.kappa,
+              "core_kappa": float(kappa),
               "ricci_slack": RICCI_SLACK}
     return ScenarioVerdict("collar-certify", config, checks,
                            artifacts={"metric": metric, "profile": profile})
 
 
-def collar_closability(core_boundary: BoundaryData, c_max: float, n: int, *,
+def collar_closability(kappa: float, c_max: float, n: int, *,
                        grid_size: int = 2048) -> ScenarioVerdict:
     """Search for the largest collar slope c in (0, c_max] whose collar
-    certifies against the core.
+    certifies against a core with principal curvatures kappa (see
+    certify_collar).
 
     Outside the ramp the certified collar is exactly dt^2 + (c t + c0)^2 g;
     the linear form is reported as a diagnostic. The search halves c from
@@ -380,7 +376,7 @@ def collar_closability(core_boundary: BoundaryData, c_max: float, n: int, *,
         raise InputError("c_max must be positive")
 
     def ok(c):
-        return certify_collar(core_boundary, c, n, grid_size=grid_size)
+        return certify_collar(kappa, c, n, grid_size=grid_size)
 
     verdict_hi = ok(c_max)
     if verdict_hi.overall:
@@ -566,7 +562,7 @@ def docking_ambient(n: int, *, grid_size: int = 2048) -> ScenarioVerdict:
 
 
 def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
-                         certificate: Optional[ScenarioVerdict] = None, *,
+                         certificate: ScenarioVerdict, *,
                          grid_size: int = 2048) -> ScenarioVerdict:
     """Hypothesis checks for a family of cross-section metrics: volumes capped
     by the round model's, Ricci >= n - 2, and the first member carrying an
@@ -584,7 +580,7 @@ def theorem22_hypotheses(family: Sequence[MultiWarpedMetric], n: int,
             raise InputError(
                 f"family member {i} has dimension {m.total_dim}, expected "
                 f"cross sections of dimension n - 1 = {n - 1}")
-    if certificate is None or not certificate.overall:
+    if not certificate.overall:
         raise InputError(
             "the closable member needs an attached passing closability "
             "certificate")
@@ -717,8 +713,8 @@ def _run_neck(prm, grid):
 
 
 def _run_closability(prm, grid):
-    cb = round_boundary(prm["n"] - 1, 1.0, prm["kappa"])
-    v = collar_closability(cb, prm["c_max"], prm["n"], grid_size=grid)
+    v = collar_closability(prm["kappa"], prm["c_max"], prm["n"],
+                           grid_size=grid)
     return v, {"collar": v.artifacts["profile"]}
 
 
@@ -734,7 +730,7 @@ def _run_docking(prm, grid):
 
 
 def _run_thm22(prm, grid):
-    n = prm["n"]
+    n = int_ge("n", prm["n"], 3)  # before any member is built
     deficit = prm["ric_deficit"]
     if deficit and n < 4:
         raise InputError("--ric-deficit needs n >= 4 (a 1-dimensional "
@@ -764,17 +760,16 @@ def _run_thm22(prm, grid):
         members[-1] = member(abstract_factor(
             "X", n - 2, (rho_last, rho_last),
             volume=unit_sphere_volume(n - 2)))
-    cert_boundary = round_boundary(n - 2, 1.0, 1.0)
-    certificate = collar_closability(cert_boundary, 0.45, n - 1,
-                                     grid_size=grid)
+    certificate = collar_closability(1.0, 0.45, n - 1, grid_size=grid)
     return theorem22_hypotheses(members, n, certificate, grid_size=grid), {}
 
 
 def _run_glue(prm, grid):
     if prm["example"] == "hemisphere":
+        n = int_ge("n", prm["n"], 2)  # before its sphere S^(n-1) is built
         metric = MultiWarpedMetric(
             (0.0, math.pi / 2.0),
-            ((round_sphere_factor(prm["n"] - 1, 1.0),
+            ((round_sphere_factor(n - 1, 1.0),
               closed_form_profile("sine", (0.0, math.pi / 2.0))),),
             collapse_left=0)
         b1 = b2 = boundary_data(metric, "right")

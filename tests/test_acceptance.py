@@ -15,7 +15,7 @@ import pytest
 from conftest import cone_profile, random_block_metrics
 from warpcheck.constructions import (certify_collar, collar_closability,
                                      docking_ambient, gN_regions,
-                                     neck_family_check, round_boundary)
+                                     neck_family_check)
 from warpcheck.curvature import (MultiWarpedMetric, boundary_data, glue_check,
                                  ricci_components, ricci_generic, ricci_report)
 from warpcheck.factors import abstract_factor, round_sphere_factor
@@ -223,10 +223,9 @@ def test_c9_gluing():
     verdict = glue_check(bd, bd)
     hemi_ok = verdict.isometry_gap <= 1e-9 and verdict.ii_sum_min == 0.0
 
-    core = round_boundary(3, 1.0, 1.0)
-    closable = collar_closability(core, 0.3, 4)
+    closable = collar_closability(1.0, 0.3, 4)
     c_star = closable.config["c_star"]
-    at10 = certify_collar(core, 10.0 * c_star, 4)
+    at10 = certify_collar(1.0, 10.0 * c_star, 4)
     ok = hemi_ok and closable.overall and c_star > 0 and not at10.overall
     report_line("criterion-9", ok,
                 f"hemisphere ii-sum={verdict.ii_sum_min} exactly, "

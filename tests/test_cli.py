@@ -434,6 +434,22 @@ class TestExitCodeContract:
             "error: nu = 1e+308 is too large: pi/(4 nu) rounds to 0\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, k", [
+        (["thm22", "--n", "2"], 3),
+        (["thm22", "--n", "1"], 3),
+        (["glue", "--example", "hemisphere", "--n", "1"], 2),
+        (["closability", "--n", "1"], 2),
+        (["closability", "--n", "0"], 2),
+    ])
+    def test_dimension_below_its_floor_names_n(self, tmp_path, capsys, argv,
+                                               k):
+        # each was "dim must be a positive integer, got n - 1 (or n - 2)",
+        # refused by the sphere factor it began to build
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: n must be an integer >= {k}, got {argv[-1]}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_more_s_values_than_members_max_exit_before_any_work(
             self, tmp_path, monkeypatch):
         def no_work(*args, **kwargs):

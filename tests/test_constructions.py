@@ -5,8 +5,8 @@ import pytest
 
 from warpcheck.constructions import (certify_collar, collar_closability,
                                      docking_ambient, gN_regions,
-                                     neck_family_check, round_boundary,
-                                     sha_yang_space, theorem22_hypotheses)
+                                     neck_family_check, sha_yang_space,
+                                     theorem22_hypotheses)
 from warpcheck.curvature import MultiWarpedMetric
 from warpcheck.errors import (DataMissingError, DomainTruncationError,
                               InputError)
@@ -104,41 +104,38 @@ class TestNeckFamily:
 
 class TestCollarClosability:
     def test_certifies_largest_slope_up_to_cmax(self):
-        v = collar_closability(round_boundary(3, 1.0, 1.0), 0.3, 4)
+        v = collar_closability(1.0, 0.3, 4)
         assert v.overall
         assert v.config["c_star"] == 0.3
         glue_sum = next(c for c in v.checks if c.name == "core_glue_ii_sum")
         assert glue_sum.value == pytest.approx(1.0 - 2 * 0.3, abs=1e-12)
 
     def test_binding_constraint_found_by_bisection(self):
-        v = collar_closability(round_boundary(3, 1.0, 1.0), 10.0, 4)
+        v = collar_closability(1.0, 10.0, 4)
         c_star = v.config["c_star"]
         assert 0.0 < c_star < 0.5  # the glue sum 1 - 2c forces c < 1/2
         assert v.overall
-        worse = certify_collar(round_boundary(3, 1.0, 1.0), c_star * 1.15, 4)
+        worse = certify_collar(1.0, c_star * 1.15, 4)
         assert not worse.overall
 
     def test_fails_with_diagnostics_at_ten_c_star(self):
-        v = collar_closability(round_boundary(3, 1.0, 1.0), 0.3, 4)
-        at10 = certify_collar(round_boundary(3, 1.0, 1.0),
-                              10.0 * v.config["c_star"], 4)
+        v = collar_closability(1.0, 0.3, 4)
+        at10 = certify_collar(1.0, 10.0 * v.config["c_star"], 4)
         assert not at10.overall
         names = {c.name for c in at10.failed_checks()}
         assert "core_glue_ii_sum" in names
         assert "collar_ricci_near_boundary" in names
 
     def test_collar_slope_constant_beyond_ramp(self):
-        v = collar_closability(round_boundary(3, 1.0, 1.0), 0.2, 4)
+        v = collar_closability(1.0, 0.2, 4)
         profile = v.artifacts["profile"]
         assert profile.eval(1.1)[1] == v.config["c_star"]
 
     def test_core_preconditions(self):
-        with pytest.raises(InputError):
-            collar_closability(round_boundary(3, 1.1, 1.0), 0.3, 4)
-        with pytest.raises(InputError):
-            collar_closability(round_boundary(3, 1.0, -1.0), 0.3, 4)
-        with pytest.raises(InputError):
-            collar_closability(round_boundary(2, 1.0, 1.0), 0.3, 4)
+        with pytest.raises(InputError, match="strictly convex"):
+            collar_closability(-1.0, 0.3, 4)
+        with pytest.raises(InputError, match="strictly convex"):
+            collar_closability(0.0, 0.3, 4)
 
 
 class TestGnRegions:
@@ -186,7 +183,7 @@ class TestDockingAmbient:
 
 class TestTheorem22:
     def certificate(self, n):
-        return collar_closability(round_boundary(n - 2, 1.0, 1.0), 0.3, n - 1)
+        return collar_closability(1.0, 0.3, n - 1)
 
     def test_round_model_saturates_both_bounds(self):
         n = 4
@@ -213,8 +210,10 @@ class TestTheorem22:
                    for c in v.checks)
 
     def test_certificate_required(self):
-        with pytest.raises(InputError):
-            theorem22_hypotheses([round_cross_section(4)], 4, None)
+        failing = certify_collar(1.0, 0.6, 3)  # glue sum 1 - 2c < 0
+        assert not failing.overall
+        with pytest.raises(InputError, match="passing closability"):
+            theorem22_hypotheses([round_cross_section(4)], 4, failing)
 
     def test_missing_volume_raises(self):
         factor = abstract_factor("X", 2, (1.0, 1.0))
@@ -244,7 +243,7 @@ def test_thm22_ricci_floor_slack_scales_with_the_floor(n):
 
 def test_nonnegative_ricci_checks_allow_the_unit_slack():
     sha = sha_yang_space(3, 2, einstein_factor(3), 50.0, grid_size=200)
-    collar = collar_closability(round_boundary(2, 1.0, 1.0), 0.45, 3,
+    collar = collar_closability(1.0, 0.45, 3,
                                 grid_size=64)
     for v, name in ((sha, "ricci_global_min"),
                     (collar, "collar_ricci_nonnegative")):

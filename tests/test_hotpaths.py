@@ -25,7 +25,7 @@ from conftest import cone_profile
 from warpcheck import (cli, constructions, curvature, kernels, profiles,
                        quadrature, report)
 from warpcheck.constructions import (certify_collar, docking_ambient,
-                                     gN_regions, round_boundary)
+                                     gN_regions)
 from warpcheck.curvature import (MultiWarpedMetric, _component_arrays,
                                  _ordered_sum, ricci_report)
 from warpcheck.errors import DomainTruncationError
@@ -640,13 +640,12 @@ def test_closability_search_integrates_each_collar_query_once(monkeypatch,
         phi if fn is _collar_step else unit_integral(fn)))
     slopes = []
 
-    def counted_certify(core_boundary, c, n, **kwargs):
+    def counted_certify(kappa, c, n, **kwargs):
         slopes.append(c)
-        return certify_collar(core_boundary, c, n, **kwargs)
+        return certify_collar(kappa, c, n, **kwargs)
 
     monkeypatch.setattr(constructions, "certify_collar", counted_certify)
-    verdict = constructions.collar_closability(round_boundary(2, 1.0, 1.0),
-                                               0.6, 3)
+    verdict = constructions.collar_closability(1.0, 0.6, 3)
     assert verdict.overall
     assert len(queries) <= 5 < len(slopes)
     # [1.0], the C2 stencil, the two sweep grids and the far point [0.0]
@@ -693,8 +692,7 @@ def sweep_metrics():
         collapse_left=0)
     gn = gN_regions(abstract_factor("Y", 2, (-1.0, -1.0)), 0.2, 3,
                     grid_size=16).artifacts["region_a"]
-    collar = certify_collar(round_boundary(2, 1.0, 1.0), 0.3, 3,
-                            grid_size=16).artifacts["metric"]
+    collar = certify_collar(1.0, 0.3, 3, grid_size=16).artifacts["metric"]
     thm22 = MultiWarpedMetric(
         (0.0, math.pi),
         ((round_sphere_factor(2, 1.0),

@@ -218,6 +218,9 @@ def test_every_stand_in_is_listed():
      "constructions.certified_core.calls", 1),
     (["gn", "--n", "3", "--grid", "64"],
      "constructions.round_boundary.calls", 0),
+    # the collar takes its core's kappa: c_max = 0.45 certifies at once
+    (["closability", "--n", "3", "--grid", "64"],
+     "constructions.certified_core.calls", 1),
 ])
 def test_tracer_runs_a_command_end_to_end(tmp_path, argv, counter, value):
     # a wrapper that breaks a call, or a binding the import hook misses
