@@ -13,15 +13,11 @@ from .constructions import (CertifiedBlock, certified_core, certify_collar,
                             collar_closability, docking_ambient, gN_regions,
                             neck_family_check, round_boundary, sha_yang_space,
                             theorem22_hypotheses)
-from .curvature import (BoundaryBlock, BoundaryData, GlueVerdict,
-                        MultiWarpedMetric, RicciComponents, RicciReport,
-                        boundary_data, glue_check, ricci_components,
-                        ricci_generic, ricci_report, second_fundamental_form,
-                        volume)
-from .errors import (ConstructionError, DataMissingError,
-                     DomainTruncationError, InputError,
-                     IntegrationQualityError, SearchFailureError,
-                     SingularPointError, WarpcheckError)
+from .curvature import (BoundaryBlock, GlueVerdict, MultiWarpedMetric,
+                        RicciComponents, RicciReport, boundary_data,
+                        glue_check, ricci_components, ricci_generic,
+                        ricci_report, second_fundamental_form, volume)
+from .errors import InputError, WarpcheckError
 from .factors import (FactorManifold, abstract_factor, round_sphere_factor,
                       scale_factor, unit_sphere_volume)
 from .ode import DenseSolution, integrate_ivp

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import constructions as cons
-from .errors import WarpcheckError
+from .errors import InputError, WarpcheckError
 from .report import write_profile_csv, write_report
 
 EXIT_PASS = 0
@@ -32,9 +32,9 @@ CSV_GRID = 1001
 # flags of several subcommands: --out (all), the rest where a declaration
 # lists them
 _SHARED = {
-    # help: per subcommand, with its defaults; a grid below 2 is rejected
-    # where it is used, so --grid 0 is never replaced by a default
-    "--grid": {"type": cons._number(int, hi=cons.GRID_MAX)},
+    # help: per subcommand, with its defaults; a grid below 2 is refused
+    # here, naming --grid, before any work
+    "--grid": {"type": cons._number(int, 2, cons.GRID_MAX)},
     "--out": {"type": Path, "default": Path("."),
               "help": "output directory for reports and CSVs"},
     "--csv": {"action": "store_true",
@@ -91,8 +91,8 @@ def _mode_help(mode, dest):
 
 
 def _grid(prm, default):
-    """--grid if given, else ``default``; an explicit 0 is passed on, to be
-    rejected by the sweep or the CSV writer, not replaced."""
+    """--grid if given (the parser has checked it is at least 2), else
+    ``default``."""
     return default if prm.get("grid") is None else prm["grid"]
 
 
@@ -175,7 +175,7 @@ def _parse(argv) -> dict:
                     else f"without --{dest}")
         for verb, dests in (("does not read", unread), ("needs", missing)):
             if dests:
-                raise WarpcheckError(
+                raise InputError(
                     f"{name} {selected} {verb} "
                     + ", ".join("--" + d.replace("_", "-") for d in dests))
     return prm

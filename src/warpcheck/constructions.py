@@ -18,9 +18,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .curvature import (BoundaryBlock, BoundaryData, MultiWarpedMetric,
-                        boundary_data, glue_check, ricci_report, volume)
-from .errors import InputError, SearchFailureError, int_ge, removed
+from .curvature import (BoundaryBlock, MultiWarpedMetric, boundary_data,
+                        glue_check, ricci_report, volume)
+from .errors import InputError, int_ge, removed
 from .factors import (FactorManifold, abstract_factor, round_sphere_factor,
                       scale_factor, unit_sphere_volume)
 from .profiles import (EXCLUSION_WIDTH, SOLVER_TOL, closability_ode_profile,
@@ -54,31 +54,31 @@ class CertifiedBlock(Record):
     """A building block taken on external authority: only its boundary data
     is trusted. ``note`` states what is being assumed."""
 
-    boundary: BoundaryData
+    boundary: tuple  # (BoundaryBlock, ...)
     note: str
 
     def scaled(self, lam: float) -> "CertifiedBlock":
         """The block with metric g replaced by lam^2 g."""
         if not lam > 0:
             raise InputError("scale must be positive")
-        blocks = tuple(
+        return self.replace(boundary=tuple(
             BoundaryBlock(radius=b.radius * lam, kappa=b.kappa / lam,
                           kappa_normalized=b.kappa_normalized,
                           factor=b.factor,
                           induced=scale_factor(b.factor, b.radius * lam))
-            for b in self.boundary.blocks)
-        return self.replace(boundary=self.boundary.replace(blocks=blocks))
+            for b in self.boundary))
 
 
-def round_boundary(dim: int, radius: float, kappa: float) -> BoundaryData:
-    """Boundary data of a round S^dim boundary of the given radius whose
-    principal curvatures all equal kappa (w.r.t. the outward normal)."""
+def round_boundary(dim: int, radius: float, kappa: float) -> tuple:
+    """Boundary data (one ``BoundaryBlock``) of a round S^dim boundary of
+    the given radius whose principal curvatures all equal kappa (w.r.t. the
+    outward normal)."""
     factor = round_sphere_factor(dim, 1.0)
     block = BoundaryBlock(radius=float(radius), kappa=float(kappa),
                           kappa_normalized=float(kappa) * float(radius),
                           factor=factor,
                           induced=scale_factor(factor, float(radius)))
-    return BoundaryData(blocks=(block,))
+    return (block,)
 
 
 def certified_core(dim: int, kappa: float) -> CertifiedBlock:
@@ -278,14 +278,14 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
     checks.append(check_le("ricci_floor_spread", "ricci-uniform-floor",
                            spread, 1e-6, note=spread_note))
     checks.append(check_le("outer_radius", "boundary-outer-round",
-                           max(abs(e["outer"].blocks[0].radius - 1.0) for e in per_s),
+                           max(abs(e["outer"][0].radius - 1.0) for e in per_s),
                            1e-10))
     checks.append(check_le("outer_kappa", "boundary-outer-kappa",
-                           max(abs(e["outer"].blocks[0].kappa - nu) for e in per_s),
+                           max(abs(e["outer"][0].kappa - nu) for e in per_s),
                            1e-10))
     checks.append(check_le(
         "inner_kappa_normalized", "boundary-inner-kappa",
-        max(abs(e["inner"].blocks[0].kappa_normalized
+        max(abs(e["inner"][0].kappa_normalized
                 - (-math.sqrt(2.0) * nu * math.cos(nu * e["s"]))) for e in per_s),
         1e-10))
     checks.append(check_bool("core_glue_isometry", "glue-isometry",
@@ -330,7 +330,7 @@ def certify_collar(kappa: float, c: float, n: int, *,
                          "whose square overflows")
 
     core = certified_core(n, kappa).boundary
-    factor = core.blocks[0].induced
+    factor = core[0].induced
     profile = collar_profile(c, length=length)
     metric = MultiWarpedMetric((0.0, length), ((factor, profile),))
     rep_full = ricci_report(metric, grid_size)
@@ -369,7 +369,7 @@ def collar_closability(kappa: float, c_max: float, n: int, *,
     Outside the ramp the certified collar is exactly dt^2 + (c t + c0)^2 g;
     the linear form is reported as a diagnostic. The search halves c from
     c_max up to 60 times, then bisects above the first slope that
-    certifies; if none does, SearchFailureError names the slopes tried and
+    certifies; if none does, an InputError names the slopes tried and
     the checks the smallest of them fails.
     """
     if not c_max > 0:
@@ -394,7 +394,7 @@ def collar_closability(kappa: float, c_max: float, n: int, *,
             hi = c
         if lo is None:
             failed = ", ".join(ch.name for ch in v.failed_checks())
-            raise SearchFailureError(
+            raise InputError(
                 f"no collar slope c_max * 2^-k (k = 0..60) in [{c}, {c_max}] "
                 f"certifies; the smallest tried, {c}, fails {failed}")
         for _ in range(40):
@@ -432,7 +432,7 @@ def gN_regions(Y: FactorManifold, eps_prime: float, n: int, *,
     hypersurface; region B is the product k(eps')^2 ds^2 + g0 elsewhere,
     certified analytically. Y must satisfy Ric >= -(n-2); f comes from the
     curvature-floor profile equation and k from the flat-step construction.
-    An eps' at or beyond the collapse of f raises DomainTruncationError.
+    An eps' at or beyond the collapse of f raises InputError.
     """
     int_ge("n", n, 3)
     if Y.dim != n - 1:

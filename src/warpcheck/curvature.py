@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataMissingError, InputError, SingularPointError, removed
+from .errors import InputError, removed
 from .factors import FactorManifold, scale_factor
 from .profiles import EXCLUSION_WIDTH, WarpProfile, parity_check
 from .quadrature import adaptive_quad, grid_blocks
@@ -113,10 +113,10 @@ class MultiWarpedMetric(Record):
         if not (t0 - 1e-12 <= t <= t1 + 1e-12):
             raise InputError(f"t = {t} outside metric interval [{t0}, {t1}]")
         if self.collapse_left is not None and t < t0 + EXCLUSION_WIDTH:
-            raise SingularPointError(
+            raise InputError(
                 f"t = {t} lies in the exclusion zone of the collapsing left endpoint")
         if self.collapse_right is not None and t > t1 - EXCLUSION_WIDTH:
-            raise SingularPointError(
+            raise InputError(
                 f"t = {t} lies in the exclusion zone of the collapsing right endpoint")
 
 
@@ -214,20 +214,14 @@ class BoundaryBlock(Record):
     induced: FactorManifold
 
 
-class BoundaryData(Record):
-    """Geometry of a slice {t} with a chosen outward normal direction: one
-    ``BoundaryBlock`` per factor."""
-
-    blocks: tuple
-
-
 def second_fundamental_form(metric: MultiWarpedMetric, t: float,
-                            orientation: int) -> BoundaryData:
-    """Boundary data of the slice {t} x prod M_i.
+                            orientation: int) -> tuple:
+    """Boundary data of the slice {t} x prod M_i: one ``BoundaryBlock``
+    per factor.
 
     The slice is umbilic blockwise: II(v_i/f_i, v_j/f_j) = (f_i'/f_i) d_ij
     with respect to +dt; ``orientation`` flips the normal. Collapsed slices
-    have no boundary data (SingularPointError).
+    have no boundary data (InputError).
     """
     if orientation not in (1, -1):
         raise InputError("orientation must be +1 or -1")
@@ -236,19 +230,19 @@ def second_fundamental_form(metric: MultiWarpedMetric, t: float,
     for factor, profile in metric.blocks:
         f, fp, _ = profile.eval(float(t))
         if not f > 0:
-            raise SingularPointError(f"the slice t = {t} is collapsed: a "
-                                     "warp vanishes there")
+            raise InputError(f"the slice t = {t} is collapsed: a "
+                             "warp vanishes there")
         kappa = orientation * fp / f + 0.0
         blocks.append(BoundaryBlock(
             radius=float(f), kappa=float(kappa),
             kappa_normalized=float(orientation * fp + 0.0),
             factor=factor, induced=scale_factor(factor, float(f))))
-    return BoundaryData(blocks=tuple(blocks))
+    return tuple(blocks)
 
 
-def boundary_data(metric: MultiWarpedMetric, side: str) -> BoundaryData:
-    """Boundary data at an endpoint with the outward normal of the manifold:
-    -dt at the left endpoint, +dt at the right."""
+def boundary_data(metric: MultiWarpedMetric, side: str) -> tuple:
+    """Boundary data (``BoundaryBlock``s) at an endpoint with the outward
+    normal of the manifold: -dt at the left endpoint, +dt at the right."""
     if side == "left":
         return second_fundamental_form(metric, metric.interval[0], -1)
     if side == "right":
@@ -312,7 +306,7 @@ def volume(metric: MultiWarpedMetric) -> float:
     vol_factors = 1.0
     for factor, _ in metric.blocks:
         if factor.volume is None:
-            raise DataMissingError(
+            raise InputError(
                 f"factor {factor.name!r} has no volume; volume checks need it")
         vol_factors *= factor.volume
 
@@ -336,17 +330,17 @@ class GlueVerdict(Record):
     ii_sum_min: float
 
 
-def glue_check(b1: BoundaryData, b2: BoundaryData) -> GlueVerdict:
-    """Measure two boundaries: the largest difference of radius or of
-    induced factor Ricci-interval endpoint over the blocks (+inf if block
-    counts or factor dimensions differ, NaN if a difference is NaN), and
-    min_i (kappa_i^1 + kappa_i^2); a sum that is not finite is an input
-    error."""
-    if len(b1.blocks) != len(b2.blocks):
+def glue_check(b1: tuple, b2: tuple) -> GlueVerdict:
+    """Measure two boundaries, each a tuple of ``BoundaryBlock``s: the
+    largest difference of radius or of induced factor Ricci-interval
+    endpoint over the blocks (+inf if block counts or factor dimensions
+    differ, NaN if a difference is NaN), and min_i (kappa_i^1 + kappa_i^2);
+    a sum that is not finite is an input error."""
+    if len(b1) != len(b2):
         return GlueVerdict(isometry_gap=float("inf"), ii_sum_min=float("nan"))
     gaps = []
     sums = []
-    for i, (x, y) in enumerate(zip(b1.blocks, b2.blocks)):
+    for i, (x, y) in enumerate(zip(b1, b2)):
         (xlo, xhi), (ylo, yhi) = (x.induced.ricci_interval,
                                   y.induced.ricci_interval)
         gaps += [abs(x.radius - y.radius), abs(xlo - ylo), abs(xhi - yhi),

@@ -1,54 +1,19 @@
-"""Exception hierarchy.
+"""Exception hierarchy: two classes.
 
 Verification *failures* (a check measuring false) are never exceptions; they
-are carried in verdict objects. Exceptions are reserved for invalid inputs,
-missing data, and computations that could not be completed.
+are carried in verdict objects. ``InputError`` means the inputs are refused:
+the hypothesis cannot be posed for them (a collapsed slice, an IVP leaving
+its admissible region, a missing factor volume, a search certifying nothing).
+``WarpcheckError`` itself means a computation that should complete did not.
 """
 
 
 class WarpcheckError(Exception):
-    """Base class for all package errors."""
+    """A computation that should complete did not; base of InputError."""
 
 
 class InputError(WarpcheckError):
-    """Invalid argument or precondition violation."""
-
-
-class DataMissingError(WarpcheckError):
-    """An operation needed optional data (e.g. a factor volume) that is unset."""
-
-
-class DomainTruncationError(WarpcheckError):
-    """An IVP solution left its admissible region, or ran out of steps,
-    before the requested endpoint.
-
-    ``reached`` is the last time the solution was valid. No partial solution
-    is kept: the refusal is raised before one is built.
-    """
-
-    def __init__(self, message, reached):
-        super().__init__(message)
-        self.reached = reached
-
-
-class IntegrationQualityError(WarpcheckError):
-    """A stored solution failed its independent quality check (e.g. a first
-    integral drifted beyond the allowed bound)."""
-
-
-class ConstructionError(WarpcheckError):
-    """A constructed object failed its own post-conditions."""
-
-
-class SingularPointError(WarpcheckError):
-    """Pointwise curvature evaluation requested inside the exclusion zone of a
-    collapsing endpoint, where the warped-product formulas divide by zero."""
-
-
-class SearchFailureError(WarpcheckError):
-    """A parameter search exhausted the candidates it tries without
-    certifying one; the message names the range tried, the last candidate
-    and the checks it failed."""
+    """The inputs are refused: the hypothesis cannot be posed for them."""
 
 
 def int_ge(name: str, v, lo: int) -> int:

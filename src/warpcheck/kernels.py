@@ -44,6 +44,10 @@ FP_CAP = 1e6
 # accepted steps of one solve before it stops with STATUS_MAX_STEPS
 MAX_STEPS = 200_000
 
+# the least step at t is MIN_STEP_REL * max(|t|, 1); a solve whose step
+# would have to be shorter stops with STATUS_TRUNCATED
+MIN_STEP_REL = 1e-13
+
 # node buffer entries (beyond the initial node) before the first doubling
 _NODES_INITIAL = 1024
 
@@ -77,7 +81,7 @@ def _rk45(rhs, t0, t1, f0, fp0, tol, h_max):
         if n >= MAX_STEPS:
             status = STATUS_MAX_STEPS
             break
-        h_min = 1e-13 * max(abs(t), 1.0)
+        h_min = MIN_STEP_REL * max(abs(t), 1.0)
         if h < h_min:
             status = STATUS_TRUNCATED
             break

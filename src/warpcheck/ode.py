@@ -6,7 +6,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .errors import DomainTruncationError, InputError
+from .errors import InputError
 from .memo import QueryMemo
 from .records import Record
 
@@ -76,9 +76,10 @@ def integrate_ivp(rhs: Callable, t0: float, t1: float, f0: float, fp0: float,
 
     f0 must be at least ``kernels.F_FLOOR``. Stopping early, when f drops
     below that floor or |f'| exceeds ``kernels.FP_CAP``, raises
-    ``DomainTruncationError`` with the time reached. Every accepted step
+    an ``InputError`` that names the time reached. Every accepted step
     is at most ``h_max`` long, so an interval longer than ``h_max *
-    kernels.MAX_STEPS`` is rejected before stepping.
+    kernels.MAX_STEPS`` is rejected before stepping, and so is one whose
+    first step, min((t1 - t0)/100, h_max), lies below the least step at t0.
     """
     if not t1 > t0:
         raise InputError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -90,6 +91,12 @@ def integrate_ivp(rhs: Callable, t0: float, t1: float, f0: float, fp0: float,
     if t1 - t0 > h_max * kernels.MAX_STEPS:
         raise InputError(f"[{t0}, {t1}] cannot be covered in "
                          f"{kernels.MAX_STEPS} steps of at most {h_max}")
+    h_first = min((float(t1) - float(t0)) / 100.0, h_max)
+    h_least = kernels.MIN_STEP_REL * max(abs(float(t0)), 1.0)
+    if h_first < h_least:
+        raise InputError(f"the interval [{t0}, {t1}] is too short for the "
+                         f"solver: its first step {h_first} lies below its "
+                         f"least step {h_least}")
 
     ts, fs, fps, fpps, status, nfev = kernels.rk45_callback(
         rhs, float(t0), float(t1), float(f0), float(fp0), float(tol),
@@ -97,11 +104,9 @@ def integrate_ivp(rhs: Callable, t0: float, t1: float, f0: float, fp0: float,
 
     reached = float(ts[-1])
     if status == kernels.STATUS_MAX_STEPS:
-        raise DomainTruncationError(
-            f"step budget exhausted at t = {reached}", reached)
+        raise InputError(f"step budget exhausted at t = {reached}")
     if status == kernels.STATUS_TRUNCATED:
-        raise DomainTruncationError(
-            f"solution left its admissible region at t = {reached} "
-            f"(requested endpoint {t1})", reached)
+        raise InputError(f"solution left its admissible region at t = "
+                         f"{reached} (requested endpoint {t1})")
     return DenseSolution(rhs=rhs, ts=ts, fs=fs, fps=fps, fpps=fpps,
                          nfev=int(nfev))

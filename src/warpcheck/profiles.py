@@ -15,8 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ConstructionError, InputError, IntegrationQualityError,
-                     int_ge, removed)
+from .errors import InputError, WarpcheckError, int_ge, removed
 from .memo import QueryMemo
 from .ode import DenseSolution, integrate_ivp
 from .quadrature import CumulativeIntegral
@@ -262,7 +261,7 @@ def solve_ivp_profile(rhs: Callable, f0: float, fp0: float,
     Dense output supplies (f, f', f'') anywhere in the domain, with f''
     recomputed from rhs. The solution must stay positive, starting from f0
     at least ``kernels.F_FLOOR``. Escape from positivity or a derivative
-    blow-up raises DomainTruncationError carrying the reached t.
+    blow-up raises an InputError naming the reached t.
     """
     t0, t1 = float(domain[0]), float(domain[1])
     sol = integrate_ivp(rhs, t0, t1, float(f0), float(fp0), SOLVER_TOL)
@@ -308,7 +307,7 @@ def sha_yang_profiles(n: int, m: int, T: float):
     f, fp, _ = sol.eval(grid)
     residual = float(np.max(np.abs(fp ** 2 - (1.0 - f ** -alpha))))
     if residual > 10.0 * SOLVER_TOL:
-        raise IntegrationQualityError(
+        raise WarpcheckError(
             f"first-integral residual {residual:.3e} exceeds "
             f"{10 * SOLVER_TOL:.3e}")
 
@@ -340,7 +339,7 @@ def closability_ode_profile(n: int, eps: float) -> WarpProfile:
 
     Along the exact solution the expression -f''/f - (n-2)(1+f'^2)/f^2 equals
     1 identically. The solution collapses in finite time; if it leaves its
-    admissible region before ``eps``, DomainTruncationError names the reached
+    admissible region before ``eps``, an InputError names the reached
     t and eps.
     """
     int_ge("n", n, 3)
@@ -426,7 +425,7 @@ def k_profile(eps_prime: float) -> WarpProfile:
 
     k' is a smooth monotone step built from an exp(-1/x)-type bump; k is its
     integral. All stated conditions are re-checked after construction and a
-    violation raises ConstructionError rather than returning silently.
+    violation raises WarpcheckError rather than returning silently.
     """
     if not eps_prime > 0:
         raise InputError(f"eps_prime must be positive, got {eps_prime}")
@@ -470,7 +469,7 @@ def k_profile(eps_prime: float) -> WarpProfile:
     checks.append(("k'''(0) < 0", k3 < 0.0))
     failed = [name for name, ok in checks if not ok]
     if failed:
-        raise ConstructionError(f"k profile failed post-checks: {failed}")
+        raise WarpcheckError(f"k profile failed post-checks: {failed}")
     return k
 
 
@@ -537,7 +536,7 @@ def collar_profile(c: float, length: float = 2.0) -> WarpProfile:
     fpp_fd = (f_p - 2 * f_0 + f_m) / h ** 2
     if (np.abs(fp_fd - fp[1::3]) > 1e-7 * max(1.0, cc)).any() or \
        (np.abs(fpp_fd - fpp[1::3]) > 1e-4 * max(1.0, cc)).any():
-        raise ConstructionError("collar profile is not C2 at the transition")
+        raise WarpcheckError("collar profile is not C2 at the transition")
     return prof
 
 

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import WarpcheckError
+from .errors import InputError, WarpcheckError
 from .kernels import segment_index
 from .memo import QueryMemo
 
@@ -185,7 +185,7 @@ class CumulativeIntegral:
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], a: float, b: float):
         if not b > a:
-            raise WarpcheckError("cumulative integral needs b > a")
+            raise InputError("cumulative integral needs b > a")
         self.fn = fn
         self.edges = np.linspace(a, b, CUMINT_PANELS + 1)
         x = self._x = _CUMINT_X

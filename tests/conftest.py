@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,12 @@ def child_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+def reached(err) -> float:
+    """The last valid t that an IVP refusal names, exactly: the message
+    carries it as ``repr``."""
+    return float(re.search(r"at t = (\S+)", str(err.value)).group(1))
 
 
 def cone_profile(t1: float, slope: float = 1.0):

@@ -195,15 +195,6 @@ class TestExitCodeContract:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
-        ["docking", "--n", "3"],
-        ["export", "--profile", "k"],
-    ])
-    def test_grid_zero_is_input_error_not_default(self, tmp_path, argv):
-        out = tmp_path / "out"
-        assert main(argv + ["--grid", "0", "--out", str(out)]) == 2
-        assert not out.exists() or list(out.iterdir()) == []
-
-    @pytest.mark.parametrize("argv", [
         ["sha-yang", "--n", "3", "--m", "2", "--T", "inf"],
         ["closability", "--n", "4", "--c-max", "inf"],
         ["neck", "--nu", "0.1", "--n", "3", "--s", "0.5,nan"],
@@ -347,6 +338,29 @@ class TestExitCodeContract:
                      "--eps-prime", "0.7404", "--out", str(tmp_path)]) == 0
         last = (tmp_path / "closability.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == 0.7404
+
+    @pytest.mark.parametrize("argv, span", [
+        (["export", "--profile", "closability", "--n", "3",
+          "--eps-prime", "1e-14"], "[0.0, 1e-14]"),
+        (["export", "--profile", "sha-f", "--n", "3", "--m", "2",
+          "--T", "1e-300"], "[0.0, 1e-300]"),
+    ])
+    def test_an_ivp_shorter_than_the_least_step_is_refused_as_such(
+            self, tmp_path, capsys, argv, span):
+        # the first step, span/100, lies below the least step 1e-13 (was
+        # "solution left its admissible region at t = 0.0", where f is 1)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: the interval {span} is too short "
+                               "for the solver")
+        assert line.endswith("below its least step 1e-13")
+        assert "admissible region" not in line
+        assert not out.exists()
+
+    def test_an_ivp_just_above_the_least_step_exports(self, tmp_path):
+        assert main(["export", "--profile", "sha-f", "--n", "3", "--m", "2",
+                     "--T", "1.1e-11", "--out", str(tmp_path)]) == 0
 
     def test_neck_refuses_every_member_before_sweeping_any(
             self, tmp_path, capsys, monkeypatch):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import reached
 from warpcheck import kernels
-from warpcheck.errors import DomainTruncationError, InputError
+from warpcheck.errors import InputError
 from warpcheck.kernels import STATUS_TRUNCATED
 from warpcheck.ode import integrate_ivp
 from warpcheck.profiles import power_rhs, radial_floor_rhs
@@ -49,14 +50,14 @@ def test_first_integral_of_power_rhs():
 
 def test_radial_floor_rhs_truncates_before_collapse():
     rhs = radial_floor_rhs(3.0)
-    with pytest.raises(DomainTruncationError) as err:
+    with pytest.raises(InputError, match="admissible region") as err:
         integrate_ivp(rhs, 0.0, 2.0, 1.0, 0.0, 1e-10)
-    assert 0.0 < err.value.reached < 2.0
+    assert 0.0 < reached(err) < 2.0
     # the stepping loop's partial solution ends at the reached time and
     # stays above the positivity floor
     ts, fs, _, _, status, _ = kernels.rk45_callback(
         rhs, 0.0, 2.0, 1.0, 0.0, 1e-10, np.inf)
-    assert status == STATUS_TRUNCATED and ts[-1] == err.value.reached
+    assert status == STATUS_TRUNCATED and ts[-1] == reached(err)
     assert fs.min() >= 1e-4
 
 
@@ -95,6 +96,25 @@ def test_domain_and_tolerance_validation():
             integrate_ivp(FREE, 0.0, 1.0, 1.0, 0.0, tol)
 
 
+@pytest.mark.parametrize("t0, t1, refused", [
+    (0.0, 1e-11, True), (5.0, 5.0 + 4e-11, True),
+    (0.0, 1.1e-11, False), (5.0, 5.0 + 6e-11, False),
+])
+def test_a_span_below_the_least_first_step_is_refused(t0, t1, refused):
+    # exactly the spans on which the stepping loop stops before its first
+    # step, with f never moved from its start
+    ts, *_, status, _ = kernels.rk45_callback(FREE, t0, t1, 1.0, 0.0, 1e-8,
+                                              np.inf)
+    assert (ts.size == 1 and status == STATUS_TRUNCATED) == refused
+    if not refused:
+        assert integrate_ivp(FREE, t0, t1, 1.0, 0.0, 1e-8).t_end == t1
+        return
+    with pytest.raises(InputError, match=r"too short for the solver: its "
+                       r"first step \S+ lies below its least step") as err:
+        integrate_ivp(FREE, t0, t1, 1.0, 0.0, 1e-8)
+    assert f"[{t0}, {t1}]" in str(err.value)
+
+
 @pytest.mark.parametrize("f0", [0.0, 5e-5, -1.0, np.nan])
 def test_a_start_below_the_positivity_floor_is_refused(f0):
     # no step lands below F_FLOOR, so neither may the start: there is no
@@ -108,15 +128,15 @@ def test_a_start_below_the_positivity_floor_is_refused(f0):
 def test_error_norm_overflow_truncates_instead_of_raising():
     # at tol = 1e-300 the scaled local error overflows when squared; the
     # step is rejected like a non-finite one until the step size underflows
-    with pytest.raises(DomainTruncationError):
+    with pytest.raises(InputError, match="admissible region"):
         integrate_ivp(radial_floor_rhs(1.0), 0.0, 5.0, 1.0, 0.0, 1e-300)
 
 
 def test_step_budget_exhaustion_reports_reached_time(monkeypatch):
     monkeypatch.setattr(kernels, "MAX_STEPS", 50)
-    with pytest.raises(DomainTruncationError, match="step budget") as err:
+    with pytest.raises(InputError, match="step budget") as err:
         integrate_ivp(HARMONIC, 0.0, 1000.0, *SINE_START, 1e-12)
-    assert 0.0 < err.value.reached < 1000.0
+    assert 0.0 < reached(err) < 1000.0
 
 
 def test_unreachable_endpoint_is_rejected_before_stepping(monkeypatch):
