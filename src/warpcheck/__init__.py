@@ -19,7 +19,7 @@ from .curvature import (BoundaryBlock, GlueVerdict, MultiWarpedMetric,
                         ricci_report, second_fundamental_form, volume)
 from .errors import InputError, WarpcheckError
 from .factors import (FactorManifold, abstract_factor, round_sphere_factor,
-                      scale_factor, unit_sphere_volume)
+                      scaled_ricci, unit_sphere_volume)
 from .ode import DenseSolution, integrate_ivp
 from .profiles import (EXCLUSION_WIDTH, ParityReport, ParityTag, WarpProfile,
                        closability_ode_profile, closed_form_profile,

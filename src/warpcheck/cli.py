@@ -103,13 +103,18 @@ class _Artifacts:
     all into place after the last write has succeeded. If the run raises
     before that, ``discard`` removes the temporaries and the directories the
     run created, so an exit 2 leaves ``out`` as it was: no file appears and
-    none is overwritten.
+    none is overwritten. An ``out`` whose nearest existing ancestor is not a
+    directory is refused here, before any work, with ``mkdir``'s error.
     """
 
     def __init__(self, out: Path):
         self.out = out
-        self.dirs = [d for d in (out, *out.parents) if not d.exists()]
+        chain = (out, *out.parents)
+        self.dirs = [d for d in chain if not d.exists()]
         self.pending = []  # (temporary, final) pairs
+        if not chain[len(self.dirs)].is_dir():
+            code = errno.ENOTDIR if self.dirs else errno.EEXIST
+            raise OSError(code, os.strerror(code), str(out))
 
     def reserve(self, names) -> list[Path]:
         """A new empty temporary file for each name, in order; raises before

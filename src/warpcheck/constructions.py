@@ -22,7 +22,7 @@ from .curvature import (BoundaryBlock, MultiWarpedMetric, boundary_data,
                         glue_check, ricci_report, volume)
 from .errors import InputError, int_ge, removed
 from .factors import (FactorManifold, abstract_factor, round_sphere_factor,
-                      scale_factor, unit_sphere_volume)
+                      unit_sphere_volume)
 from .profiles import (EXCLUSION_WIDTH, SOLVER_TOL, closability_ode_profile,
                        closed_form_profile, collar_profile, docking_R_profile,
                        k_profile, neck_end, neck_profile, parity_check,
@@ -62,10 +62,7 @@ class CertifiedBlock(Record):
         if not lam > 0:
             raise InputError("scale must be positive")
         return self.replace(boundary=tuple(
-            BoundaryBlock(radius=b.radius * lam, kappa=b.kappa / lam,
-                          kappa_normalized=b.kappa_normalized,
-                          factor=b.factor,
-                          induced=scale_factor(b.factor, b.radius * lam))
+            b.replace(radius=b.radius * lam, kappa=b.kappa / lam)
             for b in self.boundary))
 
 
@@ -74,11 +71,11 @@ def round_boundary(dim: int, radius: float, kappa: float) -> tuple:
     the given radius whose principal curvatures all equal kappa (w.r.t. the
     outward normal)."""
     factor = round_sphere_factor(dim, 1.0)
-    block = BoundaryBlock(radius=float(radius), kappa=float(kappa),
+    if not 0.0 < radius < math.inf:
+        raise InputError(f"radius must be positive and finite, got {radius}")
+    return (BoundaryBlock(radius=float(radius), kappa=float(kappa),
                           kappa_normalized=float(kappa) * float(radius),
-                          factor=factor,
-                          induced=scale_factor(factor, float(radius)))
-    return (block,)
+                          factor=factor),)
 
 
 def certified_core(dim: int, kappa: float) -> CertifiedBlock:
@@ -330,7 +327,7 @@ def certify_collar(kappa: float, c: float, n: int, *,
                          "whose square overflows")
 
     core = certified_core(n, kappa).boundary
-    factor = core[0].induced
+    factor = core[0].factor
     profile = collar_profile(c, length=length)
     metric = MultiWarpedMetric((0.0, length), ((factor, profile),))
     rep_full = ricci_report(metric, grid_size)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InputError, removed
-from .factors import FactorManifold, scale_factor
+from .factors import FactorManifold, scaled_ricci
 from .profiles import EXCLUSION_WIDTH, WarpProfile, parity_check
 from .quadrature import adaptive_quad, grid_blocks
 from .records import Record
@@ -205,13 +205,12 @@ def ricci_generic(metric: MultiWarpedMetric, t: float, dt: float) -> RicciCompon
 class BoundaryBlock(Record):
     """Per-factor boundary data of a slice: radius f_i, principal curvature
     kappa_i = sign * f_i'/f_i, its radius-normalized form sign * f_i', and
-    the induced (scaled) factor metric."""
+    the factor, whose metric the slice induces scaled by f_i^2."""
 
     radius: float
     kappa: float
     kappa_normalized: float
     factor: FactorManifold
-    induced: FactorManifold
 
 
 def second_fundamental_form(metric: MultiWarpedMetric, t: float,
@@ -235,8 +234,7 @@ def second_fundamental_form(metric: MultiWarpedMetric, t: float,
         kappa = orientation * fp / f + 0.0
         blocks.append(BoundaryBlock(
             radius=float(f), kappa=float(kappa),
-            kappa_normalized=float(orientation * fp + 0.0),
-            factor=factor, induced=scale_factor(factor, float(f))))
+            kappa_normalized=float(orientation * fp + 0.0), factor=factor))
     return tuple(blocks)
 
 
@@ -332,17 +330,18 @@ class GlueVerdict(Record):
 
 def glue_check(b1: tuple, b2: tuple) -> GlueVerdict:
     """Measure two boundaries, each a tuple of ``BoundaryBlock``s: the
-    largest difference of radius or of induced factor Ricci-interval
-    endpoint over the blocks (+inf if block counts or factor dimensions
-    differ, NaN if a difference is NaN), and min_i (kappa_i^1 + kappa_i^2);
-    a sum that is not finite is an input error."""
+    largest difference of radius or of induced Ricci-interval endpoint
+    (the factor's interval over radius^2, ``scaled_ricci``) over the blocks
+    (+inf if block counts or factor dimensions differ, NaN if a difference
+    is NaN), and min_i (kappa_i^1 + kappa_i^2); an induced interval or a
+    sum that is not finite is an input error."""
     if len(b1) != len(b2):
         return GlueVerdict(isometry_gap=float("inf"), ii_sum_min=float("nan"))
     gaps = []
     sums = []
     for i, (x, y) in enumerate(zip(b1, b2)):
-        (xlo, xhi), (ylo, yhi) = (x.induced.ricci_interval,
-                                  y.induced.ricci_interval)
+        (xlo, xhi), (ylo, yhi) = (scaled_ricci(x.factor, x.radius),
+                                  scaled_ricci(y.factor, y.radius))
         gaps += [abs(x.radius - y.radius), abs(xlo - ylo), abs(xhi - yhi),
                  0.0 if x.factor.dim == y.factor.dim else float("inf")]
         sums.append(x.kappa + y.kappa)

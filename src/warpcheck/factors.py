@@ -127,31 +127,19 @@ def abstract_factor(name: str, dim: int, ricci_interval: tuple[float, float],
                           volume=volume)
 
 
-def scale_factor(factor: FactorManifold, c: float) -> FactorManifold:
-    """The factor with metric g replaced by c^2 g.
-
-    Ricci values on unit vectors scale by 1/c^2, volume by c^dim, and a round
-    radius by c.
-    """
-    if not c > 0:
-        raise InputError(f"scale must be positive, got {c}")
+def scaled_ricci(factor: FactorManifold, c: float) -> tuple[float, float]:
+    """The Ricci interval of the factor with metric g replaced by c^2 g:
+    Ricci values on unit vectors scale by 1/c^2. A NaN c gives a NaN
+    interval, which fails whatever compares it."""
     lo, hi = factor.ricci_interval
     try:
         c2 = c ** 2
-        volume = None if factor.volume is None else factor.volume * c ** factor.dim
-    except OverflowError:
-        c2 = volume = math.inf
+        ricci = (lo / c2, hi / c2)
+    except (OverflowError, ZeroDivisionError):  # c^2 overflows or is 0
+        c2 = math.inf
     # a subnormal c^2 overflows the divisions unless the interval is flat
-    ricci = (lo / c2, hi / c2) if 0.0 < c2 < math.inf else (math.inf, math.inf)
-    # a subnormal volume keeps too few bits to be compared
-    if not all(map(math.isfinite, ricci)) or volume is not None and not (
-            sys.float_info.min <= volume < math.inf):
+    if c2 == math.inf or any(map(math.isinf, ricci)):
         raise InputError(f"scale {c} is out of floating-point range: the "
                          f"scaled Ricci interval [{lo}, {hi}]/c^2 is not "
-                         f"finite, or the volume factor c^{factor.dim} makes "
-                         f"the volume not a positive normal float")
-    return factor.replace(
-        ricci_interval=ricci,
-        volume=volume,
-        round_radius=None if factor.round_radius is None else c * factor.round_radius,
-    )
+                         "finite")
+    return ricci

@@ -157,17 +157,21 @@ def profile_from_callable(domain, f, fp, fpp, *,
                        raw_eval=raw, parity=dict(parity or {}))
 
 
-def _auto_parity(domain, fn3_exact):
-    """Tag endpoints of an analytic form where it vanishes (odd) or has a
-    critical point (even); fn3_exact(t) -> (f, fp, fpp, fppp) scalars."""
+def _auto_parity(domain, omega, cosine, fn3_exact):
+    """Tag each end of a sine (or, if ``cosine``, a cosine) form whose phase
+    omega*t is within a few ulps of k pi/2: odd where the form vanishes
+    (k + cosine even), else even; fn3_exact(t) -> (f, fp, fpp, fppp)."""
     parity = {}
     for endpoint, tstar in (("left", domain[0]), ("right", domain[1])):
-        f, fp, fpp, fppp = fn3_exact(tstar)
-        scale = max(abs(f), abs(fp), 1e-300)
-        if abs(f) <= 1e-12 * scale:
-            parity[endpoint] = ParityTag("odd", coeffs=(fp, fppp))
-        elif abs(fp) <= 1e-12 * scale:
-            parity[endpoint] = ParityTag("even", coeffs=(f, fpp))
+        th = omega * tstar + 0.0
+        # exact; k pi/2 itself is off by under an ulp of th
+        offset = math.remainder(th, math.pi / 2.0)
+        if abs(offset) <= 4.0 * math.ulp(th):
+            f, fp, fpp, fppp = fn3_exact(tstar)
+            k = round((th - offset) / (math.pi / 2.0))
+            parity[endpoint] = (ParityTag("odd", coeffs=(fp, fppp))
+                                if (k + cosine) % 2 == 0
+                                else ParityTag("even", coeffs=(f, fpp)))
     return parity
 
 
@@ -238,7 +242,7 @@ def closed_form_profile(kind: str, domain, *, amplitude: float = 1.0,
         raise InputError(f"{kind} profile is negative at an endpoint")
 
     return WarpProfile(domain=(t0, t1), raw_eval=triple,
-                       parity=_auto_parity((t0, t1), exact))
+                       parity=_auto_parity((t0, t1), w, kind == "cosine", exact))
 
 
 def power_rhs(coef: float, exponent: float) -> Callable:

@@ -2,6 +2,7 @@ import argparse
 import errno
 import gc
 import json
+import math
 import re
 import shlex
 import signal
@@ -244,7 +245,8 @@ class TestExitCodeContract:
         ["sha-yang", "--n", "2", "--m", "2", "--T", "0.001"],
         # 1/eps'^2 overflows (was an OverflowError traceback)
         ["export", "--profile", "k", "--eps-prime", "1e300"],
-        # the inner slice has radius 0 (was a ZeroDivisionError traceback)
+        # the core rescaled to the inner radius 1.4e-300 squares to 0 (was a
+        # ZeroDivisionError traceback, then a false "collapsed slice")
         ["neck", "--nu", "1", "--n", "3", "--s", "1e-300"],
         # pi/(4 nu) overflows (was exit 0 with nan rows and RuntimeWarnings)
         ["export", "--profile", "neck", "--nu", "5e-324", "--s", "1"],
@@ -271,9 +273,6 @@ class TestExitCodeContract:
         # OVERALL PASS)
         ["glue", "--dim", "2", "--r1", "1", "--k1", "1e308", "--r2", "1",
          "--k2", "1e308"],
-        # each boundary's volume, 2.4e-320, is subnormal (was exit 0)
-        ["glue", "--dim", "16", "--r1", "1e-20", "--k1", "1", "--r2",
-         "1e-20", "--k2", "1"],
     ])
     def test_out_of_range_input_is_input_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
@@ -309,6 +308,23 @@ class TestExitCodeContract:
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        # boundary blocks scale only the Ricci interval they compare; each
+        # was exit 2, since a scaled volume left the normal floats
+        ["neck", "--nu", "0.1", "--n", "100", "--s", "0.01"],
+        ["neck", "--nu", "0.1", "--n", "186", "--s", "0.5"],
+        ["glue", "--dim", "3", "--r1", "1e-110", "--k1", "1", "--r2",
+         "1e-110", "--k2", "1"],
+        ["glue", "--dim", "16", "--r1", "1e-20", "--k1", "1", "--r2",
+         "1e-20", "--k2", "1"],
+        # nu s = 1e-13 is no zero of the sine: the inner radius is 1.4e-13
+        # (was exit 2 on a "collapsed" slice, while --s 1.1e-12 ran)
+        ["neck", "--nu", "0.1", "--n", "3", "--s", "1e-12"],
+    ])
+    def test_valid_input_once_refused_runs(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert read_report(tmp_path / f"{argv[0]}.json")["overall_pass"]
 
     def test_collar_slope_up_to_1e307_exports(self, tmp_path):
         assert main(["export", "--profile", "collar", "--c", "1e307",
@@ -364,7 +380,8 @@ class TestExitCodeContract:
 
     def test_neck_refuses_every_member_before_sweeping_any(
             self, tmp_path, capsys, monkeypatch):
-        # the collapsed slice s = 1e-300 is refused before s = 0.5 is swept
+        # the collapsed slice s = 5e-324, where nu s rounds to 0, is
+        # refused before s = 0.5 is swept
         sweeps = []
         sweep = cons.ricci_report
 
@@ -373,9 +390,9 @@ class TestExitCodeContract:
             return sweep(*args, **kwargs)
 
         monkeypatch.setattr(cons, "ricci_report", counting)
-        assert main(["neck", "--nu", "0.1", "--n", "3", "--s", "0.5,1e-300",
+        assert main(["neck", "--nu", "0.1", "--n", "3", "--s", "0.5,5e-324",
                      "--out", str(tmp_path / "out")]) == 2
-        assert "t = 1e-300 is collapsed" in capsys.readouterr().err
+        assert "t = 5e-324 is collapsed" in capsys.readouterr().err
         assert sweeps == []
         assert not (tmp_path / "out").exists()
 
@@ -670,6 +687,16 @@ class TestExport:
         first = (tmp_path / "neck.csv").read_text().splitlines()[1]
         assert first.split(",")[0] == repr(0.5)
 
+    def test_neck_near_zero_s_exports_the_sine_not_zero(self, tmp_path):
+        # f(s) = sqrt(2) sin(1e-13) (was 0.0, from an odd expansion centred
+        # on s)
+        assert main(["export", "--profile", "neck", "--nu", "0.1", "--s",
+                     "1e-12", "--grid", "3", "--out", str(tmp_path)]) == 0
+        first = (tmp_path / "neck.csv").read_text().splitlines()[1]
+        t, f, _, _ = map(float, first.split(","))
+        assert t == 1e-12
+        assert f == math.sqrt(2.0) * math.sin(0.1 * 1e-12)
+
     def test_k_profile_last_row_is_flat(self, tmp_path):
         rc = main(["export", "--profile", "k", "--eps-prime", "0.2",
                    "--grid", "200", "--out", str(tmp_path)])
@@ -693,6 +720,31 @@ class TestExport:
         rc = main(["export", "--profile", "docking-r",
                    "--out", str(target / "sub")])
         assert rc == 2
+
+    @pytest.mark.parametrize("below, code", [
+        ((), "[Errno 17] File exists"),
+        (("a", "b"), "[Errno 20] Not a directory"),
+    ])
+    def test_out_under_a_file_is_refused_before_the_run(
+            self, tmp_path, capsys, monkeypatch, below, code):
+        # the nearest existing ancestor of --out is a file: refused with
+        # mkdir's own error, before the scenario computes anything
+        def run(prm, grid):
+            raise AssertionError("the scenario ran")
+
+        scenario = cons.SCENARIOS["sha-yang"]
+        monkeypatch.setitem(cons.SCENARIOS, "sha-yang",
+                            scenario.replace(run=run))
+        target = tmp_path / "file"
+        target.write_text("occupied")
+        out = str(target.joinpath(*below))
+        rc = main(["sha-yang", "--n", "3", "--m", "2", "--grid", "1000000",
+                   "--out", out])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write artifacts: {code}: {out!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert target.read_text() == "occupied"
 
 
 class _FailingWrites:

@@ -119,7 +119,7 @@ class TestSecondFundamentalForm:
     def test_unit_sphere_in_flat_space(self):
         (block,) = second_fundamental_form(flat_cone(4), 1.0, +1)
         assert block.kappa == 1.0
-        assert block.induced.round_radius == 1.0
+        assert block.radius == 1.0
 
     def test_neck_outer_curvature(self):
         nu = 0.1

@@ -7,7 +7,7 @@ from mpmath import mp, mpf
 
 from warpcheck.errors import InputError
 from warpcheck.factors import (abstract_factor, round_sphere_factor,
-                               scale_factor, unit_sphere_volume)
+                               scaled_ricci, unit_sphere_volume)
 
 
 def test_unit_round_three_sphere_constants():
@@ -72,60 +72,67 @@ def test_interval_must_be_ordered():
 
 def test_scale_identity():
     f = round_sphere_factor(3, 1.5)
-    assert vars(scale_factor(f, 1.0)) == vars(f)
+    assert scaled_ricci(f, 1.0) == f.ricci_interval
 
 
 def test_scale_matches_direct_round_sphere():
-    assert vars(scale_factor(round_sphere_factor(2, 1.0), 2.0)) == \
-        vars(round_sphere_factor(2, 2.0))
+    assert scaled_ricci(round_sphere_factor(2, 1.0), 2.0) == \
+        round_sphere_factor(2, 2.0).ricci_interval
 
 
 def test_scale_divides_curvature_by_square():
     y = abstract_factor("Y", 4, (-3.0, -3.0))
-    scaled = scale_factor(y, math.sqrt(3.0))
-    assert scaled.ricci_interval[0] == pytest.approx(-1.0, rel=1e-12)
-    assert scaled.ricci_interval[1] == pytest.approx(-1.0, rel=1e-12)
+    lo, hi = scaled_ricci(y, math.sqrt(3.0))
+    assert lo == pytest.approx(-1.0, rel=1e-12)
+    assert hi == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_scale_rejects_nonpositive():
     with pytest.raises(InputError):
-        scale_factor(round_sphere_factor(2, 1.0), 0.0)
+        scaled_ricci(round_sphere_factor(2, 1.0), 0.0)
 
 
 @pytest.mark.parametrize("dim, c", [
     (2, 1e-300),  # c^2 underflows to 0
     (2, 1e300),   # c^2 overflows
-    (5, 1e100),   # c^5 overflows
-    (2, 1e154),   # c^2 is finite, volume * c^2 is not
-    (16, 1e-20),  # the volume is subnormal
 ])
 def test_scale_rejects_out_of_range(dim, c):
     with pytest.raises(InputError, match=re.escape(
             f"scale {c} is out of floating-point range")):
-        scale_factor(round_sphere_factor(dim, 1.0), c)
+        scaled_ricci(round_sphere_factor(dim, 1.0), c)
 
 
-@given(a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0),
-       dim=st.integers(1, 6), radius=st.floats(0.2, 5.0))
-def test_scale_composition(a, b, dim, radius):
-    f = round_sphere_factor(dim, radius)
-    left = scale_factor(scale_factor(f, a), b)
-    right = scale_factor(f, a * b)
-    assert left.ricci_interval[0] == pytest.approx(right.ricci_interval[0],
-                                                   rel=1e-12, abs=1e-300)
-    assert left.volume == pytest.approx(right.volume, rel=1e-12)
-    assert left.round_radius == pytest.approx(right.round_radius, rel=1e-12)
+@pytest.mark.parametrize("dim, c", [
+    (5, 1e100),   # c^5 overflows
+    (2, 1e154),   # c^2 is finite, vol(S^2) * c^2 is not
+    (16, 1e-20),  # vol(S^16) * c^16 is subnormal
+])
+def test_scale_reads_no_volume(dim, c):
+    # the Ricci interval stays in range, whatever a scaled volume would do
+    rho = dim - 1.0
+    assert scaled_ricci(round_sphere_factor(dim, 1.0), c) == \
+        (rho / c ** 2, rho / c ** 2)
+
+
+def test_scale_keeps_a_flat_interval_under_a_subnormal_square():
+    # c^2 = 1e-320 is subnormal; 0/c^2 = 0 stays finite
+    assert scaled_ricci(round_sphere_factor(1, 1.0), 1e-160) == (0.0, 0.0)
+
+
+def test_nan_scale_gives_a_nan_interval():
+    # a NaN radius must fail the comparison it enters, not be refused
+    assert all(map(math.isnan, scaled_ricci(round_sphere_factor(2, 1.0),
+                                            math.nan)))
 
 
 @given(dim=st.integers(1, 6), radius=st.floats(0.2, 5.0))
 def test_round_sphere_factor_is_scaled_unit_sphere(dim, radius):
     direct = round_sphere_factor(dim, radius)
-    scaled = scale_factor(round_sphere_factor(dim, 1.0), radius)
-    assert direct.dim == scaled.dim
-    assert direct.ricci_interval[0] == pytest.approx(scaled.ricci_interval[0],
-                                                     rel=1e-12, abs=1e-300)
-    assert direct.volume == pytest.approx(scaled.volume, rel=1e-12)
-    scaled.replace()
+    lo, hi = scaled_ricci(round_sphere_factor(dim, 1.0), radius)
+    assert direct.ricci_interval[0] == pytest.approx(lo, rel=1e-12,
+                                                     abs=1e-300)
+    assert direct.ricci_interval[1] == pytest.approx(hi, rel=1e-12,
+                                                     abs=1e-300)
 
 
 def test_constructed_factors_revalidate():
@@ -163,13 +170,7 @@ def test_unit_sphere_volume_below_the_least_normal_float_is_refused(dim):
 def test_scale_names_a_scale_whose_ricci_interval_overflows():
     # c^2 = 1e-320 is subnormal, not 0, so only 1/c^2 overflows
     with pytest.raises(InputError, match=r"scale 1e-160 .*Ricci interval"):
-        scale_factor(round_sphere_factor(2, 1.0), 1e-160)
-
-
-def test_scale_names_a_scale_whose_volume_underflows():
-    # c^2 = 1e-220 is normal, c^3 = 1e-330 underflows to 0
-    with pytest.raises(InputError, match=r"scale 1e-110 .*volume factor c\^3"):
-        scale_factor(round_sphere_factor(3, 1.0), 1e-110)
+        scaled_ricci(round_sphere_factor(2, 1.0), 1e-160)
 
 
 def test_bishop_gromov_refuses_more_volume_than_the_round_model():

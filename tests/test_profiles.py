@@ -73,6 +73,39 @@ class TestClosedForms:
         assert p.parity["left"].kind == "even"
         assert p.parity["right"].kind == "odd"
 
+    @pytest.mark.parametrize("kind, domain, end, k", [
+        # f, or f' for k = 1, is about 1e-13 times the other there: the
+        # end was tagged, and served f = 0 (or f' = 0) by an expansion
+        # centred on it
+        ("sine", (0.5, math.pi - 1e-13), "right", 0),
+        ("cosine", (0.0, math.pi / 2 - 1e-13), "right", 0),
+        ("sine", (0.5, math.pi / 2 - 1e-13), "right", 1),
+    ])
+    def test_an_end_near_a_zero_or_critical_point_is_untagged(
+            self, kind, domain, end, k):
+        p = closed_form_profile(kind, domain)
+        assert end not in p.parity
+        t = domain[0] if end == "left" else domain[1]
+        sign = 1.0 if kind == "sine" else -1.0
+        exact = (math.sin(t) if kind == "sine" else math.cos(t),
+                 sign * (math.cos(t) if kind == "sine" else math.sin(t)))
+        assert p.eval(t)[k] == pytest.approx(exact[k], rel=1e-12)
+        assert p.eval(t)[k] != 0.0
+
+    def test_sine_just_off_its_zero_evaluates_its_formula(self):
+        p = closed_form_profile("sine", (1e-13, 1.0))
+        assert p.eval(1e-13) == (1e-13, 1.0, -1e-13)
+
+    def test_the_phase_decides_past_the_first_half_wave(self):
+        # k pi/2 with k even is a zero of the sine and a critical point of
+        # the cosine; with k odd the other way round
+        sine = closed_form_profile("sine", (2 * math.pi, 3 * math.pi))
+        cosine = closed_form_profile("cosine", (1.5 * math.pi, 2 * math.pi))
+        assert [sine.parity[e].kind for e in ("left", "right")] == \
+            ["odd", "odd"]
+        assert [cosine.parity[e].kind for e in ("left", "right")] == \
+            ["odd", "even"]
+
 
 class TestIvpProfiles:
     def test_cone_point_rejected_without_closure_mode(self):

@@ -221,6 +221,11 @@ def test_every_stand_in_is_listed():
     # the collar takes its core's kappa: c_max = 0.45 certifies at once
     (["closability", "--n", "3", "--grid", "64"],
      "constructions.certified_core.calls", 1),
+    # each member rescales the core once to glue against it
+    (["neck", "--nu", "0.1", "--n", "3", "--s", "0.5,0.25", "--grid", "64"],
+     "constructions.CertifiedBlock.scaled.calls", 2),
+    (["glue", "--example", "hemisphere", "--n", "4"], "curvature.glue.calls",
+     1),
 ])
 def test_tracer_runs_a_command_end_to_end(tmp_path, argv, counter, value):
     # a wrapper that breaks a call, or a binding the import hook misses
