@@ -4,7 +4,8 @@ Each subcommand runs one scenario of ``constructions.SCENARIOS``, writes a
 JSON report (and CSV profile dumps on request) into the output directory,
 prints one verdict line per check, and exits 0 on overall pass, 1 on
 verification failure (report still written), or 2 on input errors
-(nothing written). Flags come from argv alone.
+(nothing written); one that returns no verdict writes only its profiles,
+as CSV. Flags come from argv alone.
 """
 from __future__ import annotations
 
@@ -48,22 +49,18 @@ def _build_parsers(only=None):
     parser = argparse.ArgumentParser(
         prog="warpcheck",
         description="verification runs for warped-product curvature claims")
-    commands = [(s.name, s.help, s.args, s.common, s.mode, s.grid)
-                for s in cons.SCENARIOS.values()]
-    commands.append(("export", "CSV export of a named profile",
-                     cons.EXPORT_ARGS, cons.EXPORT_COMMON, cons.EXPORT_MODE,
-                     None))
-    names = [c[0] for c in commands]
+    scenarios = list(cons.SCENARIOS.values())
     sub = parser.add_subparsers(dest="scenario", required=True)
-    if only in names:  # usage errors still list every subcommand
-        sub.metavar = "{" + ",".join(names) + "}"
-        commands = [c for c in commands if c[0] == only]
-    for name, help_text, args, common, mode, grid in commands:
+    if only in cons.SCENARIOS:  # usage errors still list every subcommand
+        sub.metavar = "{" + ",".join(cons.SCENARIOS) + "}"
+        scenarios = [cons.SCENARIOS[only]]
+    for s in scenarios:
+        common, mode, grid = s.common, s.mode, s.grid
         # the README promises that any abbreviation of a flag is an input
         # error, so argparse must not expand one
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p = sub.add_parser(s.name, help=s.help, allow_abbrev=False)
         shared = [((flag,), _SHARED[flag]) for flag in (*common, "--out")]
-        for flags, kwargs in (*args, *shared):
+        for flags, kwargs in (*s.args, *shared):
             dest = flags[0][2:].replace("-", "_")
             if dest == "grid":  # the sweep grid, if any, and CSV rows
                 uses = [f"sweep grid points (default {grid})"] if grid else []
@@ -168,7 +165,7 @@ def _parse(argv) -> dict:
     here, before any work (``constructions.Scenario``)."""
     prm = vars(_build_parsers(argv[0] if argv else None).parse_args(argv))
     name = prm["scenario"]
-    mode = cons.EXPORT_MODE if name == "export" else cons.SCENARIOS[name].mode
+    mode = cons.SCENARIOS[name].mode
     if mode is not None:
         dest, table = mode
         reads = table[prm[dest]]
@@ -199,18 +196,17 @@ def _run(prm) -> int:
 
 
 def _compute_and_write(prm, artifacts: _Artifacts) -> int:
-    if prm["scenario"] == "export":
-        pid = prm["profile"]
-        grid = _grid(prm, CSV_GRID)
-        (temp,) = artifacts.reserve([f"{pid}.csv"])
-        reads, build = cons.PROFILES[pid]
-        write_profile_csv(temp, build(*(prm[d] for d in reads)), grid)
-        (path,) = artifacts.commit()
-        print(f"[export] wrote {path} ({grid} rows)")
-        return EXIT_PASS
-
     scenario = cons.SCENARIOS[prm["scenario"]]
     verdict, profiles = scenario.run(prm, _grid(prm, scenario.grid))
+    if verdict is None:  # no checks: the profiles are the whole output
+        rows = _grid(prm, CSV_GRID)
+        temps = artifacts.reserve([f"{name}.csv" for name in profiles])
+        for temp, profile in zip(temps, profiles.values()):
+            write_profile_csv(temp, profile, rows)
+        for path in artifacts.commit():
+            print(f"[{scenario.name}] wrote {path} ({rows} rows)")
+        return EXIT_PASS
+
     csvs = profiles if prm.get("csv") else {}
     names = [f"{verdict.scenario}_{name}.csv" for name in csvs]
     *csv_temps, report_temp = artifacts.reserve(

@@ -5,9 +5,9 @@ supposed to satisfy, and returns a ScenarioVerdict whose checks carry the
 measured values and thresholds. Verification failures live in the verdict;
 exceptions are reserved for invalid inputs.
 
-``SCENARIOS`` lists the command-line scenarios (flags, default grid, and how
-each turns parsed flags into a verdict); ``PROFILES`` and the ``EXPORT_*``
-declarations do the same for ``warpcheck export``.
+``SCENARIOS`` lists the command-line subcommands (flags, default grid, and how
+each turns parsed flags into a verdict and profiles); ``export`` is one that
+returns no verdict, only the profile of ``PROFILES`` its flags name.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .curvature import (BoundaryBlock, MultiWarpedMetric, boundary_data,
                         glue_check, ricci_report, volume)
 from .errors import InputError, int_ge, removed
 from .factors import (FactorManifold, abstract_factor, round_sphere_factor,
-                      unit_sphere_volume)
+                      scaled_ricci, unit_sphere_volume)
 from .profiles import (EXCLUSION_WIDTH, SOLVER_TOL, closability_ode_profile,
                        closed_form_profile, collar_profile, docking_R_profile,
                        k_profile, neck_end, neck_profile, parity_check,
@@ -76,6 +76,18 @@ def round_boundary(dim: int, radius: float, kappa: float) -> tuple:
     return (BoundaryBlock(radius=float(radius), kappa=float(kappa),
                           kappa_normalized=float(kappa) * float(radius),
                           factor=factor),)
+
+
+def _radius_in_range(factor, radius, given: str, what: str):
+    """Refuse, naming the flags ``given``, a radius (``what``) over whose
+    square ``glue_check`` cannot scale the factor's Ricci interval."""
+    try:
+        scaled_ricci(factor, radius)
+    except InputError:
+        raise InputError(
+            f"{given} is out of floating-point range: the boundary's Ricci "
+            f"interval {list(factor.ricci_interval)} over {what} squared "
+            "cannot be formed in floating point") from None
 
 
 def certified_core(dim: int, kappa: float) -> CertifiedBlock:
@@ -237,6 +249,9 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
         outer = boundary_data(metric, "right")
         inner = boundary_data(metric, "left")
         lam = math.sqrt(2.0) * math.sin(nu * s)
+        _radius_in_range(sphere, lam, f"--s {s:g} with --nu {nu:g}",
+                         f"the glued core's radius sqrt(2) sin(nu s) = "
+                         f"{lam:.6g}")
         glue = glue_check(core.scaled(lam).boundary, inner)
         return metric, {"s": s, "profile": profile, "outer": outer,
                         "inner": inner, "glue": glue}
@@ -669,10 +684,11 @@ class Scenario(Record):
 
     ``args`` holds ``(flags, argparse kwargs)`` pairs for its own flags, and
     ``common`` names the shared flags (``cli._SHARED``) it reads besides
-    ``--out``, which every subcommand takes; the parser accepts no others. ``grid`` is
-    the default sweep grid (None: the scenario sweeps none). ``run(prm,
-    grid)`` takes the parsed flags and returns (verdict, {csv name:
-    profile}).
+    ``--out``, which every subcommand takes; the parser accepts no others.
+    ``grid`` is the default sweep grid (None: the scenario sweeps none).
+    ``run(prm, grid)`` takes the parsed flags and returns (verdict or None,
+    {name: profile}): the profiles ``--csv`` dumps, or without a verdict the
+    run's whole output, each written as ``<name>.csv``.
 
     ``mode``, if set, is ``(dest, {value: {dest: default}})``: the value of
     flag ``dest`` selects which of the table's flags the run reads. These
@@ -696,7 +712,7 @@ class Scenario(Record):
 
 
 def _run_sha_yang(prm, grid):
-    n = prm["n"]
+    n = int_ge("n", prm["n"], 2)  # before M is built
     M = abstract_factor("M", n, (n - 1, n - 1))  # Ric = n - 1, its floor
     v = sha_yang_space(n, prm["m"], M, prm["T"], grid_size=grid)
     return v, {"sha-f": v.artifacts["f"], "sha-h": v.artifacts["h"]}
@@ -716,7 +732,7 @@ def _run_closability(prm, grid):
 
 
 def _run_gn(prm, grid):
-    n = prm["n"]
+    n = int_ge("n", prm["n"], 3)  # before Y is built
     Y = abstract_factor("Y", n - 1, (2 - n, 2 - n))  # Ric = 2 - n, its floor
     v = gN_regions(Y, prm["eps_prime"], n, grid_size=grid)
     return v, {"k": v.artifacts["k"], "closability-f": v.artifacts["f"]}
@@ -772,8 +788,11 @@ def _run_glue(prm, grid):
         b1 = b2 = boundary_data(metric, "right")
         note = "hemisphere glued to its mirror along the equator"
     else:
-        b1 = round_boundary(prm["dim"], prm["r1"], prm["k1"])
-        b2 = round_boundary(prm["dim"], prm["r2"], prm["k2"])
+        b1, b2 = (round_boundary(prm["dim"], prm[f"r{i}"], prm[f"k{i}"])
+                  for i in (1, 2))
+        for i, (b,) in ((1, b1), (2, b2)):
+            _radius_in_range(b.factor, b.radius, f"--r{i} {b.radius:g}",
+                             f"--r{i}")
         note = "explicit round boundaries"
     verdict = glue_check(b1, b2)
     checks = (
@@ -784,6 +803,26 @@ def _run_glue(prm, grid):
     config = {k: prm[k] for k in ("example", "n", "dim", "r1", "k1", "r2", "k2")}
     config["glue_tol"] = GLUE_TOL
     return ScenarioVerdict("glue", config, checks), {}
+
+
+# export: profile id -> (the flags it reads with their defaults, builder of
+# the profile from those flags' values in that order, looked up when called)
+_SHA_YANG_READS = {"n": 3, "m": 2, "T": 50.0}
+PROFILES = {
+    "sha-f": (_SHA_YANG_READS, lambda *a: sha_yang_profiles(*a)[0]),
+    "sha-h": (_SHA_YANG_READS, lambda *a: sha_yang_profiles(*a)[1]),
+    "neck": ({"nu": 0.1, "s": 0.5}, lambda *a: neck_profile(*a)),
+    "k": ({"eps_prime": 0.2}, lambda *a: k_profile(*a)),
+    "collar": ({"c": 0.1}, lambda *a: collar_profile(*a)),
+    "closability": ({"n": 3, "eps_prime": 0.2},
+                    lambda *a: closability_ode_profile(*a)),
+    "docking-r": ({}, lambda: docking_R_profile()),
+}
+
+
+def _run_export(prm, grid):
+    reads, build = PROFILES[prm["profile"]]
+    return None, {prm["profile"]: build(*(prm[d] for d in reads))}
 
 
 SCENARIOS = {s.name: s for s in (
@@ -833,32 +872,16 @@ SCENARIOS = {s.name: s for s in (
         # the example builds its own boundaries; explicit ones need all five
         ("example", {"hemisphere": {"n": 4},
                      None: dict.fromkeys(("dim", "r1", "k1", "r2", "k2"))})),
+    Scenario("export", "CSV export of a named profile", (
+        (("--profile",), {"required": True, "choices": list(PROFILES)}),
+        (("--n",), {"type": _integer}),
+        (("--m",), {"type": _integer}),
+        (("--T",), {"type": _finite_float}),
+        (("--nu",), {"type": _finite_float}),
+        (("--s",), {"type": _finite_float}),
+        (("--eps-prime",), {"type": _finite_float}),
+        (("--c",), {"type": _finite_float}),
+    ), ("--grid",), None, _run_export,
+        ("profile", {pid: reads for pid, (reads, _) in PROFILES.items()})),
 )}
 
-
-# export: profile id -> (the flags it reads with their defaults, builder of
-# the profile from those flags' values in that order, looked up when called)
-_SHA_YANG_READS = {"n": 3, "m": 2, "T": 50.0}
-PROFILES = {
-    "sha-f": (_SHA_YANG_READS, lambda *a: sha_yang_profiles(*a)[0]),
-    "sha-h": (_SHA_YANG_READS, lambda *a: sha_yang_profiles(*a)[1]),
-    "neck": ({"nu": 0.1, "s": 0.5}, lambda *a: neck_profile(*a)),
-    "k": ({"eps_prime": 0.2}, lambda *a: k_profile(*a)),
-    "collar": ({"c": 0.1}, lambda *a: collar_profile(*a)),
-    "closability": ({"n": 3, "eps_prime": 0.2},
-                    lambda *a: closability_ode_profile(*a)),
-    "docking-r": ({}, lambda: docking_R_profile()),
-}
-
-EXPORT_ARGS = (
-    (("--profile",), {"required": True, "choices": list(PROFILES)}),
-    (("--n",), {"type": _integer}),
-    (("--m",), {"type": _integer}),
-    (("--T",), {"type": _finite_float}),
-    (("--nu",), {"type": _finite_float}),
-    (("--s",), {"type": _finite_float}),
-    (("--eps-prime",), {"type": _finite_float}),
-    (("--c",), {"type": _finite_float}),
-)
-EXPORT_COMMON = ("--grid",)
-EXPORT_MODE = ("profile", {pid: reads for pid, (reads, _) in PROFILES.items()})

@@ -454,6 +454,30 @@ class TestExitCodeContract:
         assert line.endswith(message)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, given, interval, radius", [
+        (["neck", "--nu", "0.1", "--n", "3", "--s", "1e-300"],
+         "--s 1e-300 with --nu 0.1", "[1.0, 1.0]",
+         "the glued core's radius sqrt(2) sin(nu s) = 1.41421e-301"),
+        (["neck", "--nu", "1e-300", "--n", "3", "--s", "1"],
+         "--s 1 with --nu 1e-300", "[1.0, 1.0]",
+         "the glued core's radius sqrt(2) sin(nu s) = 1.41421e-300"),
+        (["glue", "--dim", "2", "--r1", "1e300", "--k1", "1", "--r2",
+          "1e300", "--k2", "1"], "--r1 1e+300", "[1.0, 1.0]", "--r1"),
+        (["glue", "--dim", "1", "--r1", "1", "--k1", "1", "--r2", "1e-200",
+          "--k2", "1"], "--r2 1e-200", "[0.0, 0.0]", "--r2"),
+    ])
+    def test_radius_out_of_range_names_the_flags(self, tmp_path, capsys,
+                                                 argv, given, interval,
+                                                 radius):
+        # each was "scale <c> is out of floating-point range", naming for
+        # neck the core's rescaling, a number that no flag holds
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {given} is out of floating-point range: the boundary's "
+            f"Ricci interval {interval} over {radius} squared cannot be "
+            "formed in floating point\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["neck", "--nu", "1e308", "--n", "3", "--s", "0.5"],
         ["export", "--profile", "neck", "--nu", "1e308"],
@@ -471,11 +495,15 @@ class TestExitCodeContract:
         (["glue", "--example", "hemisphere", "--n", "1"], 2),
         (["closability", "--n", "1"], 2),
         (["closability", "--n", "0"], 2),
+        (["gn", "--n", "1"], 3),
+        (["gn", "--n", "0"], 3),
+        (["sha-yang", "--m", "2", "--n", "0"], 2),
     ])
     def test_dimension_below_its_floor_names_n(self, tmp_path, capsys, argv,
                                                k):
         # each was "dim must be a positive integer, got n - 1 (or n - 2)",
-        # refused by the sphere factor it began to build
+        # refused by the sphere factor it began to build; gn and sha-yang
+        # said "dim must be >= 1, got n - 1 (or n)", from their Y or M
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
             f"error: n must be an integer >= {k}, got {argv[-1]}\n")
@@ -891,10 +919,8 @@ def test_readme_command_line_tables_match_the_parsers():
         name: {flag for a in p._actions for flag in a.option_strings} - {
             "-h", "--help"}
         for name, p in _subparsers().items()}
-    tables = {("export", value): reads
-              for value, reads in cons.EXPORT_MODE[1].items()}
-    tables.update({(s.name, value): reads for s in cons.SCENARIOS.values()
-                   if s.mode for value, reads in s.mode[1].items()})
+    tables = {(s.name, value): reads for s in cons.SCENARIOS.values()
+              if s.mode for value, reads in s.mode[1].items()}
     assert modes == tables
 
 
@@ -941,14 +967,15 @@ def test_help_gives_every_default_a_run_takes(monkeypatch):
     parsers = _subparsers()
     for s in cons.SCENARIOS.values():
         if "--grid" in s.common:
+            # a scenario that sweeps says its grid; CSV rows wherever a run
+            # writes CSVs, with --csv or as its whole output
             grid = _option_help(parsers[s.name], "--grid")
-            assert f"(default {s.grid})" in grid, (s.name, grid)
+            assert (f"(default {s.grid})" in grid) == (s.grid is not None), \
+                (s.name, grid)
             assert (f"CSV rows (default {CSV_GRID})" in grid) \
-                == ("--csv" in s.common), (s.name, grid)
-    grid = _option_help(parsers["export"], "--grid")
-    assert f"CSV rows (default {CSV_GRID})" in grid, grid
+                == ("--csv" in s.common or s.grid is None), (s.name, grid)
     modes = [(s.name, s.mode) for s in cons.SCENARIOS.values() if s.mode]
-    for name, (key, table) in [*modes, ("export", cons.EXPORT_MODE)]:
+    for name, (key, table) in modes:
         for dest in {d for reads in table.values() for d in reads}:
             text = _option_help(parsers[name], "--" + dest.replace("_", "-"))
             for value, reads in table.items():
@@ -960,6 +987,61 @@ def test_help_gives_every_default_a_run_takes(monkeypatch):
                 said = "(required)" if default is None \
                     else f"(default {default:g})"
                 assert f"{mode} {said}" in text, (name, dest, text)
+
+
+def _toy_scenarios():
+    """Two scenarios the CLI has never seen: one with a check, a sweep grid
+    and --csv, and one that returns no verdict, only a profile."""
+    from warpcheck.profiles import closed_form_profile
+    from warpcheck.report import ScenarioVerdict, check_ge
+
+    def run_checked(prm, grid):
+        check = check_ge("a_positive", "toy", prm["a"], 0.0, strict=True)
+        return (ScenarioVerdict("toy-check", {"a": prm["a"], "grid": grid},
+                                (check,)),
+                {"sine": closed_form_profile("sine", (0.0, math.pi))})
+
+    def run_dump(prm, grid):
+        return None, {"toy-sine": closed_form_profile("sine", (0.0, prm["a"]))}
+
+    return {"toy-check": cons.Scenario(
+                "toy-check", "a toy with one check",
+                ((("--a",), {"type": float, "required": True}),),
+                ("--grid", "--csv"), 64, run_checked),
+            "toy-dump": cons.Scenario(
+                "toy-dump", "a toy profile",
+                ((("--a",), {"type": float, "default": 1.0}),),
+                ("--grid",), None, run_dump)}
+
+
+def test_a_new_scenario_needs_no_change_to_the_cli(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr(cons, "SCENARIOS",
+                        {**cons.SCENARIOS, **_toy_scenarios()})
+    out = tmp_path / "checked"
+    assert main(["toy-check", "--a", "1", "--csv", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "toy-check.json", "toy-check_sine.csv"]
+    report = read_report(out / "toy-check.json")
+    assert report["config"]["grid"] == 64  # the scenario's default grid
+    assert revalidate_report(report)
+    assert len((out / "toy-check_sine.csv").read_text().splitlines()) \
+        == 1 + CSV_GRID
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"[toy-check] report: {out / 'toy-check.json'}"
+    assert main(["toy-check", "--a", "-1", "--grid", "9", "--out",
+                 str(out)]) == 1
+    assert read_report(out / "toy-check.json")["config"]["grid"] == 9
+    capsys.readouterr()
+
+    out = tmp_path / "dumped"
+    assert main(["toy-dump", "--grid", "5", "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["toy-sine.csv"]
+    assert len((out / "toy-sine.csv").read_text().splitlines()) == 1 + 5
+    assert capsys.readouterr().out == \
+        f"[toy-dump] wrote {out / 'toy-sine.csv'} (5 rows)\n"
+    with pytest.raises(SystemExit):  # it takes no --csv
+        main(["toy-dump", "--csv", "--out", str(out)])
 
 
 def test_version_is_the_pyproject_version():

@@ -29,8 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from warpcheck import cli
-from warpcheck.constructions import (EXPORT_ARGS, EXPORT_COMMON, EXPORT_MODE,
-                                     SCENARIOS, _csv_list)
+from warpcheck.constructions import SCENARIOS, _csv_list
 from warpcheck.report import revalidate_report
 
 INTS = ("3", "4", "2", "5", "1", "0", "-1", "7", "1000000",
@@ -44,19 +43,16 @@ GRIDS = ("2", "3", "17", "64", "1", "0", "-1", "1000000000000", "x")
 def _declared(name):
     """The (flag, kwargs) pairs subcommand ``name`` declares, and its mode
     table (or None)."""
-    if name == "export":
-        args, common, mode = EXPORT_ARGS, EXPORT_COMMON, EXPORT_MODE
-    else:
-        scenario = SCENARIOS[name]
-        args, common, mode = scenario.args, scenario.common, scenario.mode
-    shared = [((flag,), cli._SHARED[flag]) for flag in common]
-    return [(flags[0], kwargs) for flags, kwargs in (*args, *shared)], mode
+    s = SCENARIOS[name]
+    shared = [((flag,), cli._SHARED[flag]) for flag in s.common]
+    pairs = [(flags[0], kwargs) for flags, kwargs in (*s.args, *shared)]
+    return pairs, s.mode
 
 
 # every flag some subcommand declares, with the kwargs of its first
 # declaration; --out, which all of them take, is left out
 ALL_FLAGS = {}
-for _name in (*SCENARIOS, "export"):
+for _name in SCENARIOS:
     for _flag, _kwargs in _declared(_name)[0]:
         ALL_FLAGS.setdefault(_flag, _kwargs)
 
@@ -97,7 +93,7 @@ def invocations(draw):
     drawn from typical values, with every required flag, so that the added
     flag is what makes it exit 2."""
     add_unread = draw(st.integers(0, 4)) == 0
-    name = draw(st.sampled_from([*SCENARIOS, "export"]))
+    name = draw(st.sampled_from(list(SCENARIOS)))
     declared, mode = _declared(name)
     specs = declared
     if mode is not None:

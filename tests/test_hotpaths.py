@@ -982,10 +982,9 @@ GRID_READERS = {"sha-yang": ["--n", "3", "--m", "2"],
 
 
 def test_every_grid_subcommand_is_listed():
-    readers = {s.name for s in constructions.SCENARIOS.values()
-               if "--grid" in s.common}
-    assert "--grid" in constructions.EXPORT_COMMON
-    assert set(GRID_READERS) == readers | {"export"}
+    assert set(GRID_READERS) == {s.name for s in
+                                 constructions.SCENARIOS.values()
+                                 if "--grid" in s.common}
 
 
 @pytest.mark.parametrize("name", sorted(GRID_READERS))

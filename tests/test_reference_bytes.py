@@ -64,7 +64,7 @@ def test_csv_outputs_match_reference(tmp_path, monkeypatch, key):
 
 
 def test_every_scenario_is_covered():
-    assert {key.split()[0] for key in ARGVS} == {*SCENARIOS, "export"}
+    assert {key.split()[0] for key in ARGVS} == set(SCENARIOS)
 
 
 def test_every_export_profile_is_covered():
@@ -72,11 +72,11 @@ def test_every_export_profile_is_covered():
             if key.startswith("export ")} == set(PROFILES)
 
 
-def test_subcommands_are_the_scenario_table_plus_export():
+def test_subcommands_are_the_scenario_table():
     parser = cli._build_parsers()
     (subcommands,) = [a for a in parser._actions
                       if a.dest == "scenario"]
-    assert set(subcommands.choices) == {*SCENARIOS, "export"}
+    assert list(subcommands.choices) == list(SCENARIOS)
 
 
 _GLUE_EXPLICIT = ("explicit round boundaries, the glue mode the tests of "

@@ -113,7 +113,7 @@ def _subparsers(parser):
     return action.choices
 
 
-NAMES = [*cli.cons.SCENARIOS, "export"]
+NAMES = list(cli.cons.SCENARIOS)
 
 
 @pytest.mark.parametrize("name", NAMES)
