@@ -87,12 +87,6 @@ def _mode_help(mode, dest):
         for value, reads in table.items() if dest in reads)
 
 
-def _grid(prm, default):
-    """--grid if given (the parser has checked it is at least 2), else
-    ``default``."""
-    return default if prm.get("grid") is None else prm["grid"]
-
-
 class _Artifacts:
     """The files one run writes under ``out``.
 
@@ -161,8 +155,9 @@ def _new_file_beside(final: Path) -> Path:
 
 
 def _parse(argv) -> dict:
-    """The flags of argv; a flag the run would not read is an input error
-    here, before any work (``constructions.Scenario``)."""
+    """The flags of argv; a flag the run would not read, or flags its
+    scenario does not admit, are an input error here, before any work
+    (``constructions.Scenario``)."""
     prm = vars(_build_parsers(argv[0] if argv else None).parse_args(argv))
     name = prm["scenario"]
     mode = cons.SCENARIOS[name].mode
@@ -180,6 +175,9 @@ def _parse(argv) -> dict:
                 raise InputError(
                     f"{name} {selected} {verb} "
                     + ", ".join("--" + d.replace("_", "-") for d in dests))
+    admit = cons.SCENARIOS[name].admit
+    if admit is not None:
+        admit(prm)
     return prm
 
 
@@ -197,9 +195,10 @@ def _run(prm) -> int:
 
 def _compute_and_write(prm, artifacts: _Artifacts) -> int:
     scenario = cons.SCENARIOS[prm["scenario"]]
-    verdict, profiles = scenario.run(prm, _grid(prm, scenario.grid))
+    # --grid, which its type keeps at least 2, if given
+    verdict, profiles = scenario.run(prm, prm.get("grid") or scenario.grid)
     if verdict is None:  # no checks: the profiles are the whole output
-        rows = _grid(prm, CSV_GRID)
+        rows = prm.get("grid") or CSV_GRID
         temps = artifacts.reserve([f"{name}.csv" for name in profiles])
         for temp, profile in zip(temps, profiles.values()):
             write_profile_csv(temp, profile, rows)
@@ -212,7 +211,7 @@ def _compute_and_write(prm, artifacts: _Artifacts) -> int:
     *csv_temps, report_temp = artifacts.reserve(
         [*names, f"{verdict.scenario}.json"])
     for temp, profile in zip(csv_temps, csvs.values()):
-        write_profile_csv(temp, profile, _grid(prm, CSV_GRID))
+        write_profile_csv(temp, profile, prm.get("grid") or CSV_GRID)
     write_report(report_temp,
                  verdict.to_report([prm["out"] / name for name in names]))
     *_, path = artifacts.commit()

@@ -21,12 +21,15 @@ import numpy as np
 from .curvature import (BoundaryBlock, MultiWarpedMetric, boundary_data,
                         glue_check, ricci_report, volume)
 from .errors import InputError, int_ge, removed
-from .factors import (FactorManifold, abstract_factor, round_sphere_factor,
-                      scaled_ricci, unit_sphere_volume)
-from .profiles import (EXCLUSION_WIDTH, SOLVER_TOL, closability_ode_profile,
-                       closed_form_profile, collar_profile, docking_R_profile,
-                       k_profile, neck_end, neck_profile, parity_check,
-                       radial_floor_value, sha_yang_profiles)
+from .factors import (SPHERE_DIM_MAX, FactorManifold, abstract_factor,
+                      bishop_gromov, round_sphere_factor, scaled_ricci,
+                      unit_sphere_volume)
+from .kernels import MAX_STEPS
+from .profiles import (EXCLUSION_WIDTH, SHA_YANG_STEP, SOLVER_TOL,
+                       closability_ode_profile, closed_form_profile,
+                       collar_profile, collar_top, docking_R_profile,
+                       k_profile, k_third_derivative, neck_end, neck_profile,
+                       parity_check, radial_floor_value, sha_yang_profiles)
 from .report import (ScenarioVerdict, check_bool, check_eq, check_ge,
                      check_le)
 from .records import Record
@@ -78,18 +81,6 @@ def round_boundary(dim: int, radius: float, kappa: float) -> tuple:
                           factor=factor),)
 
 
-def _radius_in_range(factor, radius, given: str, what: str):
-    """Refuse, naming the flags ``given``, a radius (``what``) over whose
-    square ``glue_check`` cannot scale the factor's Ricci interval."""
-    try:
-        scaled_ricci(factor, radius)
-    except InputError:
-        raise InputError(
-            f"{given} is out of floating-point range: the boundary's Ricci "
-            f"interval {list(factor.ricci_interval)} over {what} squared "
-            "cannot be formed in floating point") from None
-
-
 def certified_core(dim: int, kappa: float) -> CertifiedBlock:
     """A core piece: round unit boundary S^(dim-1) with principal curvatures
     kappa, positive Ricci inside; everything interior is assumed."""
@@ -120,7 +111,7 @@ def sha_yang_space(n: int, m: int, M: FactorManifold, T: float, *,
             f"M needs Ricci >= n - 1 = {n - 1} on unit vectors, got "
             f"{M.ricci_lower}")
     if not T > EXCLUSION_WIDTH:  # where the sweep and rate checks start
-        raise InputError(f"--T {T:g} must exceed the exclusion width "
+        raise InputError(f"T = {T:g} must exceed the exclusion width "
                          f"{EXCLUSION_WIDTH:g} at the cone point t = 0")
 
     f, h, alpha = sha_yang_profiles(n, m, T)
@@ -249,9 +240,6 @@ def neck_family_check(nu: float, n: int, s_values: Sequence[float],
         outer = boundary_data(metric, "right")
         inner = boundary_data(metric, "left")
         lam = math.sqrt(2.0) * math.sin(nu * s)
-        _radius_in_range(sphere, lam, f"--s {s:g} with --nu {nu:g}",
-                         f"the glued core's radius sqrt(2) sin(nu s) = "
-                         f"{lam:.6g}")
         glue = glue_check(core.scaled(lam).boundary, inner)
         return metric, {"s": s, "profile": profile, "outer": outer,
                         "inner": inner, "glue": glue}
@@ -330,17 +318,8 @@ def certify_collar(kappa: float, c: float, n: int, *,
     int_ge("n", n, 2)
     if not kappa > 0:
         raise InputError("core boundary must be strictly convex (kappa > 0)")
-    if not c > 0:
-        raise InputError("c must be positive")
+    _collar_reach(c)
     length = 1.0 + COLLAR_MARGIN
-    # 0 < f' <= 2c, so f <= 1 + 2c * length on the collar; the Ricci sweep
-    # squares both, so their bound's square must stay finite
-    top = 1.0 + 2.0 * float(c) * length
-    if not math.isfinite(top * top):
-        raise InputError(f"c = {c} is out of floating-point range: the "
-                         f"collar's f and f' reach up to 1 + 2c * {length}, "
-                         "whose square overflows")
-
     core = certified_core(n, kappa).boundary
     factor = core[0].factor
     profile = collar_profile(c, length=length)
@@ -370,6 +349,17 @@ def certify_collar(kappa: float, c: float, n: int, *,
               "ricci_slack": RICCI_SLACK}
     return ScenarioVerdict("collar-certify", config, checks,
                            artifacts={"metric": metric, "profile": profile})
+
+
+def _collar_reach(c: float) -> None:
+    """Refuse a slope c whose certified collar on [0, 1 + COLLAR_MARGIN]
+    has an f or f' (``collar_top``) that the Ricci sweep cannot square."""
+    length = 1.0 + COLLAR_MARGIN
+    top = collar_top(c, length)
+    if not math.isfinite(top * top):
+        raise InputError(f"c = {c} is out of floating-point range: the "
+                         f"collar's f and f' reach up to 1 + 2c * {length}, "
+                         "whose square overflows")
 
 
 def collar_closability(kappa: float, c_max: float, n: int, *,
@@ -643,25 +633,39 @@ MEMBERS_MAX = 1000
 # takes 0.07-0.12 s (in process, one BLAS thread, 2-CPU VM), so one at 1e8
 # about 10 s
 GRID_MAX = 10 ** 8
+T_MAX = SHA_YANG_STEP * MAX_STEPS  # the longest T a sha-yang solve covers
+N_MAX = SPHERE_DIM_MAX + 1  # the largest n whose S^(n-1) has a volume
 
 
-def _number(kind, lo=-math.inf, hi=math.inf):
-    """argparse type: a ``kind`` (int or float) in [lo, hi] and float range."""
-    bounds = "" if hi == -lo == math.inf else f" in [{lo:g}, {hi:g}]"
+def _number(kind, lo=-math.inf, hi=math.inf, strict=False):
+    """argparse type: a ``kind`` (int or float) in float range, at least
+    ``lo`` (above it if ``strict``) and at most ``hi``. The converter keeps
+    ``lo``, ``hi`` and the ``domain`` it states."""
+    name = kind.__name__
+    ends = [f"{b:g}" if isinstance(b, float) else str(b) for b in (lo, hi)]
+    if hi < math.inf:
+        domain = f"{name} in {'(' if strict else '['}{ends[0]}, {ends[1]}]"
+    elif lo > -math.inf:
+        domain = f"{name} {'>' if strict else '>='} {ends[0]}"
+    else:
+        domain = f"finite {name}"
+
     def convert(text: str):
         value = kind(text)  # argparse reports a ValueError itself
-        if not (lo <= value <= hi and abs(value) <= sys.float_info.max):
-            shown = text if len(text) <= 24 else text[:20] + "..."
-            raise argparse.ArgumentTypeError(
-                f"{shown!r} is not a finite {kind.__name__}{bounds}")
+        shown = text if len(text) <= 20 else text[:20] + "..."
+        if not abs(value) <= sys.float_info.max:
+            raise argparse.ArgumentTypeError(f"{shown!r} is not a finite {name}")
+        if not (lo < value if strict else lo <= value) or value > hi:
+            raise argparse.ArgumentTypeError(f"{shown!r} is not {convert.domain}")
         return value
-    convert.__name__ = kind.__name__  # as "invalid int value" names it
+    convert.__name__ = name  # as "invalid int value" names it
+    convert.lo, convert.hi = lo, hi
+    convert.domain = f"{'an' if domain.startswith('int') else 'a'} {domain}"
     return convert
 
 
 _finite_float = _number(float)
-_integer = _number(int)
-_member_count = _number(int, 1, MEMBERS_MAX)
+_positive = _number(float, 0.0, strict=True)
 
 
 def _csv_list(text: str) -> list[float]:
@@ -679,13 +683,68 @@ def _csv_list(text: str) -> list[float]:
 _csv_list.__name__ = "float list"  # as "invalid float list value" names it
 
 
+def _given(flags: str, check, *args):
+    """``check(*args)``, with an InputError it raises prefixed by ``flags``,
+    the command-line flags and values that set its arguments."""
+    try:
+        return check(*args)
+    except InputError as exc:
+        raise InputError(f"{flags}: {exc}") from None
+
+
+def _admit_neck(nu, s_values, n=None):
+    """--nu in ``neck_end``'s domain and each --s in (0, pi/(4 nu)); with n,
+    the core glued at radius sqrt(2) sin(nu s) against S^(n-1)."""
+    t_out = _given(f"--nu {nu!r}", neck_end, nu)
+    for s in dict.fromkeys(s_values):
+        given = f"--s {s!r} with --nu {nu!r}"
+        if not 0.0 < s < t_out:
+            raise InputError(f"{given}: s must lie in (0, pi/(4 nu)) = "
+                             f"(0, {t_out})")
+        if n is not None:  # the Ricci interval of the core's unit S^(n-1)
+            _given(f"{given}, whose glued core radius is sqrt(2) sin(nu s)",
+                   scaled_ricci, (n - 2.0, n - 2.0),
+                   math.sqrt(2.0) * math.sin(nu * s))
+
+
+def _admit_thm22(prm):
+    n, deficit = prm["n"], prm["ric_deficit"]
+    given = f"--ric-deficit {deficit!r} with --n {n}"
+    if deficit and n < 4:
+        raise InputError(f"{given}: a deficit needs n >= 4 (a 1-dimensional "
+                         "cross-section factor is necessarily Ricci-flat)")
+    rho = float(n - 3) - deficit
+    # the sweep divides it by f^2 = sin(t)^2, at least sin(EXCLUSION_WIDTH)^2
+    # on its grid, less a relative 1e-6 for rounding at the grid's ends
+    if not math.isfinite(rho / (math.sin(EXCLUSION_WIDTH) ** 2
+                                * (1.0 - 1e-6))):
+        raise InputError(f"{given} is out of floating-point range: the last "
+                         f"member's factor curvature n - 3 - deficit = {rho:g}"
+                         " overflows when divided by the sweep's least "
+                         f"warp^2, sin({EXCLUSION_WIDTH:g})^2")
+    if rho != n - 3 and rho > 0:  # the factor _run_thm22 gives that member
+        _given(given, bishop_gromov, n - 2, rho, unit_sphere_volume(n - 2))
+
+
+def _admit_glue(prm):
+    if prm["example"] is None:  # explicit round boundaries S^dim
+        rho = prm["dim"] - 1.0  # the Ricci constant of the unit S^dim
+        for i in (1, 2):
+            _given(f"--r{i} {prm[f'r{i}']!r} with --dim {prm['dim']}",
+                   scaled_ricci, (rho, rho), prm[f"r{i}"])
+        if not math.isfinite(prm["k1"] + prm["k2"]):
+            raise InputError(f"--k1 {prm['k1']!r} with --k2 {prm['k2']!r}: the"
+                             " glued principal curvatures have no finite sum")
+
+
 class Scenario(Record):
     """One command-line scenario.
 
     ``args`` holds ``(flags, argparse kwargs)`` pairs for its own flags, and
     ``common`` names the shared flags (``cli._SHARED``) it reads besides
     ``--out``, which every subcommand takes; the parser accepts no others.
-    ``grid`` is the default sweep grid (None: the scenario sweeps none).
+    A numeric flag's type (``_number``) declares its bounds. ``grid`` is the
+    default sweep grid (None: the scenario sweeps none).
     ``run(prm, grid)`` takes the parsed flags and returns (verdict or None,
     {name: profile}): the profiles ``--csv`` dumps, or without a verdict the
     run's whole output, each written as ``<name>.csv``.
@@ -695,6 +754,10 @@ class Scenario(Record):
     parse to None when absent, so presence decides: one the selected mode
     does not read is an input error, and one it reads and is not given
     takes its default, or is required if that is None.
+
+    ``admit(prm)``, if set, raises an InputError that starts with the flags
+    it names for what no flag's type refuses alone, before any work: it
+    builds no profile, factor or grid.
 
     The runners below look construction and profile functions up by their
     module-global name when called, never through a stored reference, so
@@ -709,10 +772,11 @@ class Scenario(Record):
     grid: Optional[int]
     run: Callable
     mode: Optional[tuple] = None
+    admit: Optional[Callable] = None
 
 
 def _run_sha_yang(prm, grid):
-    n = int_ge("n", prm["n"], 2)  # before M is built
+    n = prm["n"]
     M = abstract_factor("M", n, (n - 1, n - 1))  # Ric = n - 1, its floor
     v = sha_yang_space(n, prm["m"], M, prm["T"], grid_size=grid)
     return v, {"sha-f": v.artifacts["f"], "sha-h": v.artifacts["h"]}
@@ -732,7 +796,7 @@ def _run_closability(prm, grid):
 
 
 def _run_gn(prm, grid):
-    n = int_ge("n", prm["n"], 3)  # before Y is built
+    n = prm["n"]
     Y = abstract_factor("Y", n - 1, (2 - n, 2 - n))  # Ric = 2 - n, its floor
     v = gN_regions(Y, prm["eps_prime"], n, grid_size=grid)
     return v, {"k": v.artifacts["k"], "closability-f": v.artifacts["f"]}
@@ -743,21 +807,8 @@ def _run_docking(prm, grid):
 
 
 def _run_thm22(prm, grid):
-    n = int_ge("n", prm["n"], 3)  # before any member is built
-    deficit = prm["ric_deficit"]
-    if deficit and n < 4:
-        raise InputError("--ric-deficit needs n >= 4 (a 1-dimensional "
-                         "cross-section factor is necessarily Ricci-flat)")
-    rho_last = float(n - 3) - deficit
-    # the sweep divides it by f^2 = sin(t)^2, at least sin(EXCLUSION_WIDTH)^2
-    # on its grid, less a relative 1e-6 for rounding at the grid's ends
-    if not math.isfinite(rho_last
-                         / (math.sin(EXCLUSION_WIDTH) ** 2 * (1.0 - 1e-6))):
-        raise InputError(
-            f"--ric-deficit {deficit:g} is out of floating-point range: the "
-            f"last member's factor curvature n - 3 - deficit = {rho_last:g} "
-            f"overflows when divided by the sweep's least warp^2, "
-            f"sin({EXCLUSION_WIDTH:g})^2")
+    n = prm["n"]
+    rho_last = float(n - 3) - prm["ric_deficit"]
 
     def member(factor):
         return MultiWarpedMetric(
@@ -779,10 +830,9 @@ def _run_thm22(prm, grid):
 
 def _run_glue(prm, grid):
     if prm["example"] == "hemisphere":
-        n = int_ge("n", prm["n"], 2)  # before its sphere S^(n-1) is built
         metric = MultiWarpedMetric(
             (0.0, math.pi / 2.0),
-            ((round_sphere_factor(n - 1, 1.0),
+            ((round_sphere_factor(prm["n"] - 1, 1.0),
               closed_form_profile("sine", (0.0, math.pi / 2.0))),),
             collapse_left=0)
         b1 = b2 = boundary_data(metric, "right")
@@ -790,9 +840,6 @@ def _run_glue(prm, grid):
     else:
         b1, b2 = (round_boundary(prm["dim"], prm[f"r{i}"], prm[f"k{i}"])
                   for i in (1, 2))
-        for i, (b,) in ((1, b1), (2, b2)):
-            _radius_in_range(b.factor, b.radius, f"--r{i} {b.radius:g}",
-                             f"--r{i}")
         note = "explicit round boundaries"
     verdict = glue_check(b1, b2)
     checks = (
@@ -818,6 +865,18 @@ PROFILES = {
                     lambda *a: closability_ode_profile(*a)),
     "docking-r": ({}, lambda: docking_R_profile()),
 }
+def _admit_export(prm):
+    """What each profile refuses beyond the types of the flags it reads."""
+    pid = prm["profile"]
+    if pid == "neck":
+        _admit_neck(prm["nu"], [prm["s"]])
+    elif pid == "k":
+        _given(f"--eps-prime {prm['eps_prime']!r}", k_third_derivative,
+               prm["eps_prime"])
+    elif pid == "collar":  # at collar_profile's default length
+        _given(f"--c {prm['c']!r}", collar_top, prm["c"], 2.0)
+    elif pid == "closability":
+        _given(f"--n {prm['n']}", int_ge, "n", prm["n"], 3)
 
 
 def _run_export(prm, grid):
@@ -827,61 +886,68 @@ def _run_export(prm, grid):
 
 SCENARIOS = {s.name: s for s in (
     Scenario("sha-yang", "complete metric collapsing to a cone over M", (
-        (("--n",), {"type": _integer, "required": True}),
-        (("--m",), {"type": _integer, "required": True}),
-        (("--T",), {"type": _finite_float, "default": 50.0}),
+        (("--n",), {"type": _number(int, 2), "required": True}),
+        (("--m",), {"type": _number(int, 2, N_MAX), "required": True}),
+        (("--T",), {"type": _number(float, EXCLUSION_WIDTH, T_MAX, True),
+                    "default": 50.0}),
     ), ("--grid", "--csv"), 10_000, _run_sha_yang),
     Scenario("neck", "shrinking neck family against a certified core", (
-        (("--nu",), {"type": _finite_float, "required": True}),
-        (("--n",), {"type": _integer, "required": True}),
+        (("--nu",), {"type": _positive, "required": True}),
+        (("--n",), {"type": _number(int, 3, N_MAX), "required": True}),
         (("--s",), {"type": _csv_list, "required": True,
                     "help": "comma-separated list of s values"}),
-    ), ("--grid",), 2048, _run_neck),
+    ), ("--grid",), 2048, _run_neck,
+        admit=lambda prm: _admit_neck(prm["nu"], prm["s"], prm["n"])),
     Scenario("closability", "largest certified collar slope over a convex "
                             "core", (
-        (("--n",), {"type": _integer, "required": True}),
-        (("--c-max",), {"type": _finite_float, "default": 0.45}),
-        (("--kappa",), {"type": _finite_float, "default": 1.0,
+        (("--n",), {"type": _number(int, 2, N_MAX), "required": True}),
+        (("--c-max",), {"type": _positive, "default": 0.45}),
+        (("--kappa",), {"type": _positive, "default": 1.0,
                         "help": "core boundary principal curvature"}),
-    ), ("--grid", "--csv"), 2048, _run_closability),
+    ), ("--grid", "--csv"), 2048, _run_closability,
+        admit=lambda prm: _given(f"--c-max {prm['c_max']!r}", _collar_reach,
+                                 prm["c_max"])),
     Scenario("gn", "doubled-region metric over a hypersurface", (
-        (("--n",), {"type": _integer, "required": True}),
-        (("--eps-prime",), {"type": _finite_float, "default": 0.2}),
+        (("--n",), {"type": _number(int, 3), "required": True}),
+        (("--eps-prime",), {"type": _number(float, 4 * EXCLUSION_WIDTH,
+                                            strict=True), "default": 0.2}),
     ), ("--grid", "--csv"), 2048, _run_gn),
     Scenario("docking", "ambient doubly warped sphere", (
-        (("--n",), {"type": _integer, "required": True}),
+        (("--n",), {"type": _number(int, 3, N_MAX), "required": True}),
     ), ("--grid",), 2048, _run_docking),
     Scenario("thm22", "family hypotheses: volume cap, Ricci floor, closable "
                       "member", (
-        (("--n",), {"type": _integer, "required": True}),
-        (("--members",), {"type": _member_count, "default": 1}),
+        (("--n",), {"type": _number(int, 3, N_MAX), "required": True}),
+        (("--members",), {"type": _number(int, 1, MEMBERS_MAX), "default": 1}),
         (("--ric-deficit",), {"type": _finite_float, "default": 0.0,
                               "help": "subtract from the last member's factor "
                                       "curvature (forces a Ricci-floor "
                                       "failure)"}),
-    ), ("--grid",), 2048, _run_thm22),
+    ), ("--grid",), 2048, _run_thm22, admit=_admit_thm22),
     Scenario("glue", "gluing hypotheses for a pair of boundaries", (
         (("--example",), {"choices": ["hemisphere"]}),
-        (("--n",), {"type": _integer, "help": "total dimension"}),
-        (("--dim",), {"type": _integer, "help": "boundary factor dimension"}),
-        (("--r1",), {"type": _finite_float}),
+        (("--n",), {"type": _number(int, 2, N_MAX), "help": "total dimension"}),
+        (("--dim",), {"type": _number(int, 1, SPHERE_DIM_MAX),
+                      "help": "boundary factor dimension"}),
+        (("--r1",), {"type": _positive}),
         (("--k1",), {"type": _finite_float}),
-        (("--r2",), {"type": _finite_float}),
+        (("--r2",), {"type": _positive}),
         (("--k2",), {"type": _finite_float}),
     ), (), None, _run_glue,
         # the example builds its own boundaries; explicit ones need all five
         ("example", {"hemisphere": {"n": 4},
-                     None: dict.fromkeys(("dim", "r1", "k1", "r2", "k2"))})),
+                     None: dict.fromkeys(("dim", "r1", "k1", "r2", "k2"))}),
+        _admit_glue),
     Scenario("export", "CSV export of a named profile", (
         (("--profile",), {"required": True, "choices": list(PROFILES)}),
-        (("--n",), {"type": _integer}),
-        (("--m",), {"type": _integer}),
-        (("--T",), {"type": _finite_float}),
-        (("--nu",), {"type": _finite_float}),
+        (("--n",), {"type": _number(int, 2)}),
+        (("--m",), {"type": _number(int, 2)}),
+        (("--T",), {"type": _number(float, 0.0, T_MAX, True)}),
+        (("--nu",), {"type": _positive}),
         (("--s",), {"type": _finite_float}),
-        (("--eps-prime",), {"type": _finite_float}),
-        (("--c",), {"type": _finite_float}),
+        (("--eps-prime",), {"type": _positive}),
+        (("--c",), {"type": _positive}),
     ), ("--grid",), None, _run_export,
-        ("profile", {pid: reads for pid, (reads, _) in PROFILES.items()})),
+        ("profile", {pid: reads for pid, (reads, _) in PROFILES.items()}),
+        _admit_export),
 )}
-

@@ -340,8 +340,9 @@ def glue_check(b1: tuple, b2: tuple) -> GlueVerdict:
     gaps = []
     sums = []
     for i, (x, y) in enumerate(zip(b1, b2)):
-        (xlo, xhi), (ylo, yhi) = (scaled_ricci(x.factor, x.radius),
-                                  scaled_ricci(y.factor, y.radius))
+        (xlo, xhi), (ylo, yhi) = (
+            scaled_ricci(x.factor.ricci_interval, x.radius),
+            scaled_ricci(y.factor.ricci_interval, y.radius))
         gaps += [abs(x.radius - y.radius), abs(xlo - ylo), abs(xhi - yhi),
                  0.0 if x.factor.dim == y.factor.dim else float("inf")]
         sums.append(x.kappa + y.kappa)

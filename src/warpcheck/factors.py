@@ -22,15 +22,32 @@ def log_unit_sphere_volume(dim: int) -> float:
             - math.lgamma((dim + 1) / 2.0))
 
 
+# the largest dim whose vol(S^dim) is a normal float; it only falls past 6
+SPHERE_DIM_MAX = next(d for d in range(343, 1000) if math.exp(
+    log_unit_sphere_volume(d + 1)) < sys.float_info.min)
+
+
 def unit_sphere_volume(dim: int) -> float:
     """Volume of the round unit sphere S^dim, from its log where Gamma
-    overflows (dim >= 343); an InputError below the least normal float."""
+    overflows (dim >= 343); an InputError past ``SPHERE_DIM_MAX``."""
     if dim < 343:
         return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0)
-    volume = math.exp(log_unit_sphere_volume(dim))
-    if volume < sys.float_info.min:
+    if dim > SPHERE_DIM_MAX:
         raise InputError(f"the volume of the unit {dim}-sphere underflows")
-    return volume
+    return math.exp(log_unit_sphere_volume(dim))
+
+
+def bishop_gromov(d: int, lo: float, volume: float) -> None:
+    """Refuse a volume above vol(S^d) * ((d - 1)/lo)^(d/2), the round
+    sphere's, which caps a closed d-manifold (d >= 2) with Ricci >= lo > 0;
+    compared in logs, so that no factor of the cap overflows."""
+    log_cap = (log_unit_sphere_volume(d)
+               + d / 2.0 * (math.log(d - 1) - math.log(lo)))
+    if math.log(volume) > log_cap + math.log1p(_REL):
+        raise InputError(
+            f"volume {volume} exceeds the Bishop-Gromov bound "
+            f"vol(S^{d}) * ((d - 1)/{lo})^(d/2) = {math.exp(log_cap)} "
+            f"of a closed {d}-manifold with Ricci >= {lo}")
 
 
 class FactorManifold(Record):
@@ -76,18 +93,8 @@ class FactorManifold(Record):
                 raise InputError(
                     f"round sphere of radius {r} must have volume {vol}, got {self.volume}")
         elif self.volume is not None and self.dim >= 2 and lo > 0:
-            # Bishop-Gromov: Ric >= lo caps the volume at vol(S^d) *
-            # ((d - 1)/lo)^(d/2), the round sphere of that Ricci constant,
-            # whose own volume the branch above pins to the cap; compared in
-            # logs, so that no factor of the cap overflows
-            d = self.dim
-            log_cap = (log_unit_sphere_volume(d)
-                       + d / 2.0 * (math.log(d - 1) - math.log(lo)))
-            if math.log(self.volume) > log_cap + math.log1p(_REL):
-                raise InputError(
-                    f"volume {self.volume} exceeds the Bishop-Gromov bound "
-                    f"vol(S^{d}) * ((d - 1)/{lo})^(d/2) = {math.exp(log_cap)} "
-                    f"of a closed {d}-manifold with Ricci >= {lo}")
+            # the round branch above pins a sphere's volume to this cap
+            bishop_gromov(self.dim, lo, self.volume)
 
     @property
     def ricci_lower(self) -> float:
@@ -127,11 +134,12 @@ def abstract_factor(name: str, dim: int, ricci_interval: tuple[float, float],
                           volume=volume)
 
 
-def scaled_ricci(factor: FactorManifold, c: float) -> tuple[float, float]:
-    """The Ricci interval of the factor with metric g replaced by c^2 g:
+def scaled_ricci(interval: tuple[float, float],
+                 c: float) -> tuple[float, float]:
+    """A factor's Ricci ``interval`` with its metric g replaced by c^2 g:
     Ricci values on unit vectors scale by 1/c^2. A NaN c gives a NaN
     interval, which fails whatever compares it."""
-    lo, hi = factor.ricci_interval
+    lo, hi = interval
     try:
         c2 = c ** 2
         ricci = (lo / c2, hi / c2)

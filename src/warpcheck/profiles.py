@@ -29,6 +29,8 @@ EXCLUSION_WIDTH = 1e-3
 # it, the two scenario builders at an eighth of it, and each echoes it in
 # solver_meta["tol"]. No flag or setting reads it.
 SOLVER_TOL = 1e-10
+# sha-yang's largest step; with kernels.MAX_STEPS it bounds the T it solves to
+SHA_YANG_STEP = 0.25
 
 
 class ParityTag(Record):
@@ -303,7 +305,8 @@ def sha_yang_profiles(n: int, m: int, T: float):
     # integrate tighter than advertised so the first integral meets its bound;
     # cap the step so the dense output is second-derivative accurate (finite
     # differences of the interpolant are used as an oracle against it)
-    sol = integrate_ivp(rhs, 0.0, T, 1.0, 0.0, SOLVER_TOL / 8.0, h_max=0.25)
+    sol = integrate_ivp(rhs, 0.0, T, 1.0, 0.0, SOLVER_TOL / 8.0,
+                        h_max=SHA_YANG_STEP)
 
     # a maximum: neither the order of the points nor a repeat changes it;
     # the solver's nodes already hold the endpoints 0 and T
@@ -365,14 +368,19 @@ def radial_floor_value(profile: WarpProfile, n: int, t):
 
 def neck_end(nu: float) -> float:
     """pi/(4 nu), where every neck warp of ``nu`` ends; an input error
-    unless nu is positive and that end positive and finite."""
+    unless nu is positive, that end finite, and the warp's coefficients up
+    to sqrt(2) nu^3 finite (which keeps the end above 0)."""
     if not nu > 0:
         raise InputError(f"nu must be positive, got {nu}")
     t_out = math.pi / (4.0 * nu)
     if math.isinf(t_out):
         raise InputError(f"nu = {nu} is too small: pi/(4 nu) overflows")
-    if t_out == 0.0:
-        raise InputError(f"nu = {nu} is too large: pi/(4 nu) rounds to 0")
+    try:
+        top = math.sqrt(2.0) * nu ** 3
+    except OverflowError:
+        top = math.inf
+    if math.isinf(top):
+        raise InputError(f"nu = {nu} is too large: sqrt(2) nu^3 overflows")
     return t_out
 
 
@@ -422,6 +430,20 @@ def _flat_decay(x):
     return w, wp
 
 
+def k_third_derivative(eps_prime: float) -> float:
+    """k'''(0) = -2/eps_prime^2, refused unless a nonzero finite float."""
+    if not eps_prime > 0:
+        raise InputError(f"eps_prime must be positive, got {eps_prime}")
+    try:
+        c3 = -2.0 / float(eps_prime) ** 2
+    except (OverflowError, ZeroDivisionError):
+        c3 = 0.0
+    if c3 == 0.0 or math.isinf(c3):
+        raise InputError(f"eps_prime {eps_prime} is out of floating-point "
+                         "range: 1/eps_prime^2 over- or underflows")
+    return c3
+
+
 def k_profile(eps_prime: float) -> WarpProfile:
     """The circle warp closing the doubled region: k(0) = 0, k'(0) = 1,
     k'' < 0 on the interior, and k together with all its derivatives is flat
@@ -431,16 +453,8 @@ def k_profile(eps_prime: float) -> WarpProfile:
     integral. All stated conditions are re-checked after construction and a
     violation raises WarpcheckError rather than returning silently.
     """
-    if not eps_prime > 0:
-        raise InputError(f"eps_prime must be positive, got {eps_prime}")
+    c3 = k_third_derivative(eps_prime)
     ep = float(eps_prime)
-    try:
-        c3 = -2.0 / ep ** 2  # k'''(0)
-    except (OverflowError, ZeroDivisionError):
-        c3 = 0.0
-    if c3 == 0.0 or math.isinf(c3):
-        raise InputError(f"eps_prime {ep} is out of floating-point range: "
-                         "1/eps_prime^2 over- or underflows")
     W = _unit_integral(_flat_decay_value)
 
     def triple(t):
@@ -495,6 +509,19 @@ def _collar_step(x):
     return y
 
 
+def collar_top(c: float, length: float) -> float:
+    """1 + 2c * length, which bounds a collar's f and f' (0 < f' <= 2c) on
+    [0, length]; an input error unless c is positive and twice it finite."""
+    if not c > 0:
+        raise InputError(f"c must be positive, got {c}")
+    top = 1.0 + 2.0 * float(c) * float(length)
+    if not math.isfinite(2.0 * top):
+        raise InputError(f"c = {c} is out of floating-point range: the "
+                         f"collar's f reaches up to 1 + 2c * {length}, whose "
+                         "double overflows")
+    return top
+
+
 def collar_profile(c: float, length: float = 2.0) -> WarpProfile:
     """Cylinder warp with f(0) = 1, f'(0) = 2c, f'' < 0 on [0, 1) and
     f' = c from t = 1 on, smooth across the transition.
@@ -503,17 +530,10 @@ def collar_profile(c: float, length: float = 2.0) -> WarpProfile:
     t = 1 is infinitely smooth; f is recovered by quadrature. ``length`` is
     the domain extent and must exceed the unit ramp.
     """
-    if not c > 0:
-        raise InputError(f"c must be positive, got {c}")
     if not length > 1.0:
         raise InputError(f"length must exceed the unit ramp, got {length}")
+    collar_top(c, length)  # the C2 check below doubles f
     cc = float(c)
-    # 0 < f' <= 2c, so f <= 1 + 2c * length; the C2 check below doubles f
-    top = 1.0 + 2.0 * cc * float(length)
-    if not math.isfinite(2.0 * top):
-        raise InputError(f"c = {c} is out of floating-point range: the "
-                         f"collar's f reaches up to 1 + 2c * {length}, whose "
-                         "double overflows")
 
     big_phi = _unit_integral(_collar_step)
     phi_total = float(big_phi(1.0))

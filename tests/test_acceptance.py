@@ -251,7 +251,10 @@ def test_c10_determinism_and_exit_codes(tmp_path):
     report_written = (fail_dir / "thm22.json").exists()
 
     err_dir = tmp_path / "e"
-    rc_err = main(["gn", "--n", "2", "--out", str(err_dir)])
+    try:  # --n 2 is below gn's floor, which argparse refuses
+        rc_err = main(["gn", "--n", "2", "--out", str(err_dir)])
+    except SystemExit as exc:
+        rc_err = exc.code
     nothing_written = not err_dir.exists() or not list(err_dir.iterdir())
 
     ok = (rc1 == rc2 == 0 and identical and rc_fail == 1 and report_written

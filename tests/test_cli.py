@@ -25,6 +25,14 @@ def read_report(path):
     return json.loads(path.read_text())
 
 
+def _exit(argv):
+    """The exit code of ``main(argv)``: returned, or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def _subparsers():
     """Each subcommand's parser, by name."""
     (subcommands,) = [a for a in _build_parsers()._actions
@@ -181,17 +189,21 @@ class TestExitCodeContract:
         # a normal float up to d = 437 (each was exit 2, "overflows a float")
         assert main(argv + ["--out", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize("T", ["-1", "0", "1e-9", "0.001"])
-    def test_sha_yang_T_within_the_exclusion_width_names_both(
-            self, tmp_path, capsys, T):
-        rc = main(["sha-yang", "--n", "2", "--m", "2", "--T", T,
-                   "--out", str(tmp_path)])
+    @pytest.mark.parametrize("T", ["-1", "0", "1e-9", "0.001", "50000.1"])
+    def test_sha_yang_T_outside_its_domain_names_it(self, tmp_path, capsys,
+                                                    T):
+        # (0.001, 50000]: beyond the exclusion width at the cone point, and
+        # within MAX_STEPS steps of the solver's largest step 0.25
+        rc = _exit(["sha-yang", "--n", "2", "--m", "2", "--T", T,
+                    "--out", str(tmp_path)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: --T {float(T):g} must exceed the exclusion width 0.001")
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument --T: {T!r} is not a float in (0.001, 50000]")
+        assert list(tmp_path.iterdir()) == []
 
     def test_input_error_writes_nothing(self, tmp_path):
-        rc = main(["sha-yang", "--n", "1", "--m", "2", "--out", str(tmp_path)])
+        rc = _exit(["sha-yang", "--n", "1", "--m", "2",
+                    "--out", str(tmp_path)])
         assert rc == 2
         assert list(tmp_path.iterdir()) == []
 
@@ -378,6 +390,94 @@ class TestExitCodeContract:
         assert main(["export", "--profile", "sha-f", "--n", "3", "--m", "2",
                      "--T", "1.1e-11", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("argv, flag", [
+        # one argv per class of refusal that named no flag of its argv; the
+        # message each printed before is in the comment
+        # "n must be an integer >= 2, got 1"
+        (["sha-yang", "--n", "1", "--m", "2"], "--n"),
+        # "m must be an integer >= 2, got 1"
+        (["sha-yang", "--n", "3", "--m", "1"], "--m"),
+        # "the volume of the unit 438-sphere underflows"
+        (["sha-yang", "--n", "3", "--m", "439"], "--m"),
+        (["docking", "--n", "1000000"], "--n"),
+        (["closability", "--n", "439"], "--n"),
+        (["thm22", "--n", "439"], "--n"),
+        (["neck", "--nu", "0.1", "--n", "439", "--s", "0.5"], "--n"),
+        (["glue", "--example", "hemisphere", "--n", "439"], "--n"),
+        # "[0.0, 1e+300] cannot be covered in 200000 steps of at most 0.25"
+        (["sha-yang", "--n", "3", "--m", "2", "--T", "1e300"], "--T"),
+        (["export", "--profile", "sha-f", "--T", "1e300"], "--T"),
+        # "T must be positive, got 0.0"
+        (["export", "--profile", "sha-h", "--T", "0"], "--T"),
+        # "n must be an integer >= 3, got 2" (n - 1 >= 2 in docking)
+        (["neck", "--nu", "0.1", "--n", "2", "--s", "0.5"], "--n"),
+        (["gn", "--n", "2"], "--n"),
+        (["docking", "--n", "2"], "--n"),
+        (["thm22", "--n", "2"], "--n"),
+        (["export", "--profile", "closability", "--n", "2"], "--n"),
+        (["export", "--profile", "sha-f", "--n", "1"], "--n"),
+        (["export", "--profile", "sha-f", "--m", "1"], "--m"),
+        # "nu must be positive, got 0.0"
+        (["neck", "--nu", "0", "--n", "3", "--s", "0.5"], "--nu"),
+        (["export", "--profile", "neck", "--nu", "0"], "--nu"),
+        # "nu = 5e-324 is too small: pi/(4 nu) overflows"
+        (["neck", "--nu", "5e-324", "--n", "3", "--s", "0.5"], "--nu"),
+        # "nu = 1e+308 is too large: pi/(4 nu) rounds to 0"
+        (["export", "--profile", "neck", "--nu", "1e308"], "--nu"),
+        # "amplitude 1.4142135623730951 and omega 1e+300 are out of
+        # floating-point range"
+        (["neck", "--nu", "1e300", "--n", "3", "--s", "1e-301"], "--nu"),
+        # "s must lie in (0, 0.39269908169872414), got 0.5"
+        (["neck", "--nu", "2", "--n", "3", "--s", "0.5"], "--s"),
+        (["export", "--profile", "neck", "--nu", "2", "--s", "0.5"], "--s"),
+        # "the slice t = 5e-324 is collapsed: a warp vanishes there"
+        (["neck", "--nu", "0.1", "--n", "3", "--s", "5e-324"], "--s"),
+        (["neck", "--nu", "0.75", "--n", "3", "--s", "5e-324"], "--s"),
+        # "c_max must be positive"
+        (["closability", "--n", "3", "--c-max", "0"], "--c-max"),
+        # "c = 1e+300 is out of floating-point range: ... whose square
+        # overflows"
+        (["closability", "--n", "3", "--c-max", "1e300"], "--c-max"),
+        # "core boundary must be strictly convex (kappa > 0)"
+        (["closability", "--n", "3", "--kappa", "0"], "--kappa"),
+        # "eps_prime too small, need > 0.004"
+        (["gn", "--n", "3", "--eps-prime", "0.004"], "--eps-prime"),
+        # "eps must be positive", "eps_prime must be positive, got 0.0"
+        (["export", "--profile", "closability", "--eps-prime", "0"],
+         "--eps-prime"),
+        (["export", "--profile", "k", "--eps-prime", "0"], "--eps-prime"),
+        # "eps_prime 1e-200 is out of floating-point range: 1/eps_prime^2
+        # over- or underflows"
+        (["export", "--profile", "k", "--eps-prime", "1e-200"],
+         "--eps-prime"),
+        # "c must be positive, got 0.0"
+        (["export", "--profile", "collar", "--c", "0"], "--c"),
+        # "c = 1e+308 is out of floating-point range: ... whose double
+        # overflows"
+        (["export", "--profile", "collar", "--c", "1e308"], "--c"),
+        # "volume 12.566370614359172 exceeds the Bishop-Gromov bound ..."
+        (["thm22", "--n", "4", "--ric-deficit=-1"], "--ric-deficit"),
+        # "dim must be a positive integer, got 0"
+        (["glue", "--dim", "0", "--r1", "1", "--k1", "1", "--r2", "1",
+          "--k2", "1"], "--dim"),
+        # "radius must be positive and finite, got 0.0"
+        (["glue", "--dim", "2", "--r1", "0", "--k1", "1", "--r2", "1",
+          "--k2", "1"], "--r1"),
+        # "glued block 0: the principal curvatures 1e+308 and 1e+308 have
+        # no finite sum"
+        (["glue", "--dim", "3", "--r1", "1", "--k1", "1e308", "--r2", "1",
+          "--k2", "1e308"], "--k1"),
+    ])
+    def test_each_refusal_class_names_its_flag(self, tmp_path, capsys, argv,
+                                               flag):
+        out = tmp_path / "out"
+        assert _exit(argv + ["--out", str(out)]) == 2
+        line = next(x for x in capsys.readouterr().err.splitlines()
+                    if "error:" in x)
+        assert re.search(rf"(^|\s){re.escape(flag)}(\s|:|$)",
+                         line.partition("error:")[2]), line
+        assert not out.exists()
+
     def test_neck_refuses_every_member_before_sweeping_any(
             self, tmp_path, capsys, monkeypatch):
         # the collapsed slice s = 5e-324, where nu s rounds to 0, is
@@ -392,7 +492,8 @@ class TestExitCodeContract:
         monkeypatch.setattr(cons, "ricci_report", counting)
         assert main(["neck", "--nu", "0.1", "--n", "3", "--s", "0.5,5e-324",
                      "--out", str(tmp_path / "out")]) == 2
-        assert "t = 5e-324 is collapsed" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: --s 5e-324 with --nu 0.1, whose glued core radius is ")
         assert sweeps == []
         assert not (tmp_path / "out").exists()
 
@@ -454,59 +555,65 @@ class TestExitCodeContract:
         assert line.endswith(message)
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("argv, given, interval, radius", [
+    @pytest.mark.parametrize("argv, given, scale, interval", [
         (["neck", "--nu", "0.1", "--n", "3", "--s", "1e-300"],
-         "--s 1e-300 with --nu 0.1", "[1.0, 1.0]",
-         "the glued core's radius sqrt(2) sin(nu s) = 1.41421e-301"),
+         "--s 1e-300 with --nu 0.1, whose glued core radius is sqrt(2) "
+         "sin(nu s)", repr(2 ** 0.5 * math.sin(0.1 * 1e-300)), "[1.0, 1.0]"),
         (["neck", "--nu", "1e-300", "--n", "3", "--s", "1"],
-         "--s 1 with --nu 1e-300", "[1.0, 1.0]",
-         "the glued core's radius sqrt(2) sin(nu s) = 1.41421e-300"),
+         "--s 1.0 with --nu 1e-300, whose glued core radius is sqrt(2) "
+         "sin(nu s)", repr(2 ** 0.5 * math.sin(1e-300)), "[1.0, 1.0]"),
         (["glue", "--dim", "2", "--r1", "1e300", "--k1", "1", "--r2",
-          "1e300", "--k2", "1"], "--r1 1e+300", "[1.0, 1.0]", "--r1"),
+          "1e300", "--k2", "1"], "--r1 1e+300 with --dim 2", "1e+300",
+         "[1.0, 1.0]"),
         (["glue", "--dim", "1", "--r1", "1", "--k1", "1", "--r2", "1e-200",
-          "--k2", "1"], "--r2 1e-200", "[0.0, 0.0]", "--r2"),
+          "--k2", "1"], "--r2 1e-200 with --dim 1", "1e-200", "[0.0, 0.0]"),
     ])
     def test_radius_out_of_range_names_the_flags(self, tmp_path, capsys,
-                                                 argv, given, interval,
-                                                 radius):
+                                                 argv, given, scale,
+                                                 interval):
         # each was "scale <c> is out of floating-point range", naming for
-        # neck the core's rescaling, a number that no flag holds
+        # neck the core's rescaling, a number that no flag holds; the flags
+        # that set it now lead the message, at parse time
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {given} is out of floating-point range: the boundary's "
-            f"Ricci interval {interval} over {radius} squared cannot be "
-            "formed in floating point\n")
+            f"error: {given}: scale {scale} is out of floating-point range: "
+            f"the scaled Ricci interval {interval}/c^2 is not finite\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["neck", "--nu", "1e308", "--n", "3", "--s", "0.5"],
         ["export", "--profile", "neck", "--nu", "1e308"],
     ])
-    def test_neck_nu_whose_end_rounds_to_zero_is_named(self, tmp_path,
-                                                       capsys, argv):
+    def test_neck_nu_past_its_ceiling_is_named(self, tmp_path, capsys,
+                                               argv):
+        # was "nu = 1e+308 is too large: pi/(4 nu) rounds to 0", naming no
+        # flag; sqrt(2) nu^3 overflows long before pi/(4 nu) rounds to 0
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "error: nu = 1e+308 is too large: pi/(4 nu) rounds to 0\n")
+            "error: --nu 1e+308: nu = 1e+308 is too large: sqrt(2) nu^3 "
+            "overflows\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv, k", [
-        (["thm22", "--n", "2"], 3),
-        (["thm22", "--n", "1"], 3),
-        (["glue", "--example", "hemisphere", "--n", "1"], 2),
-        (["closability", "--n", "1"], 2),
-        (["closability", "--n", "0"], 2),
-        (["gn", "--n", "1"], 3),
-        (["gn", "--n", "0"], 3),
-        (["sha-yang", "--m", "2", "--n", "0"], 2),
+    @pytest.mark.parametrize("argv, domain", [
+        (["thm22", "--n", "2"], "an int in [3, 438]"),
+        (["thm22", "--n", "1"], "an int in [3, 438]"),
+        (["glue", "--example", "hemisphere", "--n", "1"], "an int in [2, 438]"),
+        (["closability", "--n", "1"], "an int in [2, 438]"),
+        (["closability", "--n", "0"], "an int in [2, 438]"),
+        (["gn", "--n", "1"], "an int >= 3"),
+        (["gn", "--n", "0"], "an int >= 3"),
+        (["sha-yang", "--m", "2", "--n", "0"], "an int >= 2"),
     ])
     def test_dimension_below_its_floor_names_n(self, tmp_path, capsys, argv,
-                                               k):
+                                               domain):
         # each was "dim must be a positive integer, got n - 1 (or n - 2)",
         # refused by the sphere factor it began to build; gn and sha-yang
-        # said "dim must be >= 1, got n - 1 (or n)", from their Y or M
-        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            f"error: n must be an integer >= {k}, got {argv[-1]}\n")
+        # said "dim must be >= 1, got n - 1 (or n)", from their Y or M; then
+        # "n must be an integer >= 3, got 2", naming no flag
+        assert _exit(argv + ["--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()[-1:]
+        assert line.endswith(f"error: argument --n: {argv[-1]!r} is not "
+                             f"{domain}")
         assert not (tmp_path / "out").exists()
 
     def test_more_s_values_than_members_max_exit_before_any_work(
@@ -637,16 +744,18 @@ class TestExitCodeContract:
         assert prm["nu"] is None and prm["m"] is None
 
     def test_negative_exponent_is_attached_with_equals(self, capsys):
+        # the parser alone: thm22 admits no negative deficit this large
+        parse = _build_parsers().parse_args
         attached = ["thm22", "--n", "4", "--ric-deficit=-5e-1"]
-        assert _parse(attached)["ric_deficit"] == -0.5
+        assert parse(attached).ric_deficit == -0.5
         # argparse takes "-5e-1" for a flag unless its negative-number
         # pattern matches it, which on Python 3.11 it does not
         spaced = ["thm22", "--n", "4", "--ric-deficit", "-5e-1"]
         if argparse.ArgumentParser()._negative_number_matcher.match("-5e-1"):
-            assert _parse(spaced)["ric_deficit"] == -0.5
+            assert parse(spaced).ric_deficit == -0.5
         else:
             with pytest.raises(SystemExit) as exc:
-                _parse(spaced)
+                parse(spaced)
             assert exc.value.code == 2
             assert "expected one argument" in capsys.readouterr().err
 
@@ -890,6 +999,11 @@ def _flags(text):
     return set(re.findall(r"`(--[\w-]+)", text))
 
 
+# a flag in README's command-line tables: `--flag`, its domain in italics
+# if it has one, and in the mode table its default in parentheses
+_README_FLAG = r"`(--[\w-]+)`(?: \*([^*]+)\*)?(?: \((\S+)\))?"
+
+
 def test_readme_command_line_tables_match_the_parsers():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert "--config" not in readme
@@ -897,12 +1011,16 @@ def test_readme_command_line_tables_match_the_parsers():
     section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
     every = _flags(re.search(r"Every\s+subcommand\s+takes(.*?)\.", section,
                              re.S)[1])
-    listed, modes = {}, {}
+    listed, modes, domains = {}, {}, {}
     for line in section.splitlines():
         if not line.startswith("| `"):
             continue
         cells = [c.strip() for c in line.strip("|").split("|")]
         words = cells[0].replace("`", "").split()
+        found = re.findall(_README_FLAG, " ".join(cells[1:]))
+        for flag, domain, _ in found:
+            if domain:
+                domains.setdefault((words[0], flag), set()).add(domain)
         if len(cells) == 3:  # subcommand | its own flags | shared flags
             listed.setdefault(words[0], set()).update(
                 _flags(cells[1]), _flags(cells[2]), every)
@@ -910,8 +1028,7 @@ def test_readme_command_line_tables_match_the_parsers():
             value = words[2] if words[1].startswith("--") else None
             modes[words[0], value] = {
                 flag[2:].replace("-", "_"): float(default) if default else None
-                for flag, default in re.findall(r"`(--[\w-]+)`(?: \((\S+)\))?",
-                                                cells[1])}
+                for flag, _, default in found}
     for (name, _), reads in modes.items():
         listed[name].update("--" + d.replace("_", "-") for d in reads)
 
@@ -922,6 +1039,12 @@ def test_readme_command_line_tables_match_the_parsers():
     tables = {(s.name, value): reads for s in cons.SCENARIOS.values()
               if s.mode for value, reads in s.mode[1].items()}
     assert modes == tables
+    # every numeric flag, in every row that lists it, with the domain its
+    # type declares, so a changed bound cannot leave README behind
+    assert domains == {
+        (name, a.option_strings[0]): {a.type.domain}
+        for name, p in _subparsers().items() for a in p._actions
+        if hasattr(a.type, "domain")}
 
 
 def _readme_examples():

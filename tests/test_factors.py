@@ -72,24 +72,24 @@ def test_interval_must_be_ordered():
 
 def test_scale_identity():
     f = round_sphere_factor(3, 1.5)
-    assert scaled_ricci(f, 1.0) == f.ricci_interval
+    assert scaled_ricci(f.ricci_interval, 1.0) == f.ricci_interval
 
 
 def test_scale_matches_direct_round_sphere():
-    assert scaled_ricci(round_sphere_factor(2, 1.0), 2.0) == \
+    assert scaled_ricci(round_sphere_factor(2, 1.0).ricci_interval, 2.0) == \
         round_sphere_factor(2, 2.0).ricci_interval
 
 
 def test_scale_divides_curvature_by_square():
     y = abstract_factor("Y", 4, (-3.0, -3.0))
-    lo, hi = scaled_ricci(y, math.sqrt(3.0))
+    lo, hi = scaled_ricci(y.ricci_interval, math.sqrt(3.0))
     assert lo == pytest.approx(-1.0, rel=1e-12)
     assert hi == pytest.approx(-1.0, rel=1e-12)
 
 
 def test_scale_rejects_nonpositive():
     with pytest.raises(InputError):
-        scaled_ricci(round_sphere_factor(2, 1.0), 0.0)
+        scaled_ricci(round_sphere_factor(2, 1.0).ricci_interval, 0.0)
 
 
 @pytest.mark.parametrize("dim, c", [
@@ -99,7 +99,7 @@ def test_scale_rejects_nonpositive():
 def test_scale_rejects_out_of_range(dim, c):
     with pytest.raises(InputError, match=re.escape(
             f"scale {c} is out of floating-point range")):
-        scaled_ricci(round_sphere_factor(dim, 1.0), c)
+        scaled_ricci(round_sphere_factor(dim, 1.0).ricci_interval, c)
 
 
 @pytest.mark.parametrize("dim, c", [
@@ -110,25 +110,25 @@ def test_scale_rejects_out_of_range(dim, c):
 def test_scale_reads_no_volume(dim, c):
     # the Ricci interval stays in range, whatever a scaled volume would do
     rho = dim - 1.0
-    assert scaled_ricci(round_sphere_factor(dim, 1.0), c) == \
+    assert scaled_ricci(round_sphere_factor(dim, 1.0).ricci_interval, c) == \
         (rho / c ** 2, rho / c ** 2)
 
 
 def test_scale_keeps_a_flat_interval_under_a_subnormal_square():
     # c^2 = 1e-320 is subnormal; 0/c^2 = 0 stays finite
-    assert scaled_ricci(round_sphere_factor(1, 1.0), 1e-160) == (0.0, 0.0)
+    assert scaled_ricci((0.0, 0.0), 1e-160) == (0.0, 0.0)
 
 
 def test_nan_scale_gives_a_nan_interval():
     # a NaN radius must fail the comparison it enters, not be refused
-    assert all(map(math.isnan, scaled_ricci(round_sphere_factor(2, 1.0),
-                                            math.nan)))
+    assert all(map(math.isnan, scaled_ricci((1.0, 1.0), math.nan)))
 
 
 @given(dim=st.integers(1, 6), radius=st.floats(0.2, 5.0))
 def test_round_sphere_factor_is_scaled_unit_sphere(dim, radius):
     direct = round_sphere_factor(dim, radius)
-    lo, hi = scaled_ricci(round_sphere_factor(dim, 1.0), radius)
+    unit = round_sphere_factor(dim, 1.0)
+    lo, hi = scaled_ricci(unit.ricci_interval, radius)
     assert direct.ricci_interval[0] == pytest.approx(lo, rel=1e-12,
                                                      abs=1e-300)
     assert direct.ricci_interval[1] == pytest.approx(hi, rel=1e-12,
@@ -170,7 +170,7 @@ def test_unit_sphere_volume_below_the_least_normal_float_is_refused(dim):
 def test_scale_names_a_scale_whose_ricci_interval_overflows():
     # c^2 = 1e-320 is subnormal, not 0, so only 1/c^2 overflows
     with pytest.raises(InputError, match=r"scale 1e-160 .*Ricci interval"):
-        scaled_ricci(round_sphere_factor(2, 1.0), 1e-160)
+        scaled_ricci(round_sphere_factor(2, 1.0).ricci_interval, 1e-160)
 
 
 def test_bishop_gromov_refuses_more_volume_than_the_round_model():

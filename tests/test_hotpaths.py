@@ -1014,7 +1014,8 @@ def test_grid_below_two_is_rejected_at_parse_time(tmp_path, capsys, name,
     assert exc.value.code == 2
     (line,) = [x for x in capsys.readouterr().err.splitlines()
                if "error:" in x]
-    assert f"argument --grid: {grid!r} is not a finite int" in line
+    assert line.endswith(f"argument --grid: {grid!r} is not an int in "
+                         "[2, 100000000]")
     assert not out.exists()
 
 

@@ -162,3 +162,59 @@ def test_without_a_subcommand_every_one_is_listed(argv, capsys):
     out = capsys.readouterr()
     listed = "{" + ",".join(NAMES) + "}"
     assert listed in out.out + out.err
+
+
+# argvs whose every admit condition is evaluated: each scenario and export
+# profile, admitted or refused by its admit
+ADMIT_ARGVS = [
+    ["sha-yang", "--n", "3", "--m", "2"],
+    ["neck", "--nu", "0.1", "--n", "3", "--s", "0.5,0.25"],
+    ["neck", "--nu", "0.1", "--n", "3", "--s", "0.5,1e-300"],
+    ["closability", "--n", "3", "--c-max", "0.7"],
+    ["gn", "--n", "4"],
+    ["docking", "--n", "3"],
+    ["thm22", "--n", "4", "--members", "2", "--ric-deficit", "0.1"],
+    ["thm22", "--n", "4", "--ric-deficit=-1"],
+    ["glue", "--example", "hemisphere"],
+    ["glue", "--dim", "2", "--r1", "1", "--k1", "1", "--r2", "5",
+     "--k2", "-3"],
+    *(["export", "--profile", pid] for pid in cli.cons.PROFILES),
+]
+
+
+def test_admitting_an_argv_loads_no_module(tmp_path):
+    # a first parse loads what argparse's messages need (locale, through
+    # gettext); what loads after it, admit loads
+    added = _child(
+        "import json, sys\n"
+        "from warpcheck import cli, errors\n"
+        "cli._build_parsers().parse_args(['docking', '--n', '3'])\n"
+        "before = set(sys.modules)\n"
+        f"for argv in {ADMIT_ARGVS!r}:\n"
+        "    try:\n"
+        "        cli._parse(argv)\n"
+        "    except errors.InputError:\n"
+        "        pass\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n", tmp_path)
+    assert added == []
+
+
+@pytest.mark.parametrize("argv", ADMIT_ARGVS)
+def test_admitting_an_argv_builds_no_profile_factor_or_grid(argv,
+                                                            monkeypatch):
+    from warpcheck import curvature, errors, factors, ode, profiles
+
+    def built(*args, **kwargs):
+        raise AssertionError("work before the run")
+
+    for owner, name in ((profiles.WarpProfile, "__post_init__"),
+                        (factors.FactorManifold, "__post_init__"),
+                        (curvature.MultiWarpedMetric, "__post_init__"),
+                        (quadrature.CumulativeIntegral, "__init__"),
+                        (ode, "integrate_ivp"), (profiles, "integrate_ivp"),
+                        (np, "linspace")):
+        monkeypatch.setattr(owner, name, built)
+    try:
+        cli._parse(argv)
+    except errors.InputError:
+        pass
