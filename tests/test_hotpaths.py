@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cone_profile
-from warpcheck import (cli, constructions, curvature, kernels, profiles,
-                       quadrature, report)
+from warpcheck import (cli, constructions, curvature, floatrepr, kernels,
+                       profiles, quadrature, report)
 from warpcheck.constructions import (certify_collar, docking_ambient,
                                      gN_regions)
 from warpcheck.curvature import (MultiWarpedMetric, _component_arrays,
@@ -1185,15 +1185,19 @@ def test_csv_columns_of_other_dtypes_are_written_as_floats(tmp_path):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), rows=st.integers(2, 40),
        block=st.sampled_from([4, 8, 12]),
+       sub_block=st.sampled_from([3, 4, floatrepr.BLOCK_ROWS]),
        domain=st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2,
                        unique=True).map(sorted))
 def test_csv_property_any_float64_columns(tmp_path_factory, data, rows, block,
-                                          domain):
+                                          sub_block, domain):
+    # formatter sub-blocks of 3 or 4 rows end inside a grid block, and leave
+    # one-row tails
     column = st.lists(st.floats(width=64) | SPECIALS, min_size=rows,
                       max_size=rows)
     cols = [np.array(data.draw(column), dtype=float) for _ in range(3)]
     directory = tmp_path_factory.mktemp("csv")
-    with mock.patch.object(quadrature, "_GRID_BLOCK", block):
+    with mock.patch.object(quadrature, "_GRID_BLOCK", block), \
+            mock.patch.object(floatrepr, "BLOCK_ROWS", sub_block):
         assert_csv_matches_row_by_row(directory, cols, tuple(domain))
 
 

@@ -67,6 +67,25 @@ def test_runs_import_neither_numpy_ma_nor_numpy_polynomial(tmp_path):
     assert loaded == [[0] * len(SMALL_RUNS), []]
 
 
+def test_only_a_csv_export_loads_the_float_formatter(tmp_path):
+    # floatrepr is imported by write_profile_csv itself: the import and the
+    # verdict runs (no --csv) neither load nor compile it
+    loaded = _child(
+        "import contextlib, io, json, sys\n"
+        "from warpcheck.cli import main\n"
+        f"runs = {SMALL_RUNS!r}\n"
+        "seen = ['warpcheck.floatrepr' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in runs:\n"
+        "        assert main(argv) == 0\n"
+        "        seen.append('warpcheck.floatrepr' in sys.modules)\n"
+        "print(json.dumps(seen))\n", tmp_path)
+    first_export = 1 + [argv[0] for argv in SMALL_RUNS].index("export")
+    assert all(argv[0] == "export" for argv in SMALL_RUNS[first_export - 1:])
+    assert loaded == [False] * first_export \
+        + [True] * (len(SMALL_RUNS) - first_export + 1)
+
+
 def test_module_level_arrays_stay_small(tmp_path):
     """The module-level ndarrays of every warpcheck module total at most
     4 KB once ``import warpcheck.cli`` has returned (680 bytes: the two
