@@ -24,7 +24,8 @@ from .errors import InputError, int_ge, removed
 from .factors import (SPHERE_DIM_MAX, FactorManifold, abstract_factor,
                       bishop_gromov, round_sphere_factor, scaled_ricci,
                       unit_sphere_volume)
-from .kernels import MAX_STEPS
+from .kernels import MAX_STEPS, START_STEPS
+from .ode import check_first_step
 from .profiles import (EXCLUSION_WIDTH, SHA_YANG_STEP, SOLVER_TOL,
                        closability_ode_profile, closed_form_profile,
                        collar_profile, collar_top, docking_R_profile,
@@ -633,7 +634,9 @@ MEMBERS_MAX = 1000
 # takes 0.07-0.12 s (in process, one BLAS thread, 2-CPU VM), so one at 1e8
 # about 10 s
 GRID_MAX = 10 ** 8
-T_MAX = SHA_YANG_STEP * MAX_STEPS  # the longest T a sha-yang solve covers
+# the longest T a sha-yang solve covers: its full steps, without the
+# allowance for the shorter steps of its start
+T_MAX = SHA_YANG_STEP * (MAX_STEPS - START_STEPS)
 N_MAX = SPHERE_DIM_MAX + 1  # the largest n whose S^(n-1) has a volume
 
 
@@ -877,6 +880,11 @@ def _admit_export(prm):
         _given(f"--c {prm['c']!r}", collar_top, prm["c"], 2.0)
     elif pid == "closability":
         _given(f"--n {prm['n']}", int_ge, "n", prm["n"], 3)
+        _given(f"--eps-prime {prm['eps_prime']!r}", check_first_step,
+               0.0, prm["eps_prime"])
+    elif pid in ("sha-f", "sha-h"):
+        _given(f"--T {prm['T']!r}", check_first_step, 0.0, prm["T"],
+               SHA_YANG_STEP)
 
 
 def _run_export(prm, grid):

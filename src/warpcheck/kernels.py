@@ -41,8 +41,12 @@ STATUS_MAX_STEPS = 2
 F_FLOOR = 1e-4
 FP_CAP = 1e6
 
-# accepted steps of one solve before it stops with STATUS_MAX_STEPS
-MAX_STEPS = 200_000
+# accepted steps of one solve before it stops with STATUS_MAX_STEPS: 200000
+# full steps, and START_STEPS for the shorter steps of a start. A sha-yang
+# solve took at most 107 steps beyond T over its largest step 0.25: to
+# T = 2000 for 54 pairs (n, m) in 2..438, and to T = 50000 for seven
+START_STEPS = 1024
+MAX_STEPS = 200_000 + START_STEPS
 
 # the least step at t is MIN_STEP_REL * max(|t|, 1); a solve whose step
 # would have to be shorter stops with STATUS_TRUNCATED

@@ -70,6 +70,17 @@ class DenseSolution(Record):
         return float(np.max(np.abs(curv - rhs_val)))
 
 
+def check_first_step(t0: float, t1: float, h_max: float = np.inf) -> None:
+    """Refuse [t0, t1] as too short for the solver: its first step,
+    min((t1 - t0)/100, h_max), lies below the least step at t0."""
+    h_first = min((float(t1) - float(t0)) / 100.0, h_max)
+    h_least = kernels.MIN_STEP_REL * max(abs(float(t0)), 1.0)
+    if h_first < h_least:
+        raise InputError(f"the interval [{t0}, {t1}] is too short for the "
+                         f"solver: its first step {h_first} lies below its "
+                         f"least step {h_least}")
+
+
 def integrate_ivp(rhs: Callable, t0: float, t1: float, f0: float, fp0: float,
                   tol: float, *, h_max: float = np.inf) -> DenseSolution:
     """Adaptively integrate f'' = rhs(t, f, f') from t0 to t1.
@@ -78,8 +89,8 @@ def integrate_ivp(rhs: Callable, t0: float, t1: float, f0: float, fp0: float,
     below that floor or |f'| exceeds ``kernels.FP_CAP``, raises
     an ``InputError`` that names the time reached. Every accepted step
     is at most ``h_max`` long, so an interval longer than ``h_max *
-    kernels.MAX_STEPS`` is rejected before stepping, and so is one whose
-    first step, min((t1 - t0)/100, h_max), lies below the least step at t0.
+    kernels.MAX_STEPS`` is rejected before stepping, and so is one that
+    ``check_first_step`` refuses.
     """
     if not t1 > t0:
         raise InputError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -91,12 +102,7 @@ def integrate_ivp(rhs: Callable, t0: float, t1: float, f0: float, fp0: float,
     if t1 - t0 > h_max * kernels.MAX_STEPS:
         raise InputError(f"[{t0}, {t1}] cannot be covered in "
                          f"{kernels.MAX_STEPS} steps of at most {h_max}")
-    h_first = min((float(t1) - float(t0)) / 100.0, h_max)
-    h_least = kernels.MIN_STEP_REL * max(abs(float(t0)), 1.0)
-    if h_first < h_least:
-        raise InputError(f"the interval [{t0}, {t1}] is too short for the "
-                         f"solver: its first step {h_first} lies below its "
-                         f"least step {h_least}")
+    check_first_step(t0, t1, h_max)
 
     ts, fs, fps, fpps, status, nfev = kernels.rk45_callback(
         rhs, float(t0), float(t1), float(f0), float(fp0), float(tol),

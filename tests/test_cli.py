@@ -17,6 +17,7 @@ from conftest import child_env
 
 import warpcheck
 from warpcheck import constructions as cons
+from warpcheck import kernels
 from warpcheck.cli import CSV_GRID, _build_parsers, _parse, main
 from warpcheck.report import revalidate_report
 
@@ -372,16 +373,24 @@ class TestExitCodeContract:
           "--eps-prime", "1e-14"], "[0.0, 1e-14]"),
         (["export", "--profile", "sha-f", "--n", "3", "--m", "2",
           "--T", "1e-300"], "[0.0, 1e-300]"),
+        (["export", "--profile", "sha-h", "--T", "1e-11"], "[0.0, 1e-11]"),
     ])
     def test_an_ivp_shorter_than_the_least_step_is_refused_as_such(
-            self, tmp_path, capsys, argv, span):
+            self, tmp_path, capsys, monkeypatch, argv, span):
         # the first step, span/100, lies below the least step 1e-13 (was
-        # "solution left its admissible region at t = 0.0", where f is 1)
+        # "solution left its admissible region at t = 0.0", where f is 1);
+        # admit refuses it by the flag the argv ends with, before any
+        # profile is built
+        given = " ".join(argv[-2:])
+
+        def refuse(*args):
+            raise AssertionError("the solver was called")
+        monkeypatch.setattr(kernels, "rk45_callback", refuse)
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"error: the interval {span} is too short "
-                               "for the solver")
+        assert line.startswith(f"error: {given}: the interval {span} is too "
+                               "short for the solver")
         assert line.endswith("below its least step 1e-13")
         assert "admissible region" not in line
         assert not out.exists()

@@ -57,10 +57,6 @@ KNOWN = [
      ["sha-yang", "--n", "11", "--m", "2"]),
     ("first-integral residual", 8,
      ["sha-yang", "--n", "60", "--m", "3", "--T", "0.5"]),
-    ("is too short for the solver", 8,
-     ["export", "--profile", "sha-f", "--T", "1e-300"]),
-    ("step budget exhausted", 8,
-     ["sha-yang", "--n", "3", "--m", "2", "--T", "50000", "--grid", "17"]),
     # item 9: closability in closed form; the search halves c to 0, or
     # stops at c_max * 2^-60 above kappa / 2
     ("c must be positive", 9,

@@ -1,6 +1,8 @@
 """``floatrepr.csv_rows`` against its oracle, ``repr``: the inputs that
 steer Ryū off its common path or switch repr's notation, special values,
 random bit patterns, and the share of exported values repr still writes."""
+import collections
+import struct
 import sys
 
 import numpy as np
@@ -17,8 +19,8 @@ def oracle(block):
                    for row in block.tolist()).encode()
 
 
-def written(block):
-    return b"".join(floatrepr.csv_rows(block))
+def written(*blocks):
+    return b"".join(floatrepr.csv_rows(blocks))
 
 
 def assert_like_repr(values):
@@ -84,6 +86,96 @@ def test_a_million_random_bit_patterns():
     assert written(block) == oracle(block)
 
 
+def ryu(x):
+    """For a double on Ryū's common path, in Python integers: the product
+    mv T, the 2T added for vp and the (1 + mmShift) T subtracted for vm,
+    and the number of digits the shortest decimal drops from
+    floor(mv T / 2^(64 + s)). None for a double off that path."""
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
+    biased, fraction = bits >> 52 & 0x7FF, bits & (1 << 52) - 1
+    mv = (fraction | 1 << 52) << 2
+    e2 = biased - 1077
+    q = max(0, (-e2 * 732923 >> 20) - 1)
+    if not 0 < biased < 1077 or q <= 1 or mv % (1 << q - 1) == 0:
+        return None
+    five = 5 ** (-e2 - q)
+    k = five.bit_length() - 125
+    t = five >> k if k >= 0 else five << -k
+    product = mv * t
+    kept = repr(abs(x)).split("e")[0].replace(".", "").strip("0")
+    dropped = len(str(product >> q - k)) - len(kept)
+    return product, 2 * t, t if fraction == 0 and biased > 1 else 2 * t, \
+        dropped
+
+
+def test_digit_removals_carries_and_borrows_match_repr():
+    # random significands from 2^-1000 to 2^53, and decimals of 1 to 17
+    # significant digits, which make Ryū drop from 1 to 16 digits
+    rng = np.random.default_rng(38)
+    spread = rng.random(4000) * 2.0 ** rng.integers(-1000, 53, 4000)
+    sizes = rng.integers(1, 18, 4000)
+    decimals = np.array([float(f"{rng.integers(10 ** (k - 1), 10 ** k)}"
+                               f"e{rng.integers(-300, 16 - k)}")
+                         for k in sizes])
+    values = np.concatenate([spread, -decimals, decimals])
+    seen = collections.Counter()
+    low, middle = 1 << 64, 1 << 128
+    for x in values.tolist():
+        parts = ryu(x)
+        if parts is None:
+            continue
+        product, up, down, dropped = parts
+        seen[min(dropped, 3)] += 1
+        seen["carry out of w0"] += product % low + up % low >= low
+        seen["carry into w2"] += product % middle + up >= middle
+        seen["borrow from w1"] += product % low < down % low
+        seen["borrow from w2"] += product % middle < down
+    assert min(seen.values()) >= 50 and len(seen) == 7, seen
+    assert_like_repr(values)
+
+
+def test_power_of_two_significands_subtract_t_for_vm():
+    # mmShift = 0: the gap below 2^k is half the gap above it; only
+    # 2^k <= 2^-28 reach the common path, the others set Ryū's trailing-zero
+    # flags. The least normal keeps mmShift = 1
+    powers = 2.0 ** np.arange(-1022, 54)
+    fast = [x for x in powers.tolist() if ryu(x) is not None]
+    assert len(fast) > 900 and max(fast) == 2.0 ** -28
+    for x in fast:
+        _, up, down, _ = ryu(x)
+        assert down == (up if x == 2.0 ** -1022 else up // 2)
+    assert_like_repr(neighbours(powers, 1))
+
+
+@pytest.mark.parametrize("last_rows", [1, 3])
+def test_one_workspace_serves_blocks_of_mixed_sizes_and_contents(
+        monkeypatch, last_rows):
+    # values repr writes, then ordinary ones in the same rows of the
+    # workspace; sub-blocks of 4 rows, and a last block of 1 or 3 rows
+    monkeypatch.setattr(floatrepr, "BLOCK_ROWS", 4)
+    rng = np.random.default_rng(last_rows)
+    special = np.array([[np.nan, 5e-324, -0.0, np.inf],
+                        [2.0 ** 60, -1e-310, 0.0, 0.5],
+                        [1e-5, 1e16, -1e22, 2.0 ** -1074]])
+    ordinary = rng.normal(size=(9, 4)) * 10.0 ** rng.integers(-8, 8, (9, 4))
+    last = np.full((last_rows, 4), 0.15)
+    blocks = [special, ordinary, special[:1], last]
+    expected = oracle(np.concatenate(blocks))
+    assert written(*blocks) == expected
+
+    def refilled():  # one buffer, refilled for each block
+        buffer = np.empty((9, 4))
+        for block in blocks:
+            buffer[:len(block)] = block
+            yield buffer[:len(block)]
+
+    assert b"".join(floatrepr.csv_rows(refilled())) == expected
+    # a block of another width gets a workspace of its own
+    narrow = ordinary[:, :3]
+    assert written(special, narrow, last) == oracle(special) \
+        + oracle(narrow) + oracle(last)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=48))
 def test_property_any_bit_pattern(patterns):
@@ -94,7 +186,7 @@ def test_sub_blocks_of_any_size_join_to_the_same_bytes(monkeypatch):
     block = np.random.default_rng(7).normal(size=(11, 3))
     for rows in (1, 3, 4, 11, 12):
         monkeypatch.setattr(floatrepr, "BLOCK_ROWS", rows)
-        chunks = list(floatrepr.csv_rows(block))
+        chunks = list(floatrepr.csv_rows([block]))
         assert len(chunks) == -(-11 // rows)
         assert b"".join(chunks) == oracle(block)
 
@@ -116,9 +208,13 @@ def test_exported_values_rarely_go_to_repr(pid):
     reads, build = constructions.PROFILES[pid]
     profile = build(*reads.values())
     slow = total = 0
+    work = floatrepr._workspace(floatrepr.BLOCK_ROWS, 4)
     for ts in grid_blocks(profile.t0, profile.t1, 50_000):
-        bits = np.column_stack((ts, *profile.eval(ts))).ravel().view(np.uint64)
-        slow += int(floatrepr._shortest(bits, floatrepr._tables())[2].sum())
-        total += bits.size
+        block = np.column_stack((ts, *profile.eval(ts)))
+        for i in range(0, len(block), floatrepr.BLOCK_ROWS):
+            bits = block[i:i + floatrepr.BLOCK_ROWS].ravel().view(np.uint64)
+            _, _, masked = floatrepr._shortest(bits, floatrepr._tables(), work)
+            slow += int(masked.sum())
+            total += bits.size
     assert total == 200_000
     assert slow <= total // 1000

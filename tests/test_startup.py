@@ -86,6 +86,21 @@ def test_only_a_csv_export_loads_the_float_formatter(tmp_path):
         + [True] * (len(SMALL_RUNS) - first_export + 1)
 
 
+def test_importing_the_float_formatter_builds_no_table_or_workspace(
+        tmp_path):
+    # Ryū's tables are built on the first block, and each csv_rows call
+    # makes its own workspace: the module holds no array at import
+    built = _child(
+        "import json, numpy as np, types\n"
+        "from warpcheck import floatrepr\n"
+        "print(json.dumps([floatrepr._tables.cache_info().currsize,\n"
+        "    sorted(name for name, value in vars(floatrepr).items()\n"
+        "           if isinstance(value, (np.ndarray,\n"
+        "                                 types.SimpleNamespace)))]))\n",
+        tmp_path)
+    assert built == [0, []]
+
+
 def test_module_level_arrays_stay_small(tmp_path):
     """The module-level ndarrays of every warpcheck module total at most
     4 KB once ``import warpcheck.cli`` has returned (680 bytes: the two
